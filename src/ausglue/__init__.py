@@ -12,15 +12,15 @@ from .fincat import (FinCategory, CatModule, ModuleMap, projective_module,
                      injective_module, simple_module, hom_modules,
                      modules_isomorphic, decompose)
 from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
-                       domdim, tau, tau_inv, tau_n, INFINITY)
+                       domdim, projective_injectives, tau, tau_inv, tau_n,
+                       INFINITY)
 from .knitting import knit, vertex_label, aus_rank
 from .glue import (GluedCategory, build_glued, build_sk, build_mk,
                    yoneda_compose, endomorphism_category,
                    auslander_category, is_rigid, is_cluster_tilting,
                    cluster_tilting_from_tau_n)
-from .tower import (TowerReport, gamma, sigma, projective_injectives,
-                    verify_theorem_dynkin, verify_theorem_higher,
-                    four_angles)
+from .tower import (TowerReport, gamma, sigma, verify_theorem_dynkin,
+                    verify_theorem_higher, four_angles)
 
 __all__ = [
     "Field", "Mat", "QQ", "GF", "default_field", "DEFAULT_PRIME",

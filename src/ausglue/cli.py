@@ -23,12 +23,12 @@ from .tower import (verify_theorem_dynkin, verify_theorem_higher,
 from .errors import (InvalidDynkinSpec, InvalidParams, NotRepFinite,
                      NotHereditary, GldimTooBig, NotClusterTilting,
                      OrbitDiverges, BudgetExceeded, NonSchurianVertex,
-                     AmbientNotEnumerable, NoApproximation, Truncated)
+                     InfiniteDimensional, NoApproximation, Truncated)
 
 RESOURCE_ERRORS = (InvalidDynkinSpec, InvalidParams, NotRepFinite,
                    NotHereditary, GldimTooBig, NotClusterTilting,
                    OrbitDiverges, BudgetExceeded, NonSchurianVertex,
-                   AmbientNotEnumerable, NoApproximation, Truncated,
+                   InfiniteDimensional, NoApproximation, Truncated,
                    OSError, ValueError)
 
 

@@ -61,7 +61,3 @@ class OrbitDiverges(Exception):
 
 class NoApproximation(Exception):
     pass
-
-
-class AmbientNotEnumerable(Exception):
-    pass

@@ -16,9 +16,8 @@ the off-diagonal hom spaces.
 
 import random as _random
 
-from .linalg import Mat, NoSolution, row_space_basis, coords_in_basis
-from .errors import (NonSchurianVertex, InfiniteDimensional,
-                     DecompositionFailed)
+from .linalg import Mat, row_space_basis, echelon_columns, quotient_coords
+from .errors import NonSchurianVertex, DecompositionFailed
 
 
 class FinCategory:
@@ -26,7 +25,7 @@ class FinCategory:
     structure constants, comp[(x,y,z)][i][j] = coordinates in hom(x,z) of
     (g_i o f_j) for g_i in hom(y,z), f_j in hom(x,y)."""
 
-    def __init__(self, field, objects, homdim, comp, hom_names=None):
+    def __init__(self, field, objects, homdim, comp):
         self.field = field
         self.objects = list(objects)
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
@@ -35,7 +34,6 @@ class FinCategory:
             for y in self.objects:
                 self.homdim.setdefault((x, y), 0)
         self.comp = comp
-        self.hom_names = hom_names or {}
         self._op = None
         for x in self.objects:
             if self.homdim[(x, x)] != 1:
@@ -105,10 +103,6 @@ class FinCategory:
     def identity_vector(self, x):
         return [self.field.one]
 
-    def hom_name(self, x, y, i):
-        names = self.hom_names.get((x, y))
-        return names[i] if names else "f(%r->%r)#%d" % (x, y, i)
-
     # -- structural checks --------------------------------------------
 
     def check_associativity(self):
@@ -169,8 +163,7 @@ class FinCategory:
             ni = self.homdim[(x, y)]
             nj = self.homdim[(y, z)]
             comp[(z, y, x)] = [[t[j][i] for j in range(nj)] for i in range(ni)]
-        names = {(y, x): v for (x, y), v in self.hom_names.items()}
-        op = FinCategory(self.field, self.objects, homdim, comp, names)
+        op = FinCategory(self.field, self.objects, homdim, comp)
         op._op = self
         self._op = op
         return op
@@ -190,13 +183,8 @@ class FinCategory:
                     t = self.comp.get((x, y, z))
                     if t is not None:
                         comp[(relabel[x], relabel[y], relabel[z])] = t
-        names = {}
-        for x in objs:
-            for y in objs:
-                if (x, y) in self.hom_names:
-                    names[(relabel[x], relabel[y])] = self.hom_names[(x, y)]
         return FinCategory(self.field, [relabel[x] for x in objs],
-                           homdim, comp, names)
+                           homdim, comp)
 
     def gabriel_arrows(self):
         """Arrows of the Gabriel quiver: multiplicity of x->y equals
@@ -414,10 +402,6 @@ def injective_module(cat, x):
     return M
 
 
-def regular_summands(cat):
-    return [projective_module(cat, x) for x in cat.objects]
-
-
 def direct_sum(cat, modules):
     """Direct sum with inclusion and projection maps."""
     f = cat.field
@@ -599,33 +583,22 @@ class Quotient:
         f = c.field
         self.parent = parent
         dims = {}
-        self._red = {}
-        self._free = {}
-        for x in c.objects:
-            rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
-            piv = []
-            j = 0
-            for r in rows:
-                while r[j] == f.zero:
-                    j += 1
-                piv.append(j)
-            free = [j for j in range(parent.dims[x]) if j not in piv]
-            self._red[x] = (rows, piv)
-            self._free[x] = free
-            dims[x] = len(free)
         proj = {}
         sect = {}
         for x in c.objects:
+            rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
+            piv, free = echelon_columns(f, rows, parent.dims[x])
+            dims[x] = len(free)
             pm = Mat.zero(f, dims[x], parent.dims[x])
             for r in range(parent.dims[x]):
                 v = [f.zero] * parent.dims[x]
                 v[r] = f.one
-                w = self.reduce(x, v)
+                w = quotient_coords(f, rows, piv, free, v)
                 for i, val in enumerate(w):
                     pm.rows[i][r] = val
             proj[x] = pm
             sm = Mat.zero(f, parent.dims[x], dims[x])
-            for i, jfree in enumerate(self._free[x]):
+            for i, jfree in enumerate(free):
                 sm.rows[jfree][i] = f.one
             sect[x] = sm
         act = {}
@@ -639,19 +612,6 @@ class Quotient:
         self.module = CatModule(c, dims, act)
         self.projection = ModuleMap(parent, self.module, proj)
         self.section = {x: sect[x] for x in c.objects}
-
-    def reduce(self, x, v):
-        """Coordinates of v + sub in the quotient basis at object x."""
-        f = self.parent.cat.field
-        rows, piv = self._red[x]
-        v = list(v)
-        for r, j in zip(rows, piv):
-            cv = v[j]
-            if cv != f.zero:
-                v = [a - cv * b for a, b in zip(v, r)]
-                if f.p is not None:
-                    v = [a % f.p for a in v]
-        return [v[j] for j in self._free[x]]
 
 
 def kernel(phi):
@@ -711,18 +671,10 @@ def top_generators(M):
     rad = radical_rows(M)
     gens = []
     for x in c.objects:
-        rows = rad[x]
-        piv = []
-        j = 0
-        for r in rows:
-            while r[j] == f.zero:
-                j += 1
-            piv.append(j)
-        for j in range(M.dims[x]):
-            if j not in piv:
-                v = [f.zero] * M.dims[x]
-                v[j] = f.one
-                gens.append((x, v))
+        for j in echelon_columns(f, rad[x], M.dims[x])[1]:
+            v = [f.zero] * M.dims[x]
+            v[j] = f.one
+            gens.append((x, v))
     return gens
 
 
@@ -779,10 +731,6 @@ class FreeModule:
                         m.rows[r][cix] = col[r]
             mats[y] = m
         return ModuleMap(self.module, N, mats)
-
-    def hom_space_dims(self, N):
-        """Hom(self, N) = sum of N(summand) by Yoneda; returns block dims."""
-        return [N.dims[s] for s in self.summands]
 
 
 class CatMat:
@@ -903,7 +851,7 @@ class InjSum:
 # decomposition into indecomposables
 
 
-def decompose(M, rng_seed=20240817, assert_schurian=True):
+def decompose(M):
     """Split M into indecomposable summands via Fitting decompositions of
     endomorphisms (the concrete form of idempotent lifting here).
 
@@ -912,7 +860,7 @@ def decompose(M, rng_seed=20240817, assert_schurian=True):
     """
     out = []
     work = [M]
-    rng = _random.Random(rng_seed)
+    rng = _random.Random(20240817)
     while work:
         cur = work.pop()
         if cur.total_dim() == 0:
@@ -923,11 +871,8 @@ def decompose(M, rng_seed=20240817, assert_schurian=True):
             continue
         split = _find_split(cur, ends, rng)
         if split is None:
-            if assert_schurian:
-                raise DecompositionFailed(
-                    "dim End = %d but no splitting found" % len(ends))
-            out.append(cur)
-            continue
+            raise DecompositionFailed(
+                "dim End = %d but no splitting found" % len(ends))
         work.extend(split)
     out.sort(key=lambda m: (m.dim_vector(),), reverse=False)
     return out
@@ -986,16 +931,3 @@ def _eval_poly(M, a, coeffs):
             out = out.compose(a) + identity_map(M).scale(f(c))
     return out
 
-
-def multiplicity_in(M, summands, candidates):
-    """Match each summand of M (a list of indecomposables from decompose)
-    against a candidate list; returns list of candidate indices or None."""
-    out = []
-    for s in summands:
-        found = None
-        for i, c in enumerate(candidates):
-            if modules_isomorphic(s, c):
-                found = i
-                break
-        out.append(found)
-    return out

@@ -12,7 +12,7 @@ it exhaustively through FinCategory.check_associativity.
 from .linalg import coords_in_basis
 from .fincat import (FinCategory, hom_modules, identity_map, decompose,
                      injective_module, projective_module, modules_isomorphic)
-from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
+from .homology import (min_proj_resolution, ext_space, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
 from .errors import (NonSchurianVertex, NotHereditary, NotRepFinite,
                      NotClusterTilting, GldimTooBig, OrbitDiverges,
@@ -48,9 +48,6 @@ class GluedCategory:
     def rank(self):
         return len(self.cat.objects)
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def hom_dim(self, a, i, b, j):
         return self.cat.homdim[(self.obj(a, i), self.obj(b, j))]
 
@@ -65,17 +62,14 @@ def _unique_names(labels):
     return out
 
 
-def build_glued(ambient, modules, names, n, k):
-    """Assemble the glued category from a list of pairwise non-isomorphic
-    indecomposable modules over the ambient category."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    field = ambient.field
+def _hom_tables(field, modules, names):
+    """Hom bases between the given indecomposables, with the identity as
+    the basis of each End, and the structure constants of hom after hom:
+    comp[(a, b, c)][i][j] = coordinates of g_i o f_j in the hom(a, c)
+    basis, for g_i in hom(b, c) and f_j in hom(a, b).  Keys are positions
+    in `modules`."""
     m = len(modules)
-    res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
-
     homs = {}
-    exts = {}
     for a in range(m):
         for b in range(m):
             basis = hom_modules(modules[a], modules[b])
@@ -85,8 +79,37 @@ def build_glued(ambient, modules, names, n, k):
                         "End(%s) has dimension %d" % (names[a], len(basis)))
                 basis = [identity_map(modules[a])]
             homs[(a, b)] = basis
-            exts[(a, b)] = ext_space(modules[a], modules[b], n,
-                                     resolution=res[a])
+    hflat = {key: [g.flatten() for g in basis] for key, basis in homs.items()}
+    comp = {}
+    for a in range(m):
+        for b in range(m):
+            if not homs[(a, b)]:
+                continue
+            for c in range(m):
+                if not homs[(b, c)] or not homs[(a, c)]:
+                    continue
+                comp[(a, b, c)] = [
+                    [coords_in_basis(field, hflat[(a, c)],
+                                     g.compose(f).flatten())
+                     for f in homs[(a, b)]]
+                    for g in homs[(b, c)]]
+    return homs, comp
+
+
+def build_glued(ambient, modules, names, n, k):
+    """Assemble the glued category from a list of pairwise non-isomorphic
+    indecomposable modules over the ambient category."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    field = ambient.field
+    m = len(modules)
+    res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
+
+    homs, comp_hh = _hom_tables(field, modules, names)
+    exts = {(a, b): ext_space(modules[a], modules[b], n, resolution=res[a])
+            for a in range(m) for b in range(m)}
 
     # degree-n chain-map lift of every hom basis element, for ext o hom
     lifts = {}
@@ -95,10 +118,6 @@ def build_glued(ambient, modules, names, n, k):
             L = lift_chain_map(f, res[a], res[b], n)
             lifts[(a, b, j)] = L[n] if len(L) > n else None
 
-    hflat = {(a, b): [g.flatten() for g in homs[(a, b)]]
-             for a in range(m) for b in range(m)}
-
-    comp_hh = {}
     comp_he = {}
     comp_eh = {}
     for a in range(m):
@@ -108,15 +127,6 @@ def build_glued(ambient, modules, names, n, k):
             for c in range(m):
                 dbc = len(homs[(b, c)])
                 ebc = exts[(b, c)].dim
-                if dab and dbc and len(homs[(a, c)]):
-                    t = []
-                    for g in homs[(b, c)]:
-                        row = []
-                        for f in homs[(a, b)]:
-                            row.append(coords_in_basis(
-                                field, hflat[(a, c)], g.compose(f).flatten()))
-                        t.append(row)
-                    comp_hh[(a, b, c)] = t
                 if dab and ebc and exts[(a, c)].dim:
                     t = []
                     for i in range(ebc):
@@ -194,35 +204,12 @@ def endomorphism_category(ambient, modules, names):
     """The basic endomorphism algebra of the direct sum of the given
     pairwise non-isomorphic indecomposables, as a FinCategory with the
     names as objects."""
-    field = ambient.field
-    m = len(modules)
-    homs = {}
-    for a in range(m):
-        for b in range(m):
-            basis = hom_modules(modules[a], modules[b])
-            if a == b:
-                if len(basis) != 1:
-                    raise NonSchurianVertex(
-                        "End(%s) has dimension %d" % (names[a], len(basis)))
-                basis = [identity_map(modules[a])]
-            homs[(a, b)] = basis
-    hflat = {k: [g.flatten() for g in v] for k, v in homs.items()}
-    homdim = {(names[a], names[b]): len(homs[(a, b)])
-              for a in range(m) for b in range(m)}
-    comp = {}
-    for a in range(m):
-        for b in range(m):
-            if not homs[(a, b)]:
-                continue
-            for c in range(m):
-                if not homs[(b, c)] or not homs[(a, c)]:
-                    continue
-                comp[(names[a], names[b], names[c])] = [
-                    [coords_in_basis(field, hflat[(a, c)],
-                                     g.compose(f).flatten())
-                     for f in homs[(a, b)]]
-                    for g in homs[(b, c)]]
-    return FinCategory(field, list(names), homdim, comp)
+    homs, comp_hh = _hom_tables(ambient.field, modules, names)
+    homdim = {(names[a], names[b]): len(basis)
+              for (a, b), basis in homs.items()}
+    comp = {(names[a], names[b], names[c]): t
+            for (a, b, c), t in comp_hh.items()}
+    return FinCategory(ambient.field, list(names), homdim, comp)
 
 
 def auslander_category(ambient, budget=512):

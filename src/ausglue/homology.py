@@ -8,17 +8,12 @@ the duality D, so only projective resolutions are ever built.
 """
 
 from .linalg import Mat, NoSolution, row_space_basis
-from .fincat import (FreeModule, CatMat, InjSum, ModuleMap, CatModule,
-                     kernel, cokernel, dual_module, top_generators,
-                     simple_module, projective_module, injective_module,
-                     hom_modules, modules_isomorphic, zero_module)
+from .fincat import (FreeModule, CatMat, InjSum, kernel, cokernel,
+                     dual_module, top_generators, simple_module,
+                     projective_module, hom_modules, zero_module)
 from .errors import Truncated
 
 INFINITY = float("inf")
-
-
-def default_max_len(cat):
-    return cat.total_dimension() + 2
 
 
 class Resolution:
@@ -64,12 +59,12 @@ class Resolution:
         return True
 
 
-def min_proj_resolution(M, max_len=None, stop_at=None):
-    """Minimal projective resolution of M.  Raises Truncated past max_len;
-    stop_at truncates silently (for Ext, which only needs a prefix)."""
+def min_proj_resolution(M, stop_at=None):
+    """Minimal projective resolution of M.  Raises Truncated past length
+    dim(cat) + 2; stop_at truncates silently (for Ext, which only needs a
+    prefix)."""
     cat = M.cat
-    if max_len is None:
-        max_len = default_max_len(cat)
+    max_len = cat.total_dimension() + 2
     if M.total_dim() == 0:
         F = FreeModule(cat, [])
         return Resolution(M, [[]], [F], [], F.yoneda_map(M, []))
@@ -109,10 +104,10 @@ def min_proj_resolution(M, max_len=None, stop_at=None):
     return res
 
 
-def pdim(M, max_len=None):
+def pdim(M):
     if M.total_dim() == 0:
         return -1
-    return min_proj_resolution(M, max_len=max_len).length
+    return min_proj_resolution(M).length
 
 
 def syzygy(M):
@@ -125,74 +120,52 @@ def syzygy(M):
     return kernel(eps).module
 
 
-def cosyzygy(M):
-    return dual_module(syzygy(dual_module(M)))
-
-
-def min_inj_coresolution(M, max_len=None, stop_at=None):
-    """Minimal injective coresolution of M, computed as the projective
-    resolution of D(M) over the opposite category.  terms[i] lists the
-    socle labels: term i is the sum of I_x over its entries."""
-    return min_proj_resolution(dual_module(M), max_len=max_len, stop_at=stop_at)
-
-
-def idim(M, max_len=None):
-    return pdim(dual_module(M), max_len=max_len)
-
-
-def gldim(cat, max_len=None):
+def gldim(cat):
     """Global dimension: max projective dimension over the simples."""
     best = 0
     for x in cat.objects:
-        best = max(best, pdim(simple_module(cat, x), max_len=max_len))
+        best = max(best, pdim(simple_module(cat, x)))
     return best
 
 
-def projective_injective_objects(cat):
-    """Objects x such that I_x is projective (equivalently labels of the
-    projective-injective indecomposables)."""
+def projective_injectives(cat):
+    """Objects x, in object order, whose projective P_x is injective.
+
+    P_x is indecomposable, so it is injective only if its socle is a simple
+    S_y; it then embeds in the injective envelope I_y, and is injective
+    exactly when the two have the same dimension."""
     out = []
     for x in cat.objects:
-        I = injective_module(cat, x)
-        gens = top_generators(I)
-        if len(gens) != 1:
+        socle = top_generators(dual_module(projective_module(cat, x)))
+        if len(socle) != 1:
             continue
-        y = gens[0][0]
-        if modules_isomorphic(I, projective_module(cat, y)):
+        y = socle[0][0]
+        if sum(cat.homdim[(x, z)] for z in cat.objects) == \
+                sum(cat.homdim[(z, y)] for z in cat.objects):
             out.append(x)
     return out
 
 
-def injective_labels_projective(cat):
-    """Map x -> y for each projective-injective: I_x isomorphic to P_y."""
-    out = {}
-    for x in cat.objects:
-        I = injective_module(cat, x)
-        gens = top_generators(I)
-        if len(gens) != 1:
-            continue
-        y = gens[0][0]
-        if modules_isomorphic(I, projective_module(cat, y)):
-            out[x] = y
-    return out
-
-
-def domdim(cat, max_len=None):
+def domdim(cat):
     """Dominant dimension: minimum over indecomposable projectives of the
     number of leading projective-injective terms in the minimal injective
     coresolution.  Returns INFINITY for self-injective input."""
-    projinj = set(projective_injective_objects(cat))
+    # I_y is projective iff D(I_y), the projective P_y of the opposite
+    # category, is injective there
+    projinj = set(projective_injectives(cat.opposite()))
     best = INFINITY
     for x in cat.objects:
-        P = projective_module(cat, x)
-        res = min_inj_coresolution(P, max_len=max_len)
+        # the minimal injective coresolution of P_x, as the projective
+        # resolution of D(P_x); terms list socle labels, term i being the
+        # sum of I_y over its entries
+        res = min_proj_resolution(dual_module(projective_module(cat, x)))
         t = 0
         for term in res.terms:
             if all(z in projinj for z in term):
                 t += 1
             else:
                 break
-        if t > res.length and not res.truncated:
+        if t > res.length:
             t = INFINITY  # coresolution entirely projective-injective
         best = min(best, t)
         if best == 0:
@@ -236,17 +209,6 @@ class ExtSpace:
         A = Mat.from_cols(f, list(self.cob_rows) + list(self.reps))
         sol = A.solve(Mat.from_cols(f, [vec]))
         return [sol[len(self.cob_rows) + i, 0] for i in range(len(self.reps))]
-
-    def cocycle_as_map(self, vec):
-        """Realize a cocycle vector as a ModuleMap F_n -> Y."""
-        F = self.resolution.frees[self.n]
-        elements = []
-        o = 0
-        for b in F.summands:
-            d = self.Y.dims[b]
-            elements.append(vec[o:o + d])
-            o += d
-        return F.yoneda_map(self.Y, elements)
 
 
 def ext_space(X, Y, n, resolution=None):
@@ -330,13 +292,6 @@ def tau_n(M, n):
     for _ in range(n - 1):
         M = syzygy(M)
     return tau(M)
-
-
-def tau_n_inv(M, n):
-    """Inverse higher translate tau^{-1} Omega^{-(n-1)}."""
-    for _ in range(n - 1):
-        M = cosyzygy(M)
-    return tau_inv(M)
 
 
 def nakayama_functor(M):
@@ -439,15 +394,3 @@ def compose_hom_with_ext(g, ext, vec):
         o += d
     return out
 
-
-def compose_ext_with_hom(ext, vec, f, res_src):
-    """Precompose: vec a cocycle for Ext^n(Y, Z) (ext over Y), f: X -> Y;
-    returns the cocycle vector over X's resolution res_src."""
-    lifts = lift_chain_map(f, res_src, ext.resolution, ext.n)
-    n = ext.n
-    hom_dim = sum(ext.Y.dims[b] for b in res_src.terms[n]) \
-        if n <= res_src.length else 0
-    if n >= len(lifts) or lifts[n] is None:
-        return [ext.field.zero] * hom_dim
-    U = lifts[n].hom_into(ext.Y)
-    return U.apply(vec)

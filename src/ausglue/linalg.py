@@ -109,10 +109,6 @@ class Mat:
         return m
 
     @staticmethod
-    def from_rows(field, rows):
-        return Mat(field, rows)
-
-    @staticmethod
     def from_cols(field, cols):
         if not cols:
             return Mat.zero(field, 0, 0)
@@ -121,12 +117,6 @@ class Mat:
         for j, c in enumerate(cols):
             for i, v in enumerate(c):
                 m.rows[i][j] = field(v)
-        return m
-
-    def copy(self):
-        m = Mat.__new__(Mat)
-        m.field, m.nrows, m.ncols = self.field, self.nrows, self.ncols
-        m.rows = [r[:] for r in self.rows]
         return m
 
     # -- basics -------------------------------------------------------
@@ -151,9 +141,6 @@ class Mat:
 
     def col(self, j):
         return [r[j] for r in self.rows]
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self):
         m = Mat.__new__(Mat)
@@ -328,13 +315,6 @@ class Mat:
             x.rows[pc] = R.rows[i][self.ncols:]
         return x
 
-    def column_space_contains(self, b):
-        try:
-            self.solve(b)
-            return True
-        except NoSolution:
-            return False
-
     def image_basis(self):
         """Columns forming a basis of the column space: the original
         columns at the pivot positions of the RREF."""
@@ -363,6 +343,31 @@ def row_space_basis(field, vectors, length):
     m = Mat(field, vectors, len(vectors), length)
     R, pivots = m.rref()
     return [R.rows[i][:] for i in range(len(pivots))]
+
+
+def echelon_columns(field, rows, length):
+    """(pivots, free) for RREF rows of the given length: the pivot column
+    of each row (its first nonzero entry) and the remaining columns."""
+    piv = []
+    j = 0
+    for r in rows:
+        while r[j] == field.zero:
+            j += 1
+        piv.append(j)
+    return piv, [j for j in range(length) if j not in piv]
+
+
+def quotient_coords(field, rows, pivots, free, v):
+    """Coordinates of v modulo the span of RREF rows: clear v's entries at
+    the rows' pivot columns, then read it at the free columns."""
+    v = list(v)
+    for r, j in zip(rows, pivots):
+        cv = v[j]
+        if cv != field.zero:
+            v = [a - cv * b for a, b in zip(v, r)]
+            if field.p is not None:
+                v = [a % field.p for a in v]
+    return [v[j] for j in free]
 
 
 def coords_in_basis(field, basis_rows, vector):

@@ -6,15 +6,11 @@ modulo the two-sided ideal generated by the relations, and composition is
 path concatenation followed by reduction.
 """
 
-from .linalg import row_space_basis
+from .linalg import row_space_basis, echelon_columns, quotient_coords
 from .fincat import FinCategory
 from .errors import InfiniteDimensional
 
 _HARD_LENGTH_CAP = 30
-
-
-def _path_str(path):
-    return "e" if not path else ".".join(str(a) for a in path)
 
 
 def category_from_presentation(pres, field):
@@ -86,31 +82,9 @@ def category_from_presentation(pres, field):
     reducer = {}
     for key, plist in paths.items():
         rows = row_space_basis(field, ideal_rows[key], len(plist))
-        piv = []
-        j = 0
-        for r in rows:
-            while r[j] == field.zero:
-                j += 1
-            piv.append(j)
-        free = [j for j in range(len(plist)) if j not in piv]
+        piv, free = echelon_columns(field, rows, len(plist))
         basis[key] = [plist[j] for j in free]
         reducer[key] = (rows, piv, free)
-
-    def reduce_path(x, y, path):
-        """Coordinates of a single path in the chosen hom(x,y) basis."""
-        rows, piv, free = reducer[(x, y)]
-        n = len(paths[(x, y)])
-        pos = index[(x, y)].get(path)
-        v = [field.zero] * n
-        if pos is not None:
-            v[pos] = field.one
-        for r, j in zip(rows, piv):
-            cv = v[j]
-            if cv != field.zero:
-                v = [a - cv * b for a, b in zip(v, r)]
-                if field.p is not None:
-                    v = [a % field.p for a in v]
-        return [v[j] for j in free]
 
     objects = list(q.vertices)
     homdim = {(x, y): len(basis[(x, y)]) for x in objects for y in objects}
@@ -122,13 +96,15 @@ def category_from_presentation(pres, field):
             for z in objects:
                 if homdim[(y, z)] == 0 or homdim[(x, z)] == 0:
                     continue
+                rows, piv, free = reducer[(x, z)]
+                at = index[(x, z)]
                 t = []
                 for g in basis[(y, z)]:
                     row = []
                     for f in basis[(x, y)]:
-                        row.append(reduce_path(x, z, f + g))
+                        v = [field.zero] * len(at)
+                        v[at[f + g]] = field.one
+                        row.append(quotient_coords(field, rows, piv, free, v))
                     t.append(row)
                 comp[(x, y, z)] = t
-    names = {(x, y): [_path_str(p) for p in basis[(x, y)]]
-             for x in objects for y in objects if homdim[(x, y)]}
-    return FinCategory(field, objects, homdim, comp, names)
+    return FinCategory(field, objects, homdim, comp)

@@ -23,12 +23,6 @@ class Quiver:
         self.source = {aid: s for aid, s, t in self.arrows}
         self.target = {aid: t for aid, s, t in self.arrows}
 
-    def arrows_from(self, v):
-        return [a for a in self.arrows if a[1] == v]
-
-    def arrows_to(self, v):
-        return [a for a in self.arrows if a[2] == v]
-
     def topological_order(self):
         """Vertices in a source-first order; None if the quiver has an
         oriented cycle.  Ties broken by position in the vertex list."""
@@ -164,6 +158,10 @@ class BoundPresentation:
                 raise InvalidParams("empty relation")
             paths = [p for _, p in rel]
             for p in paths:
+                unknown = [a for a in p if a not in quiver.source]
+                if unknown:
+                    raise InvalidParams("relation term %r names unknown "
+                                        "arrow %r" % (p, unknown[0]))
                 if not p or not quiver.is_path(p):
                     raise InvalidParams("relation term %r is not a path" % (p,))
             s0 = quiver.path_source(paths[0])
@@ -221,17 +219,23 @@ def parse_quiver_file(text):
     relation_lines = []
     vertices = []
     for ln in lines[1:]:
-        parts = ln.split(None, 1)
-        if parts[0] == "arrow":
-            aid, src, dst = parts[1].split()
+        kind, rest = (ln.split(None, 1) + [""])[:2]
+        if kind == "arrow":
+            fields = rest.split()
+            if len(fields) != 3:
+                raise InvalidParams("arrow line needs <id> <src> <dst>: %r"
+                                    % (ln,))
+            aid, src, dst = fields
             for v in (src, dst):
                 if v not in vertices:
                     vertices.append(v)
             arrows.append((aid, src, dst))
-        elif parts[0] == "relation":
-            relation_lines.append(parts[1])
+        elif kind == "relation":
+            relation_lines.append(rest)
         else:
             raise InvalidParams("unknown line %r" % (ln,))
+    if not vertices:
+        raise InvalidParams("quiver file has no arrows, so no vertices")
     q = Quiver(vertices, arrows)
     relations = []
     for ln in relation_lines:

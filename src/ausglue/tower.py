@@ -16,13 +16,12 @@ plus, for the hereditary (n=1) case, the identification of the quiver of
 (Gamma^k)^op with the repeated-and-connected AR quiver.
 """
 
-from .fincat import (projective_module, injective_module, simple_module,
+from .fincat import (projective_module, injective_module,
                      modules_isomorphic, dual_module, top_generators,
                      decompose)
 from .homology import (gldim, domdim, min_proj_resolution, ext_dim, tau_n,
-                       INFINITY)
-from .glue import (build_sk, build_mk, endomorphism_category, is_rigid,
-                   GluedCategory)
+                       projective_injectives, INFINITY)
+from .glue import build_sk, build_mk, is_rigid
 from .errors import NoApproximation
 from .quiver import DynkinSpec, hereditary_presentation
 from .pathcat import category_from_presentation
@@ -120,21 +119,6 @@ def gamma(glued):
     if not is_basic(glued.cat):
         raise ValueError("glued category is not basic")
     return glued.cat
-
-
-def projective_injectives(cat):
-    """Objects x whose projective P_x is injective, found by comparing P_x
-    with the injective envelope of its socle."""
-    out = []
-    for x in cat.objects:
-        P = projective_module(cat, x)
-        socle = top_generators(dual_module(P))
-        if len(socle) != 1:
-            continue
-        y = socle[0][0]
-        if modules_isomorphic(P, injective_module(cat, y)):
-            out.append(x)
-    return out
 
 
 def sigma(glued):
@@ -293,7 +277,10 @@ def _verify_glued(glued, input_desc, gldim_id):
 
     projs = [projective_module(S, x) for x in S.objects]
     injs = [injective_module(S, x) for x in S.objects]
-    gen_cogen = _distinct_modules(projs + injs)
+    # the projectives, then the injectives that are not also projective
+    inj_proj = set(projective_injectives(S.opposite()))
+    gen_cogen = projs + [I for y, I in zip(S.objects, injs)
+                         if y not in inj_proj]
     ok, witness = is_rigid(gen_cogen, d)
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)

@@ -117,11 +117,30 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     ["verify", "--dynkin", "A3", "--k", "1", "--n", "2"],
     ["verify", "--nakayama", "4,3", "--k", "1"],
     ["verify", "--nakayama", "4", "--k", "1", "--n", "2"],
+    ["verify", "--auslander-of", "A1", "--k", "1", "--n", "0"],
     ["angles", "--dynkin", "A3"],
     ["angles"],
 ], ids=lambda a: " ".join(a))
 def test_invalid_input_exits_two(runner, args):
     r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert "error:" in r.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "quiver\narrow a 1 1\n",
+    "quiver\narrow a 1 2\narrow b 2 1\n",
+    "quiver\narrow\n",
+    "quiver\narrow a 1\n",
+    "quiver\narrow a 1 2\nrelation 1*zz\n",
+    "quiver\n",
+], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
+        "unknown-relation-arrow", "no-arrows"])
+def test_bad_quiver_file_exits_two(runner, tmp_path, text):
+    qf = tmp_path / "bad.quiver"
+    qf.write_text(text)
+    r = runner.invoke(main, ["verify", "--quiver-file", str(qf), "--k", "1",
+                             "--n", "2"])
     assert r.exit_code == 2
     assert "error:" in r.stderr
 

@@ -11,9 +11,9 @@ from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             decompose, direct_sum, CatMat)
 from ausglue.homology import (min_proj_resolution, pdim, syzygy, gldim,
-                              domdim, ext_space, ext_dim, tau, tau_inv,
-                              tau_n, nakayama_functor, nakayama_inverse,
-                              lift_chain_map, INFINITY)
+                              domdim, projective_injectives, ext_space,
+                              ext_dim, tau, tau_inv, tau_n, nakayama_functor,
+                              nakayama_inverse, lift_chain_map, INFINITY)
 
 FIELD = default_field()
 
@@ -61,6 +61,24 @@ def test_gldim_domdim_oracles():
     aus, _ = auslander_category(A3)
     assert gldim(aus) == 2
     assert domdim(aus) == 2
+
+
+def test_projective_injectives_match_isomorphism_test():
+    """The dimension criterion against the definition it replaces: P_x is
+    injective iff it is isomorphic to some I_y, and over the opposite
+    category it finds the y whose I_y is projective."""
+    from ausglue.glue import auslander_category
+    nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
+    aus, _ = auslander_category(A3)
+    for cat in (A3, D4, nak, aus):
+        projs = {x: projective_module(cat, x) for x in cat.objects}
+        injs = {y: injective_module(cat, y) for y in cat.objects}
+        assert projective_injectives(cat) == [
+            x for x in cat.objects
+            if any(modules_isomorphic(projs[x], injs[y]) for y in cat.objects)]
+        assert set(projective_injectives(cat.opposite())) == {
+            y for y in cat.objects
+            if any(modules_isomorphic(injs[y], projs[x]) for x in cat.objects)}
 
 
 def test_ext_oracles():

@@ -75,6 +75,8 @@ def test_relation_endpoint_validation():
         BoundPresentation(q, [[(1, ("a2", "a1"))]])
     with pytest.raises(InvalidParams):
         BoundPresentation(q, [[]])
+    with pytest.raises(InvalidParams, match="unknown arrow 'zz'"):
+        BoundPresentation(q, [[(1, ("a1", "zz"))]])
 
 
 def test_parse_quiver_file():
@@ -96,3 +98,16 @@ relation 1*a.b; -1*c
         parse_quiver_file("nonsense\n")
     with pytest.raises(InvalidParams):
         parse_quiver_file("dynkin A 3\narrow a 1 2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("quiver\narrow\n", "'arrow'"),
+    ("quiver\narrow a 1\n", "'arrow a 1'"),
+    ("quiver\narrow a 1 2 3\n", "'arrow a 1 2 3'"),
+    ("quiver\narrow a 1 2\nrelation 1*zz\n", "unknown arrow 'zz'"),
+    ("quiver\narrow a 1 2\nrelation\n", "empty relation"),
+    ("quiver\n", "no vertices"),
+])
+def test_parse_quiver_file_rejects_malformed(text, message):
+    with pytest.raises(InvalidParams, match=message):
+        parse_quiver_file(text)
