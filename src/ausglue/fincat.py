@@ -217,12 +217,17 @@ class FinCategory:
 
 
 class CatModule:
-    """A covariant module over a FinCategory."""
+    """A covariant module over a FinCategory.
+
+    act[(x, y)] is the list of action matrices, one per basis element of
+    hom(x, y).  A key is present only when homdim(x, y), dims[x] and
+    dims[y] are all nonzero; every other action is zero, and action()
+    returns it as a zero matrix of the right shape."""
 
     def __init__(self, cat, dims, act):
         self.cat = cat
         self.dims = {x: dims.get(x, 0) for x in cat.objects}
-        self.act = act  # (x, y) -> list of Mat, one per hom basis element
+        self.act = act
 
     def action(self, x, y, i):
         mats = self.act.get((x, y))
@@ -365,7 +370,7 @@ def projective_module(cat, x):
     for y in cat.objects:
         for z in cat.objects:
             d = cat.homdim[(y, z)]
-            if d == 0 or dims[y] == 0:
+            if d == 0 or dims[y] == 0 or dims[z] == 0:
                 continue
             mats = []
             for i in range(d):
@@ -464,8 +469,8 @@ def hom_modules(M, N):
         o += sizes[x]
 
     rows = []
-    for x in objs:
-        for y in objs:
+    for x in [x for x in objs if M.dims[x]]:
+        for y in [y for y in objs if N.dims[y]]:
             for i in range(c.homdim[(x, y)]):
                 A = N.action(x, y, i)   # N(x) -> N(y)
                 B = M.action(x, y, i)   # M(x) -> M(y)
@@ -553,19 +558,15 @@ class Submodule:
             Bx = Mat.from_cols(f, self.basis[x])
             for y in c.objects:
                 d = c.homdim[(x, y)]
-                if d == 0:
+                if d == 0 or parent.dims[y] == 0:
                     continue
-                mats = []
-                for i in range(d):
-                    img = parent.action(x, y, i) * Bx
-                    if dims[y] == 0:
-                        if not img.is_zero():
-                            raise ValueError("subspace not action-stable")
-                        mats.append(Mat.zero(f, 0, dims[x]))
-                        continue
-                    By = Mat.from_cols(f, self.basis[y])
-                    mats.append(By.solve(img))
-                act[(x, y)] = mats
+                imgs = [parent.action(x, y, i) * Bx for i in range(d)]
+                if dims[y] == 0:
+                    if not all(img.is_zero() for img in imgs):
+                        raise ValueError("subspace not action-stable")
+                    continue
+                By = Mat.from_cols(f, self.basis[y])
+                act[(x, y)] = [By.solve(img) for img in imgs]
         self.module = CatModule(c, dims, act)
         incl = {}
         for x in c.objects:
@@ -651,13 +652,13 @@ def radical_rows(M):
     out = {}
     for y in c.objects:
         vecs = []
-        for x in c.objects:
-            if x == y:
-                continue
-            for i in range(c.homdim[(x, y)]):
-                A = M.action(x, y, i)
-                for j in range(M.dims[x]):
-                    vecs.append(A.col(j))
+        if M.dims[y]:
+            for x in c.objects:
+                if x == y or M.dims[x] == 0:
+                    continue
+                for A in M.act.get((x, y), ()):
+                    for j in range(M.dims[x]):
+                        vecs.append(A.col(j))
         out[y] = row_space_basis(c.field, vecs, M.dims[y])
     return out
 
@@ -702,11 +703,12 @@ class FreeModule:
                 o += cat.homdim[(s, y)]
             self.offsets[y] = offs
         projs = [projective_module(cat, s) for s in self.summands]
+        support = [y for y in cat.objects if dims[y]]
         act = {}
-        for y in cat.objects:
-            for z in cat.objects:
+        for y in support:
+            for z in support:
                 d = cat.homdim[(y, z)]
-                if d == 0 or dims[y] == 0:
+                if d == 0:
                     continue
                 mats = []
                 for i in range(d):

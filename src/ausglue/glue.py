@@ -27,6 +27,7 @@ class GluedCategory:
     n: the Ext degree used for the connecting homs; k: number of shifts.
     homs[(a,b)] / exts[(a,b)] keep the chosen bases (ModuleMaps resp.
     ExtSpaces indexed by positions in `modules`) for downstream checks.
+    ar: the AR quiver of the ambient when build_sk knitted it, else None.
     """
 
     def __init__(self, cat, ambient, modules, names, n, k, homs, exts,
@@ -40,6 +41,7 @@ class GluedCategory:
         self.homs = homs
         self.exts = exts
         self.resolutions = resolutions
+        self.ar = None
 
     def obj(self, a, shift):
         return (self.names[a], shift)
@@ -243,7 +245,9 @@ def build_sk(ambient, k, budget=512):
         raise NotRepFinite(str(e))
     modules = [ar.module(i) for i in range(ar.count)]
     names = _unique_names(ar.labels())
-    return build_glued(ambient, modules, names, 1, k)
+    glued = build_glued(ambient, modules, names, 1, k)
+    glued.ar = ar
+    return glued
 
 
 def build_mk(ambient, k, n, modules=None, budget=512):

@@ -22,7 +22,8 @@ class Field:
     """The coefficient field: QQ (p is None) or F_p for a prime p.
 
     Elements are plain Fractions resp. ints in [0, p); the field object
-    only carries p and the conversion/inversion rules.
+    only carries p, the conversion/inversion rules and its zero and one
+    (elements are immutable, so every caller may share them).
     """
 
     def __init__(self, p=None):
@@ -30,6 +31,8 @@ class Field:
             if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
                 raise ValueError("p must be prime, got %r" % (p,))
         self.p = p
+        self.zero = self(0)
+        self.one = self(1)
 
     def __call__(self, v):
         if self.p is None:
@@ -42,14 +45,6 @@ class Field:
                 raise ZeroDivisionError("inverse of 0")
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
-
-    @property
-    def zero(self):
-        return self(0)
-
-    @property
-    def one(self):
-        return self(1)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

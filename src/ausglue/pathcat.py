@@ -8,15 +8,16 @@ path concatenation followed by reduction.
 
 from .linalg import row_space_basis, echelon_columns, quotient_coords
 from .fincat import FinCategory
-from .errors import InfiniteDimensional
-
-_HARD_LENGTH_CAP = 30
+from .errors import InfiniteDimensional, InvalidParams
 
 
 def category_from_presentation(pres, field):
     q = pres.quiver
-    acyclic = q.is_acyclic
-    max_len = len(q.vertices) - 1 if acyclic else _HARD_LENGTH_CAP
+    if not q.is_acyclic:
+        if not pres.relations:
+            raise InfiniteDimensional("oriented cycle without relations")
+        raise InvalidParams("cyclic quivers are out of scope: "
+                            "representation-directed algebras are acyclic")
 
     # enumerate paths by length, grouped by (source, target)
     paths = {}  # (x, y) -> ordered path list
@@ -26,13 +27,8 @@ def category_from_presentation(pres, field):
             paths.setdefault((x, y), [])
     cur = {x: [((), x)] for x in q.vertices}  # by source: (path, endpoint)
     all_paths = {x: [((), x)] for x in q.vertices}
-    length = 0
-    while True:
-        length += 1
-        if length > max_len + 1:
-            break
+    while any(cur.values()):
         new = {x: [] for x in q.vertices}
-        any_new = False
         for x in q.vertices:
             for path, end in cur[x]:
                 for aid, s, t in q.arrows:
@@ -40,12 +36,6 @@ def category_from_presentation(pres, field):
                         np = path + (aid,)
                         new[x].append((np, t))
                         paths[(x, t)].append(np)
-                        any_new = True
-        if not any_new:
-            break
-        if length > max_len:
-            raise InfiniteDimensional(
-                "path classes did not stabilize within length %d" % max_len)
         for x in q.vertices:
             all_paths[x].extend(new[x])
         cur = new

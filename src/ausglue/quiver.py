@@ -209,7 +209,8 @@ def parse_quiver_file(text):
         if len(head) < 3:
             raise InvalidParams("dynkin header needs letter and rank")
         orientation = head[3] if len(head) > 3 else None
-        spec = DynkinSpec(head[1], int(head[2]), orientation)
+        rank = _parse_int(head[2], "dynkin rank", lines[0])
+        spec = DynkinSpec(head[1], rank, orientation)
         if len(lines) > 1:
             raise InvalidParams("dynkin header takes no further lines")
         return hereditary_presentation(spec)
@@ -231,24 +232,32 @@ def parse_quiver_file(text):
                     vertices.append(v)
             arrows.append((aid, src, dst))
         elif kind == "relation":
-            relation_lines.append(rest)
+            relation_lines.append((ln, rest))
         else:
             raise InvalidParams("unknown line %r" % (ln,))
     if not vertices:
         raise InvalidParams("quiver file has no arrows, so no vertices")
     q = Quiver(vertices, arrows)
     relations = []
-    for ln in relation_lines:
+    for ln, rest in relation_lines:
         rel = []
-        for term in ln.split(";"):
+        for term in rest.split(";"):
             term = term.strip()
             if not term:
                 continue
             if "*" in term:
                 coeff, path = term.split("*", 1)
-                coeff = int(coeff)
+                coeff = _parse_int(coeff, "relation coefficient", ln)
             else:
                 coeff, path = 1, term
             rel.append((coeff, tuple(path.strip().split("."))))
         relations.append(rel)
     return BoundPresentation(q, relations)
+
+
+def _parse_int(text, what, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParams("%s must be an integer, got %r in line %r"
+                            % (what, text, line)) from None

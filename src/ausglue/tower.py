@@ -135,8 +135,7 @@ def sigma(glued):
         if _is_ambient_projective(glued.ambient, M):
             alt.append((glued.names[a], glued.k))
     match = sorted(pi, key=str) == sorted(alt, key=str)
-    order = [x for x in glued.cat.objects if x in set(pi)]
-    return glued.cat.full_subcategory(order), order, match
+    return glued.cat.full_subcategory(pi), pi, match
 
 
 def _is_ambient_projective(ambient, M):
@@ -229,7 +228,7 @@ def _verify_glued(glued, input_desc, gldim_id):
 
     g_gldim = gldim(G)
     g_domdim = domdim(G)
-    pi = projective_injectives(G)
+    S, pi, char_match = sigma(glued)
     rep.stats.update(rank_gamma=len(G.objects), gldim_gamma=g_gldim,
                      domdim_gamma=g_domdim, projinj_count=len(pi))
 
@@ -247,7 +246,6 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("prop5.injnotproj_gamma", "sec5", m - r,
             len(G.objects) - len(pi))
 
-    S, s_objects, char_match = sigma(glued)
     rep.add("prop3.4.projinj_set", "prop3.4", True, char_match,
             witness=sorted(pi, key=str))
     rep.add("prop5.rank_sigma", "sec5", k * m + r, len(S.objects))
@@ -311,9 +309,7 @@ def _verify_glued(glued, input_desc, gldim_id):
 
 
 def _add_quiver_claim(rep, glued):
-    from .knitting import knit
-    ar = knit(glued.ambient)
-    expected = expected_glued_ar_arrows(glued.ambient, ar, glued.names,
+    expected = expected_glued_ar_arrows(glued.ambient, glued.ar, glued.names,
                                         glued.k)
     computed = glued.cat.gabriel_arrows()
     rep.add("thm1.2.quiver_ar", "thm1.2", expected, computed,

@@ -127,22 +127,27 @@ def test_invalid_input_exits_two(runner, args):
     assert "error:" in r.stderr
 
 
-@pytest.mark.parametrize("text", [
-    "quiver\narrow a 1 1\n",
-    "quiver\narrow a 1 2\narrow b 2 1\n",
-    "quiver\narrow\n",
-    "quiver\narrow a 1\n",
-    "quiver\narrow a 1 2\nrelation 1*zz\n",
-    "quiver\n",
+@pytest.mark.parametrize("text, message", [
+    ("quiver\narrow a 1 1\n", "oriented cycle without relations"),
+    ("quiver\narrow a 1 2\narrow b 2 1\n",
+     "oriented cycle without relations"),
+    ("quiver\narrow\n", "'arrow'"),
+    ("quiver\narrow a 1\n", "'arrow a 1'"),
+    ("quiver\narrow a 1 2\nrelation 1*zz\n", "unknown arrow 'zz'"),
+    ("quiver\n", "no vertices"),
+    # finite-dimensional (ab = ba = 0), but cyclic
+    ("quiver\narrow a 1 2\narrow b 2 1\nrelation a.b\nrelation b.a\n",
+     "cyclic quivers are out of scope"),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
-        "unknown-relation-arrow", "no-arrows"])
-def test_bad_quiver_file_exits_two(runner, tmp_path, text):
+        "unknown-relation-arrow", "no-arrows", "cycle-with-relations"])
+def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     qf = tmp_path / "bad.quiver"
     qf.write_text(text)
     r = runner.invoke(main, ["verify", "--quiver-file", str(qf), "--k", "1",
                              "--n", "2"])
     assert r.exit_code == 2
     assert "error:" in r.stderr
+    assert message in r.stderr
 
 
 def test_field_env_override(runner, monkeypatch):

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import QQ, default_field
-from ausglue.quiver import DynkinSpec, hereditary_presentation
+from ausglue.linalg import QQ, default_field, row_space_basis
+from ausglue.quiver import (DynkinSpec, hereditary_presentation,
+                            nakayama_linear)
 from ausglue.pathcat import category_from_presentation
+from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             decompose, dual_module, direct_sum,
-                            identity_map, CatModule, FinCategory)
+                            identity_map, CatModule, FinCategory,
+                            FreeModule, kernel, cokernel, radical_rows,
+                            top_generators)
 
 
 def make(n=3, field=None):
@@ -133,3 +137,53 @@ def test_module_action_identity():
     e = identity_map(M)
     assert e.is_natural()
     assert all(e.mats[x] == e.mats[x] * e.mats[x] for x in cat.objects)
+
+
+def _dense_radical_rows(M):
+    """Reference for radical_rows: every (x, y, i) through action()."""
+    c = M.cat
+    out = {}
+    for y in c.objects:
+        vecs = []
+        for x in c.objects:
+            if x == y:
+                continue
+            for i in range(c.homdim[(x, y)]):
+                A = M.action(x, y, i)
+                for j in range(M.dims[x]):
+                    vecs.append(A.col(j))
+        out[y] = row_space_basis(c.field, vecs, M.dims[y])
+    return out
+
+
+def _sample_modules(cat):
+    """Projective, injective, simple, dual, free, kernel and cokernel
+    modules over cat."""
+    for x in cat.objects:
+        P, I = projective_module(cat, x), injective_module(cat, x)
+        yield from (P, I, simple_module(cat, x), dual_module(P),
+                    dual_module(I))
+        gens = top_generators(I)
+        F = FreeModule(cat, [s for s, _ in gens])
+        cover = F.yoneda_map(I, [v for _, v in gens])
+        yield F.module
+        yield kernel(cover).module
+        for y in cat.objects:
+            for phi in hom_modules(projective_module(cat, y), P):
+                yield kernel(phi).module
+                yield cokernel(phi).module
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make(3),
+    lambda: category_from_presentation(nakayama_linear(4, 3),
+                                       default_field()),
+    lambda: build_sk(make(3), 1).cat,
+], ids=["A3", "nakayama-4-3", "gamma-A3-k1"])
+def test_sparse_action_matches_dense(build):
+    for M in _sample_modules(build()):
+        assert M.check()
+        for (x, y), mats in M.act.items():
+            assert M.cat.homdim[(x, y)] and M.dims[x] and M.dims[y]
+            assert len(mats) == M.cat.homdim[(x, y)]
+        assert radical_rows(M) == _dense_radical_rows(M)

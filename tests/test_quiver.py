@@ -107,6 +107,11 @@ relation 1*a.b; -1*c
     ("quiver\narrow a 1 2\nrelation 1*zz\n", "unknown arrow 'zz'"),
     ("quiver\narrow a 1 2\nrelation\n", "empty relation"),
     ("quiver\n", "no vertices"),
+    ("dynkin A x\n", "dynkin rank must be an integer, got 'x' "
+                     "in line 'dynkin A x'"),
+    ("quiver\narrow a 1 2\nrelation x*a\n",
+     r"relation coefficient must be an integer, got 'x' "
+     r"in line 'relation x\*a'"),
 ])
 def test_parse_quiver_file_rejects_malformed(text, message):
     with pytest.raises(InvalidParams, match=message):
