@@ -507,34 +507,58 @@ def hom_modules(M, N):
 
 
 def modules_isomorphic(M, N):
-    """Isomorphism test for modules with scalar endomorphism rings."""
+    """Exact isomorphism test.  A one-dimensional Hom(M, N) holds an
+    isomorphism iff its basis element is invertible; a larger one is
+    settled by splitting both sides into indecomposables and matching them
+    summand by summand (Krull-Schmidt)."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.total_dim() == 0:
         return True
     maps = hom_modules(M, N)
-    if len(maps) != 1:
-        # schurian world: iso would force a 1-dimensional hom space, except
-        # for decomposables, which we compare via both directions
-        return any(m.is_isomorphism() for m in maps) or _iso_search(maps)
-    return maps[0].is_isomorphism()
-
-
-def _iso_search(maps):
-    """Look for an invertible combination of the given hom basis (small
-    seeded search; only reachable for decomposable operands)."""
-    if not maps:
+    if len(maps) < 2:
+        return len(maps) == 1 and maps[0].is_isomorphism()
+    parts, rest = decompose(M), decompose(N)
+    if len(parts) != len(rest) or len(parts) == 1:
+        # indecomposables here have End = K, so Hom between two
+        # isomorphic ones is one-dimensional
         return False
-    rng = _random.Random(11)
-    f = maps[0].src.cat.field
-    for _ in range(24):
-        comb = None
-        for m in maps:
-            c = f(rng.randrange(1, 23))
-            comb = m.scale(c) if comb is None else comb + m.scale(c)
-        if comb.is_isomorphism():
-            return True
-    return False
+    for X in parts:
+        j = next((j for j, Y in enumerate(rest) if modules_isomorphic(X, Y)),
+                 None)
+        if j is None:
+            return False
+        del rest[j]
+    return True
+
+
+def projective_label(M):
+    """The x with M isomorphic to P_x, else None.  By Yoneda a module with
+    top S_x is a quotient of P_x, so it is P_x iff the dimensions agree."""
+    gens = top_generators(M)
+    if len(gens) != 1:
+        return None
+    x = gens[0][0]
+    c = M.cat
+    if M.total_dim() != sum(c.homdim[(x, y)] for y in c.objects):
+        return None
+    return x
+
+
+def injective_label(M):
+    """The y with M isomorphic to I_y (socle S_y, dim M = dim I_y), else
+    None: I_y is the dual of the projective P_y of the opposite category."""
+    return projective_label(dual_module(M))
+
+
+def module_label(M):
+    """("P", x) when M is isomorphic to P_x, else ("I", y) when it is
+    isomorphic to I_y, else None."""
+    x = projective_label(M)
+    if x is not None:
+        return ("P", x)
+    y = injective_label(M)
+    return None if y is None else ("I", y)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +758,12 @@ class FreeModule:
             mats[y] = m
         return ModuleMap(self.module, N, mats)
 
+    def yoneda_entries(self, y, w):
+        """Split a vector w of self(y) into its summand blocks: block i is
+        the Yoneda coordinate in hom(summands[i], y)."""
+        return [w[o:o + self.cat.homdim[(s, y)]]
+                for s, o in zip(self.summands, self.offsets[y])]
+
 
 class CatMat:
     """A matrix of morphisms between free modules F(src_objs) -> F(dst_objs):
@@ -799,54 +829,6 @@ class CatMat:
         if f.p is not None:
             m = Mat(f, [[v % f.p for v in r] for r in m.rows], m.nrows, m.ncols)
         return m
-
-    def on_injectives(self, src_inj, dst_inj):
-        """The Nakayama image: the induced map between the corresponding
-        sums of injectives, nu(P_x) = I_x."""
-        c = self.cat
-        f = c.field
-        # block (i, j): I_{src_objs[j]} -> I_{dst_objs[i]} given by the same
-        # Yoneda element u in hom(dst_objs[i], src_objs[j]): at object y it is
-        # the transpose of postcomposition hom(y, dst_i) -> hom(y, src_j).
-        mats = {}
-        for y in c.objects:
-            m = Mat.zero(f, dst_inj.module.dims[y], src_inj.module.dims[y])
-            for i, b in enumerate(self.dst_objs):
-                for j, a in enumerate(self.src_objs):
-                    u = self.entries[i][j]
-                    if all(v == f.zero for v in u):
-                        continue
-                    blk = c.postcomposition_matrix(y, b, a, u).transpose()
-                    ro = dst_inj.offsets[y][i]
-                    co = src_inj.offsets[y][j]
-                    for r in range(blk.nrows):
-                        for s in range(blk.ncols):
-                            m.rows[ro + r][co + s] = blk[r, s]
-            mats[y] = m
-        return ModuleMap(src_inj.module, dst_inj.module, mats)
-
-
-class InjSum:
-    """An explicit direct sum of representable injectives I_x."""
-
-    def __init__(self, cat, summands):
-        self.cat = cat
-        self.summands = list(summands)
-        f = cat.field
-        mods = [injective_module(cat, x) for x in self.summands]
-        self.offsets = {}
-        for y in cat.objects:
-            offs = []
-            o = 0
-            for m in mods:
-                offs.append(o)
-                o += m.dims[y]
-            self.offsets[y] = offs
-        if mods:
-            self.module, self.inclusions, self.projections = direct_sum(cat, mods)
-        else:
-            self.module = zero_module(cat)
-            self.inclusions, self.projections = [], []
 
 
 # ---------------------------------------------------------------------------

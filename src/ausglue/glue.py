@@ -11,7 +11,8 @@ it exhaustively through FinCategory.check_associativity.
 
 from .linalg import coords_in_basis
 from .fincat import (FinCategory, hom_modules, identity_map, decompose,
-                     injective_module, projective_module, modules_isomorphic)
+                     injective_module, projective_label, injective_label,
+                     modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
 from .errors import (NonSchurianVertex, NotHereditary, NotRepFinite,
@@ -273,7 +274,8 @@ def is_rigid(modules, n):
     for a, Ma in enumerate(modules):
         res = min_proj_resolution(Ma, stop_at=n)
         for b, Mb in enumerate(modules):
-            for i in range(1, n):
+            # Ext^i(Ma, -) vanishes above the length of the resolution
+            for i in range(1, min(n, res.length + 1)):
                 if ext_space(Ma, Mb, i, resolution=res).dim:
                     return False, (a, b, i)
     return True, None
@@ -292,20 +294,20 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
     try:
         ar = knit(ambient, budget=budget)
     except BudgetExceeded:
+        projs = {projective_label(M) for M in modules}
+        injs = {injective_label(M) for M in modules}
         for x in ambient.objects:
-            for pick in (projective_module, injective_module):
-                N = pick(ambient, x)
-                if not any(modules_isomorphic(N, M) for M in modules):
-                    return False, ("generator-cogenerator", x)
+            if x not in projs or x not in injs:
+                return False, ("generator-cogenerator", x)
         return True, "criterion-verified, not enumeration-verified"
+    res = [min_proj_resolution(M, stop_at=n) for M in modules]
     for idx in range(ar.count):
         X = ar.module(idx)
         if any(modules_isomorphic(X, M) for M in modules):
             continue
         resX = min_proj_resolution(X, stop_at=n)
         orthogonal = True
-        for M in modules:
-            resM = min_proj_resolution(M, stop_at=n)
+        for M, resM in zip(modules, res):
             for i in range(1, n):
                 if ext_space(X, M, i, resolution=resX).dim or \
                         ext_space(M, X, i, resolution=resM).dim:
@@ -321,13 +323,9 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
 def cluster_tilting_from_tau_n(ambient, n, budget=512):
     """Closure of the indecomposable injectives under the higher translate
     tau_n; raises OrbitDiverges past the budget."""
-    found = []
-    queue = []
-    for x in ambient.objects:
-        I = injective_module(ambient, x)
-        if not any(modules_isomorphic(I, M) for M in found):
-            found.append(I)
-            queue.append(I)
+    # a basic category has pairwise non-isomorphic injectives
+    found = [injective_module(ambient, x) for x in ambient.objects]
+    queue = list(found)
     while queue:
         M = queue.pop(0)
         T = tau_n(M, n)

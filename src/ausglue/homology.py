@@ -1,16 +1,15 @@
 """Minimal resolutions, Ext with explicit Yoneda cocycles, syzygies, the
 AR translate (as DTr on minimal projective presentations) and its higher
-analogues, the Nakayama functor, and the two dimension statistics gldim
-and domdim.
+analogues, and the two dimension statistics gldim and domdim.
 
 Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.
 """
 
 from .linalg import Mat, NoSolution, row_space_basis
-from .fincat import (FreeModule, CatMat, InjSum, kernel, cokernel,
-                     dual_module, top_generators, simple_module,
-                     projective_module, hom_modules, zero_module)
+from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
+                     top_generators, simple_module, projective_module,
+                     injective_label, hom_modules, zero_module)
 from .errors import Truncated
 
 INFINITY = float("inf")
@@ -87,15 +86,8 @@ def min_proj_resolution(M, stop_at=None):
             raise Truncated(max_len)
         kgens = top_generators(K.module)
         F = FreeModule(cat, [x for x, _ in kgens])
-        prev = frees[-1]
-        entries = [[None] * len(kgens) for _ in prev.summands]
-        for jcol, (y, v) in enumerate(kgens):
-            w = emb.mats[y].apply(v)
-            for irow, s in enumerate(prev.summands):
-                o = prev.offsets[y][irow]
-                d = cat.homdim[(s, y)]
-                entries[irow][jcol] = w[o:o + d]
-        diffs.append(CatMat(cat, list(F.summands), list(prev.summands), entries))
+        diffs.append(_catmat_from_images(
+            F, frees[-1], [emb.mats[y].apply(v) for y, v in kgens]))
         frees.append(F)
         terms.append(list(F.summands))
         cover = F.yoneda_map(K.module, [v for _, v in kgens])
@@ -129,21 +121,9 @@ def gldim(cat):
 
 
 def projective_injectives(cat):
-    """Objects x, in object order, whose projective P_x is injective.
-
-    P_x is indecomposable, so it is injective only if its socle is a simple
-    S_y; it then embeds in the injective envelope I_y, and is injective
-    exactly when the two have the same dimension."""
-    out = []
-    for x in cat.objects:
-        socle = top_generators(dual_module(projective_module(cat, x)))
-        if len(socle) != 1:
-            continue
-        y = socle[0][0]
-        if sum(cat.homdim[(x, z)] for z in cat.objects) == \
-                sum(cat.homdim[(z, y)] for z in cat.objects):
-            out.append(x)
-    return out
+    """Objects x, in object order, whose projective P_x is injective."""
+    return [x for x in cat.objects
+            if injective_label(projective_module(cat, x)) is not None]
 
 
 def domdim(cat):
@@ -260,7 +240,7 @@ def ext_dim(X, Y, n):
 
 
 # ---------------------------------------------------------------------------
-# transpose, AR translates, Nakayama functor
+# transpose and AR translates
 
 
 def transpose_module(M):
@@ -294,23 +274,6 @@ def tau_n(M, n):
     return tau(M)
 
 
-def nakayama_functor(M):
-    """nu = D Hom(-, regular): sends the presentation's projectives to the
-    matching injectives and takes the cokernel; nu(P_x) = I_x."""
-    cat = M.cat
-    res = min_proj_resolution(M, stop_at=1)
-    inj0 = InjSum(cat, res.terms[0])
-    if not res.diffs:
-        return inj0.module
-    inj1 = InjSum(cat, res.terms[1])
-    return cokernel(res.diffs[0].on_injectives(inj1, inj0)).module
-
-
-def nakayama_inverse(M):
-    """nu^{-1}; on injectives, nu^{-1}(I_x) = P_x."""
-    return dual_module(nakayama_functor(dual_module(M)))
-
-
 # ---------------------------------------------------------------------------
 # chain-map lifting (for Yoneda composition of Ext with Hom)
 
@@ -319,7 +282,6 @@ def lift_chain_map(f, res_src, res_dst, upto):
     """Lift f: res_src.module -> res_dst.module to a chain map between the
     resolutions, as CatMats lifts[i]: F_i(src) -> F_i(dst), i = 0..upto.
     Any two lifts differ by a homotopy, which dies in Ext."""
-    cat = f.src.cat
     lifts = []
     prev = None
     for m in range(upto + 1):
@@ -335,7 +297,7 @@ def lift_chain_map(f, res_src, res_dst, upto):
         if m == 0:
             target = f.compose(res_src.eps)          # F_0(src) -> dst module
             post = res_dst.eps                       # F_0(dst) -> dst module
-            lifted = _solve_catmat(cat, Fs, Fd, post, target)
+            lifted = _lift_generators(Fs, Fd, post, target)
         else:
             if prev is None:
                 lifts.append(None)
@@ -344,42 +306,30 @@ def lift_chain_map(f, res_src, res_dst, upto):
             ds = res_src.diffs[m - 1].realize(res_src.frees[m], res_src.frees[m - 1])
             prev_map = prev.realize(res_src.frees[m - 1], res_dst.frees[m - 1])
             target = prev_map.compose(ds)            # F_m(src) -> F_{m-1}(dst)
-            lifted = _solve_catmat(cat, Fs, Fd, dd, target)
+            lifted = _lift_generators(Fs, Fd, dd, target)
         lifts.append(lifted)
         prev = lifted
     return lifts
 
 
-def _solve_catmat(cat, Fs, Fd, post, target):
-    """Find a CatMat u: Fs -> Fd with post o realize(u) = target, solving in
-    the coefficient space of all possible entries."""
-    f = cat.field
-    coords = []   # (i, j, basis index)
-    cols = []
-    for i, b in enumerate(Fd.summands):
-        for j, a in enumerate(Fs.summands):
-            d = cat.homdim[(b, a)]
-            for t in range(d):
-                entries = [[[f.zero] * cat.homdim[(bb, aa)]
-                            for aa in Fs.summands] for bb in Fd.summands]
-                entries[i][j][t] = f.one
-                cm = CatMat(cat, list(Fs.summands), list(Fd.summands), entries)
-                cols.append(post.compose(cm.realize(Fs, Fd)).flatten())
-                coords.append((i, j, t))
-    rhs = target.flatten()
-    if not cols:
-        if any(v != f.zero for v in rhs):
-            raise NoSolution()
-        return CatMat(cat, list(Fs.summands), list(Fd.summands),
-                      [[[f.zero] * cat.homdim[(b, a)] for a in Fs.summands]
-                       for b in Fd.summands])
-    A = Mat.from_cols(f, cols)
-    sol = A.solve(Mat.from_cols(f, [rhs]))
-    entries = [[[f.zero] * cat.homdim[(b, a)] for a in Fs.summands]
-               for b in Fd.summands]
-    for idx, (i, j, t) in enumerate(coords):
-        entries[i][j][t] = sol[idx, 0]
-    return CatMat(cat, list(Fs.summands), list(Fd.summands), entries)
+def _lift_generators(Fs, Fd, post, target):
+    """A CatMat u: Fs -> Fd with post o realize(u) = target.  By Yoneda, u
+    is fixed by the images of the generators of Fs (the identity of P_a in
+    each summand), so it takes one solve per summand."""
+    f = Fs.cat.field
+    images = []
+    for j, a in enumerate(Fs.summands):
+        col = target.mats[a].col(Fs.offsets[a][j])
+        images.append(post.mats[a].solve(Mat.from_cols(f, [col])).col(0))
+    return _catmat_from_images(Fs, Fd, images)
+
+
+def _catmat_from_images(Fs, Fd, images):
+    """The CatMat Fs -> Fd sending the generator of the j-th summand of Fs
+    to images[j], a vector of Fd at that summand's object."""
+    cols = [Fd.yoneda_entries(a, w) for a, w in zip(Fs.summands, images)]
+    entries = [[col[i] for col in cols] for i in range(len(Fd.summands))]
+    return CatMat(Fs.cat, list(Fs.summands), list(Fd.summands), entries)
 
 
 def compose_hom_with_ext(g, ext, vec):

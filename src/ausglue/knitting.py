@@ -10,8 +10,8 @@ the two together and is checked exhaustively in the tests.
 
 from .linalg import row_space_basis
 from .quiver import Quiver
-from .fincat import (projective_module, injective_module, simple_module,
-                     hom_modules, modules_isomorphic)
+from .fincat import (projective_module, module_label, hom_modules,
+                     modules_isomorphic)
 from .homology import tau_inv
 from .errors import BudgetExceeded, NonSchurianVertex
 
@@ -56,22 +56,17 @@ class ARQuiver:
 def vertex_label(cat, M):
     """A readable canonical name: P_x / I_x / S_x when applicable, else the
     dimension vector."""
-    for x in cat.objects:
-        if modules_isomorphic(M, projective_module(cat, x)):
-            return "P_%s" % (x,)
-    for x in cat.objects:
-        if modules_isomorphic(M, injective_module(cat, x)):
-            return "I_%s" % (x,)
-    for x in cat.objects:
-        if modules_isomorphic(M, simple_module(cat, x)):
-            return "S_%s" % (x,)
+    lab = module_label(M)
+    if lab is not None:
+        return "%s_%s" % lab
+    if M.total_dim() == 1:
+        return "S_%s" % (next(x for x in cat.objects if M.dims[x]),)
     return "M%s" % (M.dim_vector(),)
 
 
-def _seed_order(cat):
+def _seed_order(cat, arrows):
     """Objects in a topological order of the Gabriel quiver (sources first),
     ties broken by object list position."""
-    arrows = cat.gabriel_arrows()
     q = Quiver(cat.objects, [("g%d" % i, s, t)
                              for i, ((s, t), _) in enumerate(sorted(
                                  arrows.items(),
@@ -84,7 +79,14 @@ def _seed_order(cat):
 def knit(cat, budget=512):
     """Full list of indecomposables with irreducible-map multiplicities.
     Raises BudgetExceeded when the orbit enumeration passes the budget
-    (the algebra is then likely not representation-finite)."""
+    (the algebra is then likely not representation-finite), and at once
+    for a multiple Gabriel arrow x => y: the Kronecker algebra is then a
+    quotient, so the algebra is representation-infinite."""
+    arrows = cat.gabriel_arrows()
+    for (s, t), m in arrows.items():
+        if m > 1:
+            raise BudgetExceeded("representation-infinite: %d Gabriel arrows "
+                                 "%s -> %s (a Kronecker quotient)" % (m, s, t))
     mods = []
     dimvecs = []
     tau_map = {}
@@ -97,7 +99,7 @@ def knit(cat, budget=512):
                 return i
         return None
 
-    for x in _seed_order(cat):
+    for x in _seed_order(cat, arrows):
         P = projective_module(cat, x)
         idx = find(P)
         if idx is not None:

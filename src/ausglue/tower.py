@@ -16,9 +16,8 @@ plus, for the hereditary (n=1) case, the identification of the quiver of
 (Gamma^k)^op with the repeated-and-connected AR quiver.
 """
 
-from .fincat import (projective_module, injective_module,
-                     modules_isomorphic, dual_module, top_generators,
-                     decompose)
+from .fincat import (projective_module, injective_module, projective_label,
+                     injective_label, module_label, dual_module, decompose)
 from .homology import (gldim, domdim, min_proj_resolution, ext_dim, tau_n,
                        projective_injectives, INFINITY)
 from .glue import build_sk, build_mk, is_rigid
@@ -132,23 +131,10 @@ def sigma(glued):
     for j in range(glued.k):
         alt.extend((nm, j) for nm in glued.names)
     for a, M in enumerate(glued.modules):
-        if _is_ambient_projective(glued.ambient, M):
+        if projective_label(M) is not None:
             alt.append((glued.names[a], glued.k))
     match = sorted(pi, key=str) == sorted(alt, key=str)
     return glued.cat.full_subcategory(pi), pi, match
-
-
-def _is_ambient_projective(ambient, M):
-    return any(modules_isomorphic(M, projective_module(ambient, x))
-               for x in ambient.objects)
-
-
-def _distinct_modules(mods):
-    out = []
-    for M in mods:
-        if not any(modules_isomorphic(M, N) for N in out):
-            out.append(M)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +156,9 @@ def expected_glued_ar_arrows(ambient, ar, names, k):
     for v in range(ar.count):
         if not ar.injective_flags[v]:
             continue
-        x = _socle_label(ambient, ar.module(v))
+        x = injective_label(ar.module(v))
+        if x is None:
+            raise ValueError("injective vertex %d is not an I_x" % v)
         tgt = vertex_of_proj[x]
         for s, d, mult in ar.arrows:
             if d != tgt or ar.projective_of[s] is None:
@@ -178,13 +166,6 @@ def expected_glued_ar_arrows(ambient, ar, names, k):
             for j in range(k):
                 arrows[((names[v], j), (names[s], j + 1))] = mult
     return arrows
-
-
-def _socle_label(ambient, M):
-    gens = top_generators(dual_module(M))
-    if len(gens) != 1:
-        raise ValueError("module has non-simple socle")
-    return gens[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +264,9 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 
-    tau_summands = []
+    # gen_cogen holds every P_x and I_y up to isomorphism, so a module lies
+    # in it exactly when it has a label
+    tau_labels = set()
     closure_ok = True
     closure_witness = None
     for x in S.objects:
@@ -291,19 +274,17 @@ def _verify_glued(glued, input_desc, gldim_id):
         if T.total_dim() == 0:
             continue
         for Z in decompose(T):
-            tau_summands.append(Z)
-            if not any(modules_isomorphic(Z, W) for W in gen_cogen):
+            lab = module_label(Z)
+            tau_labels.add(lab)
+            if lab is None:
                 closure_ok = False
                 closure_witness = (x, Z.dim_vector())
     rep.stats["tau_d_closure_ok"] = closure_ok
     rep.add("thm1.4.tau_d_closure", "thm1.4", True, closure_ok,
             witness=closure_witness)
 
-    other = _distinct_modules(injs + tau_summands)
-    same = (all(any(modules_isomorphic(a, b) for b in other)
-                for a in gen_cogen)
-            and all(any(modules_isomorphic(b, a) for a in gen_cogen)
-                    for b in other))
+    same = {module_label(M) for M in gen_cogen} == \
+        {module_label(I) for I in injs} | tau_labels
     rep.add("prop5.ct_summands", "sec5", True, same)
     return rep
 
@@ -333,11 +314,10 @@ def four_angles(ambient, modules, names):
     """
     index = {nm: i for i, nm in enumerate(names)}
     inj_name = {}
-    for v in ambient.objects:
-        I = injective_module(ambient, v)
-        for j, M in enumerate(modules):
-            if modules_isomorphic(I, M):
-                inj_name[v] = names[j]
+    for j, M in enumerate(modules):
+        y = injective_label(M)
+        if y is not None:
+            inj_name[y] = names[j]
     angles = []
     for a, M in enumerate(modules):
         if names[a] in set(inj_name.values()):

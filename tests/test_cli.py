@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +152,39 @@ def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     assert r.exit_code == 2
     assert "error:" in r.stderr
     assert message in r.stderr
+
+
+KRONECKER = "quiver\narrow a 1 2\narrow b 1 2\n"
+
+
+@pytest.mark.parametrize("text", [
+    KRONECKER, KRONECKER + "arrow c 2 3\nrelation 1*a.c;-1*b.c\n",
+], ids=["kronecker", "kronecker-quotient"])
+@pytest.mark.parametrize("args, message", [
+    (["ar"], "representation-infinite: 2 Gabriel arrows 1 -> 2"),
+    (["verify", "--k", "1", "--n", "2"], "generator-cogenerator"),
+], ids=["ar", "verify"])
+def test_multiple_arrow_exits_two(runner, tmp_path, text, args, message):
+    """A double Gabriel arrow is rejected before knitting, which would
+    otherwise run on through the growing tau-orbits."""
+    qf = tmp_path / "kron.quiver"
+    qf.write_text(text)
+    r = runner.invoke(main, args + ["--quiver-file", str(qf)])
+    assert r.exit_code == 2
+    assert message in r.stderr
+
+
+def test_import_leaves_sympy_unloaded():
+    """Only decompose needs sympy, and imports it lazily, so a fresh
+    `import ausglue` stays cheap."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ausglue; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_field_env_override(runner, monkeypatch):

@@ -77,6 +77,25 @@ def test_isomorphism_detection():
                               projective_module(cat, 1))
 
 
+def test_isomorphism_of_decomposables():
+    """Exact on direct sums: P1 (+) P2 is P2 (+) P1; P1 (+) S2 and
+    S1 (+) S2 (+) S2 share a dimension vector and a 3-dimensional Hom but
+    are not isomorphic."""
+    cat = make(2)
+    P1, P2 = projective_module(cat, 1), projective_module(cat, 2)
+    S1, S2 = simple_module(cat, 1), simple_module(cat, 2)
+    A = direct_sum(cat, [P1, P2])[0]
+    B = direct_sum(cat, [P2, P1])[0]
+    assert len(hom_modules(A, B)) == 3
+    assert modules_isomorphic(A, B)
+    M = direct_sum(cat, [P1, S2])[0]
+    N = direct_sum(cat, [S1, S2, S2])[0]
+    assert M.dim_vector() == N.dim_vector()
+    assert len(hom_modules(M, N)) == 3
+    assert not modules_isomorphic(M, N)
+    assert not modules_isomorphic(N, M)
+
+
 def test_decompose():
     cat = make(2)
     P1 = projective_module(cat, 1)

@@ -6,14 +6,15 @@ from ausglue.linalg import default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.knitting import knit
+from ausglue.knitting import knit, vertex_label
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
-                            decompose, direct_sum, CatMat)
+                            projective_label, injective_label, decompose,
+                            direct_sum, CatMat)
 from ausglue.homology import (min_proj_resolution, pdim, syzygy, gldim,
                               domdim, projective_injectives, ext_space,
-                              ext_dim, tau, tau_inv, tau_n, nakayama_functor,
-                              nakayama_inverse, lift_chain_map, INFINITY)
+                              ext_dim, tau, tau_inv, tau_n, lift_chain_map,
+                              INFINITY)
 
 FIELD = default_field()
 
@@ -64,9 +65,11 @@ def test_gldim_domdim_oracles():
 
 
 def test_projective_injectives_match_isomorphism_test():
-    """The dimension criterion against the definition it replaces: P_x is
+    """The Yoneda criteria against the definitions they replace: P_x is
     injective iff it is isomorphic to some I_y, and over the opposite
-    category it finds the y whose I_y is projective."""
+    category it finds the y whose I_y is projective; on every knitted
+    indecomposable the top/socle labels name the P_x / I_y it is
+    isomorphic to, and vertex_label agrees with hom solving."""
     from ausglue.glue import auslander_category
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
     aus, _ = auslander_category(A3)
@@ -79,6 +82,17 @@ def test_projective_injectives_match_isomorphism_test():
         assert set(projective_injectives(cat.opposite())) == {
             y for y in cat.objects
             if any(modules_isomorphic(injs[y], projs[x]) for x in cat.objects)}
+        for M in indecomposables(cat):
+            P = [x for x in cat.objects if modules_isomorphic(M, projs[x])]
+            I = [y for y in cat.objects if modules_isomorphic(M, injs[y])]
+            S = [x for x in cat.objects
+                 if modules_isomorphic(M, simple_module(cat, x))]
+            assert len(P) <= 1 and len(I) <= 1 and len(S) <= 1
+            assert projective_label(M) == next(iter(P), None)
+            assert injective_label(M) == next(iter(I), None)
+            assert vertex_label(cat, M) == (
+                "P_%s" % (P[0],) if P else "I_%s" % (I[0],) if I
+                else "S_%s" % (S[0],) if S else "M%s" % (M.dim_vector(),))
 
 
 def test_ext_oracles():
@@ -125,14 +139,6 @@ def test_ar_duality_exhaustive(cat):
             assert lhs == ext_dim(Y, X, 1)
 
 
-def test_nakayama_functor():
-    for x in A3.objects:
-        assert modules_isomorphic(nakayama_functor(projective_module(A3, x)),
-                                  injective_module(A3, x))
-        assert modules_isomorphic(nakayama_inverse(injective_module(A3, x)),
-                                  projective_module(A3, x))
-
-
 def test_gldim_bounds_random_sample():
     rng = random.Random(20240817)
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
@@ -144,10 +150,24 @@ def test_gldim_bounds_random_sample():
         assert pdim(M) <= g
 
 
+def assert_chain_map(f, res_src, res_dst, lifts):
+    """Every lifted square commutes: eps o L_0 = f o eps and
+    d o L_m = L_{m-1} o d."""
+    real = [L.realize(res_src.frees[m], res_dst.frees[m])
+            for m, L in enumerate(lifts)]
+    assert (res_dst.eps.compose(real[0]) - f.compose(res_src.eps)).is_zero()
+    for m in range(1, len(real)):
+        dd = res_dst.diffs[m - 1].realize(res_dst.frees[m],
+                                          res_dst.frees[m - 1])
+        ds = res_src.diffs[m - 1].realize(res_src.frees[m],
+                                          res_src.frees[m - 1])
+        assert (dd.compose(real[m]) - real[m - 1].compose(ds)).is_zero()
+
+
 def test_lift_well_defined_under_homotopy():
     """The induced map Ext(Y,Z) -> Ext(X,Z) of a hom X -> Y does not depend
     on the chain-map lift: perturbing the lift by a homotopy term changes
-    the cocycle by a coboundary only."""
+    the cocycle by a coboundary only.  Every lifted square commutes."""
     rng = random.Random(11)
     mods = indecomposables(A3)
     checked = 0
@@ -160,6 +180,9 @@ def test_lift_well_defined_under_homotopy():
             res_dst = min_proj_resolution(Y)
             if res_dst.length < 1 or res_src.length < 1:
                 continue
+            for f in homs:
+                assert_chain_map(f, res_src, res_dst,
+                                 lift_chain_map(f, res_src, res_dst, 1))
             for Z in mods:
                 ext_yz = ext_space(Y, Z, 1, resolution=res_dst)
                 if ext_yz.dim == 0:
