@@ -15,6 +15,7 @@ the off-diagonal hom spaces.
 """
 
 import random as _random
+from functools import cached_property
 
 from .linalg import Mat, row_space_basis, echelon_columns, quotient_coords
 from .errors import NonSchurianVertex, DecompositionFailed
@@ -75,30 +76,6 @@ class FinCategory:
         if self.field.p is not None:
             out = [v % self.field.p for v in out]
         return out
-
-    def precomposition_matrix(self, x, y, z, u):
-        """Matrix of hom(y,z) -> hom(x,z), h |-> h o u, for u a coefficient
-        vector over hom(x,y)."""
-        cols = []
-        dyz = self.homdim[(y, z)]
-        for i in range(dyz):
-            g = [self.field.zero] * dyz
-            g[i] = self.field.one
-            cols.append(self.compose(x, y, z, g, u))
-        return Mat.from_cols(self.field, cols) if cols \
-            else Mat.zero(self.field, self.homdim[(x, z)], 0)
-
-    def postcomposition_matrix(self, x, y, z, u):
-        """Matrix of hom(x,y) -> hom(x,z), f |-> u o f, for u a coefficient
-        vector over hom(y,z)."""
-        cols = []
-        dxy = self.homdim[(x, y)]
-        for j in range(dxy):
-            f = [self.field.zero] * dxy
-            f[j] = self.field.one
-            cols.append(self.compose(x, y, z, u, f))
-        return Mat.from_cols(self.field, cols) if cols \
-            else Mat.zero(self.field, self.homdim[(x, z)], 0)
 
     def identity_vector(self, x):
         return [self.field.one]
@@ -235,6 +212,13 @@ class CatModule:
             return Mat.zero(self.cat.field, self.dims[y], self.dims[x])
         return mats[i]
 
+    def apply_action(self, x, y, i, v):
+        """The i-th basis element of hom(x, y) applied to a vector of M(x)."""
+        mats = self.act.get((x, y))
+        if mats is None:
+            return [self.cat.field.zero] * self.dims[y]
+        return mats[i].apply(v)
+
     def act_elem(self, x, y, coeffs):
         """Action matrix of the hom(x,y) element with the given coords."""
         out = Mat.zero(self.cat.field, self.dims[y], self.dims[x])
@@ -292,9 +276,6 @@ class ModuleMap:
             if m is None:
                 m = Mat.zero(f, dst.dims[x], src.dims[x])
             self.mats[x] = m
-
-    def at(self, x):
-        return self.mats[x]
 
     def compose(self, other):
         """self o other."""
@@ -357,54 +338,40 @@ def simple_module(cat, x):
 
 
 def projective_module(cat, x):
-    """P_x = hom(x,-); the action of f: y -> z is postcomposition.
-    Cached on the category (modules are immutable)."""
+    """P_x = hom(x,-); the i-th basis element g_i of hom(y, z) acts by
+    postcomposition, so column j of its matrix holds the structure
+    constants of g_i o f_j.  Cached on the category (modules are
+    immutable)."""
     cache = getattr(cat, "_proj_cache", None)
     if cache is None:
         cache = cat._proj_cache = {}
     if x in cache:
         return cache[x]
-    f = cat.field
     dims = {y: cat.homdim[(x, y)] for y in cat.objects}
+    support = [y for y in cat.objects if dims[y]]
     act = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            d = cat.homdim[(y, z)]
-            if d == 0 or dims[y] == 0 or dims[z] == 0:
-                continue
-            mats = []
-            for i in range(d):
-                u = cat._basis_vec(y, z, i)
-                mats.append(cat.postcomposition_matrix(x, y, z, u))
-            act[(y, z)] = mats
+    for y in support:
+        for z in support:
+            if cat.homdim[(y, z)]:
+                act[(y, z)] = [
+                    Mat.from_cols(cat.field, [cat.compose_basis(x, y, z, i, j)
+                                              for j in range(dims[y])])
+                    for i in range(cat.homdim[(y, z)])]
     M = CatModule(cat, dims, act)
     cache[x] = M
     return M
 
 
 def injective_module(cat, x):
-    """I_x = D hom(-,x); the action of f: y -> z is the transpose of
-    precomposition hom(z,x) -> hom(y,x).  Cached on the category."""
+    """I_x = D hom(-,x), the dual of the projective P_x of the opposite
+    category: f: y -> z acts by the transpose of precomposition
+    hom(z,x) -> hom(y,x).  Cached on the category."""
     cache = getattr(cat, "_inj_cache", None)
     if cache is None:
         cache = cat._inj_cache = {}
-    if x in cache:
-        return cache[x]
-    dims = {y: cat.homdim[(y, x)] for y in cat.objects}
-    act = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            d = cat.homdim[(y, z)]
-            if d == 0 or dims[y] == 0 or dims[z] == 0:
-                continue
-            mats = []
-            for i in range(d):
-                u = cat._basis_vec(y, z, i)
-                mats.append(cat.precomposition_matrix(y, z, x, u).transpose())
-            act[(y, z)] = mats
-    M = CatModule(cat, dims, act)
-    cache[x] = M
-    return M
+    if x not in cache:
+        cache[x] = dual_module(projective_module(cat.opposite(), x))
+    return cache[x]
 
 
 def direct_sum(cat, modules):
@@ -442,11 +409,12 @@ def direct_sum(cat, modules):
 def dual_module(M):
     """D(M): a module over the opposite category, on the dual spaces."""
     op = M.cat.opposite()
+    support = [x for x in op.objects if M.dims[x]]
     act = {}
-    for x in op.objects:
-        for y in op.objects:
+    for x in support:
+        for y in support:
             d = op.homdim[(x, y)]  # = hom_C(y, x)
-            if d == 0 or M.dims[x] == 0 or M.dims[y] == 0:
+            if d == 0:
                 continue
             act[(x, y)] = [M.action(y, x, i).transpose() for i in range(d)]
     return CatModule(op, dict(M.dims), act)
@@ -566,13 +534,12 @@ def module_label(M):
 
 
 class Submodule:
-    """An action-stable subspace of a CatModule, with its own module
-    structure and the inclusion map."""
+    """An action-stable subspace of a CatModule, spanned by the rows
+    basis[x], with its own module structure."""
 
     def __init__(self, parent, basis_rows):
         c = parent.cat
         f = c.field
-        self.parent = parent
         self.basis = {x: basis_rows.get(x, []) for x in c.objects}
         dims = {x: len(self.basis[x]) for x in c.objects}
         act = {}
@@ -592,21 +559,14 @@ class Submodule:
                 By = Mat.from_cols(f, self.basis[y])
                 act[(x, y)] = [By.solve(img) for img in imgs]
         self.module = CatModule(c, dims, act)
-        incl = {}
-        for x in c.objects:
-            incl[x] = Mat.from_cols(f, self.basis[x]) if dims[x] \
-                else Mat.zero(f, parent.dims[x], 0)
-        self.inclusion = ModuleMap(self.module, parent, incl)
 
 
 class Quotient:
-    """Quotient of a CatModule by an action-stable subspace, with the
-    projection map and a linear section."""
+    """Quotient of a CatModule by an action-stable subspace."""
 
     def __init__(self, parent, sub_rows):
         c = parent.cat
         f = c.field
-        self.parent = parent
         dims = {}
         proj = {}
         sect = {}
@@ -614,18 +574,11 @@ class Quotient:
             rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
             piv, free = echelon_columns(f, rows, parent.dims[x])
             dims[x] = len(free)
-            pm = Mat.zero(f, dims[x], parent.dims[x])
-            for r in range(parent.dims[x]):
-                v = [f.zero] * parent.dims[x]
-                v[r] = f.one
-                w = quotient_coords(f, rows, piv, free, v)
-                for i, val in enumerate(w):
-                    pm.rows[i][r] = val
-            proj[x] = pm
-            sm = Mat.zero(f, parent.dims[x], dims[x])
-            for i, jfree in enumerate(free):
-                sm.rows[jfree][i] = f.one
-            sect[x] = sm
+            unit = Mat.identity(f, parent.dims[x]).rows
+            proj[x] = Mat.from_cols(f, [quotient_coords(f, rows, piv, free, e)
+                                        for e in unit])
+            sect[x] = Mat(f, [[e[j] for j in free] for e in unit],
+                          parent.dims[x], dims[x])
         act = {}
         for x in c.objects:
             for y in c.objects:
@@ -635,19 +588,12 @@ class Quotient:
                 act[(x, y)] = [proj[y] * parent.action(x, y, i) * sect[x]
                                for i in range(d)]
         self.module = CatModule(c, dims, act)
-        self.projection = ModuleMap(parent, self.module, proj)
-        self.section = {x: sect[x] for x in c.objects}
 
 
 def kernel(phi):
     """Kernel of a ModuleMap, as a Submodule of phi.src."""
-    rows = {}
-    for x in phi.src.cat.objects:
-        K = phi.mats[x].kernel_basis()
-        rows[x] = row_space_basis(phi.src.cat.field,
-                                  [K.col(j) for j in range(K.ncols)],
-                                  phi.src.dims[x])
-    return Submodule(phi.src, rows)
+    return Submodule(phi.src, {x: phi.mats[x].kernel_rows()
+                               for x in phi.src.cat.objects})
 
 
 def image(phi):
@@ -707,18 +653,19 @@ def top_generators(M):
 # free modules and category matrices
 
 
-class FreeModule:
+class FreeModule(CatModule):
     """An explicit direct sum of representable projectives P_x, with
     bookkeeping of which block of each value space belongs to which
-    summand."""
+    summand.  dims and offsets are set at construction; the dense action
+    act is built only when first read, while apply_action works one
+    summand at a time through the cached projective_module actions."""
 
     def __init__(self, cat, summands):
         self.cat = cat
         self.summands = list(summands)
-        f = cat.field
-        dims = {y: sum(cat.homdim[(s, y)] for s in self.summands)
-                for y in cat.objects}
+        self.projs = [projective_module(cat, s) for s in self.summands]
         self.offsets = {}
+        self.dims = {}
         for y in cat.objects:
             offs = []
             o = 0
@@ -726,37 +673,51 @@ class FreeModule:
                 offs.append(o)
                 o += cat.homdim[(s, y)]
             self.offsets[y] = offs
-        projs = [projective_module(cat, s) for s in self.summands]
-        support = [y for y in cat.objects if dims[y]]
+            self.dims[y] = o
+
+    @cached_property
+    def act(self):
+        c = self.cat
+        support = [y for y in c.objects if self.dims[y]]
         act = {}
         for y in support:
             for z in support:
-                d = cat.homdim[(y, z)]
-                if d == 0:
-                    continue
-                mats = []
-                for i in range(d):
-                    blocks = [p.action(y, z, i) for p in projs]
-                    mats.append(Mat.block_diag(f, blocks))
-                act[(y, z)] = mats
-        self.module = CatModule(cat, dims, act)
+                d = c.homdim[(y, z)]
+                if d:
+                    act[(y, z)] = [
+                        Mat.block_diag(c.field,
+                                       [p.action(y, z, i) for p in self.projs])
+                        for i in range(d)]
+        return act
+
+    def apply_action(self, x, y, i, v):
+        zero = self.cat.field.zero
+        out = []
+        for p, o in zip(self.projs, self.offsets[x]):
+            mats = p.act.get((x, y))
+            if mats is None:
+                out.extend([zero] * p.dims[y])
+            else:
+                out.extend(mats[i].apply(v[o:o + p.dims[x]]))
+        return out
+
+    def yoneda_columns(self, N, elements, y):
+        """The columns at y of the map self -> N sending the generator of
+        summand j to elements[j], a vector of N(summands[j]); N may be a
+        CatModule or a FreeModule."""
+        return [N.apply_action(s, y, i, e)
+                for s, e in zip(self.summands, elements)
+                for i in range(self.cat.homdim[(s, y)])]
 
     def yoneda_map(self, N, elements):
-        """The map self.module -> N determined by images of the canonical
-        generators: elements[j] is a vector in N(summands[j])."""
-        c = self.cat
-        f = c.field
+        """The ModuleMap self -> N with the columns of yoneda_columns."""
+        f = self.cat.field
         mats = {}
-        for y in c.objects:
-            m = Mat.zero(f, N.dims[y], self.module.dims[y])
-            for j, s in enumerate(self.summands):
-                for i in range(c.homdim[(s, y)]):
-                    col = N.action(s, y, i).apply(elements[j])
-                    cix = self.offsets[y][j] + i
-                    for r in range(N.dims[y]):
-                        m.rows[r][cix] = col[r]
-            mats[y] = m
-        return ModuleMap(self.module, N, mats)
+        for y in self.cat.objects:
+            cols = self.yoneda_columns(N, elements, y)
+            mats[y] = Mat.from_cols(f, cols) if cols \
+                else Mat.zero(f, N.dims[y], 0)
+        return ModuleMap(self, N, mats)
 
     def yoneda_entries(self, y, w):
         """Split a vector w of self(y) into its summand blocks: block i is
@@ -786,49 +747,23 @@ class CatMat:
         return CatMat(opc, self.dst_objs, self.src_objs, entries)
 
     def realize(self, src_free, dst_free):
-        """The induced ModuleMap between the given free realizations."""
-        c = self.cat
-        f = c.field
-        mats = {}
-        for y in c.objects:
-            m = Mat.zero(f, dst_free.module.dims[y], src_free.module.dims[y])
-            for i, b in enumerate(self.dst_objs):
-                for j, a in enumerate(self.src_objs):
-                    u = self.entries[i][j]
-                    if all(v == f.zero for v in u):
-                        continue
-                    blk = c.precomposition_matrix(b, a, y, u)
-                    ro = dst_free.offsets[y][i]
-                    co = src_free.offsets[y][j]
-                    for r in range(blk.nrows):
-                        for s in range(blk.ncols):
-                            m.rows[ro + r][co + s] = blk[r, s]
-            mats[y] = m
-        return ModuleMap(src_free.module, dst_free.module, mats)
+        """The induced ModuleMap between the given free realizations: by
+        Yoneda, the generator of summand j goes to the vector of
+        dst_free(src_objs[j]) whose blocks are the entries of column j."""
+        return src_free.yoneda_map(dst_free, [
+            [v for row in self.entries for v in row[j]]
+            for j in range(len(self.src_objs))])
 
     def hom_into(self, N):
         """Induced map Hom(F(dst), N) -> Hom(F(src), N) in Yoneda
         coordinates (stacked N(obj) blocks)."""
-        c = self.cat
-        f = c.field
-        src_dim = sum(N.dims[b] for b in self.dst_objs)
-        dst_dim = sum(N.dims[a] for a in self.src_objs)
-        m = Mat.zero(f, dst_dim, src_dim)
-        ro = 0
-        for j, a in enumerate(self.src_objs):
-            co = 0
-            for i, b in enumerate(self.dst_objs):
-                u = self.entries[i][j]
-                blk = N.act_elem(b, a, u)  # N(b) -> N(a)
-                for r in range(blk.nrows):
-                    for s in range(blk.ncols):
-                        v = m.rows[ro + r][co + s]
-                        m.rows[ro + r][co + s] = v + blk[r, s]
-                co += N.dims[b]
-            ro += N.dims[a]
-        if f.p is not None:
-            m = Mat(f, [[v % f.p for v in r] for r in m.rows], m.nrows, m.ncols)
-        return m
+        f = self.cat.field
+        # block (j, i) is the action N(b_i) -> N(a_j) of entry (i, j)
+        return Mat.vstack(f, [
+            Mat.hstack(f, [N.act_elem(b, a, self.entries[i][j])
+                           for i, b in enumerate(self.dst_objs)], N.dims[a])
+            for j, a in enumerate(self.src_objs)],
+            sum(N.dims[b] for b in self.dst_objs))
 
 
 # ---------------------------------------------------------------------------

@@ -218,14 +218,20 @@ def endomorphism_category(ambient, modules, names):
 def auslander_category(ambient, budget=512):
     """The Auslander algebra: End of the sum of all indecomposables.
     Returns (FinCategory, ARQuiver of the ambient)."""
+    ar, modules, names = _knit_indecomposables(ambient, budget)
+    return endomorphism_category(ambient, modules, names), ar
+
+
+def _knit_indecomposables(ambient, budget):
+    """The AR quiver, its modules and their unique names; NotRepFinite
+    when knitting gives up."""
     from .knitting import knit
     try:
         ar = knit(ambient, budget=budget)
     except BudgetExceeded as e:
         raise NotRepFinite(str(e))
-    modules = [ar.module(i) for i in range(ar.count)]
-    names = _unique_names(ar.labels())
-    return endomorphism_category(ambient, modules, names), ar
+    return ar, [ar.module(i) for i in range(ar.count)], \
+        _unique_names(ar.labels())
 
 
 def _cocycle_len(res, Y, n):
@@ -239,13 +245,7 @@ def build_sk(ambient, k, budget=512):
     representation-finite algebra along Ext^1."""
     if gldim(ambient) != 1:
         raise NotHereditary("global dimension is not 1")
-    from .knitting import knit
-    try:
-        ar = knit(ambient, budget=budget)
-    except BudgetExceeded as e:
-        raise NotRepFinite(str(e))
-    modules = [ar.module(i) for i in range(ar.count)]
-    names = _unique_names(ar.labels())
+    ar, modules, names = _knit_indecomposables(ambient, budget)
     glued = build_glued(ambient, modules, names, 1, k)
     glued.ar = ar
     return glued
@@ -261,11 +261,23 @@ def build_mk(ambient, k, n, modules=None, budget=512):
     if modules is None:
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
     ok, witness = is_cluster_tilting(ambient, modules, n, budget=budget)
-    if not ok:
-        raise NotClusterTilting(repr(witness))
     from .knitting import vertex_label
     names = _unique_names([vertex_label(ambient, M) for M in modules])
+    if not ok:
+        raise NotClusterTilting(_witness_text(names, n, witness))
     return build_glued(ambient, modules, names, n, k)
+
+
+def _witness_text(names, n, witness):
+    """The failed is_cluster_tilting witness in words."""
+    if witness[0] == "rigid":
+        a, b, i = witness[1]
+        return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, i, names[a], names[b])
+    if witness[0] == "maximal":
+        return ("not maximal: the indecomposable %s is Ext-orthogonal to "
+                "them" % (witness[2],))
+    return "%s, and the modules lack P_%s or I_%s" % (witness[2], witness[1],
+                                                      witness[1])
 
 
 def is_rigid(modules, n):
@@ -286,19 +298,20 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
     to the collection in degrees 0 < i < n must already be in it.  Maximality
     needs the full indecomposable list; if the ambient cannot be enumerated
     within the budget the check degrades to rigidity plus the
-    generator-cogenerator criterion and says so in the witness slot."""
+    generator-cogenerator criterion and says so in the witness slot, a
+    failure witness carrying the reason knit gave."""
     ok, witness = is_rigid(modules, n)
     if not ok:
         return False, ("rigid", witness)
     from .knitting import knit
     try:
         ar = knit(ambient, budget=budget)
-    except BudgetExceeded:
+    except BudgetExceeded as e:
         projs = {projective_label(M) for M in modules}
         injs = {injective_label(M) for M in modules}
         for x in ambient.objects:
             if x not in projs or x not in injs:
-                return False, ("generator-cogenerator", x)
+                return False, ("generator-cogenerator", x, str(e))
         return True, "criterion-verified, not enumeration-verified"
     res = [min_proj_resolution(M, stop_at=n) for M in modules]
     for idx in range(ar.count):
@@ -322,7 +335,10 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
 
 def cluster_tilting_from_tau_n(ambient, n, budget=512):
     """Closure of the indecomposable injectives under the higher translate
-    tau_n; raises OrbitDiverges past the budget."""
+    tau_n; raises OrbitDiverges past the budget, and BudgetExceeded at once
+    for a multiple Gabriel arrow, whose tau_n-orbits do not end."""
+    from .knitting import single_gabriel_arrows
+    single_gabriel_arrows(ambient)
     # a basic category has pairwise non-isomorphic injectives
     found = [injective_module(ambient, x) for x in ambient.objects]
     queue = list(found)

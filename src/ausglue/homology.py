@@ -2,15 +2,22 @@
 AR translate (as DTr on minimal projective presentations) and its higher
 analogues, and the two dimension statistics gldim and domdim.
 
+A minimal resolution works in free-module coordinates: each syzygy is
+kept as the RREF rows of its value spaces inside the last free module,
+never as a module of its own, and its top is read off through the free
+module's action (Green, Solberg and Zacharia, "Minimal projective
+resolutions", Trans. AMS 353, 2001).  The higher translate tau_n is D Tr
+of the presentation F_n -> F_{n-1} in that resolution.
+
 Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.
 """
 
-from .linalg import Mat, NoSolution, row_space_basis
+from .linalg import Mat, NoSolution, row_space_basis, echelon_columns
 from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
                      top_generators, simple_module, projective_module,
                      injective_label, hom_modules, zero_module)
-from .errors import Truncated
+from .errors import Truncated, InvalidParams
 
 INFINITY = float("inf")
 
@@ -19,7 +26,9 @@ class Resolution:
     """A minimal projective resolution ... -> F_1 -> F_0 -> M -> 0.
 
     terms[i]: summand-object list of F_i; frees[i]: its FreeModule
-    realization; diffs[i]: the CatMat F_{i+1} -> F_i; eps: F_0 -> M.
+    realization, which builds its dense action only on demand; diffs[i]:
+    the CatMat F_{i+1} -> F_i; eps: F_0 -> M.  The syzygies themselves are
+    not kept: each was only the RREF rows of its value spaces in F_i.
     """
 
     def __init__(self, module, terms, frees, diffs, eps):
@@ -61,39 +70,64 @@ class Resolution:
 def min_proj_resolution(M, stop_at=None):
     """Minimal projective resolution of M.  Raises Truncated past length
     dim(cat) + 2; stop_at truncates silently (for Ext, which only needs a
-    prefix)."""
+    prefix).
+
+    The syzygy K = ker(F_i -> F_{i-1}) is kept as rows[y], the RREF rows
+    of K(y) inside F_i(y).  Its generators become the summands of
+    F_{i+1}, which maps to F_i with the same kernel as its cover of K."""
     cat = M.cat
     max_len = cat.total_dimension() + 2
-    if M.total_dim() == 0:
-        F = FreeModule(cat, [])
-        return Resolution(M, [[]], [F], [], F.yoneda_map(M, []))
     gens = top_generators(M)
-    F0 = FreeModule(cat, [x for x, _ in gens])
-    eps = F0.yoneda_map(M, [v for _, v in gens])
-    terms = [list(F0.summands)]
-    frees = [F0]
-    diffs = []
-    K = kernel(eps)
-    emb = K.inclusion
-    degree = 0
-    res = Resolution(M, terms, frees, diffs, eps)
-    while K.module.total_dim() > 0:
-        degree += 1
+    F = FreeModule(cat, [x for x, _ in gens])
+    eps = F.yoneda_map(M, [v for _, v in gens])
+    res = Resolution(M, [list(F.summands)], [F], [], eps)
+    rows = {y: eps.mats[y].kernel_rows() for y in cat.objects}
+    while any(rows.values()):
+        degree = len(res.diffs) + 1
         if stop_at is not None and degree > stop_at:
             res.truncated = True
-            return res
+            break
         if degree > max_len:
             raise Truncated(max_len)
-        kgens = top_generators(K.module)
-        F = FreeModule(cat, [x for x, _ in kgens])
-        diffs.append(_catmat_from_images(
-            F, frees[-1], [emb.mats[y].apply(v) for y, v in kgens]))
-        frees.append(F)
-        terms.append(list(F.summands))
-        cover = F.yoneda_map(K.module, [v for _, v in kgens])
-        K = kernel(cover)
-        emb = K.inclusion
+        kgens = _kernel_top(F, rows)
+        G = FreeModule(cat, [y for y, _ in kgens])
+        images = [w for _, w in kgens]
+        res.diffs.append(_catmat_from_images(G, F, images))
+        res.frees.append(G)
+        res.terms.append(list(G.summands))
+        rows = {y: Mat.from_cols(cat.field, G.yoneda_columns(F, images, y))
+                .kernel_rows() if G.dims[y] else [] for y in cat.objects}
+        F = G
     return res
+
+
+def _kernel_top(F, rows):
+    """Generators of the submodule K of the free module F with K(y)
+    spanned by the RREF rows rows[y], as (y, vector of F(y)) pairs.
+
+    A vector of K(y) has its K-coordinates at the pivot columns of
+    rows[y], so rad K(y) is read from F's action on the rows of K(x),
+    x != y, without a solve; the rows at the free columns of its RREF
+    lift a basis of the top, as top_generators does for a module."""
+    c = F.cat
+    f = c.field
+    gens = []
+    for y in c.objects:
+        ky = rows[y]
+        if not ky:
+            continue
+        piv = echelon_columns(f, ky, F.dims[y])[0]
+        vecs = []
+        for x in c.objects:
+            if x == y or not rows[x]:
+                continue
+            for i in range(c.homdim[(x, y)]):
+                for r in rows[x]:
+                    w = F.apply_action(x, y, i, r)
+                    vecs.append([w[p] for p in piv])
+        rad = row_space_basis(f, vecs, len(ky))
+        gens.extend((y, ky[j]) for j in echelon_columns(f, rad, len(ky))[1])
+    return gens
 
 
 def pdim(M):
@@ -103,13 +137,9 @@ def pdim(M):
 
 
 def syzygy(M):
-    """Omega(M): kernel of the projective cover."""
-    if M.total_dim() == 0:
-        return M
-    gens = top_generators(M)
-    F0 = FreeModule(M.cat, [x for x, _ in gens])
-    eps = F0.yoneda_map(M, [v for _, v in gens])
-    return kernel(eps).module
+    """Omega(M) as a module of its own: the kernel of the projective
+    cover."""
+    return kernel(min_proj_resolution(M, stop_at=0).eps).module
 
 
 def gldim(cat):
@@ -243,15 +273,15 @@ def ext_dim(X, Y, n):
 # transpose and AR translates
 
 
-def transpose_module(M):
-    """Tr(M): cokernel of the dualized minimal projective presentation; a
-    module over the opposite category."""
-    cat = M.cat
-    op = cat.opposite()
-    res = min_proj_resolution(M, stop_at=1)
-    if not res.diffs:
+def transpose_module(M, n=1):
+    """Tr(Omega^{n-1} M): cokernel of the dualized minimal presentation
+    d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
+    opposite category."""
+    op = M.cat.opposite()
+    res = min_proj_resolution(M, stop_at=n)
+    if len(res.diffs) < n:
         return zero_module(op)
-    d = res.diffs[0].op()  # F_op(terms[0]) -> F_op(terms[1])
+    d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])
     src = FreeModule(op, d.src_objs)
     dst = FreeModule(op, d.dst_objs)
     return cokernel(d.realize(src, dst)).module
@@ -259,7 +289,7 @@ def transpose_module(M):
 
 def tau(M):
     """AR translate DTr; zero on projectives."""
-    return dual_module(transpose_module(M))
+    return tau_n(M, 1)
 
 
 def tau_inv(M):
@@ -268,10 +298,10 @@ def tau_inv(M):
 
 
 def tau_n(M, n):
-    """Higher translate tau Omega^{n-1}."""
-    for _ in range(n - 1):
-        M = syzygy(M)
-    return tau(M)
+    """Higher translate tau Omega^{n-1} = D Tr(Omega^{n-1} M); n >= 1."""
+    if n < 1:
+        raise InvalidParams("tau_n needs n >= 1, got %r" % (n,))
+    return dual_module(transpose_module(M, n))
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,24 @@ def _seed_order(cat, arrows):
     return order if order is not None else list(cat.objects)
 
 
-def knit(cat, budget=512):
-    """Full list of indecomposables with irreducible-map multiplicities.
-    Raises BudgetExceeded when the orbit enumeration passes the budget
-    (the algebra is then likely not representation-finite), and at once
-    for a multiple Gabriel arrow x => y: the Kronecker algebra is then a
-    quotient, so the algebra is representation-infinite."""
+def single_gabriel_arrows(cat):
+    """The Gabriel arrows of cat, all of multiplicity 1.  Raises
+    BudgetExceeded at a multiple arrow x => y: the Kronecker algebra is
+    then a quotient, so cat is representation-infinite."""
     arrows = cat.gabriel_arrows()
     for (s, t), m in arrows.items():
         if m > 1:
             raise BudgetExceeded("representation-infinite: %d Gabriel arrows "
                                  "%s -> %s (a Kronecker quotient)" % (m, s, t))
+    return arrows
+
+
+def knit(cat, budget=512):
+    """Full list of indecomposables with irreducible-map multiplicities.
+    Raises BudgetExceeded when the orbit enumeration passes the budget
+    (the algebra is then likely not representation-finite), and at once
+    for a multiple Gabriel arrow (single_gabriel_arrows)."""
+    arrows = single_gabriel_arrows(cat)
     mods = []
     dimvecs = []
     tau_map = {}

@@ -107,12 +107,8 @@ class Mat:
     def from_cols(field, cols):
         if not cols:
             return Mat.zero(field, 0, 0)
-        n = len(cols[0])
-        m = Mat.zero(field, n, len(cols))
-        for j, c in enumerate(cols):
-            for i, v in enumerate(c):
-                m.rows[i][j] = field(v)
-        return m
+        rows = [[field(v) for v in r] for r in zip(*cols)]
+        return Mat._wrap(field, rows, len(cols[0]), len(cols))
 
     # -- basics -------------------------------------------------------
 
@@ -169,9 +165,6 @@ class Mat:
         else:
             rows = [[(c * v) % p for v in r] for r in self.rows]
         return Mat._wrap(self.field, rows, self.nrows, self.ncols)
-
-    def __neg__(self):
-        return self.scale(self.field(-1))
 
     @staticmethod
     def _wrap(field, rows, nrows, ncols):
@@ -282,6 +275,8 @@ class Mat:
 
     def kernel_basis(self):
         """Matrix whose columns span ker(self); ncols = ncols - rank."""
+        if self.nrows == 0 or self.ncols == 0:
+            return Mat.identity(self.field, self.ncols)
         R, pivots = self.rref()
         free = [j for j in range(self.ncols) if j not in pivots]
         cols = []
@@ -294,11 +289,23 @@ class Mat:
             cols.append(v)
         return Mat.from_cols(f, cols) if cols else Mat.zero(f, self.ncols, 0)
 
+    def kernel_rows(self):
+        """The RREF rows (plain lists) spanning ker(self)."""
+        K = self.kernel_basis()
+        if self.nrows == 0 or self.ncols == 0:
+            return K.rows  # the identity, already in RREF
+        return row_space_basis(self.field, [K.col(j) for j in range(K.ncols)],
+                               self.ncols)
+
     def solve(self, b):
         """Solve self * x = b (b a Mat of column(s)).  Raises NoSolution."""
         self._check(b)
         if b.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
+        if self.ncols == 0 and not b.is_zero():
+            raise NoSolution()
+        if self.nrows == 0 or self.ncols == 0:
+            return Mat.zero(self.field, self.ncols, b.ncols)
         aug = Mat.hstack(self.field, [self, b], self.nrows)
         R, pivots = aug.rref()
         f = self.field
@@ -333,7 +340,7 @@ class Mat:
 def row_space_basis(field, vectors, length):
     """Deterministic basis (as list of row vectors) of the span of the given
     row vectors; returned rows are the nonzero rows of the RREF."""
-    if not vectors:
+    if not vectors or length == 0:
         return []
     m = Mat(field, vectors, len(vectors), length)
     R, pivots = m.rref()

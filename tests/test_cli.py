@@ -160,18 +160,23 @@ KRONECKER = "quiver\narrow a 1 2\narrow b 1 2\n"
 @pytest.mark.parametrize("text", [
     KRONECKER, KRONECKER + "arrow c 2 3\nrelation 1*a.c;-1*b.c\n",
 ], ids=["kronecker", "kronecker-quotient"])
-@pytest.mark.parametrize("args, message", [
-    (["ar"], "representation-infinite: 2 Gabriel arrows 1 -> 2"),
-    (["verify", "--k", "1", "--n", "2"], "generator-cogenerator"),
-], ids=["ar", "verify"])
-def test_multiple_arrow_exits_two(runner, tmp_path, text, args, message):
-    """A double Gabriel arrow is rejected before knitting, which would
-    otherwise run on through the growing tau-orbits."""
+@pytest.mark.parametrize("args", [
+    ["ar"], ["verify", "--k", "1", "--n", "2"],
+    ["verify", "--k", "1", "--n", "1"],
+], ids=["ar", "verify", "verify-n1"])
+def test_multiple_arrow_exits_two(runner, tmp_path, text, args):
+    """A double Gabriel arrow is rejected before knitting or a tau_n orbit,
+    either of which would otherwise run on through the growing orbits.
+    For n = 1 the quotient, of global dimension 2, is rejected before
+    either, by its global dimension."""
     qf = tmp_path / "kron.quiver"
     qf.write_text(text)
     r = runner.invoke(main, args + ["--quiver-file", str(qf)])
     assert r.exit_code == 2
-    assert message in r.stderr
+    if args[-1] == "1" and "relation" in text:
+        assert "gldim 2 exceeds n = 1" in r.stderr
+    else:
+        assert "representation-infinite: 2 Gabriel arrows 1 -> 2" in r.stderr
 
 
 def test_import_leaves_sympy_unloaded():

@@ -185,7 +185,7 @@ def _sample_modules(cat):
         gens = top_generators(I)
         F = FreeModule(cat, [s for s, _ in gens])
         cover = F.yoneda_map(I, [v for _, v in gens])
-        yield F.module
+        yield F
         yield kernel(cover).module
         for y in cat.objects:
             for phi in hom_modules(projective_module(cat, y), P):

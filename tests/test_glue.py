@@ -1,12 +1,13 @@
 import pytest
 
 from ausglue.errors import (NotComposable, NotHereditary, GldimTooBig,
-                            NotClusterTilting)
+                            NotClusterTilting, BudgetExceeded)
 from ausglue.linalg import QQ, GF, default_field
-from ausglue.quiver import (DynkinSpec, hereditary_presentation,
-                            nakayama_linear)
+from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
+                            hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import hom_modules, direct_sum
+from ausglue.fincat import (hom_modules, direct_sum, projective_module,
+                            modules_isomorphic)
 from ausglue.homology import ext_dim, tau
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
@@ -164,8 +165,30 @@ def test_input_validation():
     with pytest.raises(GldimTooBig):
         build_mk(nak, 1, 1)
     ct = cluster_tilting_from_tau_n(nak, 2)
-    with pytest.raises(NotClusterTilting):
+    with pytest.raises(NotClusterTilting, match="^not maximal: "):
         build_mk(nak, 1, 2, modules=ct[:-1])
+    ar = knit(nak)
+    extra = next(M for M in (ar.module(i) for i in range(ar.count))
+                 if not any(modules_isomorphic(M, T) for T in ct))
+    with pytest.raises(NotClusterTilting, match=r"^not 2-rigid: Ext\^1\("):
+        build_mk(nak, 1, 2, modules=ct + [extra])
+
+
+def test_kronecker_fallback_keeps_reason():
+    """knit refuses the Kronecker quiver at once; the generator-cogenerator
+    fallback of is_cluster_tilting keeps that reason in its witness, and
+    build_mk states it in words.  The tau_n orbit refuses it too."""
+    kron = category_from_presentation(BoundPresentation(
+        Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), []), FIELD)
+    projs = [projective_module(kron, x) for x in kron.objects]
+    reason = "representation-infinite: 2 Gabriel arrows 1 -> 2"
+    ok, witness = is_cluster_tilting(kron, projs, 1)
+    assert not ok and witness[:2] == ("generator-cogenerator", 1)
+    assert witness[2].startswith(reason)
+    with pytest.raises(NotClusterTilting, match="^" + reason):
+        build_mk(kron, 1, 1, modules=projs)
+    with pytest.raises(BudgetExceeded, match="^" + reason):
+        cluster_tilting_from_tau_n(kron, 1)
 
 
 def test_field_independence_of_hom_tables():

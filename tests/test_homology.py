@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from ausglue.linalg import default_field
+from ausglue import fincat
+from ausglue.errors import InvalidParams
+from ausglue.linalg import Mat, default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -10,7 +12,8 @@ from ausglue.knitting import knit, vertex_label
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             projective_label, injective_label, decompose,
-                            direct_sum, CatMat)
+                            direct_sum, dual_module, CatMat, FreeModule,
+                            kernel, cokernel, top_generators)
 from ausglue.homology import (min_proj_resolution, pdim, syzygy, gldim,
                               domdim, projective_injectives, ext_space,
                               ext_dim, tau, tau_inv, tau_n, lift_chain_map,
@@ -206,3 +209,104 @@ def test_lift_well_defined_under_homotopy():
                 assert ext_xz.reduce(w2) == ext_xz.reduce(w)
                 checked += 1
     assert checked > 0
+
+
+def _reference_resolution(M):
+    """(terms, diffs) of the minimal resolution as built by giving every
+    syzygy its own module structure (a Submodule with a solved action) and
+    covering it by its top_generators."""
+    gens = top_generators(M)
+    F = FreeModule(M.cat, [x for x, _ in gens])
+    K = kernel(F.yoneda_map(M, [v for _, v in gens]))
+    terms, diffs = [list(F.summands)], []
+    while K.module.total_dim():
+        kgens = top_generators(K.module)
+        G = FreeModule(M.cat, [x for x, _ in kgens])
+        cols = [F.yoneda_entries(y, Mat.from_cols(M.cat.field, K.basis[y])
+                                 .apply(v)) for y, v in kgens]
+        diffs.append(CatMat(M.cat, G.summands, F.summands,
+                            [[col[i] for col in cols]
+                             for i in range(len(F.summands))]))
+        terms.append(list(G.summands))
+        K = kernel(G.yoneda_map(K.module, [v for _, v in kgens]))
+        F = G
+    return terms, diffs
+
+
+def _reference_tau_n(M, n):
+    """tau(Omega^{n-1} M): n - 1 Submodule syzygies, then D of the cokernel
+    of the dualized presentation from _reference_resolution."""
+    for _ in range(n - 1):
+        M = syzygy(M)
+    op = M.cat.opposite()
+    _, diffs = _reference_resolution(M)
+    if not diffs:
+        return dual_module(fincat.zero_module(op))
+    d = diffs[0].op()
+    src, dst = FreeModule(op, d.src_objs), FreeModule(op, d.dst_objs)
+    return dual_module(cokernel(d.realize(src, dst)).module)
+
+
+def _resolution_cases():
+    """Simples, injectives and duals of projectives over A3,
+    Nakayama(4,3), Auslander(A3) and Gamma of A3 with k = 1, and every
+    knitted indecomposable of the first three."""
+    from ausglue.glue import auslander_category, build_sk
+    nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
+    aus, _ = auslander_category(A3)
+    for cat, knitted in ((A3, True), (nak, True), (aus, True),
+                         (build_sk(A3, 1).cat, False)):
+        if knitted:
+            yield from indecomposables(cat)
+        for x in cat.objects:
+            yield from (simple_module(cat, x), injective_module(cat, x),
+                        dual_module(projective_module(cat, x)))
+
+
+def test_resolution_matches_submodule_reference():
+    """Resolving in free-module coordinates gives the terms and the
+    differentials of the Submodule-based construction, entry for entry."""
+    for M in _resolution_cases():
+        res = min_proj_resolution(M)
+        terms, diffs = _reference_resolution(M)
+        assert res.terms == terms
+        assert [(d.src_objs, d.dst_objs, d.entries) for d in res.diffs] \
+            == [(d.src_objs, d.dst_objs, d.entries) for d in diffs]
+
+
+def test_tau_n_matches_syzygy_reference():
+    """tau_n read off the resolution equals tau of the iterated Submodule
+    syzygy, with the same dims and action matrices; n < 1 is refused."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    for cat in (A3, aus):
+        for M in indecomposables(cat):
+            for n in (1, 2):
+                T, R = tau_n(M, n), _reference_tau_n(M, n)
+                assert T.dims == R.dims and T.act == R.act
+    with pytest.raises(InvalidParams):
+        tau_n(simple_module(A3, 1), 0)
+
+
+def test_resolution_builds_no_submodule(monkeypatch):
+    """Resolutions, Ext and tau_n never give a syzygy its own module
+    structure, and neither a resolution nor Ext reads the dense action of
+    a free module."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    mods = indecomposables(aus)
+
+    def forbidden(*args):
+        raise AssertionError("forbidden construction")
+    monkeypatch.setattr(fincat.Submodule, "__init__", forbidden)
+    with monkeypatch.context() as mp:
+        mp.setattr(FreeModule, "act", property(forbidden))
+        for X in mods:
+            res = min_proj_resolution(X)
+            assert res.check_minimal()
+            for Y in mods:
+                for i in (1, 2):
+                    assert ext_space(X, Y, i).dim == \
+                        ext_space(X, Y, i, resolution=res).dim
+    for M in mods:
+        tau_n(M, 2)

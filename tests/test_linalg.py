@@ -104,3 +104,25 @@ def test_block_ops():
     assert d.rows[1] == [0, 2, 3]
     v = Mat.vstack(QQ, [Mat(QQ, [[1, 2]]), Mat(QQ, [[3, 4]])])
     assert v.rows == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_empty_shapes_skip_elimination(field, monkeypatch):
+    """A matrix with no rows or no columns is answered without an rref,
+    with the results elimination gives: the kernel of a 0 x n matrix is
+    everything, that of an n x 0 matrix is the zero space."""
+    wide, tall = Mat.zero(field, 0, 3), Mat.zero(field, 3, 0)
+
+    def no_rref(self):
+        raise AssertionError("rref on a %dx%d matrix" % (self.nrows, self.ncols))
+    monkeypatch.setattr(Mat, "rref", no_rref)
+    assert wide.kernel_basis() == Mat.identity(field, 3)
+    assert tall.kernel_basis() == Mat.zero(field, 0, 0)
+    assert wide.kernel_rows() == Mat.identity(field, 3).rows
+    assert tall.kernel_rows() == []
+    assert wide.solve(Mat.zero(field, 0, 2)) == Mat.zero(field, 3, 2)
+    assert tall.solve(Mat.zero(field, 3, 1)) == Mat.zero(field, 0, 1)
+    with pytest.raises(NoSolution):
+        tall.solve(Mat(field, [[0], [1], [0]]))
+    assert row_space_basis(field, [[], []], 0) == []
+    assert row_space_basis(field, [], 3) == []

@@ -1,9 +1,9 @@
 import pytest
 
 from ausglue.errors import NotRepFinite
-from ausglue.linalg import default_field
+from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
-                            hereditary_presentation)
+                            hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import injective_module
 from ausglue.homology import min_proj_resolution, pdim
@@ -12,7 +12,7 @@ from ausglue.glue import (build_sk, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
 from ausglue.tower import (is_basic, gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
-                           four_angles)
+                           verify_theorem_higher, four_angles)
 
 FIELD = default_field()
 
@@ -176,3 +176,27 @@ def test_verify_rejects_infinite_type():
         Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [])
     with pytest.raises(NotRepFinite):
         verify_theorem_dynkin(kron, 1, budget=16)
+
+
+def _report_claims(case, field):
+    if case in ("A3", "D4"):
+        spec = DynkinSpec(case[0], int(case[1]), "out" if case == "D4" else None)
+        rep = verify_theorem_dynkin(spec, 1, field=field)
+    else:
+        if case == "auslander-A3":
+            ambient, _ = auslander_category(category_from_presentation(
+                hereditary_presentation(DynkinSpec("A", 3)), field))
+        else:
+            ambient = category_from_presentation(nakayama_linear(4, 3), field)
+        rep = verify_theorem_higher(ambient, 1, 2)
+    return [c.to_dict() for c in rep.claims], rep.passed
+
+
+@pytest.mark.parametrize("case", ["A3", "D4", "auslander-A3", "nakayama-4-3"])
+def test_claims_independent_of_field(case):
+    """Every claim, with its expected and computed values and its verdict,
+    comes out the same over GF(2), GF(3), GF(5), QQ and GF(32003)."""
+    reports = [_report_claims(case, f)
+               for f in (GF(2), GF(3), GF(5), QQ, GF(32003))]
+    assert reports[0][1]
+    assert all(r == reports[0] for r in reports[1:])
