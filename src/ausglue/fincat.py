@@ -474,6 +474,23 @@ def hom_modules(M, N):
     return out
 
 
+def hom_bases(modules, names):
+    """Hom bases between pairwise non-isomorphic indecomposables, keyed by
+    position pairs (a, b), with the identity as the basis of each End.
+    Raises NonSchurianVertex, naming the module, when an End is not K."""
+    homs = {}
+    for a, Ma in enumerate(modules):
+        for b, Mb in enumerate(modules):
+            basis = hom_modules(Ma, Mb)
+            if a == b:
+                if len(basis) != 1:
+                    raise NonSchurianVertex("End(%s) has dimension %d"
+                                            % (names[a], len(basis)))
+                basis = [identity_map(Ma)]
+            homs[(a, b)] = basis
+    return homs
+
+
 def modules_isomorphic(M, N):
     """Exact isomorphism test.  A one-dimensional Hom(M, N) holds an
     isomorphism iff its basis element is invertible; a larger one is

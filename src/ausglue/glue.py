@@ -10,14 +10,13 @@ it exhaustively through FinCategory.check_associativity.
 """
 
 from .linalg import coords_in_basis
-from .fincat import (FinCategory, hom_modules, identity_map, decompose,
-                     injective_module, projective_label, injective_label,
-                     modules_isomorphic)
+from .fincat import (FinCategory, hom_bases, decompose, injective_module,
+                     projective_label, injective_label, modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
-from .errors import (NonSchurianVertex, NotHereditary, NotRepFinite,
-                     NotClusterTilting, GldimTooBig, OrbitDiverges,
-                     NotComposable, BudgetExceeded)
+from .errors import (NotHereditary, NotRepFinite, NotClusterTilting,
+                     GldimTooBig, OrbitDiverges, NotComposable,
+                     BudgetExceeded)
 
 
 class GluedCategory:
@@ -26,22 +25,17 @@ class GluedCategory:
     cat: the assembled FinCategory; objects are (name, shift) pairs.
     modules/names: the indecomposables of one copy, in object order.
     n: the Ext degree used for the connecting homs; k: number of shifts.
-    homs[(a,b)] / exts[(a,b)] keep the chosen bases (ModuleMaps resp.
-    ExtSpaces indexed by positions in `modules`) for downstream checks.
+    The hom and Ext bases behind the structure constants are not kept.
     ar: the AR quiver of the ambient when build_sk knitted it, else None.
     """
 
-    def __init__(self, cat, ambient, modules, names, n, k, homs, exts,
-                 resolutions):
+    def __init__(self, cat, ambient, modules, names, n, k):
         self.cat = cat
         self.ambient = ambient
         self.modules = modules
         self.names = names
         self.n = n
         self.k = k
-        self.homs = homs
-        self.exts = exts
-        self.resolutions = resolutions
         self.ar = None
 
     def obj(self, a, shift):
@@ -65,23 +59,11 @@ def _unique_names(labels):
     return out
 
 
-def _hom_tables(field, modules, names):
-    """Hom bases between the given indecomposables, with the identity as
-    the basis of each End, and the structure constants of hom after hom:
-    comp[(a, b, c)][i][j] = coordinates of g_i o f_j in the hom(a, c)
-    basis, for g_i in hom(b, c) and f_j in hom(a, b).  Keys are positions
-    in `modules`."""
-    m = len(modules)
-    homs = {}
-    for a in range(m):
-        for b in range(m):
-            basis = hom_modules(modules[a], modules[b])
-            if a == b:
-                if len(basis) != 1:
-                    raise NonSchurianVertex(
-                        "End(%s) has dimension %d" % (names[a], len(basis)))
-                basis = [identity_map(modules[a])]
-            homs[(a, b)] = basis
+def _hom_structure_constants(field, homs, m):
+    """The structure constants of hom after hom over hom bases from
+    hom_bases: comp[(a, b, c)][i][j] = coordinates of g_i o f_j in the
+    hom(a, c) basis, for g_i in hom(b, c) and f_j in hom(a, b).  Keys are
+    positions among the m modules."""
     hflat = {key: [g.flatten() for g in basis] for key, basis in homs.items()}
     comp = {}
     for a in range(m):
@@ -96,12 +78,13 @@ def _hom_tables(field, modules, names):
                                      g.compose(f).flatten())
                      for f in homs[(a, b)]]
                     for g in homs[(b, c)]]
-    return homs, comp
+    return comp
 
 
-def build_glued(ambient, modules, names, n, k):
+def build_glued(ambient, modules, names, n, k, homs=None):
     """Assemble the glued category from a list of pairwise non-isomorphic
-    indecomposable modules over the ambient category."""
+    indecomposable modules over the ambient category.  homs: their
+    hom_bases, when already at hand."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
@@ -110,7 +93,9 @@ def build_glued(ambient, modules, names, n, k):
     m = len(modules)
     res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
 
-    homs, comp_hh = _hom_tables(field, modules, names)
+    if homs is None:
+        homs = hom_bases(modules, names)
+    comp_hh = _hom_structure_constants(field, homs, m)
     exts = {(a, b): ext_space(modules[a], modules[b], n, resolution=res[a])
             for a in range(m) for b in range(m)}
 
@@ -181,7 +166,7 @@ def build_glued(ambient, modules, names, n, k):
                 comp[((names[a], s), (names[b], s + 1), (names[c], s + 1))] = t
 
     cat = FinCategory(field, objects, homdim, comp)
-    return GluedCategory(cat, ambient, modules, names, n, k, homs, exts, res)
+    return GluedCategory(cat, ambient, modules, names, n, k)
 
 
 def yoneda_compose(glued, g, f):
@@ -203,11 +188,11 @@ def yoneda_compose(glued, g, f):
     return fs, gd, cat.compose(fs, fd, gd, gc, fc)
 
 
-def endomorphism_category(ambient, modules, names):
-    """The basic endomorphism algebra of the direct sum of the given
-    pairwise non-isomorphic indecomposables, as a FinCategory with the
-    names as objects."""
-    homs, comp_hh = _hom_tables(ambient.field, modules, names)
+def endomorphism_category(ambient, names, homs):
+    """The basic endomorphism algebra of the direct sum of pairwise
+    non-isomorphic indecomposables, from their hom_bases, as a FinCategory
+    with the names as objects."""
+    comp_hh = _hom_structure_constants(ambient.field, homs, len(names))
     homdim = {(names[a], names[b]): len(basis)
               for (a, b), basis in homs.items()}
     comp = {(names[a], names[b], names[c]): t
@@ -219,7 +204,7 @@ def auslander_category(ambient, budget=512):
     """The Auslander algebra: End of the sum of all indecomposables.
     Returns (FinCategory, ARQuiver of the ambient)."""
     ar, modules, names = _knit_indecomposables(ambient, budget)
-    return endomorphism_category(ambient, modules, names), ar
+    return endomorphism_category(ambient, names, ar.homs), ar
 
 
 def _knit_indecomposables(ambient, budget):
@@ -246,7 +231,7 @@ def build_sk(ambient, k, budget=512):
     if gldim(ambient) != 1:
         raise NotHereditary("global dimension is not 1")
     ar, modules, names = _knit_indecomposables(ambient, budget)
-    glued = build_glued(ambient, modules, names, 1, k)
+    glued = build_glued(ambient, modules, names, 1, k, ar.homs)
     glued.ar = ar
     return glued
 
@@ -274,17 +259,20 @@ def _witness_text(names, n, witness):
         a, b, i = witness[1]
         return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, i, names[a], names[b])
     if witness[0] == "maximal":
-        return ("not maximal: the indecomposable %s is Ext-orthogonal to "
-                "them" % (witness[2],))
+        return ("not maximal: X = %s lies outside them, yet Ext^i(%s) "
+                "vanishes on them for 0 < i < %d"
+                % (witness[2], witness[3], n))
     return "%s, and the modules lack P_%s or I_%s" % (witness[2], witness[1],
                                                       witness[1])
 
 
-def is_rigid(modules, n):
+def is_rigid(modules, n, resolutions=None):
     """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
-    (True, None) or (False, (a, b, i))."""
+    (True, None) or (False, (a, b, i)).  resolutions: the modules'
+    min_proj_resolution up to degree n, when already at hand."""
     for a, Ma in enumerate(modules):
-        res = min_proj_resolution(Ma, stop_at=n)
+        res = resolutions[a] if resolutions else \
+            min_proj_resolution(Ma, stop_at=n)
         for b, Mb in enumerate(modules):
             # Ext^i(Ma, -) vanishes above the length of the resolution
             for i in range(1, min(n, res.length + 1)):
@@ -294,13 +282,15 @@ def is_rigid(modules, n):
 
 
 def is_cluster_tilting(ambient, modules, n, budget=512):
-    """Rigidity plus maximality: every indecomposable that is Ext-orthogonal
-    to the collection in degrees 0 < i < n must already be in it.  Maximality
-    needs the full indecomposable list; if the ambient cannot be enumerated
-    within the budget the check degrades to rigidity plus the
+    """Rigidity plus maximality on each side (Iyama): an indecomposable X
+    with Ext^i(X, -) = 0 on the collection for 0 < i < n, or with
+    Ext^i(-, X) = 0 on it, must already be in it.  Maximality needs the
+    full indecomposable list; if the ambient cannot be enumerated within
+    the budget the check degrades to rigidity plus the
     generator-cogenerator criterion and says so in the witness slot, a
     failure witness carrying the reason knit gave."""
-    ok, witness = is_rigid(modules, n)
+    res = [min_proj_resolution(M, stop_at=n) for M in modules]
+    ok, witness = is_rigid(modules, n, res)
     if not ok:
         return False, ("rigid", witness)
     from .knitting import knit
@@ -313,23 +303,17 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
             if x not in projs or x not in injs:
                 return False, ("generator-cogenerator", x, str(e))
         return True, "criterion-verified, not enumeration-verified"
-    res = [min_proj_resolution(M, stop_at=n) for M in modules]
     for idx in range(ar.count):
         X = ar.module(idx)
         if any(modules_isomorphic(X, M) for M in modules):
             continue
         resX = min_proj_resolution(X, stop_at=n)
-        orthogonal = True
-        for M, resM in zip(modules, res):
-            for i in range(1, n):
-                if ext_space(X, M, i, resolution=resX).dim or \
-                        ext_space(M, X, i, resolution=resM).dim:
-                    orthogonal = False
-                    break
-            if not orthogonal:
-                break
-        if orthogonal:
-            return False, ("maximal", idx, X.dim_vector())
+        if not any(ext_space(X, M, i, resolution=resX).dim
+                   for M in modules for i in range(1, n)):
+            return False, ("maximal", idx, X.dim_vector(), "X, -")
+        if not any(ext_space(M, X, i, resolution=resM).dim
+                   for M, resM in zip(modules, res) for i in range(1, n)):
+            return False, ("maximal", idx, X.dim_vector(), "-, X")
     return True, None
 
 

@@ -245,15 +245,13 @@ def ext_space(X, Y, n, resolution=None):
     else:
         bvecs = []
     cob_rows = row_space_basis(f, bvecs, hom_n)
+    # one elimination of [coboundaries | cocycles]: the cocycles at pivot
+    # columns are those outside the span of everything before them
+    c = len(cob_rows)
     reps = []
-    span = list(cob_rows)
-    rank = len(span)
-    for zv in zvecs:
-        trial = row_space_basis(f, span + [zv], hom_n)
-        if len(trial) > rank:
-            reps.append(zv)
-            span = trial
-            rank += 1
+    if zvecs:
+        pivots = Mat.from_cols(f, cob_rows + zvecs).rref()[1]
+        reps = [zvecs[j - c] for j in pivots if j >= c]
     return ExtSpace(X, Y, n, res, reps, cob_rows)
 
 

@@ -3,27 +3,32 @@
 Vertices are found as the tau^{-1}-orbits of the indecomposable
 projectives (for a representation-directed algebra every indecomposable
 is tau^{-j} of a projective, and knitting these orbits terminates).
-Arrows carry irreducible-map multiplicities dim rad/rad^2, computed from
-hom spaces rather than middle-term bookkeeping; the mesh property ties
-the two together and is checked exhaustively in the tests.
+Knitting only enumerates: the hom bases between the vertices and the
+arrows are computed on first read.  Arrows carry irreducible-map
+multiplicities dim rad/rad^2, computed from those hom bases rather than
+middle-term bookkeeping; the mesh property ties the two together and is
+checked exhaustively in the tests.
 """
+
+from functools import cached_property
 
 from .linalg import row_space_basis
 from .quiver import Quiver
-from .fincat import (projective_module, module_label, hom_modules,
+from .fincat import (projective_module, module_label, hom_bases,
                      modules_isomorphic)
 from .homology import tau_inv
-from .errors import BudgetExceeded, NonSchurianVertex
+from .errors import BudgetExceeded
 
 
 class ARQuiver:
-    """vertices[i] = (module, dim_vector); arrows = (src, dst, mult) index
-    triples; tau maps non-projective vertex indices to their translates."""
+    """vertices[i] = (module, dim_vector); tau maps non-projective vertex
+    indices to their translates.  Computed on first read: homs[(i, j)],
+    the hom_bases between the vertices, and from them arrows, the
+    (src, dst, mult) index triples."""
 
-    def __init__(self, cat, vertices, arrows, tau, projective_of, injective_flags):
+    def __init__(self, cat, vertices, tau, projective_of, injective_flags):
         self.cat = cat
         self.vertices = vertices
-        self.arrows = arrows
         self.tau = tau
         self.projective_of = projective_of  # index -> object label or None
         self.injective_flags = injective_flags
@@ -34,6 +39,32 @@ class ARQuiver:
 
     def module(self, i):
         return self.vertices[i][0]
+
+    @cached_property
+    def homs(self):
+        return hom_bases([M for M, _ in self.vertices],
+                         ["vertex %d" % i for i in range(self.count)])
+
+    @cached_property
+    def arrows(self):
+        """dim rad/rad^2 from i to j: dim hom(i, j) less the rank of the
+        composites g o f through every third vertex k."""
+        homs = self.homs
+        n = self.count
+        arrows = []
+        for i in range(n):
+            for j in range(n):
+                basis = homs[(i, j)]
+                if i == j or not basis:
+                    continue
+                vecs = [g.compose(f).flatten() for k in range(n)
+                        if k != i and k != j
+                        for f in homs[(i, k)] for g in homs[(k, j)]]
+                r2 = len(row_space_basis(self.cat.field, vecs,
+                                         len(basis[0].flatten())))
+                if len(basis) > r2:
+                    arrows.append((i, j, len(basis) - r2))
+        return arrows
 
     def arrows_into(self, i):
         return sorted((s, m) for s, d, m in self.arrows if d == i)
@@ -89,10 +120,11 @@ def single_gabriel_arrows(cat):
 
 
 def knit(cat, budget=512):
-    """Full list of indecomposables with irreducible-map multiplicities.
-    Raises BudgetExceeded when the orbit enumeration passes the budget
-    (the algebra is then likely not representation-finite), and at once
-    for a multiple Gabriel arrow (single_gabriel_arrows)."""
+    """Full list of indecomposables, with tau, the projectives and the
+    injectives marked; hom bases and arrows follow on first read.  Raises
+    BudgetExceeded when the orbit enumeration passes the budget (the
+    algebra is then likely not representation-finite), and at once for a
+    multiple Gabriel arrow (single_gabriel_arrows)."""
     arrows = single_gabriel_arrows(cat)
     mods = []
     dimvecs = []
@@ -130,47 +162,14 @@ def knit(cat, budget=512):
             tau_map[len(mods) - 1] = cur
             cur = len(mods) - 1
 
-    homs = {}
-    for i, Mi in enumerate(mods):
-        for j, Mj in enumerate(mods):
-            homs[(i, j)] = hom_modules(Mi, Mj)
-        if len(homs[(i, i)]) != 1:
-            raise NonSchurianVertex(
-                "vertex %d has End of dimension %d" % (i, len(homs[(i, i)])))
-
-    arrows = []
     n = len(mods)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            basis = homs[(i, j)]
-            if not basis:
-                continue
-            flat_len = None
-            vecs = []
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                for f in homs[(i, k)]:
-                    for g in homs[(k, j)]:
-                        v = g.compose(f).flatten()
-                        flat_len = len(v)
-                        vecs.append(v)
-            if flat_len is None:
-                flat_len = len(basis[0].flatten())
-            r2 = len(row_space_basis(cat.field, vecs, flat_len))
-            m = len(basis) - r2
-            if m > 0:
-                arrows.append((i, j, m))
-
     # every non-injective vertex was continued to its tau^{-1}, so the
     # injectives are exactly the vertices that are nobody's translate
     translated = set(tau_map.values())
     inj_flags = [i not in translated for i in range(n)]
     vertices = [(mods[i], dimvecs[i]) for i in range(n)]
-    return ARQuiver(cat, vertices, arrows,
-                    tau_map, {i: proj_of.get(i) for i in range(n)}, inj_flags)
+    return ARQuiver(cat, vertices, tau_map,
+                    {i: proj_of.get(i) for i in range(n)}, inj_flags)
 
 
 def aus_rank(spec, field):

@@ -122,6 +122,9 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     ["verify", "--nakayama", "4,3", "--k", "1"],
     ["verify", "--nakayama", "4", "--k", "1", "--n", "2"],
     ["verify", "--auslander-of", "A1", "--k", "1", "--n", "0"],
+    # the tau_n-closure of the injectives is not maximal
+    ["verify", "--nakayama", "3,5", "--k", "1", "--n", "2"],
+    ["verify", "--auslander-of", "A2", "--k", "1", "--n", "3"],
     ["angles", "--dynkin", "A3"],
     ["angles"],
 ], ids=lambda a: " ".join(a))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ausglue.errors import (NotComposable, NotHereditary, GldimTooBig,
@@ -6,8 +8,9 @@ from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
+from ausglue import fincat, glue, knitting
 from ausglue.fincat import (hom_modules, direct_sum, projective_module,
-                            modules_isomorphic)
+                            injective_module, modules_isomorphic)
 from ausglue.homology import ext_dim, tau
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
@@ -156,6 +159,16 @@ def test_cluster_tilting_checks():
     # with a budget too small to enumerate the ambient, the check degrades
     ok, witness = is_cluster_tilting(nak, ct, 2, budget=2)
     assert ok and witness == "criterion-verified, not enumeration-verified"
+    # maximality is checked on each side alone: over linear A3, P_2, P_3
+    # and S_2 have Ext^1(-, DA) = 0 but are not injective
+    a3 = make(DynkinSpec("A", 3, "linear"))
+    injs = [injective_module(a3, x) for x in a3.objects]
+    assert is_rigid(injs, 2) == (True, None)
+    ok, witness = is_cluster_tilting(a3, injs, 2)
+    assert not ok and witness[0] == "maximal" and witness[3] == "X, -"
+    X = knit(a3).module(witness[1])
+    assert not any(modules_isomorphic(X, I) for I in injs)
+    assert all(ext_dim(X, I, 1) == 0 for I in injs)
 
 
 def test_input_validation():
@@ -189,6 +202,36 @@ def test_kronecker_fallback_keeps_reason():
         build_mk(kron, 1, 1, modules=projs)
     with pytest.raises(BudgetExceeded, match="^" + reason):
         cluster_tilting_from_tau_n(kron, 1)
+
+
+def test_hom_table_built_once(monkeypatch):
+    """One hom table per knitted category: build_sk and auslander_category
+    solve each ordered pair of the six indecomposables of A3 once, and
+    knitting and is_cluster_tilting build no hom table at all."""
+    calls = []
+
+    def counted(M, N):
+        calls.append((M, N))
+        return hom_modules(M, N)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ausglue") and hasattr(mod, "hom_modules"):
+            monkeypatch.setattr(mod, "hom_modules", counted)
+    build_sk(A3, 1)
+    assert len(calls) == 36
+    del calls[:]
+    aus, _ = glue.auslander_category(A3)
+    assert len(calls) == 36
+
+    def forbidden(*args):
+        raise AssertionError("hom table built")
+    for mod in (fincat, glue, knitting):
+        monkeypatch.setattr(mod, "hom_bases", forbidden)
+    ar = knit(aus)
+    assert ar.count == 17 and all(ar.module(i).total_dim()
+                                  for i in range(ar.count))
+    nak = nakayama()
+    ct = cluster_tilting_from_tau_n(nak, 2)
+    assert is_cluster_tilting(nak, ct, 2) == (True, None)
 
 
 def test_field_independence_of_hom_tables():

@@ -4,7 +4,7 @@ import pytest
 
 from ausglue import fincat
 from ausglue.errors import InvalidParams
-from ausglue.linalg import Mat, default_field
+from ausglue.linalg import Mat, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -108,6 +108,58 @@ def test_ext_oracles():
             P = projective_module(A3, x)
             I = injective_module(A3, y)
             assert ext_dim(P, I, 0) == len(hom_modules(P, I))
+
+
+def _reference_ext_reps(X, Y, n, res):
+    """(representatives, cocycles) of Ext^n(X, Y), the representatives
+    picked one cocycle at a time: a cocycle is kept when it enlarges the
+    span of the coboundaries and of the cocycles kept so far."""
+    f = X.cat.field
+    if n > res.length:
+        return [], []
+    hom_n = sum(Y.dims[b] for b in res.terms[n])
+    if n < res.length or res.truncated and n + 1 <= len(res.diffs):
+        Z = res.diffs[n].hom_into(Y).kernel_basis()
+        zvecs = [Z.col(j) for j in range(Z.ncols)]
+    else:
+        zvecs = [[f.one if j == i else f.zero for j in range(hom_n)]
+                 for i in range(hom_n)]
+    bvecs = []
+    if len(res.diffs) >= n:
+        V = res.diffs[n - 1].hom_into(Y)
+        bvecs = [V.col(j) for j in range(V.ncols)]
+    span = row_space_basis(f, bvecs, hom_n)
+    reps = []
+    for zv in zvecs:
+        trial = row_space_basis(f, span + [zv], hom_n)
+        if len(trial) > len(span):
+            reps.append(zv)
+            span = trial
+    return reps, zvecs
+
+
+def test_ext_reps_match_incremental_reference():
+    """ext_space picks its representatives with one elimination; they are
+    the cocycles the one-at-a-time span test keeps, in degrees 1 and 2,
+    from every indecomposable of Auslander(A3) to every indecomposable and
+    to every sum of two of them.  Only the sums give cases where the kept
+    cocycles are not simply the first ones."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    mods = indecomposables(aus)
+    sums = [direct_sum(aus, [A, B])[0]
+            for i, A in enumerate(mods) for B in mods[i:]]
+    nonzero = not_first = 0
+    for X in mods:
+        res = min_proj_resolution(X, stop_at=3)
+        for Y in mods + sums:
+            for n in (1, 2):
+                reps = ext_space(X, Y, n, resolution=res).reps
+                ref, zvecs = _reference_ext_reps(X, Y, n, res)
+                assert reps == ref
+                nonzero += bool(reps)
+                not_first += reps != zvecs[:len(reps)]
+    assert nonzero > 0 and not_first > 0
 
 
 def test_syzygy():

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ausglue.errors import InvalidDynkinSpec, InvalidParams
+from ausglue.errors import (InvalidDynkinSpec, InvalidParams,
+                            InfiniteDimensional)
+from ausglue.fincat import FinCategory
+from ausglue.linalg import default_field
+from ausglue.pathcat import category_from_presentation
 from ausglue.quiver import (Quiver, DynkinSpec, dynkin_quiver,
                             hereditary_presentation, nakayama_linear,
                             parse_quiver_file)
@@ -116,3 +121,58 @@ relation 1*a.b; -1*c
 def test_parse_quiver_file_rejects_malformed(text, message):
     with pytest.raises(InvalidParams, match=message):
         parse_quiver_file(text)
+
+
+# an explicit alphabet: the file syntax, plus a tab, a carriage return and
+# a few non-ASCII letters
+_ALPHABET = "abdeqrAEDuivw0123456789-.*;#: \t\r\n\u00e9\u03b1"
+_VERTEX = st.sampled_from(["1", "2", "3", "4", "x"])
+_ARROW_ID = st.sampled_from(["a", "b", "c", "d"])
+_PATH = st.lists(_ARROW_ID, min_size=0, max_size=3).map(".".join)
+_TERM = st.one_of(_PATH, st.tuples(
+    st.sampled_from(["1", "-1", "2", "0", "x", ""]), _PATH).map("*".join))
+_ARROW_LINE = st.tuples(_ARROW_ID, _VERTEX, _VERTEX).map(
+    lambda t: "arrow %s %s %s" % t)
+_RELATION_LINE = st.lists(_TERM, max_size=3).map(
+    lambda ts: "relation " + ";".join(ts))
+_LINE = st.one_of(
+    _ARROW_LINE, _RELATION_LINE,
+    st.sampled_from(["arrow", "arrow a 1", "relation", "# comment", "",
+                     "dynkin A 3", "quiver"]),
+    st.text(_ALPHABET, max_size=12))
+_HEADER = st.one_of(
+    st.just("quiver"),
+    st.tuples(st.sampled_from(["A", "D", "E", "B", "a"]),
+              st.sampled_from(["0", "1", "3", "4", "6", "9", "x"]),
+              st.sampled_from(["", " linear", " alternating", " out", " in",
+                               " sideways"]))
+    .map(lambda t: "dynkin %s %s%s" % t),
+    st.text(_ALPHABET, max_size=12))
+_QUIVER_TEXT = st.one_of(
+    # acyclic, with distinct arrow ids, so that many texts reach the path
+    # category
+    st.tuples(st.lists(st.tuples(_VERTEX, _VERTEX).filter(
+        lambda e: e[0] < e[1]), min_size=1, max_size=5),
+        st.lists(st.lists(st.lists(st.sampled_from(["a0", "a1", "a2"]),
+                                   min_size=1, max_size=3).map(".".join),
+                          min_size=1, max_size=2), max_size=2))
+    .map(lambda t: "\n".join(
+        ["quiver"] + ["arrow a%d %s %s" % (i, s, d)
+                      for i, (s, d) in enumerate(t[0])]
+        + ["relation " + ";".join("-1*" + p for p in rel) for rel in t[1]])),
+    st.tuples(_HEADER, st.lists(_LINE, max_size=6))
+    .map(lambda t: "\n".join([t[0]] + t[1])),
+    st.text(_ALPHABET, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QUIVER_TEXT)
+def test_quiver_file_gives_category_or_input_error(text):
+    """Every quiver file either gives a finite category or is refused with
+    one of the three input errors, which the command line exits 2 on."""
+    try:
+        cat = category_from_presentation(parse_quiver_file(text),
+                                         default_field())
+    except (InvalidParams, InvalidDynkinSpec, InfiniteDimensional):
+        return
+    assert isinstance(cat, FinCategory)
