@@ -12,7 +12,7 @@ it exhaustively through FinCategory.check_associativity.
 from .linalg import coords_in_basis
 from .fincat import (FinCategory, hom_bases, decompose, injective_module,
                      projective_label, injective_label, modules_isomorphic)
-from .homology import (min_proj_resolution, ext_space, gldim,
+from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
 from .errors import (NotHereditary, NotRepFinite, NotClusterTilting,
                      GldimTooBig, OrbitDiverges, NotComposable,
@@ -81,18 +81,18 @@ def _hom_structure_constants(field, homs, m):
     return comp
 
 
-def build_glued(ambient, modules, names, n, k, homs=None):
+def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
     """Assemble the glued category from a list of pairwise non-isomorphic
-    indecomposable modules over the ambient category.  homs: their
-    hom_bases, when already at hand."""
+    indecomposable modules over the ambient category.  homs, resolutions:
+    their hom_bases and min_proj_resolution(stop_at=n + 1), if at hand."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     field = ambient.field
     m = len(modules)
-    res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
-
+    res = resolutions or [min_proj_resolution(M, stop_at=n + 1)
+                          for M in modules]
     if homs is None:
         homs = hom_bases(modules, names)
     comp_hh = _hom_structure_constants(field, homs, m)
@@ -121,13 +121,11 @@ def build_glued(ambient, modules, names, n, k, homs=None):
                         vec = exts[(b, c)].reps[i]
                         row = []
                         for j in range(dab):
+                            # no lift: b's resolution ends below n
                             L = lifts[(a, b, j)]
-                            if L is None:
-                                w = [field.zero] * _cocycle_len(
-                                    res[a], modules[c], n)
-                            else:
-                                w = L.hom_into(modules[c]).apply(vec)
-                            row.append(exts[(a, c)].reduce(w))
+                            row.append([field.zero] * exts[(a, c)].dim
+                                       if L is None else exts[(a, c)].reduce(
+                                           L.hom_into(modules[c]).apply(vec)))
                         t.append(row)
                     comp_he[(a, b, c)] = t
                 if eab and dbc and exts[(a, c)].dim:
@@ -219,12 +217,6 @@ def _knit_indecomposables(ambient, budget):
         _unique_names(ar.labels())
 
 
-def _cocycle_len(res, Y, n):
-    if n > res.length:
-        return 0
-    return sum(Y.dims[b] for b in res.terms[n])
-
-
 def build_sk(ambient, k, budget=512):
     """Glue k+1 copies of the module category of a hereditary
     representation-finite algebra along Ext^1."""
@@ -245,12 +237,13 @@ def build_mk(ambient, k, n, modules=None, budget=512):
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
     if modules is None:
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
-    ok, witness = is_cluster_tilting(ambient, modules, n, budget=budget)
+    res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
+    ok, witness = is_cluster_tilting(ambient, modules, n, budget, res)
     from .knitting import vertex_label
     names = _unique_names([vertex_label(ambient, M) for M in modules])
     if not ok:
         raise NotClusterTilting(_witness_text(names, n, witness))
-    return build_glued(ambient, modules, names, n, k)
+    return build_glued(ambient, modules, names, n, k, resolutions=res)
 
 
 def _witness_text(names, n, witness):
@@ -267,29 +260,36 @@ def _witness_text(names, n, witness):
 
 
 def is_rigid(modules, n, resolutions=None):
-    """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
-    (True, None) or (False, (a, b, i)).  resolutions: the modules'
-    min_proj_resolution up to degree n, when already at hand."""
+    """Ext^i vanishing for 0 < i < n on all ordered pairs (it does into an
+    injective).  Returns (True, None) or (False, (a, b, i)).  resolutions:
+    the modules' min_proj_resolution to degree >= n, if at hand."""
+    targets = [b for b, M in enumerate(modules) if injective_label(M) is None]
     for a, Ma in enumerate(modules):
         res = resolutions[a] if resolutions else \
             min_proj_resolution(Ma, stop_at=n)
-        for b, Mb in enumerate(modules):
-            # Ext^i(Ma, -) vanishes above the length of the resolution
-            for i in range(1, min(n, res.length + 1)):
-                if ext_space(Ma, Mb, i, resolution=res).dim:
-                    return False, (a, b, i)
+        for b in targets:
+            i = _first_ext(res, modules[b], n)
+            if i:
+                return False, (a, b, i)
     return True, None
 
 
-def is_cluster_tilting(ambient, modules, n, budget=512):
+def _first_ext(res, Y, n):
+    """The least 0 < i < n with Ext^i(res.module, Y) != 0, else None."""
+    top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
+    dims = ext_dims(res, Y, top) if top > 0 else []
+    return next((i for i in range(1, top + 1) if dims[i]), None)
+
+
+def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
     """Rigidity plus maximality on each side (Iyama): an indecomposable X
     with Ext^i(X, -) = 0 on the collection for 0 < i < n, or with
     Ext^i(-, X) = 0 on it, must already be in it.  Maximality needs the
-    full indecomposable list; if the ambient cannot be enumerated within
-    the budget the check degrades to rigidity plus the
-    generator-cogenerator criterion and says so in the witness slot, a
-    failure witness carrying the reason knit gave."""
-    res = [min_proj_resolution(M, stop_at=n) for M in modules]
+    full indecomposable list; past the budget the check degrades to
+    rigidity plus the generator-cogenerator criterion and says so in the
+    witness slot, a failure witness carrying the reason knit gave.
+    resolutions: the modules' min_proj_resolution to degree >= n, if any."""
+    res = resolutions or [min_proj_resolution(M, stop_at=n) for M in modules]
     ok, witness = is_rigid(modules, n, res)
     if not ok:
         return False, ("rigid", witness)
@@ -303,16 +303,15 @@ def is_cluster_tilting(ambient, modules, n, budget=512):
             if x not in projs or x not in injs:
                 return False, ("generator-cogenerator", x, str(e))
         return True, "criterion-verified, not enumeration-verified"
+    targets = [b for b, M in enumerate(modules) if injective_label(M) is None]
     for idx in range(ar.count):
         X = ar.module(idx)
         if any(modules_isomorphic(X, M) for M in modules):
             continue
         resX = min_proj_resolution(X, stop_at=n)
-        if not any(ext_space(X, M, i, resolution=resX).dim
-                   for M in modules for i in range(1, n)):
+        if not any(_first_ext(resX, modules[b], n) for b in targets):
             return False, ("maximal", idx, X.dim_vector(), "X, -")
-        if not any(ext_space(M, X, i, resolution=resM).dim
-                   for M, resM in zip(modules, res) for i in range(1, n)):
+        if not any(_first_ext(resM, X, n) for resM in res):
             return False, ("maximal", idx, X.dim_vector(), "-, X")
     return True, None
 

@@ -6,8 +6,10 @@ A minimal resolution works in free-module coordinates: each syzygy is
 kept as the RREF rows of its value spaces inside the last free module,
 never as a module of its own, and its top is read off through the free
 module's action (Green, Solberg and Zacharia, "Minimal projective
-resolutions", Trans. AMS 353, 2001).  The higher translate tau_n is D Tr
-of the presentation F_n -> F_{n-1} in that resolution.
+resolutions", Trans. AMS 353, 2001).  Rank-nullity gives each syzygy's
+dimensions, so only kernels neither 0 nor everything are solved.  The
+higher translate tau_n is D Tr of F_n -> F_{n-1} in that resolution.
+ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
 
 Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.
@@ -16,7 +18,7 @@ the duality D, so only projective resolutions are ever built.
 from .linalg import Mat, NoSolution, row_space_basis, echelon_columns
 from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
                      top_generators, simple_module, projective_module,
-                     injective_label, hom_modules, zero_module)
+                     injective_label, zero_module)
 from .errors import Truncated, InvalidParams
 
 INFINITY = float("inf")
@@ -81,7 +83,8 @@ def min_proj_resolution(M, stop_at=None):
     F = FreeModule(cat, [x for x, _ in gens])
     eps = F.yoneda_map(M, [v for _, v in gens])
     res = Resolution(M, [list(F.summands)], [F], [], eps)
-    rows = {y: eps.mats[y].kernel_rows() for y in cat.objects}
+    rows = {y: eps.mats[y].kernel_rows() if F.dims[y] > M.dims[y] else []
+            for y in cat.objects}  # eps onto: dim K(y) = dim F(y) - dim M(y)
     while any(rows.values()):
         degree = len(res.diffs) + 1
         if stop_at is not None and degree > stop_at:
@@ -95,10 +98,20 @@ def min_proj_resolution(M, stop_at=None):
         res.diffs.append(_catmat_from_images(G, F, images))
         res.frees.append(G)
         res.terms.append(list(G.summands))
-        rows = {y: Mat.from_cols(cat.field, G.yoneda_columns(F, images, y))
-                .kernel_rows() if G.dims[y] else [] for y in cat.objects}
+        rows = {y: _next_rows(G, F, images, y, rows[y]) for y in cat.objects}
         F = G
     return res
+
+
+def _next_rows(G, F, images, y, ky):
+    """RREF rows of ker(G(y) -> F(y)) for G covering K, K(y) spanned by ky:
+    of dimension dim G(y) - dim K(y), and all of G(y) where K(y) = 0."""
+    f, d = G.cat.field, G.dims[y]
+    if d == len(ky):
+        return []
+    if not ky:
+        return [_unit(f, d, i) for i in range(d)]
+    return Mat.from_cols(f, G.yoneda_columns(F, images, y)).kernel_rows()
 
 
 def _kernel_top(F, rows):
@@ -261,10 +274,20 @@ def _unit(f, n, i):
     return v
 
 
+def ext_dims(res, Y, top):
+    """dim Ext^i(X, Y) for i = 0..top, X = res.module, from a res reaching
+    F_{top+1} or ending sooner: dim Hom(F_i, Y) less the ranks of the maps
+    into and out of it, each built and ranked once."""
+    hom = [sum(Y.dims[b] for b in t) for t in res.terms] + [0] * (top + 2)
+    rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
+    for i, d in enumerate(res.diffs[:top + 1]):
+        if hom[i] and hom[i + 1]:
+            rank[i + 1] = d.hom_into(Y).rank()
+    return [hom[i] - rank[i] - rank[i + 1] for i in range(top + 1)]
+
+
 def ext_dim(X, Y, n):
-    if n == 0:
-        return len(hom_modules(X, Y))
-    return ext_space(X, Y, n).dim
+    return ext_dims(min_proj_resolution(X, stop_at=n + 1), Y, n)[n]
 
 
 # ---------------------------------------------------------------------------

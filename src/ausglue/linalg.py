@@ -271,7 +271,7 @@ class Mat:
         return Mat._wrap(self.field, rows, nr, nc), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self.rref()[1]) if self.nrows and self.ncols else 0
 
     def kernel_basis(self):
         """Matrix whose columns span ker(self); ncols = ncols - rank."""

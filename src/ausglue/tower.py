@@ -261,6 +261,9 @@ def _verify_glued(glued, input_desc, gldim_id):
     gen_cogen = projs + [I for y, I in zip(S.objects, injs)
                          if y not in inj_proj]
     ok, witness = is_rigid(gen_cogen, d)
+    if witness is not None:  # name the two modules, not their positions
+        a, b, i = witness
+        witness = [module_label(gen_cogen[a]), module_label(gen_cogen[b]), i]
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 

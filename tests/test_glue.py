@@ -8,10 +8,10 @@ from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue import fincat, glue, knitting
+from ausglue import fincat, glue, knitting, tower
 from ausglue.fincat import (hom_modules, direct_sum, projective_module,
                             injective_module, modules_isomorphic)
-from ausglue.homology import ext_dim, tau
+from ausglue.homology import ext_dim, ext_space, min_proj_resolution, tau
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
                           is_rigid, is_cluster_tilting,
@@ -144,6 +144,42 @@ def test_rigidity():
     assert not ok and witness is not None
     a, b, i = witness
     assert i == 1 and ext_dim(mods[a], mods[b], 1) > 0
+
+
+def _reference_is_rigid(modules, n):
+    """is_rigid by cocycles: one ext_space per ordered pair and degree
+    0 < i < n up to the length of the source's resolution."""
+    for a, Ma in enumerate(modules):
+        res = min_proj_resolution(Ma, stop_at=n)
+        for b, Mb in enumerate(modules):
+            for i in range(1, min(n, res.length + 1)):
+                if ext_space(Ma, Mb, i, resolution=res).dim:
+                    return False, (a, b, i)
+    return True, None
+
+
+def test_is_rigid_matches_reference(monkeypatch):
+    """is_rigid, which ranks and skips injective targets, gives the
+    (ok, witness) of the cocycle loop: on the knitted indecomposables of
+    A3 with n = 2 and 3, on the gen-cogen list of Sigma for A3 with k = 1
+    at its d, and on the cluster-tilting list of Nakayama(4,3) plus one
+    more indecomposable."""
+    ar = knit(A3)
+    mods = [ar.module(i) for i in range(ar.count)]
+    cases = [(mods, 2), (mods, 3)]
+    monkeypatch.setattr(tower, "is_rigid", lambda modules, n: (
+        cases.append((modules, n)) or is_rigid(modules, n)))
+    assert tower.verify_theorem_dynkin(DynkinSpec("A", 3), 1).passed
+    assert cases[2][1] == 4 and len(cases[2][0]) == 12
+    nak = nakayama()
+    ct = cluster_tilting_from_tau_n(nak, 2)
+    ar = knit(nak)
+    extra = next(M for M in (ar.module(i) for i in range(ar.count))
+                 if not any(modules_isomorphic(M, T) for T in ct))
+    cases.append((ct + [extra], 2))
+    got = [is_rigid(modules, n) for modules, n in cases]
+    assert got == [_reference_is_rigid(modules, n) for modules, n in cases]
+    assert [ok for ok, _ in got] == [False, False, True, False]
 
 
 def test_cluster_tilting_checks():

@@ -4,7 +4,7 @@ import pytest
 
 from ausglue import fincat
 from ausglue.errors import InvalidParams
-from ausglue.linalg import Mat, default_field, row_space_basis
+from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -16,8 +16,8 @@ from ausglue.fincat import (projective_module, injective_module,
                             kernel, cokernel, top_generators)
 from ausglue.homology import (min_proj_resolution, pdim, syzygy, gldim,
                               domdim, projective_injectives, ext_space,
-                              ext_dim, tau, tau_inv, tau_n, lift_chain_map,
-                              INFINITY)
+                              ext_dim, ext_dims, tau, tau_inv, tau_n,
+                              lift_chain_map, INFINITY)
 
 FIELD = default_field()
 
@@ -160,6 +160,60 @@ def test_ext_reps_match_incremental_reference():
                 nonzero += bool(reps)
                 not_first += reps != zvecs[:len(reps)]
     assert nonzero > 0 and not_first > 0
+
+
+def test_ext_dims_match_ext_space():
+    """ext_dims reads dim Ext^i, i = 0..3, off ranks alone; it agrees with
+    hom_modules and the cocycle bases of ext_space on every ordered pair
+    of knitted indecomposables of Auslander(A3) and of Nakayama(4,3), and
+    between them and sums of two of them (each with its next two in
+    knitting order)."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
+    nonzero = set()
+    for cat in (aus, nak):
+        mods = indecomposables(cat)
+        sums = [direct_sum(cat, [A, B])[0]
+                for i, A in enumerate(mods) for B in mods[i + 1:i + 3]]
+        pairs = [(X, Y) for X in mods for Y in mods + sums] + \
+            [(X, Y) for X in sums for Y in mods]
+        for X, Y in pairs:
+            res = min_proj_resolution(X, stop_at=4)
+            dims = ext_dims(res, Y, 3)
+            assert dims == [len(hom_modules(X, Y))] + \
+                [ext_space(X, Y, i, resolution=res).dim for i in (1, 2, 3)]
+            nonzero.update(i for i, e in enumerate(dims) if e)
+            assert ext_dim(X, Y, 2) == dims[2]
+    assert nonzero == {0, 1, 2}
+
+
+def test_resolution_solves_no_known_kernel(monkeypatch):
+    """Rank-nullity fixes dim ker at every object before any elimination,
+    so min_proj_resolution calls Mat.kernel_rows only where the kernel is
+    neither 0 nor everything: every call returns at least one row.  Over
+    QQ and GF(5), on the indecomposables of Auslander(A3) and the simples
+    of Gamma of A3 with k = 1."""
+    from ausglue.glue import auslander_category, build_sk
+    cases = []
+    for field in (QQ, GF(5)):
+        a3 = category_from_presentation(
+            hereditary_presentation(DynkinSpec("A", 3, "linear")), field)
+        aus, _ = auslander_category(a3)
+        gamma = build_sk(a3, 1).cat
+        cases += indecomposables(aus)
+        cases += [simple_module(gamma, x) for x in gamma.objects]
+    calls = []
+    kernel_rows = Mat.kernel_rows
+
+    def record(self):
+        rows = kernel_rows(self)
+        calls.append(len(rows))
+        return rows
+    monkeypatch.setattr(Mat, "kernel_rows", record)
+    lengths = [min_proj_resolution(M).length for M in cases]
+    assert calls and min(calls) > 0
+    assert max(lengths) >= 2
 
 
 def test_syzygy():

@@ -178,6 +178,26 @@ def test_verify_rejects_infinite_type():
         verify_theorem_dynkin(kron, 1, budget=16)
 
 
+def test_rigidity_witness_names_modules(monkeypatch):
+    """A failed thm1.4.rigidity claim names its two modules by their P/I
+    labels, with the degree, not by positions in an internal list."""
+    from ausglue import tower
+    from ausglue.fincat import module_label
+    seen = []
+
+    def fail(modules, n):
+        seen.append(modules)
+        return False, (1, len(modules) - 1, 2)
+    monkeypatch.setattr(tower, "is_rigid", fail)
+    rep = verify_theorem_dynkin(DynkinSpec("A", 3), 1)
+    claim = next(c for c in rep.claims if c.cid == "thm1.4.rigidity")
+    assert claim.status == "fail" and not rep.passed
+    mods = seen[0]
+    assert claim.witness == [module_label(mods[1]), module_label(mods[-1]), 2]
+    assert claim.witness[0][0] == "P" and claim.witness[1][0] == "I"
+    assert claim.to_dict()["witness"][2] == 2
+
+
 def _report_claims(case, field):
     if case in ("A3", "D4"):
         spec = DynkinSpec(case[0], int(case[1]), "out" if case == "D4" else None)
