@@ -104,7 +104,8 @@ def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
     for (a, b), basis in homs.items():
         for j, f in enumerate(basis):
             L = lift_chain_map(f, res[a], res[b], n)
-            lifts[(a, b, j)] = L[n] if len(L) > n else None
+            if len(L) > n:
+                lifts[(a, b, j)] = L[n]
 
     comp_he = {}
     comp_eh = {}
@@ -119,14 +120,11 @@ def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
                     t = []
                     for i in range(ebc):
                         vec = exts[(b, c)].reps[i]
-                        row = []
-                        for j in range(dab):
-                            # no lift: b's resolution ends below n
-                            L = lifts[(a, b, j)]
-                            row.append([field.zero] * exts[(a, c)].dim
-                                       if L is None else exts[(a, c)].reduce(
-                                           L.hom_into(modules[c]).apply(vec)))
-                        t.append(row)
+                        # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions
+                        # reach F_n, so every lift has a degree-n term
+                        t.append([exts[(a, c)].reduce(lifts[(a, b, j)]
+                                  .hom_into(modules[c]).apply(vec))
+                                  for j in range(dab)])
                     comp_he[(a, b, c)] = t
                 if eab and dbc and exts[(a, c)].dim:
                     t = []
@@ -260,15 +258,14 @@ def _witness_text(names, n, witness):
 
 
 def is_rigid(modules, n, resolutions=None):
-    """Ext^i vanishing for 0 < i < n on all ordered pairs (it does into an
-    injective).  Returns (True, None) or (False, (a, b, i)).  resolutions:
-    the modules' min_proj_resolution to degree >= n, if at hand."""
-    targets = [b for b, M in enumerate(modules) if injective_label(M) is None]
+    """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
+    (True, None) or (False, (a, b, i)).  resolutions: the modules'
+    min_proj_resolution to degree >= n, if at hand."""
     for a, Ma in enumerate(modules):
         res = resolutions[a] if resolutions else \
             min_proj_resolution(Ma, stop_at=n)
-        for b in targets:
-            i = _first_ext(res, modules[b], n)
+        for b, Mb in enumerate(modules):
+            i = _first_ext(res, Mb, n)
             if i:
                 return False, (a, b, i)
     return True, None
@@ -303,13 +300,12 @@ def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
             if x not in projs or x not in injs:
                 return False, ("generator-cogenerator", x, str(e))
         return True, "criterion-verified, not enumeration-verified"
-    targets = [b for b, M in enumerate(modules) if injective_label(M) is None]
     for idx in range(ar.count):
         X = ar.module(idx)
         if any(modules_isomorphic(X, M) for M in modules):
             continue
         resX = min_proj_resolution(X, stop_at=n)
-        if not any(_first_ext(resX, modules[b], n) for b in targets):
+        if not any(_first_ext(resX, M, n) for M in modules):
             return False, ("maximal", idx, X.dim_vector(), "X, -")
         if not any(_first_ext(resM, X, n) for resM in res):
             return False, ("maximal", idx, X.dim_vector(), "-, X")

@@ -274,20 +274,22 @@ def _unit(f, n, i):
     return v
 
 
-def ext_dims(res, Y, top):
-    """dim Ext^i(X, Y) for i = 0..top, X = res.module, from a res reaching
+def ext_dims(res, Y, top, low=0):
+    """dim Ext^i(X, Y) for i = low..top, X = res.module, from a res reaching
     F_{top+1} or ending sooner: dim Hom(F_i, Y) less the ranks of the maps
     into and out of it, each built and ranked once."""
+    if res.truncated and len(res.diffs) <= top:
+        raise ValueError("resolution cut below F_%d" % (top + 1))
     hom = [sum(Y.dims[b] for b in t) for t in res.terms] + [0] * (top + 2)
     rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
-    for i, d in enumerate(res.diffs[:top + 1]):
+    for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
         if hom[i] and hom[i + 1]:
-            rank[i + 1] = d.hom_into(Y).rank()
-    return [hom[i] - rank[i] - rank[i + 1] for i in range(top + 1)]
+            rank[i + 1] = res.diffs[i].hom_into(Y).rank()
+    return [hom[i] - rank[i] - rank[i + 1] for i in range(low, top + 1)]
 
 
 def ext_dim(X, Y, n):
-    return ext_dims(min_proj_resolution(X, stop_at=n + 1), Y, n)[n]
+    return ext_dims(min_proj_resolution(X, stop_at=n + 1), Y, n, n)[0]
 
 
 # ---------------------------------------------------------------------------

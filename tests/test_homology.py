@@ -188,6 +188,26 @@ def test_ext_dims_match_ext_space():
     assert nonzero == {0, 1, 2}
 
 
+def test_ext_dims_refuses_cut_resolution():
+    """A resolution cut at F_1 lacks the map F_2 -> F_1 that Ext^1 needs:
+    ext_dims raises on it instead of over-counting, still reads Ext^0 off
+    it, and from degree low on agrees with the full list."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    mods = indecomposables(aus)
+    X = next(M for M in mods if min_proj_resolution(M).length >= 2)
+    cut = min_proj_resolution(X, stop_at=1)
+    res = min_proj_resolution(X, stop_at=3)
+    assert cut.truncated
+    for Y in mods:
+        dims = ext_dims(res, Y, 2)
+        with pytest.raises(ValueError):
+            ext_dims(cut, Y, 1)
+        assert ext_dims(cut, Y, 0) == dims[:1]
+        assert ext_dims(res, Y, 2, 1) == dims[1:]
+        assert ext_dims(res, Y, 2, 2) == dims[2:]
+
+
 def test_resolution_solves_no_known_kernel(monkeypatch):
     """Rank-nullity fixes dim ker at every object before any elimination,
     so min_proj_resolution calls Mat.kernel_rows only where the kernel is
