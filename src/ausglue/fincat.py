@@ -145,23 +145,14 @@ class FinCategory:
         self._op = op
         return op
 
-    def full_subcategory(self, objs, relabel=None):
+    def full_subcategory(self, objs):
         """The full subcategory on objs (this *is* the basic endomorphism
-        algebra of their direct sum).  relabel: optional dict old->new."""
+        algebra of their direct sum)."""
         objs = list(objs)
-        if relabel is None:
-            relabel = {x: x for x in objs}
-        homdim = {(relabel[x], relabel[y]): self.homdim[(x, y)]
-                  for x in objs for y in objs}
-        comp = {}
-        for x in objs:
-            for y in objs:
-                for z in objs:
-                    t = self.comp.get((x, y, z))
-                    if t is not None:
-                        comp[(relabel[x], relabel[y], relabel[z])] = t
-        return FinCategory(self.field, [relabel[x] for x in objs],
-                           homdim, comp)
+        keep = set(objs)
+        homdim = {(x, y): self.homdim[(x, y)] for x in objs for y in objs}
+        comp = {key: t for key, t in self.comp.items() if keep.issuperset(key)}
+        return FinCategory(self.field, objs, homdim, comp)
 
     def gabriel_arrows(self):
         """Arrows of the Gabriel quiver: multiplicity of x->y equals

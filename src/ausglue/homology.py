@@ -12,13 +12,15 @@ higher translate tau_n is D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
 
 Injective-side computations are routed through the opposite category via
-the duality D, so only projective resolutions are ever built.
+the duality D, so only projective resolutions are ever built.  The
+projective label of D(P_x) there names the Nakayama pairing P_x = I_y, and
+domdim resolves D(P_x) only for the unpaired x.
 """
 
 from .linalg import Mat, NoSolution, row_space_basis, echelon_columns
 from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
                      top_generators, simple_module, projective_module,
-                     injective_label, zero_module)
+                     projective_label, zero_module)
 from .errors import Truncated, InvalidParams
 
 INFINITY = float("inf")
@@ -164,33 +166,32 @@ def gldim(cat):
 
 
 def projective_injectives(cat):
-    """Objects x, in object order, whose projective P_x is injective."""
-    return [x for x in cat.objects
-            if injective_label(projective_module(cat, x)) is not None]
+    """The Nakayama pairing {x: y}, in object order: P_x is injective and
+    isomorphic to I_y, so D(P_x) is the projective P_y of the opposite
+    category.  D(P_x) is not cached: it is cheap, and holding one per
+    object raises peak memory."""
+    ys = {x: projective_label(dual_module(projective_module(cat, x)))
+          for x in cat.objects}
+    return {x: y for x, y in ys.items() if y is not None}
 
 
 def domdim(cat):
     """Dominant dimension: minimum over indecomposable projectives of the
     number of leading projective-injective terms in the minimal injective
     coresolution.  Returns INFINITY for self-injective input."""
-    # I_y is projective iff D(I_y), the projective P_y of the opposite
-    # category, is injective there
-    projinj = set(projective_injectives(cat.opposite()))
+    pairing = projective_injectives(cat)
+    projinj = set(pairing.values())  # the y with I_y projective
     best = INFINITY
     for x in cat.objects:
+        if x in pairing:
+            continue  # P_x = I_y: the coresolution is I_y alone
         # the minimal injective coresolution of P_x, as the projective
         # resolution of D(P_x); terms list socle labels, term i being the
-        # sum of I_y over its entries
+        # sum of I_y over its entries.  Its last term is not projective: a
+        # surjection onto a projective splits.
         res = min_proj_resolution(dual_module(projective_module(cat, x)))
-        t = 0
-        for term in res.terms:
-            if all(z in projinj for z in term):
-                t += 1
-            else:
-                break
-        if t > res.length:
-            t = INFINITY  # coresolution entirely projective-injective
-        best = min(best, t)
+        best = min(best, next(i for i, term in enumerate(res.terms)
+                              if not projinj.issuperset(term)))
         if best == 0:
             break
     return best
@@ -236,16 +237,18 @@ class ExtSpace:
 
 def ext_space(X, Y, n, resolution=None):
     """Ext^n(X, Y) with explicit representatives; n >= 1.  Use hom_modules
-    for n = 0."""
+    for n = 0.  A given resolution must reach F_{n+1} or end sooner."""
     f = X.cat.field
     if resolution is None:
         resolution = min_proj_resolution(X, stop_at=n + 1)
     res = resolution
+    if res.truncated and len(res.diffs) <= n:
+        raise ValueError("resolution cut below F_%d" % (n + 1))
     if n > res.length:
         return ExtSpace(X, Y, n, res, [], [])
     hom_n = sum(Y.dims[b] for b in res.terms[n])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
-    if n < res.length or res.truncated and n + 1 <= len(res.diffs):
+    if n < len(res.diffs):
         U = res.diffs[n].hom_into(Y)
         Z = U.kernel_basis()
         zvecs = [Z.col(j) for j in range(Z.ncols)]

@@ -126,7 +126,7 @@ def sigma(glued):
     generator-cogenerator description End(M (+) M[1] (+) ... (+) A[k]):
     everything at shifts < k together with the ambient projectives at the
     top shift (the shift-symmetric form of DLambda (+) shifted copies)."""
-    pi = projective_injectives(glued.cat)
+    pi = list(projective_injectives(glued.cat))
     alt = []
     for j in range(glued.k):
         alt.extend((nm, j) for nm in glued.names)
@@ -242,28 +242,28 @@ def _verify_glued(glued, input_desc, gldim_id):
         rep.skip("prop5.ct_summands", "sec5", "Sigma tower needs k >= 1")
         return rep
 
-    s_pi = projective_injectives(S)
-    rep.stats.update(rank_sigma=len(S.objects), projinj_sigma=len(s_pi),
+    s_pair = projective_injectives(S)
+    rep.stats.update(rank_sigma=len(S.objects), projinj_sigma=len(s_pair),
                      inj_not_proj_gamma=len(G.objects) - len(pi),
-                     inj_not_proj_sigma=len(S.objects) - len(s_pi))
-    rep.add("prop5.projinj_sigma", "sec5", (k - 1) * m + 2 * r, len(s_pi))
+                     inj_not_proj_sigma=len(S.objects) - len(s_pair))
+    rep.add("prop5.projinj_sigma", "sec5", (k - 1) * m + 2 * r, len(s_pair))
     rep.add("prop5.injnotproj_sigma", "sec5", m - r,
-            len(S.objects) - len(s_pi))
+            len(S.objects) - len(s_pair))
 
     s_gldim = gldim(S)
     rep.stats["gldim_sigma"] = s_gldim
     rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim)
 
-    projs = [projective_module(S, x) for x in S.objects]
-    injs = [injective_module(S, x) for x in S.objects]
     # the projectives, then the injectives that are not also projective
-    inj_proj = set(projective_injectives(S.opposite()))
-    gen_cogen = projs + [I for y, I in zip(S.objects, injs)
-                         if y not in inj_proj]
+    proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
+    unpaired = [y for y in S.objects if y not in proj_of]
+    labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
+    gen_cogen = [projective_module(S, x) for x in S.objects] + \
+        [injective_module(S, y) for y in unpaired]
     ok, witness = is_rigid(gen_cogen, d)
     if witness is not None:  # name the two modules, not their positions
         a, b, i = witness
-        witness = [module_label(gen_cogen[a]), module_label(gen_cogen[b]), i]
+        witness = [labels[a], labels[b], i]
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 
@@ -286,8 +286,9 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("thm1.4.tau_d_closure", "thm1.4", True, closure_ok,
             witness=closure_witness)
 
-    same = {module_label(M) for M in gen_cogen} == \
-        {module_label(I) for I in injs} | tau_labels
+    inj_labels = {("P", proj_of[y]) if y in proj_of else ("I", y)
+                  for y in S.objects}
+    same = set(labels) == inj_labels | tau_labels
     rep.add("prop5.ct_summands", "sec5", True, same)
     return rep
 

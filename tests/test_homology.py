@@ -68,20 +68,24 @@ def test_gldim_domdim_oracles():
 
 
 def test_projective_injectives_match_isomorphism_test():
-    """The Yoneda criteria against the definitions they replace: P_x is
-    injective iff it is isomorphic to some I_y, and over the opposite
-    category it finds the y whose I_y is projective; on every knitted
-    indecomposable the top/socle labels name the P_x / I_y it is
-    isomorphic to, and vertex_label agrees with hom solving."""
+    """The Yoneda criteria against the definitions they replace: the
+    pairing holds x: y exactly when P_x is isomorphic to I_y, in object
+    order, and over the opposite category its keys are the y whose I_y is
+    projective; on every knitted indecomposable the top/socle labels name
+    the P_x / I_y it is isomorphic to, and vertex_label agrees with hom
+    solving."""
     from ausglue.glue import auslander_category
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
     aus, _ = auslander_category(A3)
     for cat in (A3, D4, nak, aus):
         projs = {x: projective_module(cat, x) for x in cat.objects}
         injs = {y: injective_module(cat, y) for y in cat.objects}
-        assert projective_injectives(cat) == [
-            x for x in cat.objects
-            if any(modules_isomorphic(projs[x], injs[y]) for y in cat.objects)]
+        pairing = projective_injectives(cat)
+        assert list(pairing) == [x for x in cat.objects if x in pairing]
+        for x in cat.objects:
+            for y in cat.objects:
+                assert (pairing.get(x) == y) == \
+                    modules_isomorphic(projs[x], injs[y])
         assert set(projective_injectives(cat.opposite())) == {
             y for y in cat.objects
             if any(modules_isomorphic(injs[y], projs[x]) for x in cat.objects)}
@@ -138,6 +142,31 @@ def _reference_ext_reps(X, Y, n, res):
     return reps, zvecs
 
 
+def test_domdim_resolves_only_unpaired_projectives(monkeypatch):
+    """A paired P_x = I_y is its own coresolution, so domdim resolves
+    D(P_x), the injective at x of the opposite category, only for the x
+    outside the Nakayama pairing, and its value is unchanged."""
+    from ausglue import homology
+    from ausglue.glue import auslander_category, build_sk
+    aus, _ = auslander_category(A3)
+    real = homology.min_proj_resolution
+    for cat, value in ((build_sk(A3, 1).cat, 5), (aus, 2)):
+        pairing = projective_injectives(cat)
+        unpaired = [x for x in cat.objects if x not in pairing]
+        assert pairing and unpaired
+        seen = []
+
+        def counting(M, stop_at=None):
+            assert M.cat is cat.opposite()
+            seen.append(injective_label(M))
+            return real(M, stop_at)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "min_proj_resolution", counting)
+            assert domdim(cat) == value
+        assert seen == unpaired
+
+
 def test_ext_reps_match_incremental_reference():
     """ext_space picks its representatives with one elimination; they are
     the cocycles the one-at-a-time span test keeps, in degrees 1 and 2,
@@ -190,8 +219,9 @@ def test_ext_dims_match_ext_space():
 
 def test_ext_dims_refuses_cut_resolution():
     """A resolution cut at F_1 lacks the map F_2 -> F_1 that Ext^1 needs:
-    ext_dims raises on it instead of over-counting, still reads Ext^0 off
-    it, and from degree low on agrees with the full list."""
+    ext_dims and ext_space raise on it instead of over-counting, ext_dims
+    still reads Ext^0 off it, and from degree low on agrees with the full
+    list."""
     from ausglue.glue import auslander_category
     aus, _ = auslander_category(A3)
     mods = indecomposables(aus)
@@ -203,6 +233,8 @@ def test_ext_dims_refuses_cut_resolution():
         dims = ext_dims(res, Y, 2)
         with pytest.raises(ValueError):
             ext_dims(cut, Y, 1)
+        with pytest.raises(ValueError):
+            ext_space(X, Y, 1, resolution=cut)
         assert ext_dims(cut, Y, 0) == dims[:1]
         assert ext_dims(res, Y, 2, 1) == dims[1:]
         assert ext_dims(res, Y, 2, 2) == dims[2:]

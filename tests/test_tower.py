@@ -112,7 +112,7 @@ def test_sigma_d4_truncation():
 
 
 def test_projective_injectives_of_ambient():
-    assert projective_injectives(A3) == [1]  # P_1 = I_3
+    assert projective_injectives(A3) == {1: 3}  # P_1 = I_3
     aus, _ = auslander_category(A3)
     # hom(x, -) is injective exactly when x carries an ambient projective
     assert sorted(projective_injectives(aus)) == ["P_1", "P_2", "P_3"]
