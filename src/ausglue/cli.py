@@ -2,7 +2,8 @@
 connecting 4-angle listings.
 
 Exit codes: 0 success / all claims pass, 1 a verification claim failed,
-2 invalid input or a resource budget was exceeded.
+2 a refusal: any `AusglueError`, `OSError` or `ValueError` raised under a
+command ends in `error: <reason>` on stderr, never in a traceback.
 """
 
 import json
@@ -20,35 +21,21 @@ from .glue import (build_sk, auslander_category, cluster_tilting_from_tau_n,
                    _unique_names)
 from .tower import (verify_theorem_dynkin, verify_theorem_higher,
                     four_angles)
-from .errors import (InvalidDynkinSpec, InvalidParams, NotRepFinite,
-                     NotHereditary, GldimTooBig, NotClusterTilting,
-                     OrbitDiverges, BudgetExceeded, NonSchurianVertex,
-                     InfiniteDimensional, NoApproximation, Truncated)
-
-RESOURCE_ERRORS = (InvalidDynkinSpec, InvalidParams, NotRepFinite,
-                   NotHereditary, GldimTooBig, NotClusterTilting,
-                   OrbitDiverges, BudgetExceeded, NonSchurianVertex,
-                   InfiniteDimensional, NoApproximation, Truncated,
-                   OSError, ValueError)
+from .errors import AusglueError, InvalidDynkinSpec, InvalidParams
 
 
 def _parse_field(text):
     t = text.strip().lower()
     if t in ("q", "qq", "rational", "rationals"):
         return QQ
-    try:
-        return GF(int(t))
-    except ValueError:
+    if not t.isdigit():
         raise InvalidParams("field must be a prime or 'QQ', got %r" % text)
+    return GF(int(t))
 
 
 def _resolve_field(flag):
-    env = os.environ.get("AUSGLUE_FIELD")
-    if env:
-        return _parse_field(env)
-    if flag:
-        return _parse_field(flag)
-    return default_field()
+    text = os.environ.get("AUSGLUE_FIELD") or flag
+    return _parse_field(text) if text else default_field()
 
 
 def _parse_dynkin(text):
@@ -97,7 +84,41 @@ def _dimvec(M):
     return "(" + ",".join(str(d) for d in M.dim_vector()) + ")"
 
 
-@click.group()
+class _Refusing(click.Group):
+    """The exit contract in one place: a command refuses by raising, and
+    every refusal becomes `error: <reason>` and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (AusglueError, OSError, ValueError) as e:
+            click.echo("error: %s" % e, err=True)
+            sys.exit(2)
+
+
+def _ambient(field, dynkin=None, nakayama=None, auslander=None,
+             quiver_file=None):
+    """The input category named by exactly one of the input flags, and its
+    name in a report."""
+    if [dynkin, nakayama, auslander, quiver_file].count(None) != 3:
+        raise InvalidParams("give exactly one input flag")
+    if nakayama is not None:
+        m, ell = _parse_nakayama(nakayama)
+        return (category_from_presentation(nakayama_linear(m, ell), field),
+                "nakayama(%d,%d)" % (m, ell))
+    if quiver_file is not None:
+        with open(quiver_file, encoding="utf-8") as fh:
+            pres = parse_quiver_file(fh.read())
+        return (category_from_presentation(pres, field),
+                "quiver-file %s" % os.path.basename(quiver_file))
+    base = category_from_presentation(
+        hereditary_presentation(_parse_dynkin(dynkin or auslander)), field)
+    if dynkin is not None:
+        return base, "dynkin(%s)" % dynkin
+    return auslander_category(base)[0], "auslander(%s)" % auslander
+
+
+@click.group(cls=_Refusing)
 def main():
     """Glued module categories of Dynkin-type algebras: construction and
     verification."""
@@ -122,48 +143,30 @@ def main():
 def cmd_ar(dynkin_text, quiver_file, k, glued, field_text, dot_path,
            json_path):
     """Knit an AR quiver and emit it as DOT (and optionally JSON)."""
-    try:
-        field = _resolve_field(field_text)
-        ambient = _ambient_from_flags(dynkin_text, quiver_file, field)
-        if glued:
-            g = build_sk(ambient, k)
-            arrows_map = g.cat.gabriel_arrows()
-            modmap = {nm: M for nm, M in zip(g.names, g.modules)}
-            vertices = [("%s[%d]" % (nm, j), j,
-                         "%s[%d] %s" % (nm, j, _dimvec(modmap[nm])))
-                        for (nm, j) in g.cat.objects]
-            keyof = {(nm, j): "%s[%d]" % (nm, j) for nm, j in g.cat.objects}
-            arrows = sorted((keyof[s], keyof[d], mult)
-                            for (s, d), mult in arrows_map.items())
-        else:
-            ar = knit(ambient)
-            names = _unique_names(ar.labels())
-            vertices = [(names[i], 0,
-                         "%s %s" % (names[i], _dimvec(ar.module(i))))
-                        for i in range(ar.count)]
-            arrows = sorted((names[s], names[d], mult)
-                            for s, d, mult in ar.arrows)
-        _emit(_dot(vertices, arrows), dot_path)
-        if json_path:
-            doc = {"vertices": [{"name": key, "shift": shift, "label": lab}
-                                for key, shift, lab in vertices],
-                   "arrows": [{"src": s, "dst": d, "mult": mult}
-                              for s, d, mult in arrows]}
-            _emit(json.dumps(doc, indent=2) + "\n", json_path)
-    except RESOURCE_ERRORS as e:
-        click.echo("error: %s" % e, err=True)
-        sys.exit(2)
-
-
-def _ambient_from_flags(dynkin_text, quiver_file, field):
-    if (dynkin_text is None) == (quiver_file is None):
-        raise InvalidParams("give exactly one of --dynkin / --quiver-file")
-    if dynkin_text is not None:
-        pres = hereditary_presentation(_parse_dynkin(dynkin_text))
+    ambient, _ = _ambient(_resolve_field(field_text), dynkin=dynkin_text,
+                          quiver_file=quiver_file)
+    if glued:
+        g = build_sk(ambient, k)
+        dims = {nm: _dimvec(M) for nm, M in zip(g.names, g.modules)}
+        vertices = [("%s[%d]" % (nm, j), j, "%s[%d] %s" % (nm, j, dims[nm]))
+                    for nm, j in g.cat.objects]
+        arrows = sorted(("%s[%d]" % s, "%s[%d]" % d, mult)
+                        for (s, d), mult in g.cat.gabriel_arrows().items())
     else:
-        with open(quiver_file, encoding="utf-8") as fh:
-            pres = parse_quiver_file(fh.read())
-    return category_from_presentation(pres, field)
+        ar = knit(ambient)
+        names = _unique_names(ar.labels())
+        vertices = [(names[i], 0,
+                     "%s %s" % (names[i], _dimvec(ar.module(i))))
+                    for i in range(ar.count)]
+        arrows = sorted((names[s], names[d], mult)
+                        for s, d, mult in ar.arrows)
+    _emit(_dot(vertices, arrows), dot_path)
+    if json_path:
+        doc = {"vertices": [{"name": key, "shift": shift, "label": lab}
+                            for key, shift, lab in vertices],
+               "arrows": [{"src": s, "dst": d, "mult": mult}
+                          for s, d, mult in arrows]}
+        _emit(json.dumps(doc, indent=2) + "\n", json_path)
 
 
 @main.command("verify")
@@ -187,40 +190,19 @@ def _ambient_from_flags(dynkin_text, quiver_file, field):
 def cmd_verify(dynkin_text, nakayama_text, auslander_text, quiver_file,
                k, n, field_text, out_path):
     """Run the verification pipeline and emit a JSON report."""
-    picked = [x for x in (dynkin_text, nakayama_text, auslander_text,
-                          quiver_file) if x is not None]
-    try:
-        if len(picked) != 1:
-            raise InvalidParams("give exactly one input flag")
-        field = _resolve_field(field_text)
-        if dynkin_text is not None:
-            if n not in (None, 1):
-                raise InvalidParams("Dynkin input is hereditary: n must be 1")
-            rep = verify_theorem_dynkin(_parse_dynkin(dynkin_text), k,
-                                        field=field)
-        else:
-            if n is None:
-                raise InvalidParams("--n is required for this input")
-            if nakayama_text is not None:
-                m, ell = _parse_nakayama(nakayama_text)
-                ambient = category_from_presentation(
-                    nakayama_linear(m, ell), field)
-                desc = "nakayama(%d,%d)" % (m, ell)
-            elif auslander_text is not None:
-                base = category_from_presentation(
-                    hereditary_presentation(_parse_dynkin(auslander_text)),
-                    field)
-                ambient, _ = auslander_category(base)
-                desc = "auslander(%s)" % auslander_text
-            else:
-                with open(quiver_file, encoding="utf-8") as fh:
-                    pres = parse_quiver_file(fh.read())
-                ambient = category_from_presentation(pres, field)
-                desc = "quiver-file %s" % os.path.basename(quiver_file)
-            rep = verify_theorem_higher(ambient, k, n, input_desc=desc)
-    except RESOURCE_ERRORS as e:
-        click.echo("error: %s" % e, err=True)
-        sys.exit(2)
+    field = _resolve_field(field_text)
+    if dynkin_text is not None and \
+            {nakayama_text, auslander_text, quiver_file} == {None}:
+        if n not in (None, 1):
+            raise InvalidParams("Dynkin input is hereditary: n must be 1")
+        rep = verify_theorem_dynkin(_parse_dynkin(dynkin_text), k,
+                                    field=field)
+    else:
+        if n is None and dynkin_text is None:
+            raise InvalidParams("--n is required for any input but --dynkin")
+        ambient, desc = _ambient(field, dynkin_text, nakayama_text,
+                                 auslander_text, quiver_file)
+        rep = verify_theorem_higher(ambient, k, n, input_desc=desc)
     _emit(json.dumps(rep.to_dict(), indent=2) + "\n", out_path)
     sys.exit(0 if rep.passed else 1)
 
@@ -239,33 +221,17 @@ def cmd_verify(dynkin_text, nakayama_text, auslander_text, quiver_file,
 def cmd_angles(auslander_text, nakayama_text, dynkin_text, field_text):
     """Print the connecting 4-angles of the tau_2-generated
     2-cluster-tilting subcategory."""
-    try:
-        picked = [x for x in (auslander_text, nakayama_text, dynkin_text)
-                  if x is not None]
-        if len(picked) != 1:
-            raise InvalidParams("give exactly one input flag")
-        if dynkin_text is not None:
-            raise InvalidParams(
-                "hereditary input: no 2-cluster-tilting subcategory; "
-                "use --auslander-of or --nakayama")
-        field = _resolve_field(field_text)
-        if auslander_text is not None:
-            base = category_from_presentation(
-                hereditary_presentation(_parse_dynkin(auslander_text)),
-                field)
-            ambient, _ = auslander_category(base)
-        else:
-            m, ell = _parse_nakayama(nakayama_text)
-            ambient = category_from_presentation(nakayama_linear(m, ell),
-                                                 field)
-        modules = cluster_tilting_from_tau_n(ambient, 2)
-        names = _unique_names([vertex_label(ambient, M) for M in modules])
-        for x, mid1, mid2, y in four_angles(ambient, modules, names):
-            click.echo("%s -> %s -> %s -> %s -> %s[2]"
-                       % (x, " (+) ".join(mid1), " (+) ".join(mid2), y, x))
-    except RESOURCE_ERRORS as e:
-        click.echo("error: %s" % e, err=True)
-        sys.exit(2)
+    if dynkin_text is not None:
+        raise InvalidParams(
+            "hereditary input: no 2-cluster-tilting subcategory; "
+            "use --auslander-of or --nakayama")
+    ambient, _ = _ambient(_resolve_field(field_text), nakayama=nakayama_text,
+                          auslander=auslander_text)
+    modules = cluster_tilting_from_tau_n(ambient, 2)
+    names = _unique_names([vertex_label(ambient, M) for M in modules])
+    for x, mid1, mid2, y in four_angles(ambient, modules, names):
+        click.echo("%s -> %s -> %s -> %s -> %s[2]"
+                   % (x, " (+) ".join(mid1), " (+) ".join(mid2), y, x))
 
 
 if __name__ == "__main__":

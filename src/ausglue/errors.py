@@ -1,19 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+All derive from `AusglueError`, and each marks input outside what the
+verifier covers or an exceeded budget, never a false claim: the CLI turns
+any of them, like `OSError` and `ValueError`, into exit 2.
+"""
 
 
-class InvalidDynkinSpec(Exception):
+class AusglueError(Exception):
+    """Base class of every exception the package raises on purpose."""
+
+
+class InvalidDynkinSpec(AusglueError):
     pass
 
 
-class InvalidParams(Exception):
+class InvalidParams(AusglueError):
     pass
 
 
-class InfiniteDimensional(Exception):
+class InfiniteDimensional(AusglueError):
     pass
 
 
-class Truncated(Exception):
+class Truncated(AusglueError):
     """A resolution exceeded its length budget; in-scope algebras all have
     finite global dimension, so hitting this indicates a bug or an
     out-of-scope input."""
@@ -23,41 +32,41 @@ class Truncated(Exception):
         self.max_len = max_len
 
 
-class NonSchurianVertex(Exception):
+class NonSchurianVertex(AusglueError):
     pass
 
 
-class DecompositionFailed(Exception):
+class DecompositionFailed(AusglueError):
     pass
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(AusglueError):
     pass
 
 
-class NotHereditary(Exception):
+class NotHereditary(AusglueError):
     pass
 
 
-class NotRepFinite(Exception):
+class NotRepFinite(AusglueError):
     pass
 
 
-class NotClusterTilting(Exception):
+class NotClusterTilting(AusglueError):
     pass
 
 
-class GldimTooBig(Exception):
+class GldimTooBig(AusglueError):
     pass
 
 
-class NotComposable(Exception):
+class NotComposable(AusglueError):
     pass
 
 
-class OrbitDiverges(Exception):
+class OrbitDiverges(AusglueError):
     pass
 
 
-class NoApproximation(Exception):
+class NoApproximation(AusglueError):
     pass

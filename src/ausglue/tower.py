@@ -268,20 +268,25 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 
     # gen_cogen holds every P_x and I_y up to isomorphism, so a module lies
-    # in it exactly when it has a label
+    # in it exactly when it has a label; tau_d kills the projective I_y, and
+    # only an unlabelled T can be decomposable
     tau_labels = set()
     closure_ok = True
     closure_witness = None
-    for x in S.objects:
-        T = tau_n(injective_module(S, x), d)
+    for y in unpaired:
+        T = tau_n(injective_module(S, y), d)
         if T.total_dim() == 0:
+            continue
+        lab = module_label(T)
+        if lab is not None:
+            tau_labels.add(lab)
             continue
         for Z in decompose(T):
             lab = module_label(Z)
             tau_labels.add(lab)
             if lab is None:
                 closure_ok = False
-                closure_witness = (x, Z.dim_vector())
+                closure_witness = (y, Z.dim_vector())
     rep.stats["tau_d_closure_ok"] = closure_ok
     rep.add("thm1.4.tau_d_closure", "thm1.4", True, closure_ok,
             witness=closure_witness)

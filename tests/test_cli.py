@@ -127,11 +127,18 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     ["verify", "--auslander-of", "A2", "--k", "1", "--n", "3"],
     ["angles", "--dynkin", "A3"],
     ["angles"],
+    pytest.param(["verify", "--dynkin", "A3", "--k", "1",
+                  "--field", str(10 ** 400 + 1)], id="400-digit-field"),
 ], ids=lambda a: " ".join(a))
 def test_invalid_input_exits_two(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2
     assert "error:" in r.stderr
+
+
+# not representation-directed: an indecomposable module has End != K
+NOT_DIRECTED = ("quiver\narrow a0 2 3\narrow a1 1 2\narrow a2 2 4\n"
+                "arrow a3 3 4\nrelation a1.a0\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -145,8 +152,10 @@ def test_invalid_input_exits_two(runner, args):
     # finite-dimensional (ab = ba = 0), but cyclic
     ("quiver\narrow a 1 2\narrow b 2 1\nrelation a.b\nrelation b.a\n",
      "cyclic quivers are out of scope"),
+    (NOT_DIRECTED, "no splitting found"),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
-        "unknown-relation-arrow", "no-arrows", "cycle-with-relations"])
+        "unknown-relation-arrow", "no-arrows", "cycle-with-relations",
+        "not-directed"])
 def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     qf = tmp_path / "bad.quiver"
     qf.write_text(text)
@@ -155,6 +164,39 @@ def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     assert r.exit_code == 2
     assert "error:" in r.stderr
     assert message in r.stderr
+
+
+def test_ar_not_directed_exits_two(runner, tmp_path):
+    """Knitting the AR quiver of an algebra that is not representation-
+    directed meets the same refusal as verify does."""
+    qf = tmp_path / "bad.quiver"
+    qf.write_text(NOT_DIRECTED)
+    r = runner.invoke(main, ["ar", "--quiver-file", str(qf)])
+    assert r.exit_code == 2
+    assert "error:" in r.stderr and "no splitting found" in r.stderr
+
+
+def _package_errors():
+    from ausglue import errors
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, Exception)
+            and c is not errors.AusglueError]
+
+
+@pytest.mark.parametrize("exc", _package_errors(), ids=lambda c: c.__name__)
+def test_every_package_error_exits_two(runner, monkeypatch, exc):
+    """Whatever package exception a command meets, it ends in `error:` and
+    exit 2, not in a traceback and not in exit 1 (a failed claim)."""
+    import ausglue.cli as climod
+    from ausglue.errors import AusglueError, Truncated
+    assert issubclass(exc, AusglueError)
+
+    def refuse(*a, **kw):
+        raise exc(7) if exc is Truncated else exc("refused")
+    monkeypatch.setattr(climod, "verify_theorem_dynkin", refuse)
+    r = runner.invoke(main, ["verify", "--dynkin", "A2", "--k", "1"])
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: ")
 
 
 KRONECKER = "quiver\narrow a 1 2\narrow b 1 2\n"

@@ -1,9 +1,12 @@
-"""Golden reports: `ausglue verify` must keep its JSON byte for byte.
+"""Golden output: the CLI must keep every report, quiver and 4-angle
+listing byte for byte.
 
-Each hash is the sha256 of `json.dumps(report.to_dict(), indent=2)`, the
-CLI's stdout without its final newline, recorded from a trusted commit.
-A refactor that changes any claim, witness, statistic or key order shows
-up here.  Regenerate a hash only when a report is meant to change.
+Each `verify` hash is the sha256 of `json.dumps(report.to_dict(), indent=2)`,
+the CLI's stdout without its final newline; each `ar` and `angles` hash is
+the sha256 of the whole file or stdout.  All were recorded from a trusted
+commit.  A refactor that changes any claim, witness, statistic, vertex,
+arrow, angle or key order shows up here.  Regenerate a hash only when an
+output is meant to change.
 """
 
 import hashlib
@@ -40,3 +43,44 @@ def test_verify_report_is_byte_identical(args, digest, monkeypatch):
     assert r.exit_code == 0, r.output
     assert r.output.endswith("}\n")
     assert hashlib.sha256(r.output[:-1].encode()).hexdigest() == digest
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ar_glued_dot_and_json_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("AUSGLUE_FIELD", raising=False)
+    dot, js = tmp_path / "q.dot", tmp_path / "q.json"
+    r = CliRunner().invoke(main, ["ar", "--dynkin", "D4-out", "--glued",
+                                  "--k", "1", "--dot", str(dot),
+                                  "--json", str(js)])
+    assert r.exit_code == 0 and r.output == ""
+    assert _sha(dot.read_text()) == \
+        "77b46e5f82c64448f977be4f70e1c12766829b200d7011e4ef1332c1d3935772"
+    assert _sha(js.read_text()) == \
+        "cf97453e695ad6183595fd49eb2d307e1a0196566e3e2c23707dbdb7ae09b3e1"
+
+
+STDOUT_GOLDEN = [
+    pytest.param(
+        ["ar", "--dynkin", "A3-alternating"],
+        "ed6dec049f0cf75f2016886cf9e76274014d108761642814f8f463487848baf5",
+        id="ar-a3-alternating"),
+    pytest.param(
+        ["angles", "--auslander-of", "A3"],
+        "c9121d18f9cbdffc73d153e2723b13f041e743f830738ee3119a4bd99d781f89",
+        id="angles-auslander-a3"),
+    pytest.param(
+        ["angles", "--nakayama", "4,3"],
+        "fabb5770ac4aba6a2c879457837dff846f2c8591221dd2c3e6a59cd5e434dc68",
+        id="angles-nakayama-4-3"),
+]
+
+
+@pytest.mark.parametrize("args, digest", STDOUT_GOLDEN)
+def test_stdout_is_byte_identical(args, digest, monkeypatch):
+    monkeypatch.delenv("AUSGLUE_FIELD", raising=False)
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 0, r.output
+    assert _sha(r.output) == digest

@@ -27,6 +27,29 @@ def test_field_validation():
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
 
 
+def test_primality_matches_trial_division():
+    from ausglue.linalg import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(10000))
+    # a strong pseudoprime to every base up to 23, and a Carmichael number
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(561)
+
+
+def test_large_prime_fields():
+    import time
+    start = time.perf_counter()
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.1
+    for bad in (0, 1, 4, -5, 2 ** 64 - 1):
+        with pytest.raises(ValueError, match="must be prime"):
+            GF(bad)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        GF(10 ** 400 + 1)
+
+
 def test_rref_oracle():
     m = Mat(QQ, [[0, 2, 4], [1, 1, 1]])
     r, piv = m.rref()

@@ -198,6 +198,24 @@ def test_rigidity_witness_names_modules(monkeypatch):
     assert claim.to_dict()["witness"][2] == 2
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("A3", (3, 0)), ("auslander-A3", (4, 0)),
+], ids=["A3", "auslander-A3"])
+def test_tau_d_closure_labels_before_decompose(case, expected, monkeypatch):
+    """The tau_d-closure applies tau_d only to the injectives of Sigma that
+    are not projective, and splits only a module with no P/I label; on
+    these inputs every tau_d(I_y) is zero or labelled."""
+    from ausglue import tower
+    calls = {"tau_n": 0, "decompose": 0}
+    for name in calls:
+        def counted(*a, _orig=getattr(tower, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*a, **kw)
+        monkeypatch.setattr(tower, name, counted)
+    assert _report_claims(case, FIELD)[1]
+    assert (calls["tau_n"], calls["decompose"]) == expected
+
+
 def _report_claims(case, field):
     if case in ("A3", "D4"):
         spec = DynkinSpec(case[0], int(case[1]), "out" if case == "D4" else None)
