@@ -40,6 +40,7 @@ class FinCategory:
             if self.homdim[(x, x)] != 1:
                 raise NonSchurianVertex("hom(%r,%r) has dimension %d"
                                         % (x, x, self.homdim[(x, x)]))
+        self._total_dimension = sum(self.homdim.values())
 
     # -- basic structure ----------------------------------------------
 
@@ -47,7 +48,7 @@ class FinCategory:
         return self.homdim[(x, y)]
 
     def total_dimension(self):
-        return sum(self.homdim.values())
+        return self._total_dimension
 
     def compose_basis(self, x, y, z, i, j):
         """Coordinates in hom(x,z) of g_i o f_j, g_i in hom(y,z) basis,
@@ -157,22 +158,15 @@ class FinCategory:
     def gabriel_arrows(self):
         """Arrows of the Gabriel quiver: multiplicity of x->y equals
         dim rad(x,y)/rad^2(x,y).  Schurian, so rad(x,y) = hom(x,y) for
-        x != y and rad(x,x) = 0."""
+        x != y and rad(x,x) = 0, and rad^2(x,y) is spanned by the
+        structure constants of the composites x -> z -> y."""
         arrows = {}
         for x in self.objects:
             for y in self.objects:
                 if x == y or self.homdim[(x, y)] == 0:
                     continue
-                vecs = []
-                for z in self.objects:
-                    if z == x or z == y:
-                        continue
-                    dxz, dzy = self.homdim[(x, z)], self.homdim[(z, y)]
-                    for i in range(dzy):
-                        g = self._basis_vec(z, y, i)
-                        for j in range(dxz):
-                            f = self._basis_vec(x, z, j)
-                            vecs.append(self.compose(x, z, y, g, f))
+                vecs = [v for z in self.objects if z != x and z != y
+                        for row in self.comp.get((x, z, y), ()) for v in row]
                 r2 = len(row_space_basis(self.field, vecs, self.homdim[(x, y)]))
                 m = self.homdim[(x, y)] - r2
                 if m:
@@ -196,6 +190,11 @@ class CatModule:
         self.cat = cat
         self.dims = {x: dims.get(x, 0) for x in cat.objects}
         self.act = act
+
+    @cached_property
+    def support(self):
+        """The objects x with M(x) nonzero, in object order."""
+        return [x for x in self.cat.objects if self.dims[x]]
 
     def action(self, x, y, i):
         mats = self.act.get((x, y))
@@ -339,16 +338,14 @@ def projective_module(cat, x):
     if x in cache:
         return cache[x]
     dims = {y: cat.homdim[(x, y)] for y in cat.objects}
-    support = [y for y in cat.objects if dims[y]]
-    act = {}
-    for y in support:
-        for z in support:
+    M = CatModule(cat, dims, {})
+    for y in M.support:
+        for z in M.support:
             if cat.homdim[(y, z)]:
-                act[(y, z)] = [
+                M.act[(y, z)] = [
                     Mat.from_cols(cat.field, [cat.compose_basis(x, y, z, i, j)
                                               for j in range(dims[y])])
                     for i in range(cat.homdim[(y, z)])]
-    M = CatModule(cat, dims, act)
     cache[x] = M
     return M
 
@@ -400,10 +397,9 @@ def direct_sum(cat, modules):
 def dual_module(M):
     """D(M): a module over the opposite category, on the dual spaces."""
     op = M.cat.opposite()
-    support = [x for x in op.objects if M.dims[x]]
     act = {}
-    for x in support:
-        for y in support:
+    for x in M.support:
+        for y in M.support:
             d = op.homdim[(x, y)]  # = hom_C(y, x)
             if d == 0:
                 continue
@@ -625,18 +621,18 @@ def cokernel(phi):
 
 
 def radical_rows(M):
-    """Spanning rows of rad M = J.M per object (J = category radical)."""
+    """Spanning rows of rad M = J.M per object (J = category radical); []
+    off the support of M."""
     c = M.cat
-    out = {}
-    for y in c.objects:
+    out = {y: [] for y in c.objects}
+    for y in M.support:
         vecs = []
-        if M.dims[y]:
-            for x in c.objects:
-                if x == y or M.dims[x] == 0:
-                    continue
-                for A in M.act.get((x, y), ()):
-                    for j in range(M.dims[x]):
-                        vecs.append(A.col(j))
+        for x in M.support:
+            if x == y:
+                continue
+            for A in M.act.get((x, y), ()):
+                for j in range(M.dims[x]):
+                    vecs.append(A.col(j))
         out[y] = row_space_basis(c.field, vecs, M.dims[y])
     return out
 
@@ -649,7 +645,7 @@ def top_generators(M):
     f = c.field
     rad = radical_rows(M)
     gens = []
-    for x in c.objects:
+    for x in M.support:
         for j in echelon_columns(f, rad[x], M.dims[x])[1]:
             v = [f.zero] * M.dims[x]
             v[j] = f.one
@@ -664,17 +660,24 @@ def top_generators(M):
 class FreeModule(CatModule):
     """An explicit direct sum of representable projectives P_x, with
     bookkeeping of which block of each value space belongs to which
-    summand.  dims and offsets are set at construction; the dense action
+    summand.  Its support, where it is nonzero, is the union of the
+    supports of the summands' P_s, each cached with P_s.  dims is 0 off
+    the support and offsets is filled only on it; elsewhere yoneda_entries
+    gives empty blocks and apply_action zero vectors.  The dense action
     act is built only when first read, while apply_action works one
-    summand at a time through the cached projective_module actions."""
+    summand at a time through the cached projective actions."""
 
     def __init__(self, cat, summands):
         self.cat = cat
         self.summands = list(summands)
         self.projs = [projective_module(cat, s) for s in self.summands]
+        self.support = sorted(
+            set().union(*(projective_module(cat, s).support
+                          for s in set(self.summands))),
+            key=cat.obj_index.__getitem__)
         self.offsets = {}
-        self.dims = {}
-        for y in cat.objects:
+        self.dims = dict.fromkeys(cat.objects, 0)
+        for y in self.support:
             offs = []
             o = 0
             for s in self.summands:
@@ -686,10 +689,9 @@ class FreeModule(CatModule):
     @cached_property
     def act(self):
         c = self.cat
-        support = [y for y in c.objects if self.dims[y]]
         act = {}
-        for y in support:
-            for z in support:
+        for y in self.support:
+            for z in self.support:
                 d = c.homdim[(y, z)]
                 if d:
                     act[(y, z)] = [
@@ -700,8 +702,11 @@ class FreeModule(CatModule):
 
     def apply_action(self, x, y, i, v):
         zero = self.cat.field.zero
+        offs = self.offsets.get(x)
+        if offs is None:
+            return [zero] * self.dims[y]
         out = []
-        for p, o in zip(self.projs, self.offsets[x]):
+        for p, o in zip(self.projs, offs):
             mats = p.act.get((x, y))
             if mats is None:
                 out.extend([zero] * p.dims[y])
@@ -718,20 +723,21 @@ class FreeModule(CatModule):
                 for i in range(self.cat.homdim[(s, y)])]
 
     def yoneda_map(self, N, elements):
-        """The ModuleMap self -> N with the columns of yoneda_columns."""
+        """The ModuleMap self -> N with the columns of yoneda_columns; it
+        is zero off the support."""
         f = self.cat.field
-        mats = {}
-        for y in self.cat.objects:
-            cols = self.yoneda_columns(N, elements, y)
-            mats[y] = Mat.from_cols(f, cols) if cols \
-                else Mat.zero(f, N.dims[y], 0)
-        return ModuleMap(self, N, mats)
+        return ModuleMap(self, N, {
+            y: Mat.from_cols(f, self.yoneda_columns(N, elements, y))
+            for y in self.support})
 
     def yoneda_entries(self, y, w):
         """Split a vector w of self(y) into its summand blocks: block i is
         the Yoneda coordinate in hom(summands[i], y)."""
+        offs = self.offsets.get(y)
+        if offs is None:
+            return [[] for _ in self.summands]
         return [w[o:o + self.cat.homdim[(s, y)]]
-                for s, o in zip(self.summands, self.offsets[y])]
+                for s, o in zip(self.summands, offs)]
 
 
 class CatMat:

@@ -6,9 +6,11 @@ A minimal resolution works in free-module coordinates: each syzygy is
 kept as the RREF rows of its value spaces inside the last free module,
 never as a module of its own, and its top is read off through the free
 module's action (Green, Solberg and Zacharia, "Minimal projective
-resolutions", Trans. AMS 353, 2001).  Rank-nullity gives each syzygy's
-dimensions, so only kernels neither 0 nor everything are solved.  The
-higher translate tau_n is D Tr of F_n -> F_{n-1} in that resolution.
+resolutions", Trans. AMS 353, 2001).  Every step walks only the support
+of its free module, the objects where it is nonzero; elsewhere the syzygy
+is 0.  Rank-nullity gives each syzygy's dimensions, so only kernels
+neither 0 nor everything are solved.  The higher translate tau_n is
+D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
 
 Injective-side computations are routed through the opposite category via
@@ -17,7 +19,8 @@ projective label of D(P_x) there names the Nakayama pairing P_x = I_y, and
 domdim resolves D(P_x) only for the unpaired x.
 """
 
-from .linalg import Mat, NoSolution, row_space_basis, echelon_columns
+from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
+                     quotient_coords)
 from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
                      top_generators, simple_module, projective_module,
                      projective_label, zero_module)
@@ -77,8 +80,9 @@ def min_proj_resolution(M, stop_at=None):
     prefix).
 
     The syzygy K = ker(F_i -> F_{i-1}) is kept as rows[y], the RREF rows
-    of K(y) inside F_i(y).  Its generators become the summands of
-    F_{i+1}, which maps to F_i with the same kernel as its cover of K."""
+    of K(y) inside F_i(y), for y in the support of F_i only.  Its
+    generators become the summands of F_{i+1}, which maps to F_i with the
+    same kernel as its cover of K."""
     cat = M.cat
     max_len = cat.total_dimension() + 2
     gens = top_generators(M)
@@ -86,7 +90,7 @@ def min_proj_resolution(M, stop_at=None):
     eps = F.yoneda_map(M, [v for _, v in gens])
     res = Resolution(M, [list(F.summands)], [F], [], eps)
     rows = {y: eps.mats[y].kernel_rows() if F.dims[y] > M.dims[y] else []
-            for y in cat.objects}  # eps onto: dim K(y) = dim F(y) - dim M(y)
+            for y in F.support}  # eps onto: dim K(y) = dim F(y) - dim M(y)
     while any(rows.values()):
         degree = len(res.diffs) + 1
         if stop_at is not None and degree > stop_at:
@@ -100,7 +104,8 @@ def min_proj_resolution(M, stop_at=None):
         res.diffs.append(_catmat_from_images(G, F, images))
         res.frees.append(G)
         res.terms.append(list(G.summands))
-        rows = {y: _next_rows(G, F, images, y, rows[y]) for y in cat.objects}
+        rows = {y: _next_rows(G, F, images, y, rows.get(y, []))
+                for y in G.support}
         F = G
     return res
 
@@ -118,7 +123,8 @@ def _next_rows(G, F, images, y, ky):
 
 def _kernel_top(F, rows):
     """Generators of the submodule K of the free module F with K(y)
-    spanned by the RREF rows rows[y], as (y, vector of F(y)) pairs.
+    spanned by the RREF rows rows[y], as (y, vector of F(y)) pairs; an
+    object missing from rows or with no rows has K(y) = 0.
 
     A vector of K(y) has its K-coordinates at the pivot columns of
     rows[y], so rad K(y) is read from F's action on the rows of K(x),
@@ -126,15 +132,14 @@ def _kernel_top(F, rows):
     lift a basis of the top, as top_generators does for a module."""
     c = F.cat
     f = c.field
+    live = [y for y, ky in rows.items() if ky]
     gens = []
-    for y in c.objects:
+    for y in live:
         ky = rows[y]
-        if not ky:
-            continue
         piv = echelon_columns(f, ky, F.dims[y])[0]
         vecs = []
-        for x in c.objects:
-            if x == y or not rows[x]:
+        for x in live:
+            if x == y:
                 continue
             for i in range(c.homdim[(x, y)]):
                 for r in rows[x]:
@@ -218,21 +223,30 @@ class ExtSpace:
         self.reps = reps
         self.cob_rows = cob_rows
         self.field = X.cat.field
+        self._factor = None
 
     @property
     def dim(self):
         return len(self.reps)
 
     def reduce(self, vec):
-        """Coordinates of a cocycle modulo coboundaries, in the rep basis."""
-        f = self.field
-        if not self.reps and not self.cob_rows:
-            if any(v != f.zero for v in vec):
-                raise NoSolution()
-            return []
-        A = Mat.from_cols(f, list(self.cob_rows) + list(self.reps))
-        sol = A.solve(Mat.from_cols(f, [vec]))
-        return [sol[len(self.cob_rows) + i, 0] for i in range(len(self.reps))]
+        """Coordinates of a cocycle modulo coboundaries, in the rep basis;
+        NoSolution for any other vector.  The first call takes the RREF of
+        [cob_rows + reps | identity], whose rows pair a vector of the span
+        with its coordinates; clearing the pivots of [vec | 0] then leaves
+        0 and minus the coordinates of vec."""
+        f, n = self.field, len(vec)
+        basis = self.cob_rows + self.reps
+        m = len(basis)
+        if self._factor is None:
+            rows = row_space_basis(f, [list(b) + _unit(f, m, j)
+                                       for j, b in enumerate(basis)], n + m)
+            self._factor = rows, echelon_columns(f, rows, n + m)[0]
+        rest = quotient_coords(f, *self._factor, range(n + m),
+                               list(vec) + [f.zero] * m)
+        if any(v != f.zero for v in rest[:n]):
+            raise NoSolution()
+        return [f(-v) for v in rest[n + len(self.cob_rows):]]
 
 
 def ext_space(X, Y, n, resolution=None):

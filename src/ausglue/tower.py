@@ -97,19 +97,13 @@ class TowerReport:
 
 def is_basic(cat):
     """No two distinct objects isomorphic: in a schurian category x and y
-    are isomorphic iff some composite x -> y -> x is nonzero."""
-    for x in cat.objects:
-        for y in cat.objects:
-            if x == y:
-                continue
-            for i in range(cat.homdim[(y, x)]):
-                g = cat._basis_vec(y, x, i)
-                for j in range(cat.homdim[(x, y)]):
-                    f = cat._basis_vec(x, y, j)
-                    if any(v != cat.field.zero
-                           for v in cat.compose(x, y, x, g, f)):
-                        return False
-    return True
+    are isomorphic iff some composite x -> y -> x is nonzero, i.e. some
+    structure constant of comp[(x, y, x)] is."""
+    zero = cat.field.zero
+    return not any(v != zero
+                   for x in cat.objects for y in cat.objects if x != y
+                   for row in cat.comp.get((x, y, x), ())
+                   for vec in row for v in vec)
 
 
 def gamma(glued):
