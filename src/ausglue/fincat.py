@@ -671,10 +671,8 @@ class FreeModule(CatModule):
         self.cat = cat
         self.summands = list(summands)
         self.projs = [projective_module(cat, s) for s in self.summands]
-        self.support = sorted(
-            set().union(*(projective_module(cat, s).support
-                          for s in set(self.summands))),
-            key=cat.obj_index.__getitem__)
+        self.support = sorted(set().union(*(p.support for p in self.projs)),
+                              key=cat.obj_index.__getitem__)
         self.offsets = {}
         self.dims = dict.fromkeys(cat.objects, 0)
         for y in self.support:
