@@ -206,3 +206,30 @@ def test_sparse_action_matches_dense(build):
             assert M.cat.homdim[(x, y)] and M.dims[x] and M.dims[y]
             assert len(mats) == M.cat.homdim[(x, y)]
         assert radical_rows(M) == _dense_radical_rows(M)
+
+
+def test_free_module_lives_on_its_support():
+    """A FreeModule's support is where it is nonzero; off it, offsets has
+    no entry, yoneda_entries gives empty blocks and apply_action gives
+    [], and apply_action agrees everywhere with the dense action."""
+    rng = random.Random(3)
+    for cat in (make(4), build_sk(make(3), 1).cat,
+                category_from_presentation(nakayama_linear(4, 3),
+                                           default_field())):
+        f = cat.field
+        for summands in ([], [cat.objects[-1]], cat.objects[:2] * 2,
+                         rng.sample(cat.objects, 3)):
+            F = FreeModule(cat, summands)
+            assert F.support == [y for y in cat.objects if F.dims[y] > 0]
+            assert set(F.dims) == set(cat.objects)
+            assert set(F.offsets) == set(F.support)
+            for y in cat.objects:
+                if y not in F.support:
+                    assert F.yoneda_entries(y, []) == [[] for _ in summands]
+                for x in cat.objects:
+                    for i in range(cat.homdim[(x, y)]):
+                        v = [f(rng.randrange(5)) for _ in range(F.dims[x])]
+                        w = F.apply_action(x, y, i, v)
+                        assert w == F.action(x, y, i).apply(v)
+                        if y not in F.support:
+                            assert w == []

@@ -4,7 +4,8 @@ import pytest
 
 from ausglue import fincat
 from ausglue.errors import InvalidParams
-from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
+from ausglue.linalg import (Mat, QQ, GF, NoSolution, default_field,
+                            row_space_basis)
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -266,6 +267,75 @@ def test_resolution_solves_no_known_kernel(monkeypatch):
     lengths = [min_proj_resolution(M).length for M in cases]
     assert calls and min(calls) > 0
     assert max(lengths) >= 2
+
+
+def test_resolution_steps_only_on_support(monkeypatch):
+    """Each resolution step works out the next syzygy only at objects
+    where the new free module is nonzero: over QQ, on the simples of
+    Gamma of A4 with k = 2."""
+    from ausglue import homology
+    from ausglue.glue import build_sk
+    a4 = category_from_presentation(
+        hereditary_presentation(DynkinSpec("A", 4, "linear")), QQ)
+    gamma = build_sk(a4, 2).cat
+    seen = []
+    next_rows = homology._next_rows
+
+    def record(G, F, images, y, ky):
+        seen.append(G.dims[y])
+        return next_rows(G, F, images, y, ky)
+    monkeypatch.setattr(homology, "_next_rows", record)
+    lengths = [min_proj_resolution(simple_module(gamma, x)).length
+               for x in gamma.objects]
+    assert max(lengths) >= 3 and seen and min(seen) > 0
+
+
+def _reference_reduce(ext, vec):
+    """ExtSpace.reduce by one solve against [cob_rows | reps] per call."""
+    f = ext.field
+    if not ext.reps and not ext.cob_rows:
+        if any(v != f.zero for v in vec):
+            raise NoSolution()
+        return []
+    A = Mat.from_cols(f, list(ext.cob_rows) + list(ext.reps))
+    sol = A.solve(Mat.from_cols(f, [vec]))
+    return [sol[len(ext.cob_rows) + i, 0] for i in range(len(ext.reps))]
+
+
+def test_ext_reduce_matches_solve_reference():
+    """reduce, factored once per space, gives the coordinates of the
+    reference solve on cocycles, and refuses the same non-cocycles."""
+    from ausglue.glue import auslander_category
+    rng = random.Random(11)
+    f = FIELD
+    refused = 0
+    for cat in (A3, D4, auslander_category(A3)[0]):
+        mods = indecomposables(cat)
+        for X in mods:
+            res = min_proj_resolution(X, stop_at=3)
+            for Y in mods:
+                for n in (1, 2):
+                    E = ext_space(X, Y, n, resolution=res)
+                    basis = E.cob_rows + E.reps
+                    if not basis:
+                        continue
+                    coeffs = [rng.randrange(-3, 4) for _ in basis]
+                    mix = [f(sum(c * b[k] for c, b in zip(coeffs, basis)))
+                           for k in range(len(basis[0]))]
+                    for v in basis + [mix]:
+                        assert E.reduce(v) == _reference_reduce(E, v)
+                    for k in range(len(basis[0])):
+                        unit = [f.one if j == k else f.zero
+                                for j in range(len(basis[0]))]
+                        try:
+                            want = _reference_reduce(E, unit)
+                        except NoSolution:
+                            with pytest.raises(NoSolution):
+                                E.reduce(unit)
+                            refused += 1
+                        else:
+                            assert E.reduce(unit) == want
+    assert refused
 
 
 def test_syzygy():

@@ -1,11 +1,11 @@
 import pytest
 
 from ausglue.errors import NotRepFinite
-from ausglue.linalg import QQ, GF, default_field
+from ausglue.linalg import QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import injective_module
+from ausglue.fincat import FinCategory, injective_module
 from ausglue.homology import min_proj_resolution, pdim
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, auslander_category,
@@ -79,6 +79,53 @@ def test_expected_arrows_helper_matches_category():
         ar = knit(cat)
         exp = expected_glued_ar_arrows(cat, ar, g.names, k)
         assert exp == glued_arrow_set(g.cat)
+
+
+def _reference_gabriel_arrows(cat):
+    """gabriel_arrows by composing unit vectors through cat.compose."""
+    arrows = {}
+    for x in cat.objects:
+        for y in cat.objects:
+            if x == y or cat.homdim[(x, y)] == 0:
+                continue
+            vecs = [cat.compose(x, z, y, cat._basis_vec(z, y, i),
+                                cat._basis_vec(x, z, j))
+                    for z in cat.objects if z != x and z != y
+                    for i in range(cat.homdim[(z, y)])
+                    for j in range(cat.homdim[(x, z)])]
+            m = cat.homdim[(x, y)] - len(
+                row_space_basis(cat.field, vecs, cat.homdim[(x, y)]))
+            if m:
+                arrows[(x, y)] = m
+    return arrows
+
+
+def _reference_is_basic(cat):
+    """is_basic by composing unit vectors x -> y -> x through cat.compose."""
+    return not any(
+        any(v != cat.field.zero for v in cat.compose(
+            x, y, x, cat._basis_vec(y, x, i), cat._basis_vec(x, y, j)))
+        for x in cat.objects for y in cat.objects if x != y
+        for i in range(cat.homdim[(y, x)])
+        for j in range(cat.homdim[(x, y)]))
+
+
+def test_arrows_and_basic_read_structure_constants():
+    """gabriel_arrows and is_basic read comp directly and agree with the
+    composition loops, on basic categories and on one with 1 = 2."""
+    one = FIELD.one
+    both = FinCategory(FIELD, [1, 2],
+                       {(x, y): 1 for x in (1, 2) for y in (1, 2)},
+                       {(x, y, z): [[[one]]] for x in (1, 2) for y in (1, 2)
+                        for z in (1, 2)})
+    cats = [A3, D4,
+            category_from_presentation(nakayama_linear(4, 3), FIELD),
+            auslander_category(A3)[0], build_sk(A3, 1).cat, both]
+    for cat in cats:
+        assert cat.gabriel_arrows() == _reference_gabriel_arrows(cat)
+        assert is_basic(cat) == _reference_is_basic(cat)
+    assert all(is_basic(cat) for cat in cats[:-1])
+    assert not is_basic(both)
 
 
 def test_gamma_and_basic():
