@@ -253,34 +253,43 @@ class CatModule:
         return "CatModule(dims=%r)" % ({x: d for x, d in self.dims.items() if d},)
 
 
+class _Blocks(dict):
+    """The matrices of a ModuleMap by object.  Only the blocks given are
+    stored; a block not given is zero, and is built when first read."""
+
+    __slots__ = ("src", "dst")
+
+    def __missing__(self, x):
+        m = self[x] = Mat.zero(self.src.cat.field, self.dst.dims[x],
+                               self.src.dims[x])
+        return m
+
+
 class ModuleMap:
-    """A natural transformation between CatModules over the same category."""
+    """A natural transformation between CatModules over the same category.
+    `mats` may leave out zero blocks; `self.mats[x]` reads every block."""
 
     def __init__(self, src, dst, mats):
         self.src = src
         self.dst = dst
-        self.mats = {}
-        f = src.cat.field
-        for x in src.cat.objects:
-            m = mats.get(x)
-            if m is None:
-                m = Mat.zero(f, dst.dims[x], src.dims[x])
-            self.mats[x] = m
+        self.mats = _Blocks(mats)
+        self.mats.src, self.mats.dst = src, dst
 
     def compose(self, other):
         """self o other."""
+        a, b = self.mats, other.mats
         return ModuleMap(other.src, self.dst,
-                         {x: self.mats[x] * other.mats[x]
-                          for x in self.src.cat.objects})
+                         {x: a[x] * b[x] for x in a if x in b})
 
     def __add__(self, other):
-        return ModuleMap(self.src, self.dst,
-                         {x: self.mats[x] + other.mats[x]
-                          for x in self.src.cat.objects})
+        mats = dict(self.mats)
+        for x, m in other.mats.items():
+            mats[x] = mats[x] + m if x in mats else m
+        return ModuleMap(self.src, self.dst, mats)
 
     def scale(self, c):
         return ModuleMap(self.src, self.dst,
-                         {x: self.mats[x].scale(c) for x in self.src.cat.objects})
+                         {x: m.scale(c) for x, m in self.mats.items()})
 
     def __sub__(self, other):
         return self + other.scale(self.src.cat.field(-1))
@@ -289,8 +298,9 @@ class ModuleMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_isomorphism(self):
-        return all(self.mats[x].is_invertible() or
-                   (self.src.dims[x] == self.dst.dims[x] == 0)
+        # a block not given is zero, so invertible only when it is 0 x 0
+        return all(self.mats[x].is_invertible() if x in self.mats
+                   else self.src.dims[x] == self.dst.dims[x] == 0
                    for x in self.src.cat.objects)
 
     def is_natural(self):
@@ -306,10 +316,15 @@ class ModuleMap:
 
     def flatten(self):
         """All matrix entries as one row vector (fixed object order)."""
+        z = self.src.cat.field.zero
         out = []
         for x in self.src.cat.objects:
-            for r in self.mats[x].rows:
-                out.extend(r)
+            m = self.mats.get(x)
+            if m is None:
+                out.extend([z] * (self.dst.dims[x] * self.src.dims[x]))
+            else:
+                for r in m.rows:
+                    out.extend(r)
         return out
 
 

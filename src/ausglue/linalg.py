@@ -3,6 +3,12 @@
 All arithmetic in the package goes through the two classes here; floating
 point is never used.  Elimination is deterministic (leftmost pivot column,
 first nonzero row) so every downstream basis choice is reproducible.
+
+A QQ element is a Python int when it is integral and a Fraction otherwise,
+so integer data (every structure constant of a Dynkin path category) is
+eliminated without a gcd.  Arithmetic may still produce an integral
+Fraction; it is the same exact rational and compares and hashes like the
+int.
 """
 
 from fractions import Fraction
@@ -32,11 +38,19 @@ def _is_prime(p):
                for a in bases)
 
 
+def _integral(q):
+    """A Fraction as its numerator when it is an integer."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """The coefficient field: QQ (p is None) or F_p for a prime p.
 
-    Elements are plain Fractions resp. ints in [0, p); the field object
-    only carries p, the conversion/inversion rules and its zero and one
+    Elements of F_p are ints in [0, p).  A QQ element is an int when it
+    is integral and a Fraction otherwise; the field makes a Fraction only
+    where a division leaves a non-integer.  Arithmetic may produce an
+    integral Fraction, which is still exact.  The field object only
+    carries p, the conversion/inversion rules and its zero and one
     (elements are immutable, so every caller may share them).
     """
 
@@ -53,14 +67,18 @@ class Field:
 
     def __call__(self, v):
         if self.p is None:
-            return Fraction(v)
+            if type(v) is int:
+                return v
+            return _integral(Fraction(v))
         return int(v) % self.p
 
     def inv(self, a):
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
+            if a == 1 or a == -1:
+                return int(a)
+            return _integral(1 / Fraction(a))
         return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):

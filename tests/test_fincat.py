@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import QQ, default_field, row_space_basis
+from ausglue.linalg import Mat, QQ, default_field, row_space_basis
 from ausglue.quiver import (DynkinSpec, hereditary_presentation,
                             nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -11,7 +11,7 @@ from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             decompose, dual_module, direct_sum,
-                            identity_map, CatModule, FinCategory,
+                            identity_map, CatModule, FinCategory, ModuleMap,
                             FreeModule, kernel, cokernel, radical_rows,
                             top_generators)
 
@@ -233,3 +233,41 @@ def test_free_module_lives_on_its_support():
                         assert w == F.action(x, y, i).apply(v)
                         if y not in F.support:
                             assert w == []
+
+
+def test_yoneda_map_keeps_only_its_support(monkeypatch):
+    """A map out of a free module stores no block off the support; a
+    block read there is zero, and compose, is_zero and is_natural agree
+    with a zero-filled copy of the map."""
+    rng = random.Random(5)
+    for cat in (make(4), build_sk(make(3), 1).cat):
+        f = cat.field
+        x = next(y for y in cat.objects
+                 if 1 < len(FreeModule(cat, [y]).support) < len(cat.objects))
+        F = FreeModule(cat, [x, x])
+        N = direct_sum(cat, [projective_module(cat, x),
+                             injective_module(cat, x)])[0]
+        zeros = []
+        real_zero = Mat.zero
+        monkeypatch.setattr(Mat, "zero", staticmethod(
+            lambda *a: zeros.append(a[1:]) or real_zero(*a)))
+        elements = [[f(rng.randrange(3)) for _ in range(N.dims[x])]
+                    for _ in F.summands]
+        phi = F.yoneda_map(N, elements)
+        assert zeros == []
+        assert set(phi.mats) == set(F.support)
+        assert not phi.is_zero()
+        monkeypatch.undo()
+        filled = ModuleMap(F, N, {y: phi.mats.get(y) or
+                                  Mat.zero(f, N.dims[y], F.dims[y])
+                                  for y in cat.objects})
+        assert phi.is_zero() == filled.is_zero()
+        assert phi.flatten() == filled.flatten()
+        for g in hom_modules(N, N) + [identity_map(N)]:
+            lazy, full = g.compose(phi), g.compose(filled)
+            assert all(lazy.mats[y] == full.mats[y] for y in cat.objects)
+            assert lazy.is_zero() == full.is_zero()
+        for y in cat.objects:
+            assert phi.mats[y] == filled.mats[y]
+        assert phi.is_natural() and filled.is_natural()
+        assert (phi - filled).is_zero()

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ausglue.linalg
 from ausglue.linalg import (Field, Mat, QQ, GF, default_field, NoSolution,
                             row_space_basis, coords_in_basis)
+from ausglue.quiver import DynkinSpec
+from ausglue.tower import verify_theorem_dynkin
 
 FIELDS = [QQ, GF(5), default_field()]
 
@@ -25,6 +29,105 @@ def test_field_validation():
     assert QQ(3) == Fraction(3)
     assert GF(5).inv(2) == 3
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
+
+
+def test_qq_elements_are_ints_when_integral():
+    for v in (QQ(3), QQ(Fraction(4, 2)), QQ("6/3"), QQ.zero, QQ.one):
+        assert type(v) is int
+    assert (QQ(3), QQ(Fraction(4, 2)), QQ("6/3")) == (3, 2, 2)
+    assert type(QQ(Fraction(1, 2))) is Fraction
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1))) is int and QQ.inv(Fraction(1)) == 1
+    assert type(QQ.inv(Fraction(1, 2))) is int and QQ.inv(Fraction(1, 2)) == 2
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def _fraction_rref(rows):
+    """Reference Gauss-Jordan with Fraction entries only, by the rule of
+    Mat.rref: leftmost pivot column, first nonzero row."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _fraction_kernel_rows(rows):
+    R, pivots = _fraction_rref(rows)
+    nc = len(rows[0])
+    vecs = []
+    for j in [j for j in range(nc) if j not in pivots]:
+        v = [Fraction(0)] * nc
+        v[j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][j]
+        vecs.append(v)
+    if not vecs:
+        return []
+    K, kp = _fraction_rref(vecs)
+    return K[:len(kp)]
+
+
+def _integer_grid():
+    """Integer matrices, several of which need non-unit pivots."""
+    fixed = [[[2, 1], [1, 1]], [[0, 2, 4], [1, 1, 1]], [[3, 6, 9], [2, 4, 7]],
+             [[2, 3], [4, 5], [6, 7]], [[5, -3, 2], [7, 1, -4], [1, 1, 1]],
+             [[0, 0], [0, 3]], [[4, 6, 2, 0], [6, 9, 3, 1]], [[1, -1], [-1, 1]],
+             [[0, 0, 0]], [[7]]]
+    rng = random.Random(12)
+    drawn = [[[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+             for nr in range(1, 5) for nc in range(1, 6) for _ in range(3)]
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("rows", _integer_grid(), ids=str)
+def test_qq_elimination_matches_fraction_reference(rows):
+    """Keeping integral rationals as ints changes no value: rref, rank,
+    row_space_basis, kernel_rows and solve give exactly the rows and
+    pivots of an elimination over Fractions alone."""
+    m = Mat(QQ, rows)
+    ref, ref_piv = _fraction_rref(rows)
+    R, piv = m.rref()
+    assert (R.rows, piv) == (ref, ref_piv)
+    assert all(type(v) in (int, Fraction) for r in R.rows for v in r)
+    assert m.rank() == len(ref_piv)
+    assert row_space_basis(QQ, rows, m.ncols) == ref[:len(ref_piv)]
+    assert m.kernel_rows() == _fraction_kernel_rows(rows)
+    x0 = [[j - 1] for j in range(m.ncols)]
+    b = [[sum(a * x[0] for a, x in zip(r, x0))] for r in rows]
+    aug, aug_piv = _fraction_rref([r + c for r, c in zip(rows, b)])
+    x = [[Fraction(0)] for _ in range(m.ncols)]
+    for i, pc in enumerate(aug_piv):
+        x[pc] = aug[i][m.ncols:]
+    assert m.solve(Mat(QQ, b)).rows == x
+
+
+def test_integral_verdict_builds_no_fraction(monkeypatch):
+    """Every structure constant of a Dynkin path category is an integer
+    and every pivot there is a unit, so a QQ verdict never makes a
+    Fraction."""
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+    monkeypatch.setattr(ausglue.linalg, "Fraction", CountingFraction)
+    assert verify_theorem_dynkin(DynkinSpec("A", 4), 1, field=QQ).passed
+    assert built == []
 
 
 def test_primality_matches_trial_division():

@@ -1,12 +1,18 @@
-import pytest
+import fractions
 
+import pytest
+from click.testing import CliRunner
+
+import ausglue.linalg
+from ausglue.cli import main
 from ausglue.errors import NotRepFinite
 from ausglue.linalg import QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
-                            hereditary_presentation, nakayama_linear)
+                            hereditary_presentation, nakayama_linear,
+                            parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import FinCategory, injective_module
-from ausglue.homology import min_proj_resolution, pdim
+from ausglue.homology import domdim, gldim, min_proj_resolution, pdim
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
@@ -285,3 +291,42 @@ def test_claims_independent_of_field(case):
                for f in (GF(2), GF(3), GF(5), QQ, GF(32003))]
     assert reports[0][1]
     assert all(r == reports[0] for r in reports[1:])
+
+
+COMMUTATIVE_SQUARE = ("quiver\narrow a 1 2\narrow b 1 3\narrow c 2 4\n"
+                      "arrow d 3 4\nrelation 2*a.c;-3*b.d\n")
+
+
+def test_non_unit_coefficients_independent_of_field(tmp_path, monkeypatch):
+    """The square 2ac = 3bd has the non-integer structure constant 3/2
+    over QQ, so QQ mixes ints and Fractions there; its invariants, its
+    knitted dimension vectors and the refusal of verify --n 2 are the same
+    over QQ, GF(5), GF(7) and GF(32003)."""
+    built = []
+
+    class CountingFraction(fractions.Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return fractions.Fraction(*args)
+    monkeypatch.setattr(ausglue.linalg, "Fraction", CountingFraction)
+    monkeypatch.delenv("AUSGLUE_FIELD", raising=False)
+    qf = tmp_path / "square.quiver"
+    qf.write_text(COMMUTATIVE_SQUARE)
+    dimvecs, messages = [], []
+    for field, name in ((QQ, "QQ"), (GF(5), "5"), (GF(7), "7"),
+                        (GF(32003), "32003")):
+        built.clear()
+        cat = category_from_presentation(
+            parse_quiver_file(COMMUTATIVE_SQUARE), field)
+        assert (gldim(cat), domdim(cat)) == (2, 1)
+        assert projective_injectives(cat) == {"1": "4"}
+        dimvecs.append([dv for _, dv in knit(cat).vertices])
+        assert bool(built) == (field == QQ)
+        r = CliRunner().invoke(main, ["verify", "--quiver-file", str(qf),
+                                      "--k", "1", "--n", "2",
+                                      "--field", name])
+        assert r.exit_code == 2
+        assert "not maximal: X = (0, 1, 0, 1) " in r.stderr
+        messages.append(r.stderr)
+    assert all(d == dimvecs[0] for d in dimvecs[1:])
+    assert all(m == messages[0] for m in messages[1:])
