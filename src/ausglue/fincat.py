@@ -255,7 +255,8 @@ class CatModule:
 
 class _Blocks(dict):
     """The matrices of a ModuleMap by object.  Only the blocks given are
-    stored; a block not given is zero, and is built when first read."""
+    stored; a block not given (or given as None) is zero, and is built and
+    stored when first read."""
 
     __slots__ = ("src", "dst")
 
@@ -267,12 +268,15 @@ class _Blocks(dict):
 
 class ModuleMap:
     """A natural transformation between CatModules over the same category.
-    `mats` may leave out zero blocks; `self.mats[x]` reads every block."""
+
+    `mats` may leave out zero blocks: `self.mats[x]` reads every block, but
+    iterating `self.mats` lists only the blocks stored, those given and
+    the zero blocks read since."""
 
     def __init__(self, src, dst, mats):
         self.src = src
         self.dst = dst
-        self.mats = _Blocks(mats)
+        self.mats = _Blocks((x, m) for x, m in mats.items() if m is not None)
         self.mats.src, self.mats.dst = src, dst
 
     def compose(self, other):
@@ -298,9 +302,8 @@ class ModuleMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_isomorphism(self):
-        # a block not given is zero, so invertible only when it is 0 x 0
-        return all(self.mats[x].is_invertible() if x in self.mats
-                   else self.src.dims[x] == self.dst.dims[x] == 0
+        return all(self.mats[x].is_invertible() or
+                   (self.src.dims[x] == self.dst.dims[x] == 0)
                    for x in self.src.cat.objects)
 
     def is_natural(self):
@@ -316,15 +319,10 @@ class ModuleMap:
 
     def flatten(self):
         """All matrix entries as one row vector (fixed object order)."""
-        z = self.src.cat.field.zero
         out = []
         for x in self.src.cat.objects:
-            m = self.mats.get(x)
-            if m is None:
-                out.extend([z] * (self.dst.dims[x] * self.src.dims[x]))
-            else:
-                for r in m.rows:
-                    out.extend(r)
+            for r in self.mats[x].rows:
+                out.extend(r)
         return out
 
 

@@ -38,11 +38,6 @@ def _is_prime(p):
                for a in bases)
 
 
-def _integral(q):
-    """A Fraction as its numerator when it is an integer."""
-    return q.numerator if q.denominator == 1 else q
-
-
 class Field:
     """The coefficient field: QQ (p is None) or F_p for a prime p.
 
@@ -69,7 +64,9 @@ class Field:
         if self.p is None:
             if type(v) is int:
                 return v
-            return _integral(Fraction(v))
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            return v.numerator if v.denominator == 1 else v
         return int(v) % self.p
 
     def inv(self, a):
@@ -78,7 +75,7 @@ class Field:
                 raise ZeroDivisionError("inverse of 0")
             if a == 1 or a == -1:
                 return int(a)
-            return _integral(1 / Fraction(a))
+            return self(1 / Fraction(a))
         return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):

@@ -238,7 +238,7 @@ def test_free_module_lives_on_its_support():
 def test_yoneda_map_keeps_only_its_support(monkeypatch):
     """A map out of a free module stores no block off the support; a
     block read there is zero, and compose, is_zero and is_natural agree
-    with a zero-filled copy of the map."""
+    with a zero-filled copy of the map.  A block given as None is zero."""
     rng = random.Random(5)
     for cat in (make(4), build_sk(make(3), 1).cat):
         f = cat.field
@@ -257,12 +257,14 @@ def test_yoneda_map_keeps_only_its_support(monkeypatch):
         assert zeros == []
         assert set(phi.mats) == set(F.support)
         assert not phi.is_zero()
+        nones = ModuleMap(F, N, {y: phi.mats.get(y) for y in cat.objects})
+        assert set(nones.mats) == set(F.support)
         monkeypatch.undo()
         filled = ModuleMap(F, N, {y: phi.mats.get(y) or
                                   Mat.zero(f, N.dims[y], F.dims[y])
                                   for y in cat.objects})
         assert phi.is_zero() == filled.is_zero()
-        assert phi.flatten() == filled.flatten()
+        assert phi.flatten() == filled.flatten() == nones.flatten()
         for g in hom_modules(N, N) + [identity_map(N)]:
             lazy, full = g.compose(phi), g.compose(filled)
             assert all(lazy.mats[y] == full.mats[y] for y in cat.objects)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -81,38 +80,29 @@ def _fraction_kernel_rows(rows):
     return K[:len(kp)]
 
 
-def _integer_grid():
-    """Integer matrices, several of which need non-unit pivots."""
-    fixed = [[[2, 1], [1, 1]], [[0, 2, 4], [1, 1, 1]], [[3, 6, 9], [2, 4, 7]],
-             [[2, 3], [4, 5], [6, 7]], [[5, -3, 2], [7, 1, -4], [1, 1, 1]],
-             [[0, 0], [0, 3]], [[4, 6, 2, 0], [6, 9, 3, 1]], [[1, -1], [-1, 1]],
-             [[0, 0, 0]], [[7]]]
-    rng = random.Random(12)
-    drawn = [[[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-             for nr in range(1, 5) for nc in range(1, 6) for _ in range(3)]
-    return fixed + drawn
+def _fraction_solve(rows, b):
+    """The solution of rows * x = b with every free variable 0, by the
+    reference elimination."""
+    nc = len(rows[0])
+    aug, piv = _fraction_rref([r + c for r, c in zip(rows, b)])
+    assert all(pc < nc for pc in piv)
+    x = [[Fraction(0)] * len(b[0]) for _ in range(nc)]
+    for i, pc in enumerate(piv):
+        x[pc] = aug[i][nc:]
+    return x
 
 
-@pytest.mark.parametrize("rows", _integer_grid(), ids=str)
-def test_qq_elimination_matches_fraction_reference(rows):
-    """Keeping integral rationals as ints changes no value: rref, rank,
-    row_space_basis, kernel_rows and solve give exactly the rows and
-    pivots of an elimination over Fractions alone."""
-    m = Mat(QQ, rows)
-    ref, ref_piv = _fraction_rref(rows)
+def assert_matches_fraction_reference(m):
+    """Keeping integral rationals as ints changes no value: over QQ, rref,
+    rank, row_space_basis and kernel_rows give exactly the rows and pivots
+    of an elimination over Fractions alone."""
+    ref, ref_piv = _fraction_rref(m.rows)
     R, piv = m.rref()
     assert (R.rows, piv) == (ref, ref_piv)
     assert all(type(v) in (int, Fraction) for r in R.rows for v in r)
     assert m.rank() == len(ref_piv)
-    assert row_space_basis(QQ, rows, m.ncols) == ref[:len(ref_piv)]
-    assert m.kernel_rows() == _fraction_kernel_rows(rows)
-    x0 = [[j - 1] for j in range(m.ncols)]
-    b = [[sum(a * x[0] for a, x in zip(r, x0))] for r in rows]
-    aug, aug_piv = _fraction_rref([r + c for r, c in zip(rows, b)])
-    x = [[Fraction(0)] for _ in range(m.ncols)]
-    for i, pc in enumerate(aug_piv):
-        x[pc] = aug[i][m.ncols:]
-    assert m.solve(Mat(QQ, b)).rows == x
+    assert row_space_basis(QQ, m.rows, m.ncols) == ref[:len(ref_piv)]
+    assert m.kernel_rows() == _fraction_kernel_rows(m.rows)
 
 
 def test_integral_verdict_builds_no_fraction(monkeypatch):
@@ -158,6 +148,11 @@ def test_rref_oracle():
     r, piv = m.rref()
     assert piv == [0, 1]
     assert r.rows == [[1, 0, -1], [0, 1, 2]]
+    # matrices needing non-unit pivots
+    for rows in ([[2, 1], [1, 1]], [[0, 2, 4], [1, 1, 1]],
+                 [[3, 6, 9], [2, 4, 7]], [[2, 3], [4, 5], [6, 7]],
+                 [[4, 6, 2, 0], [6, 9, 3, 1]], [[0, 0], [0, 3]]):
+        assert_matches_fraction_reference(Mat(QQ, rows))
 
 
 def test_kernel_oracle():
@@ -188,6 +183,8 @@ def test_rank_and_kernel_properties(field, data):
     assert k.ncols == m.ncols - r
     if k.ncols:
         assert (m * k).is_zero()
+    if field == QQ:
+        assert_matches_fraction_reference(m)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -201,6 +198,8 @@ def test_solve_roundtrip(field, data):
     b = a * x
     x2 = a.solve(b)
     assert a * x2 == b
+    if field == QQ:
+        assert x2.rows == _fraction_solve(a.rows, b.rows)
 
 
 def test_image_basis_and_coords():
