@@ -10,7 +10,7 @@ from .quiver import (Quiver, DynkinSpec, BoundPresentation, dynkin_quiver,
 from .pathcat import category_from_presentation
 from .fincat import (FinCategory, CatModule, ModuleMap, projective_module,
                      injective_module, simple_module, hom_modules,
-                     modules_isomorphic, decompose)
+                     modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
                        domdim, projective_injectives, tau, tau_inv, tau_n,
                        INFINITY)
@@ -29,7 +29,7 @@ __all__ = [
     "category_from_presentation",
     "FinCategory", "CatModule", "ModuleMap", "projective_module",
     "injective_module", "simple_module", "hom_modules",
-    "modules_isomorphic", "decompose",
+    "modules_isomorphic",
     "min_proj_resolution", "ext_space", "ext_dim", "gldim", "domdim",
     "tau", "tau_inv", "tau_n", "INFINITY",
     "knit", "vertex_label", "aus_rank",

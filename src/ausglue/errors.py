@@ -36,10 +36,6 @@ class NonSchurianVertex(AusglueError):
     pass
 
 
-class DecompositionFailed(AusglueError):
-    pass
-
-
 class BudgetExceeded(AusglueError):
     pass
 

@@ -11,14 +11,16 @@ vectors, so the action of f: x -> y has shape (dim M(y), dim M(x)).
 
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
-the off-diagonal hom spaces.
+the off-diagonal hom spaces.  The modules compared in scope are
+indecomposable with End = K (the algebras are representation-directed or
+n-representation-finite), so isomorphism is decided by one Hom and no
+module is ever split into summands.
 """
 
-import random as _random
 from functools import cached_property
 
 from .linalg import Mat, row_space_basis, echelon_columns, quotient_coords
-from .errors import NonSchurianVertex, DecompositionFailed
+from .errors import NonSchurianVertex
 
 
 class FinCategory:
@@ -492,10 +494,12 @@ def hom_bases(modules, names):
 
 
 def modules_isomorphic(M, N):
-    """Exact isomorphism test.  A one-dimensional Hom(M, N) holds an
-    isomorphism iff its basis element is invertible; a larger one is
-    settled by splitting both sides into indecomposables and matching them
-    summand by summand (Krull-Schmidt)."""
+    """Exact isomorphism test for modules whose End is K, which is every
+    module compared in scope.  A one-dimensional Hom(M, N) holds an
+    isomorphism iff its basis element is invertible.  Isomorphic modules
+    have Hom(M, N) = End M, so a larger Hom between two modules with
+    End = K rules one out; when an End is not K the test refuses with
+    NonSchurianVertex, naming the dimension vector and dim End."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.total_dim() == 0:
@@ -503,18 +507,13 @@ def modules_isomorphic(M, N):
     maps = hom_modules(M, N)
     if len(maps) < 2:
         return len(maps) == 1 and maps[0].is_isomorphism()
-    parts, rest = decompose(M), decompose(N)
-    if len(parts) != len(rest) or len(parts) == 1:
-        # indecomposables here have End = K, so Hom between two
-        # isomorphic ones is one-dimensional
-        return False
-    for X in parts:
-        j = next((j for j, Y in enumerate(rest) if modules_isomorphic(X, Y)),
-                 None)
-        if j is None:
-            return False
-        del rest[j]
-    return True
+    for X in (M, N):
+        e = len(hom_modules(X, X))
+        if e != 1:
+            raise NonSchurianVertex(
+                "End of a module with dimension vector %s has dimension %d"
+                % (X.dim_vector(), e))
+    return False
 
 
 def projective_label(M):
@@ -611,17 +610,6 @@ def kernel(phi):
     """Kernel of a ModuleMap, as a Submodule of phi.src."""
     return Submodule(phi.src, {x: phi.mats[x].kernel_rows()
                                for x in phi.src.cat.objects})
-
-
-def image(phi):
-    """Image of a ModuleMap, as a Submodule of phi.dst."""
-    rows = {}
-    for x in phi.src.cat.objects:
-        im = phi.mats[x].image_basis()
-        rows[x] = row_space_basis(phi.src.cat.field,
-                                  [im.col(j) for j in range(im.ncols)],
-                                  phi.dst.dims[x])
-    return Submodule(phi.dst, rows)
 
 
 def cokernel(phi):
@@ -789,89 +777,3 @@ class CatMat:
                            for i, b in enumerate(self.dst_objs)], N.dims[a])
             for j, a in enumerate(self.src_objs)],
             sum(N.dims[b] for b in self.dst_objs))
-
-
-# ---------------------------------------------------------------------------
-# decomposition into indecomposables
-
-
-def decompose(M):
-    """Split M into indecomposable summands via Fitting decompositions of
-    endomorphisms (the concrete form of idempotent lifting here).
-
-    All in-scope algebras are representation-directed, so indecomposables
-    must have 1-dimensional endomorphism rings; this is asserted.
-    """
-    out = []
-    work = [M]
-    rng = _random.Random(20240817)
-    while work:
-        cur = work.pop()
-        if cur.total_dim() == 0:
-            continue
-        ends = hom_modules(cur, cur)
-        if len(ends) == 1:
-            out.append(cur)
-            continue
-        split = _find_split(cur, ends, rng)
-        if split is None:
-            raise DecompositionFailed(
-                "dim End = %d but no splitting found" % len(ends))
-        work.extend(split)
-    out.sort(key=lambda m: (m.dim_vector(),), reverse=False)
-    return out
-
-
-def _find_split(M, ends, rng):
-    cands = list(ends)
-    for _ in range(40):
-        comb = None
-        for e in ends:
-            c = M.cat.field(rng.randrange(0, 23))
-            comb = e.scale(c) if comb is None else comb + e.scale(c)
-        cands.append(comb)
-    for a in cands:
-        res = _fitting_split(M, a)
-        if res is not None:
-            return res
-    return None
-
-
-def _fitting_split(M, a):
-    from .minpoly import operator_min_poly_factors
-    f = M.cat.field
-    t = M.total_dim()
-    factors = operator_min_poly_factors(a, f)
-    if factors is None or len(factors) < 2:
-        return None
-    # primary decomposition along the first factor: M = ker g(a)^m (+) im
-    g_coeffs, mult = factors[0]
-    op = _eval_poly(M, a, g_coeffs)
-    power = op
-    for _ in range(mult - 1):
-        power = power.compose(op)
-    # raise to total-dim stability to be safe
-    n = 1
-    while n < t:
-        power = power.compose(power)
-        n *= 2
-    K = kernel(power)
-    I = image(power)
-    if K.module.total_dim() == 0 or I.module.total_dim() == 0:
-        return None
-    if K.module.total_dim() + I.module.total_dim() != t:
-        return None
-    return [K.module, I.module]
-
-
-def _eval_poly(M, a, coeffs):
-    """coeffs low-to-high; evaluate at the module endomorphism a."""
-    f = M.cat.field
-    out = None
-    for c in reversed(coeffs):
-        if out is None:
-            out = identity_map(M).scale(f(c))
-        else:
-            out = out.compose(a) + identity_map(M).scale(f(c))
-    return out
-

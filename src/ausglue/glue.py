@@ -10,7 +10,7 @@ it exhaustively through FinCategory.check_associativity.
 """
 
 from .linalg import coords_in_basis
-from .fincat import (FinCategory, hom_bases, decompose, injective_module,
+from .fincat import (FinCategory, hom_bases, hom_modules, injective_module,
                      projective_label, injective_label, modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
@@ -315,7 +315,10 @@ def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
 def cluster_tilting_from_tau_n(ambient, n, budget=512):
     """Closure of the indecomposable injectives under the higher translate
     tau_n; raises OrbitDiverges past the budget, and BudgetExceeded at once
-    for a multiple Gabriel arrow, whose tau_n-orbits do not end."""
+    for a multiple Gabriel arrow, whose tau_n-orbits do not end.  In an
+    n-cluster-tilting subcategory tau_n sends each indecomposable to an
+    indecomposable (Iyama 2007, Thm 2.3), and here every indecomposable has
+    End = K, so a tau_n(M) with a larger End raises NotClusterTilting."""
     from .knitting import single_gabriel_arrows
     single_gabriel_arrows(ambient)
     # a basic category has pairwise non-isomorphic injectives
@@ -326,11 +329,14 @@ def cluster_tilting_from_tau_n(ambient, n, budget=512):
         T = tau_n(M, n)
         if T.total_dim() == 0:
             continue
-        for S in decompose(T):
-            if any(modules_isomorphic(S, M2) for M2 in found):
-                continue
-            if len(found) >= budget:
-                raise OrbitDiverges("more than %d orbit modules" % budget)
-            found.append(S)
-            queue.append(S)
+        e = len(hom_modules(T, T))
+        if e != 1:
+            raise NotClusterTilting("tau_n of %s has a %d-dimensional End"
+                                    % (M.dim_vector(), e))
+        if any(modules_isomorphic(T, M2) for M2 in found):
+            continue
+        if len(found) >= budget:
+            raise OrbitDiverges("more than %d orbit modules" % budget)
+        found.append(T)
+        queue.append(T)
     return found

@@ -173,11 +173,16 @@ def gldim(cat):
 def projective_injectives(cat):
     """The Nakayama pairing {x: y}, in object order: P_x is injective and
     isomorphic to I_y, so D(P_x) is the projective P_y of the opposite
-    category.  D(P_x) is not cached: it is cheap, and holding one per
-    object raises peak memory."""
-    ys = {x: projective_label(dual_module(projective_module(cat, x)))
-          for x in cat.objects}
-    return {x: y for x, y in ys.items() if y is not None}
+    category.  The pairing is cached on the category, so each D(P_x) is
+    labelled once; D(P_x) itself is not kept, since holding one per object
+    raises peak memory.  Callers must not mutate the returned dict."""
+    pairing = getattr(cat, "_pi_cache", None)
+    if pairing is None:
+        ys = {x: projective_label(dual_module(projective_module(cat, x)))
+              for x in cat.objects}
+        pairing = cat._pi_cache = {x: y for x, y in ys.items()
+                                   if y is not None}
+    return pairing
 
 
 def domdim(cat):

@@ -17,7 +17,7 @@ plus, for the hereditary (n=1) case, the identification of the quiver of
 """
 
 from .fincat import (projective_module, injective_module, projective_label,
-                     injective_label, module_label, dual_module, decompose)
+                     injective_label, module_label, dual_module)
 from .homology import (gldim, domdim, min_proj_resolution, ext_dim, tau_n,
                        projective_injectives, INFINITY)
 from .glue import build_sk, build_mk, is_rigid
@@ -263,7 +263,8 @@ def _verify_glued(glued, input_desc, gldim_id):
 
     # gen_cogen holds every P_x and I_y up to isomorphism, so a module lies
     # in it exactly when it has a label; tau_d kills the projective I_y, and
-    # only an unlabelled T can be decomposable
+    # sends the others to indecomposables (Iyama 2007, Thm 2.3), so an
+    # unlabelled T, decomposable or not, refutes the closure
     tau_labels = set()
     closure_ok = True
     closure_witness = None
@@ -272,15 +273,10 @@ def _verify_glued(glued, input_desc, gldim_id):
         if T.total_dim() == 0:
             continue
         lab = module_label(T)
-        if lab is not None:
-            tau_labels.add(lab)
-            continue
-        for Z in decompose(T):
-            lab = module_label(Z)
-            tau_labels.add(lab)
-            if lab is None:
-                closure_ok = False
-                closure_witness = (y, Z.dim_vector())
+        tau_labels.add(lab)
+        if lab is None:
+            closure_ok = False
+            closure_witness = (y, T.dim_vector())
     rep.stats["tau_d_closure_ok"] = closure_ok
     rep.add("thm1.4.tau_d_closure", "thm1.4", True, closure_ok,
             witness=closure_witness)

@@ -125,6 +125,9 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     # the tau_n-closure of the injectives is not maximal
     ["verify", "--nakayama", "3,5", "--k", "1", "--n", "2"],
     ["verify", "--auslander-of", "A2", "--k", "1", "--n", "3"],
+    # Auslander(D4) is not representation-directed: a knitted module has
+    # a 2-dimensional End
+    ["verify", "--auslander-of", "D4", "--k", "1", "--n", "2"],
     ["angles", "--dynkin", "A3"],
     ["angles"],
     pytest.param(["verify", "--dynkin", "A3", "--k", "1",
@@ -139,6 +142,8 @@ def test_invalid_input_exits_two(runner, args):
 # not representation-directed: an indecomposable module has End != K
 NOT_DIRECTED = ("quiver\narrow a0 2 3\narrow a1 1 2\narrow a2 2 4\n"
                 "arrow a3 3 4\nrelation a1.a0\n")
+NOT_DIRECTED_END = ("End of a module with dimension vector (2, 2, 0, 2) "
+                    "has dimension 2")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -152,7 +157,7 @@ NOT_DIRECTED = ("quiver\narrow a0 2 3\narrow a1 1 2\narrow a2 2 4\n"
     # finite-dimensional (ab = ba = 0), but cyclic
     ("quiver\narrow a 1 2\narrow b 2 1\nrelation a.b\nrelation b.a\n",
      "cyclic quivers are out of scope"),
-    (NOT_DIRECTED, "no splitting found"),
+    (NOT_DIRECTED, NOT_DIRECTED_END),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
         "unknown-relation-arrow", "no-arrows", "cycle-with-relations",
         "not-directed"])
@@ -173,7 +178,8 @@ def test_ar_not_directed_exits_two(runner, tmp_path):
     qf.write_text(NOT_DIRECTED)
     r = runner.invoke(main, ["ar", "--quiver-file", str(qf)])
     assert r.exit_code == 2
-    assert "error:" in r.stderr and "no splitting found" in r.stderr
+    assert "error:" in r.stderr
+    assert NOT_DIRECTED_END in r.stderr
 
 
 def _package_errors():
@@ -224,17 +230,37 @@ def test_multiple_arrow_exits_two(runner, tmp_path, text, args):
         assert "representation-infinite: 2 Gabriel arrows 1 -> 2" in r.stderr
 
 
+SYMPY_BLOCKED = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from ausglue import (DynkinSpec, auslander_category,
+                     category_from_presentation, default_field,
+                     hereditary_presentation, parse_quiver_file,
+                     verify_theorem_higher)
+from ausglue.errors import AusglueError
+field = default_field()
+aus, _ = auslander_category(category_from_presentation(
+    hereditary_presentation(DynkinSpec("A", 3)), field))
+print(verify_theorem_higher(aus, 1, 2).passed)
+try:
+    verify_theorem_higher(category_from_presentation(
+        parse_quiver_file(sys.argv[1]), field), 1, 2)
+except AusglueError as e:
+    print(e)
+"""
+
+
 def test_import_leaves_sympy_unloaded():
-    """Only decompose needs sympy, and imports it lazily, so a fresh
-    `import ausglue` stays cheap."""
+    """No code path imports sympy: with every sympy import made to fail,
+    Auslander(A3) with n = 2 still passes, through the tau_n-closure and
+    the tau_d-closure, and the not-directed quiver is still refused."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ausglue; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", SYMPY_BLOCKED, NOT_DIRECTED],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["True", NOT_DIRECTED_END]
 
 
 def test_field_env_override(runner, monkeypatch):

@@ -10,7 +10,7 @@ from ausglue.pathcat import category_from_presentation
 from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
-                            decompose, dual_module, direct_sum,
+                            dual_module, direct_sum,
                             identity_map, CatModule, FinCategory, ModuleMap,
                             FreeModule, kernel, cokernel, radical_rows,
                             top_generators)
@@ -78,34 +78,31 @@ def test_isomorphism_detection():
 
 
 def test_isomorphism_of_decomposables():
-    """Exact on direct sums: P1 (+) P2 is P2 (+) P1; P1 (+) S2 and
-    S1 (+) S2 (+) S2 share a dimension vector and a 3-dimensional Hom but
-    are not isomorphic."""
+    """Exact on direct sums while Hom is at most one-dimensional: P1 is
+    not S1 (+) S2, with a one-dimensional Hom either way, and the sum of
+    P1 alone is P1.  A larger Hom between modules whose End is not K is
+    refused, naming the dimension vector and dim End: P1 (+) P2 against
+    P2 (+) P1, and P1 (+) S2 against S1 (+) S2 (+) S2."""
     cat = make(2)
     P1, P2 = projective_module(cat, 1), projective_module(cat, 2)
     S1, S2 = simple_module(cat, 1), simple_module(cat, 2)
+    split = direct_sum(cat, [S1, S2])[0]
+    assert len(hom_modules(P1, split)) == len(hom_modules(split, P1)) == 1
+    assert not modules_isomorphic(P1, split)
+    assert not modules_isomorphic(split, P1)
+    assert modules_isomorphic(direct_sum(cat, [P1])[0], P1)
     A = direct_sum(cat, [P1, P2])[0]
     B = direct_sum(cat, [P2, P1])[0]
     assert len(hom_modules(A, B)) == 3
-    assert modules_isomorphic(A, B)
+    with pytest.raises(NonSchurianVertex,
+                       match=r"dimension vector \(1, 2\) has dimension 3"):
+        modules_isomorphic(A, B)
     M = direct_sum(cat, [P1, S2])[0]
     N = direct_sum(cat, [S1, S2, S2])[0]
     assert M.dim_vector() == N.dim_vector()
     assert len(hom_modules(M, N)) == 3
-    assert not modules_isomorphic(M, N)
-    assert not modules_isomorphic(N, M)
-
-
-def test_decompose():
-    cat = make(2)
-    P1 = projective_module(cat, 1)
-    P2 = projective_module(cat, 2)
-    assert len(decompose(P1)) == 1
-    parts = decompose(direct_sum(cat, [P1, P1])[0])
-    assert len(parts) == 2
-    assert all(modules_isomorphic(S, P1) for S in parts)
-    parts = decompose(direct_sum(cat, [P1, P2])[0])
-    assert sorted(S.dim_vector() for S in parts) == [(0, 1), (1, 1)]
+    with pytest.raises(NonSchurianVertex):
+        modules_isomorphic(M, N)
 
 
 def test_dual_module():

@@ -240,6 +240,19 @@ def test_kronecker_fallback_keeps_reason():
         cluster_tilting_from_tau_n(kron, 1)
 
 
+def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):
+    """cluster_tilting_from_tau_n refuses a tau_n(M) whose End is not K,
+    here the sum of two labelled injectives, naming the dimension vector
+    of M = I_1, the first module of the orbit."""
+    nak = nakayama()
+    I1, I2 = (injective_module(nak, x) for x in nak.objects[:2])
+    monkeypatch.setattr(glue, "tau_n",
+                        lambda M, n: direct_sum(nak, [I1, I2])[0])
+    with pytest.raises(NotClusterTilting,
+                       match=r"^tau_n of \(1, 0, 0, 0\) has a 3-dimensional End$"):
+        cluster_tilting_from_tau_n(nak, 2)
+
+
 def test_hom_table_built_once(monkeypatch):
     """One hom table per knitted category: build_sk and auslander_category
     solve each ordered pair of the six indecomposables of A3 once, and

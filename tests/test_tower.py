@@ -11,8 +11,9 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import FinCategory, injective_module
-from ausglue.homology import domdim, gldim, min_proj_resolution, pdim
+from ausglue.fincat import (FinCategory, injective_module, injective_label,
+                            projective_module, direct_sum)
+from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
@@ -252,21 +253,44 @@ def test_rigidity_witness_names_modules(monkeypatch):
 
 
 @pytest.mark.parametrize("case, expected", [
-    ("A3", (3, 0)), ("auslander-A3", (4, 0)),
+    ("A3", 3), ("auslander-A3", 4),
 ], ids=["A3", "auslander-A3"])
-def test_tau_d_closure_labels_before_decompose(case, expected, monkeypatch):
+def test_tau_d_closure_translates_unpaired_injectives(case, expected,
+                                                      monkeypatch):
     """The tau_d-closure applies tau_d only to the injectives of Sigma that
-    are not projective, and splits only a module with no P/I label; on
-    these inputs every tau_d(I_y) is zero or labelled."""
+    are not projective; on these inputs every tau_d(I_y) is zero or
+    labelled."""
     from ausglue import tower
-    calls = {"tau_n": 0, "decompose": 0}
-    for name in calls:
-        def counted(*a, _orig=getattr(tower, name), _name=name, **kw):
-            calls[_name] += 1
-            return _orig(*a, **kw)
-        monkeypatch.setattr(tower, name, counted)
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return tau_n(*a, **kw)
+    monkeypatch.setattr(tower, "tau_n", counted)
     assert _report_claims(case, FIELD)[1]
-    assert (calls["tau_n"], calls["decompose"]) == expected
+    assert len(calls) == expected
+
+
+def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
+    """A tau_d(I_y) that is the sum of two labelled modules fails the
+    closure at once, with y and the dimension vector of the sum as the
+    witness: tau_d of an indecomposable in a d-cluster-tilting subcategory
+    is indecomposable, so nothing is split to rescue it."""
+    from ausglue import tower
+    seen = []
+
+    def split_sum(M, d):
+        S = M.cat
+        T = direct_sum(S, [projective_module(S, x) for x in S.objects[:2]])[0]
+        seen.append((injective_label(M), T.dim_vector()))
+        return T
+    monkeypatch.setattr(tower, "tau_n", split_sum)
+    rep = verify_theorem_dynkin(DynkinSpec("A", 3), 1)
+    claim = next(c for c in rep.claims if c.cid == "thm1.4.tau_d_closure")
+    assert claim.status == "fail" and not rep.passed
+    y, dimvec = seen[-1]
+    assert claim.witness == (y, dimvec)
+    assert claim.to_dict()["witness"] == [list(y), list(dimvec)]
 
 
 def _report_claims(case, field):
