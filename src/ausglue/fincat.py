@@ -476,10 +476,13 @@ def hom_modules(M, N):
     return out
 
 
-def hom_bases(modules, names):
-    """Hom bases between pairwise non-isomorphic indecomposables, keyed by
-    position pairs (a, b), with the identity as the basis of each End.
-    Raises NonSchurianVertex, naming the module, when an End is not K."""
+def hom_table(cat, modules, names):
+    """(homs, end) for pairwise non-isomorphic indecomposables over cat:
+    homs[(a, b)] is the basis of Hom(modules[a], modules[b]) by positions,
+    the identity for each End (NonSchurianVertex, naming the module, when
+    an End is not K); end is End of their direct sum on the positions
+    0..m-1, its structure constants read off g o f at the entries where
+    the hom bases are read (_read_entry), with no product and no solve."""
     homs = {}
     for a, Ma in enumerate(modules):
         for b, Mb in enumerate(modules):
@@ -490,7 +493,40 @@ def hom_bases(modules, names):
                                             % (names[a], len(basis)))
                 basis = [identity_map(Ma)]
             homs[(a, b)] = basis
-    return homs
+    read = {key: [_read_entry(h) for h in basis]
+            for key, basis in homs.items()}
+    p = cat.field.p
+    m = len(modules)
+    comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)], p)
+                         for f in homs[(a, b)]] for g in homs[(b, c)]]
+            for a in range(m) for b in range(m) for c in range(m)
+            if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]}
+    homdim = {key: len(basis) for key, basis in homs.items()}
+    return homs, FinCategory(cat.field, range(m), homdim, comp)
+
+
+def _read_entry(h):
+    """The entry (x, r, s), block x row r column s, at which coordinates
+    over a hom basis are read: the last nonzero entry of the basis map h.
+    A kernel_basis column of hom_modules is 1 at its free column, which is
+    its last nonzero entry, and 0 at the free columns of the other basis
+    maps; an End = K is spanned by the identity, and c.id is c at every
+    diagonal entry."""
+    zero = h.src.cat.field.zero
+    return [(x, r, s) for x in h.src.support
+            for r, row in enumerate(h.mats[x].rows)
+            for s, v in enumerate(row) if v != zero][-1]
+
+
+def _composite_entries(g, f, entries, p):
+    """The given (x, r, s) entries of g o f, each one row of g's block x
+    times one column of f's."""
+    out = []
+    for x, r, s in entries:
+        fx = f.mats[x].rows
+        v = sum(a * fx[t][s] for t, a in enumerate(g.mats[x].rows[r]))
+        out.append(v if p is None else v % p)
+    return out
 
 
 def modules_isomorphic(M, N):
@@ -613,12 +649,10 @@ def kernel(phi):
 
 
 def cokernel(phi):
-    """Cokernel of a ModuleMap, as a Quotient of phi.dst."""
-    rows = {}
-    for x in phi.src.cat.objects:
-        im = phi.mats[x].image_basis()
-        rows[x] = [im.col(j) for j in range(im.ncols)]
-    return Quotient(phi.dst, rows)
+    """Cokernel of a ModuleMap, as a Quotient of phi.dst by the span of
+    the columns of each block."""
+    return Quotient(phi.dst, {x: phi.mats[x].transpose().rows
+                              for x in phi.src.cat.objects})
 
 
 def radical_rows(M):

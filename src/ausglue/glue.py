@@ -9,8 +9,7 @@ Associativity of the assembled category is not assumed; the tests verify
 it exhaustively through FinCategory.check_associativity.
 """
 
-from .linalg import coords_in_basis
-from .fincat import (FinCategory, hom_bases, hom_modules, injective_module,
+from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
                      projective_label, injective_label, modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
@@ -59,32 +58,10 @@ def _unique_names(labels):
     return out
 
 
-def _hom_structure_constants(field, homs, m):
-    """The structure constants of hom after hom over hom bases from
-    hom_bases: comp[(a, b, c)][i][j] = coordinates of g_i o f_j in the
-    hom(a, c) basis, for g_i in hom(b, c) and f_j in hom(a, b).  Keys are
-    positions among the m modules."""
-    hflat = {key: [g.flatten() for g in basis] for key, basis in homs.items()}
-    comp = {}
-    for a in range(m):
-        for b in range(m):
-            if not homs[(a, b)]:
-                continue
-            for c in range(m):
-                if not homs[(b, c)] or not homs[(a, c)]:
-                    continue
-                comp[(a, b, c)] = [
-                    [coords_in_basis(field, hflat[(a, c)],
-                                     g.compose(f).flatten())
-                     for f in homs[(a, b)]]
-                    for g in homs[(b, c)]]
-    return comp
-
-
-def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
+def build_glued(ambient, modules, names, n, k, table, resolutions=None):
     """Assemble the glued category from a list of pairwise non-isomorphic
-    indecomposable modules over the ambient category.  homs, resolutions:
-    their hom_bases and min_proj_resolution(stop_at=n + 1), if at hand."""
+    indecomposable modules over the ambient category, their hom_table and,
+    if at hand, their min_proj_resolution(stop_at=n + 1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
@@ -93,9 +70,7 @@ def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
     m = len(modules)
     res = resolutions or [min_proj_resolution(M, stop_at=n + 1)
                           for M in modules]
-    if homs is None:
-        homs = hom_bases(modules, names)
-    comp_hh = _hom_structure_constants(field, homs, m)
+    homs, end = table
     exts = {(a, b): ext_space(modules[a], modules[b], n, resolution=res[a])
             for a in range(m) for b in range(m)}
 
@@ -153,7 +128,7 @@ def build_glued(ambient, modules, names, n, k, homs=None, resolutions=None):
 
     comp = {}
     for s in range(k + 1):
-        for (a, b, c), t in comp_hh.items():
+        for (a, b, c), t in end.comp.items():
             comp[((names[a], s), (names[b], s), (names[c], s))] = t
         if s < k:
             for (a, b, c), t in comp_he.items():
@@ -184,23 +159,22 @@ def yoneda_compose(glued, g, f):
     return fs, gd, cat.compose(fs, fd, gd, gc, fc)
 
 
-def endomorphism_category(ambient, names, homs):
+def endomorphism_category(table, names):
     """The basic endomorphism algebra of the direct sum of pairwise
-    non-isomorphic indecomposables, from their hom_bases, as a FinCategory
-    with the names as objects."""
-    comp_hh = _hom_structure_constants(ambient.field, homs, len(names))
-    homdim = {(names[a], names[b]): len(basis)
-              for (a, b), basis in homs.items()}
+    non-isomorphic indecomposables, End of their hom_table, as a
+    FinCategory with the names as objects."""
+    end = table[1]
+    homdim = {(names[a], names[b]): d for (a, b), d in end.homdim.items()}
     comp = {(names[a], names[b], names[c]): t
-            for (a, b, c), t in comp_hh.items()}
-    return FinCategory(ambient.field, list(names), homdim, comp)
+            for (a, b, c), t in end.comp.items()}
+    return FinCategory(end.field, list(names), homdim, comp)
 
 
 def auslander_category(ambient, budget=512):
     """The Auslander algebra: End of the sum of all indecomposables.
     Returns (FinCategory, ARQuiver of the ambient)."""
     ar, modules, names = _knit_indecomposables(ambient, budget)
-    return endomorphism_category(ambient, names, ar.homs), ar
+    return endomorphism_category(ar.table, names), ar
 
 
 def _knit_indecomposables(ambient, budget):
@@ -221,7 +195,7 @@ def build_sk(ambient, k, budget=512):
     if gldim(ambient) != 1:
         raise NotHereditary("global dimension is not 1")
     ar, modules, names = _knit_indecomposables(ambient, budget)
-    glued = build_glued(ambient, modules, names, 1, k, ar.homs)
+    glued = build_glued(ambient, modules, names, 1, k, ar.table)
     glued.ar = ar
     return glued
 
@@ -241,7 +215,8 @@ def build_mk(ambient, k, n, modules=None, budget=512):
     names = _unique_names([vertex_label(ambient, M) for M in modules])
     if not ok:
         raise NotClusterTilting(_witness_text(names, n, witness))
-    return build_glued(ambient, modules, names, n, k, resolutions=res)
+    return build_glued(ambient, modules, names, n, k,
+                       hom_table(ambient, modules, names), res)
 
 
 def _witness_text(names, n, witness):

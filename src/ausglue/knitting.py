@@ -3,28 +3,36 @@
 Vertices are found as the tau^{-1}-orbits of the indecomposable
 projectives (for a representation-directed algebra every indecomposable
 is tau^{-j} of a projective, and knitting these orbits terminates).
-Knitting only enumerates: the hom bases between the vertices and the
-arrows are computed on first read.  Arrows carry irreducible-map
-multiplicities dim rad/rad^2, computed from those hom bases rather than
-middle-term bookkeeping; the mesh property ties the two together and is
-checked exhaustively in the tests.
+Knitting only enumerates: the hom table of the vertices and the arrows
+are computed on first read.  Arrows carry irreducible-map multiplicities
+dim rad/rad^2, the Gabriel arrows of End of the sum of the vertices read
+off that table's structure constants rather than middle-term
+bookkeeping; the mesh property ties the two together and is checked
+exhaustively in the tests.
+
+A knitted module with a coordinate above 6 shows that an algebra of
+global dimension <= 2 is not representation-directed: were it, the
+dimension vectors of its indecomposables would be positive roots of a
+weakly positive unit form, all <= 6 (Ringel, LNM 1099, 2.4; Bongartz 1983;
+Ovsienko 1978).
 """
 
 from functools import cached_property
 
-from .linalg import row_space_basis
 from .quiver import Quiver
-from .fincat import (projective_module, module_label, hom_bases,
+from .fincat import (projective_module, module_label, hom_table,
                      modules_isomorphic)
-from .homology import tau_inv
-from .errors import BudgetExceeded
+from .homology import tau_inv, gldim
+from .errors import BudgetExceeded, NotRepFinite
+
+OVSIENKO_BOUND = 6
 
 
 class ARQuiver:
     """vertices[i] = (module, dim_vector); tau maps non-projective vertex
-    indices to their translates.  Computed on first read: homs[(i, j)],
-    the hom_bases between the vertices, and from them arrows, the
-    (src, dst, mult) index triples."""
+    indices to their translates.  Computed on first read: table, the
+    hom_table of the vertices, and from it arrows, the (src, dst, mult)
+    index triples."""
 
     def __init__(self, cat, vertices, tau, projective_of, injective_flags):
         self.cat = cat
@@ -41,30 +49,18 @@ class ARQuiver:
         return self.vertices[i][0]
 
     @cached_property
-    def homs(self):
-        return hom_bases([M for M, _ in self.vertices],
+    def table(self):
+        """The hom_table of the vertices: their hom bases and End of
+        their direct sum, on the vertex indices."""
+        return hom_table(self.cat, [M for M, _ in self.vertices],
                          ["vertex %d" % i for i in range(self.count)])
 
     @cached_property
     def arrows(self):
-        """dim rad/rad^2 from i to j: dim hom(i, j) less the rank of the
-        composites g o f through every third vertex k."""
-        homs = self.homs
-        n = self.count
-        arrows = []
-        for i in range(n):
-            for j in range(n):
-                basis = homs[(i, j)]
-                if i == j or not basis:
-                    continue
-                vecs = [g.compose(f).flatten() for k in range(n)
-                        if k != i and k != j
-                        for f in homs[(i, k)] for g in homs[(k, j)]]
-                r2 = len(row_space_basis(self.cat.field, vecs,
-                                         len(basis[0].flatten())))
-                if len(basis) > r2:
-                    arrows.append((i, j, len(basis) - r2))
-        return arrows
+        """The Gabriel arrows of End of the sum of the vertices, as
+        (src, dst, dim rad/rad^2) triples: the irreducible maps."""
+        return [(i, j, m)
+                for (i, j), m in self.table[1].gabriel_arrows().items()]
 
     def arrows_into(self, i):
         return sorted((s, m) for s, d, m in self.arrows if d == i)
@@ -124,8 +120,11 @@ def knit(cat, budget=512):
     injectives marked; hom bases and arrows follow on first read.  Raises
     BudgetExceeded when the orbit enumeration passes the budget (the
     algebra is then likely not representation-finite), and at once for a
-    multiple Gabriel arrow (single_gabriel_arrows)."""
+    multiple Gabriel arrow (single_gabriel_arrows).  Raises NotRepFinite
+    at the first module with a coordinate above OVSIENKO_BOUND when cat has
+    global dimension <= 2; gldim is computed only then."""
     arrows = single_gabriel_arrows(cat)
+    small_gldim = None
     mods = []
     dimvecs = []
     tau_map = {}
@@ -157,8 +156,17 @@ def knit(cat, budget=512):
                 break
             if len(mods) >= budget:
                 raise BudgetExceeded("more than %d indecomposables" % budget)
+            dv = nxt.dim_vector()
+            if max(dv) > OVSIENKO_BOUND:
+                if small_gldim is None:
+                    small_gldim = gldim(cat) <= 2
+                if small_gldim:
+                    raise NotRepFinite(
+                        "not representation-directed: dimension vector %s has "
+                        "a coordinate above %d at global dimension <= 2 "
+                        "(Ovsienko's bound)" % (dv, OVSIENKO_BOUND))
             mods.append(nxt)
-            dimvecs.append(nxt.dim_vector())
+            dimvecs.append(dv)
             tau_map[len(mods) - 1] = cur
             cur = len(mods) - 1
 

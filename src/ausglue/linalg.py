@@ -349,13 +349,6 @@ class Mat:
             x.rows[pc] = R.rows[i][self.ncols:]
         return x
 
-    def image_basis(self):
-        """Columns forming a basis of the column space: the original
-        columns at the pivot positions of the RREF."""
-        _, piv = self.rref()
-        return Mat.from_cols(self.field, [self.col(j) for j in piv]) \
-            if piv else Mat.zero(self.field, self.nrows, 0)
-
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 
@@ -402,14 +395,3 @@ def quotient_coords(field, rows, pivots, free, v):
             if field.p is not None:
                 v = [a % field.p for a in v]
     return [v[j] for j in free]
-
-
-def coords_in_basis(field, basis_rows, vector):
-    """Express vector as a combination of basis_rows; raises NoSolution."""
-    if not basis_rows:
-        if any(v != field.zero for v in vector):
-            raise NoSolution()
-        return []
-    A = Mat.from_cols(field, basis_rows)
-    x = A.solve(Mat.from_cols(field, [vector]))
-    return x.col(0)

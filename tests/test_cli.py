@@ -182,6 +182,26 @@ def test_ar_not_directed_exits_two(runner, tmp_path):
     assert NOT_DIRECTED_END in r.stderr
 
 
+# gldim 2 and representation-infinite: its tau^-1 orbits grow without end
+OVSIENKO_PROBE = ("quiver\narrow a0 1 4\narrow a1 1 2\narrow a2 4 2\n"
+                  "arrow a3 2 3\nrelation a2.a3\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--k", "1", "--n", "2", "--field", "3"],
+    ["ar"],
+], ids=lambda a: a[0])
+def test_ovsienko_bound_ends_knitting(runner, tmp_path, args):
+    """Knitting stops at the first module with a coordinate above 6, which
+    over an algebra of global dimension <= 2 no directing module has."""
+    qf = tmp_path / "probe.quiver"
+    qf.write_text(OVSIENKO_PROBE)
+    r = runner.invoke(main, [args[0], "--quiver-file", str(qf)] + args[1:])
+    assert r.exit_code == 2
+    assert "error: not representation-directed:" in r.stderr
+    assert "dimension vector (6, 6, 7, 0)" in r.stderr
+
+
 def _package_errors():
     from ausglue import errors
     return [c for c in vars(errors).values()

@@ -9,8 +9,9 @@ from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue import fincat, glue, knitting, tower
-from ausglue.fincat import (hom_modules, direct_sum, projective_module,
-                            injective_module, modules_isomorphic)
+from ausglue.fincat import (hom_modules, hom_table, direct_sum,
+                            projective_module, injective_module,
+                            modules_isomorphic)
 from ausglue.homology import ext_dim, ext_space, min_proj_resolution, tau
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
@@ -254,27 +255,38 @@ def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):
 
 
 def test_hom_table_built_once(monkeypatch):
-    """One hom table per knitted category: build_sk and auslander_category
-    solve each ordered pair of the six indecomposables of A3 once, and
-    knitting and is_cluster_tilting build no hom table at all."""
-    calls = []
+    """One hom table per knitted category: build_sk, a whole A3 verdict
+    with k = 1 (quiver claim included) and auslander_category each build
+    the structure constants once and solve each ordered pair of the six
+    indecomposables of A3 once, and knitting and is_cluster_tilting build
+    no hom table at all."""
+    calls, tables = [], []
 
     def counted(M, N):
         calls.append((M, N))
         return hom_modules(M, N)
+
+    def counted_table(*args):
+        tables.append(args)
+        return hom_table(*args)
     for name, mod in list(sys.modules.items()):
-        if name.startswith("ausglue") and hasattr(mod, "hom_modules"):
-            monkeypatch.setattr(mod, "hom_modules", counted)
-    build_sk(A3, 1)
-    assert len(calls) == 36
-    del calls[:]
-    aus, _ = glue.auslander_category(A3)
-    assert len(calls) == 36
+        if name.startswith("ausglue"):
+            for attr, fn in (("hom_modules", counted),
+                             ("hom_table", counted_table)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, fn)
+    for run in (lambda: build_sk(A3, 1),
+                lambda: tower.verify_theorem_dynkin(DynkinSpec("A", 3), 1),
+                lambda: glue.auslander_category(A3)):
+        del calls[:], tables[:]
+        result = run()
+        assert (len(calls), len(tables)) == (36, 1)
+    aus, _ = result
 
     def forbidden(*args):
         raise AssertionError("hom table built")
     for mod in (fincat, glue, knitting):
-        monkeypatch.setattr(mod, "hom_bases", forbidden)
+        monkeypatch.setattr(mod, "hom_table", forbidden)
     ar = knit(aus)
     assert ar.count == 17 and all(ar.module(i).total_dim()
                                   for i in range(ar.count))
@@ -302,4 +314,4 @@ def test_build_glued_rejects_negative_k():
     ar = knit(A2)
     mods = [ar.module(i) for i in range(ar.count)]
     with pytest.raises(ValueError):
-        build_glued(A2, mods, ["a", "b", "c"], 1, -1)
+        build_glued(A2, mods, ["a", "b", "c"], 1, -1, ar.table)

@@ -1,18 +1,20 @@
 import pytest
 
 from ausglue.errors import BudgetExceeded
-from ausglue.linalg import default_field
+from ausglue import knitting
+from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
-                            hereditary_presentation)
+                            hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import hom_modules
-from ausglue.knitting import knit, vertex_label, aus_rank
+from ausglue.glue import auslander_category
+from ausglue.knitting import knit, vertex_label, aus_rank, OVSIENKO_BOUND
 
 FIELD = default_field()
 
 
-def make(spec):
-    return category_from_presentation(hereditary_presentation(spec), FIELD)
+def make(spec, field=FIELD):
+    return category_from_presentation(hereditary_presentation(spec), field)
 
 
 @pytest.mark.parametrize("spec", [
@@ -74,6 +76,91 @@ def test_budget_exceeded_on_kronecker():
     cat = category_from_presentation(BoundPresentation(q, []), FIELD)
     with pytest.raises(BudgetExceeded):
         knit(cat, budget=16)
+
+
+@pytest.mark.parametrize("spec, top", [
+    (DynkinSpec("E", 7), 4), (DynkinSpec("E", 8), 6),
+], ids=str)
+def test_ovsienko_bound_is_tight(spec, top, monkeypatch):
+    """Every positive root of E7 and E8 has its coordinates <= 6, and the
+    highest root of E8 reaches 6, so the bound in knit refuses no Dynkin
+    input, and knitting one computes no global dimension."""
+    def forbidden(cat):
+        raise AssertionError("gldim computed")
+    monkeypatch.setattr(knitting, "gldim", forbidden)
+    ar = knit(make(spec))
+    assert ar.count == spec.positive_root_count()
+    assert max(max(dv) for _, dv in ar.vertices) == top <= OVSIENKO_BOUND
+
+
+def _coords_by_solve(field, basis_rows, vector):
+    """The coordinates of vector over basis_rows, by one solve."""
+    A = Mat.from_cols(field, basis_rows)
+    return A.solve(Mat.from_cols(field, [vector])).col(0)
+
+
+def _reference_structure_constants(field, homs, m):
+    """comp[(a, b, c)][i][j]: the coordinates of g_i o f_j over the
+    flattened hom(a, c) basis, from the product map and a solve."""
+    hflat = {key: [g.flatten() for g in basis] for key, basis in homs.items()}
+    comp = {}
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]:
+                    comp[(a, b, c)] = [
+                        [_coords_by_solve(field, hflat[(a, c)],
+                                          g.compose(f).flatten())
+                         for f in homs[(a, b)]]
+                        for g in homs[(b, c)]]
+    return comp
+
+
+def _reference_arrows(ar):
+    """dim rad/rad^2 from i to j: dim hom(i, j) less the rank of the
+    flattened composites g o f through every third vertex k."""
+    homs = ar.table[0]
+    n = ar.count
+    arrows = []
+    for i in range(n):
+        for j in range(n):
+            basis = homs[(i, j)]
+            if i == j or not basis:
+                continue
+            vecs = [g.compose(f).flatten() for k in range(n)
+                    if k != i and k != j
+                    for f in homs[(i, k)] for g in homs[(k, j)]]
+            r2 = len(row_space_basis(ar.cat.field, vecs,
+                                     len(basis[0].flatten())))
+            if len(basis) > r2:
+                arrows.append((i, j, len(basis) - r2))
+    return arrows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("name", ["A3", "A3-alternating", "D4",
+                                  "auslander-A3", "nakayama-4-3"])
+def test_hom_table_matches_solve_reference(name, field):
+    """The structure constants read off the hom bases at their read entries
+    equal the solved coordinates of the product maps, and the AR arrows,
+    the Gabriel arrows of that table, equal the rank of the flattened
+    composites; the mesh holds on the hereditary inputs."""
+    specs = {"A3": DynkinSpec("A", 3),
+             "A3-alternating": DynkinSpec("A", 3, "alternating"),
+             "D4": DynkinSpec("D", 4)}
+    if name in specs:
+        cat = make(specs[name], field)
+    elif name == "auslander-A3":
+        cat = auslander_category(make(DynkinSpec("A", 3), field))[0]
+    else:
+        cat = category_from_presentation(nakayama_linear(4, 3), field)
+    ar = knit(cat)
+    homs, end = ar.table
+    assert end.objects == list(range(ar.count))
+    assert end.comp == _reference_structure_constants(field, homs, ar.count)
+    assert ar.arrows == _reference_arrows(ar)
+    if name in specs:
+        assert ar.check_mesh() == (True, None)
 
 
 def test_aus_rank():
