@@ -36,10 +36,6 @@ class NonSchurianVertex(AusglueError):
     pass
 
 
-class BudgetExceeded(AusglueError):
-    pass
-
-
 class NotHereditary(AusglueError):
     pass
 

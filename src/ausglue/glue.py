@@ -10,12 +10,11 @@ it exhaustively through FinCategory.check_associativity.
 """
 
 from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
-                     projective_label, injective_label, modules_isomorphic)
+                     modules_isomorphic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
-from .errors import (NotHereditary, NotRepFinite, NotClusterTilting,
-                     GldimTooBig, OrbitDiverges, NotComposable,
-                     BudgetExceeded)
+from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
+                     OrbitDiverges, NotComposable)
 
 
 class GluedCategory:
@@ -61,15 +60,14 @@ def _unique_names(labels):
 def build_glued(ambient, modules, names, n, k, table, resolutions=None):
     """Assemble the glued category from a list of pairwise non-isomorphic
     indecomposable modules over the ambient category, their hom_table and,
-    if at hand, their min_proj_resolution(stop_at=n + 1)."""
+    if at hand, their min_proj_resolution."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     field = ambient.field
     m = len(modules)
-    res = resolutions or [min_proj_resolution(M, stop_at=n + 1)
-                          for M in modules]
+    res = resolutions or [min_proj_resolution(M) for M in modules]
     homs, end = table
     exts = {(a, b): ext_space(modules[a], modules[b], n, resolution=res[a])
             for a in range(m) for b in range(m)}
@@ -181,10 +179,7 @@ def _knit_indecomposables(ambient, budget):
     """The AR quiver, its modules and their unique names; NotRepFinite
     when knitting gives up."""
     from .knitting import knit
-    try:
-        ar = knit(ambient, budget=budget)
-    except BudgetExceeded as e:
-        raise NotRepFinite(str(e))
+    ar = knit(ambient, budget=budget)
     return ar, [ar.module(i) for i in range(ar.count)], \
         _unique_names(ar.labels())
 
@@ -209,7 +204,7 @@ def build_mk(ambient, k, n, modules=None, budget=512):
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
     if modules is None:
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
-    res = [min_proj_resolution(M, stop_at=n + 1) for M in modules]
+    res = [min_proj_resolution(M) for M in modules]
     ok, witness = is_cluster_tilting(ambient, modules, n, budget, res)
     from .knitting import vertex_label
     names = _unique_names([vertex_label(ambient, M) for M in modules])
@@ -224,21 +219,16 @@ def _witness_text(names, n, witness):
     if witness[0] == "rigid":
         a, b, i = witness[1]
         return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, i, names[a], names[b])
-    if witness[0] == "maximal":
-        return ("not maximal: X = %s lies outside them, yet Ext^i(%s) "
-                "vanishes on them for 0 < i < %d"
-                % (witness[2], witness[3], n))
-    return "%s, and the modules lack P_%s or I_%s" % (witness[2], witness[1],
-                                                      witness[1])
+    return ("not maximal: X = %s lies outside them, yet Ext^i(%s) "
+            "vanishes on them for 0 < i < %d" % (witness[2], witness[3], n))
 
 
 def is_rigid(modules, n, resolutions=None):
     """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
     (True, None) or (False, (a, b, i)).  resolutions: the modules'
-    min_proj_resolution to degree >= n, if at hand."""
+    min_proj_resolution, if at hand."""
     for a, Ma in enumerate(modules):
-        res = resolutions[a] if resolutions else \
-            min_proj_resolution(Ma, stop_at=n)
+        res = resolutions[a] if resolutions else min_proj_resolution(Ma)
         for b, Mb in enumerate(modules):
             i = _first_ext(res, Mb, n)
             if i:
@@ -257,29 +247,20 @@ def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
     """Rigidity plus maximality on each side (Iyama): an indecomposable X
     with Ext^i(X, -) = 0 on the collection for 0 < i < n, or with
     Ext^i(-, X) = 0 on it, must already be in it.  Maximality needs the
-    full indecomposable list; past the budget the check degrades to
-    rigidity plus the generator-cogenerator criterion and says so in the
-    witness slot, a failure witness carrying the reason knit gave.
-    resolutions: the modules' min_proj_resolution to degree >= n, if any."""
-    res = resolutions or [min_proj_resolution(M, stop_at=n) for M in modules]
+    full indecomposable list, so the ambient must be knitted: knit's
+    NotRepFinite propagates.  resolutions: the modules'
+    min_proj_resolution, if at hand."""
+    res = resolutions or [min_proj_resolution(M) for M in modules]
     ok, witness = is_rigid(modules, n, res)
     if not ok:
         return False, ("rigid", witness)
     from .knitting import knit
-    try:
-        ar = knit(ambient, budget=budget)
-    except BudgetExceeded as e:
-        projs = {projective_label(M) for M in modules}
-        injs = {injective_label(M) for M in modules}
-        for x in ambient.objects:
-            if x not in projs or x not in injs:
-                return False, ("generator-cogenerator", x, str(e))
-        return True, "criterion-verified, not enumeration-verified"
+    ar = knit(ambient, budget=budget)
     for idx in range(ar.count):
         X = ar.module(idx)
         if any(modules_isomorphic(X, M) for M in modules):
             continue
-        resX = min_proj_resolution(X, stop_at=n)
+        resX = min_proj_resolution(X)
         if not any(_first_ext(resX, M, n) for M in modules):
             return False, ("maximal", idx, X.dim_vector(), "X, -")
         if not any(_first_ext(resM, X, n) for resM in res):
@@ -289,7 +270,7 @@ def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
 
 def cluster_tilting_from_tau_n(ambient, n, budget=512):
     """Closure of the indecomposable injectives under the higher translate
-    tau_n; raises OrbitDiverges past the budget, and BudgetExceeded at once
+    tau_n; raises OrbitDiverges past the budget, and NotRepFinite at once
     for a multiple Gabriel arrow, whose tau_n-orbits do not end.  In an
     n-cluster-tilting subcategory tau_n sends each indecomposable to an
     indecomposable (Iyama 2007, Thm 2.3), and here every indecomposable has

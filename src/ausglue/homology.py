@@ -44,7 +44,6 @@ class Resolution:
         self.frees = frees
         self.diffs = diffs
         self.eps = eps
-        self.truncated = False
 
     @property
     def length(self):
@@ -74,10 +73,9 @@ class Resolution:
         return True
 
 
-def min_proj_resolution(M, stop_at=None):
-    """Minimal projective resolution of M.  Raises Truncated past length
-    dim(cat) + 2; stop_at truncates silently (for Ext, which only needs a
-    prefix).
+def min_proj_resolution(M):
+    """The complete minimal projective resolution of M, down to its last
+    nonzero term; raises Truncated past length dim(cat) + 2.
 
     The syzygy K = ker(F_i -> F_{i-1}) is kept as rows[y], the RREF rows
     of K(y) inside F_i(y), for y in the support of F_i only.  Its
@@ -92,11 +90,7 @@ def min_proj_resolution(M, stop_at=None):
     rows = {y: eps.mats[y].kernel_rows() if F.dims[y] > M.dims[y] else []
             for y in F.support}  # eps onto: dim K(y) = dim F(y) - dim M(y)
     while any(rows.values()):
-        degree = len(res.diffs) + 1
-        if stop_at is not None and degree > stop_at:
-            res.truncated = True
-            break
-        if degree > max_len:
+        if len(res.diffs) + 1 > max_len:
             raise Truncated(max_len)
         kgens = _kernel_top(F, rows)
         G = FreeModule(cat, [y for y, _ in kgens])
@@ -159,7 +153,7 @@ def pdim(M):
 def syzygy(M):
     """Omega(M) as a module of its own: the kernel of the projective
     cover."""
-    return kernel(min_proj_resolution(M, stop_at=0).eps).module
+    return kernel(min_proj_resolution(M).eps).module
 
 
 def gldim(cat):
@@ -256,13 +250,9 @@ class ExtSpace:
 
 def ext_space(X, Y, n, resolution=None):
     """Ext^n(X, Y) with explicit representatives; n >= 1.  Use hom_modules
-    for n = 0.  A given resolution must reach F_{n+1} or end sooner."""
+    for n = 0.  resolution: X's min_proj_resolution, if at hand."""
     f = X.cat.field
-    if resolution is None:
-        resolution = min_proj_resolution(X, stop_at=n + 1)
-    res = resolution
-    if res.truncated and len(res.diffs) <= n:
-        raise ValueError("resolution cut below F_%d" % (n + 1))
+    res = resolution or min_proj_resolution(X)
     if n > res.length:
         return ExtSpace(X, Y, n, res, [], [])
     hom_n = sum(Y.dims[b] for b in res.terms[n])
@@ -274,7 +264,7 @@ def ext_space(X, Y, n, resolution=None):
     else:
         zvecs = [_unit(f, hom_n, i) for i in range(hom_n)]
     # coboundaries: image of Hom(F_{n-1}, Y) -> Hom(F_n, Y)
-    if n >= 1 and len(res.diffs) >= n:
+    if n >= 1:
         V = res.diffs[n - 1].hom_into(Y)
         bvecs = [V.col(j) for j in range(V.ncols)]
     else:
@@ -297,11 +287,9 @@ def _unit(f, n, i):
 
 
 def ext_dims(res, Y, top, low=0):
-    """dim Ext^i(X, Y) for i = low..top, X = res.module, from a res reaching
-    F_{top+1} or ending sooner: dim Hom(F_i, Y) less the ranks of the maps
+    """dim Ext^i(X, Y) for i = low..top, X = res.module, from its
+    min_proj_resolution res: dim Hom(F_i, Y) less the ranks of the maps
     into and out of it, each built and ranked once."""
-    if res.truncated and len(res.diffs) <= top:
-        raise ValueError("resolution cut below F_%d" % (top + 1))
     hom = [sum(Y.dims[b] for b in t) for t in res.terms] + [0] * (top + 2)
     rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
     for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
@@ -311,7 +299,7 @@ def ext_dims(res, Y, top, low=0):
 
 
 def ext_dim(X, Y, n):
-    return ext_dims(min_proj_resolution(X, stop_at=n + 1), Y, n, n)[0]
+    return ext_dims(min_proj_resolution(X), Y, n, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,7 @@ def transpose_module(M, n=1):
     d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
     opposite category."""
     op = M.cat.opposite()
-    res = min_proj_resolution(M, stop_at=n)
+    res = min_proj_resolution(M)
     if len(res.diffs) < n:
         return zero_module(op)
     d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])

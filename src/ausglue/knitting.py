@@ -20,10 +20,9 @@ Ovsienko 1978).
 from functools import cached_property
 
 from .quiver import Quiver
-from .fincat import (projective_module, module_label, hom_table,
-                     modules_isomorphic)
+from .fincat import projective_module, module_label, hom_table
 from .homology import tau_inv, gldim
-from .errors import BudgetExceeded, NotRepFinite
+from .errors import NotRepFinite
 
 OVSIENKO_BOUND = 6
 
@@ -105,23 +104,28 @@ def _seed_order(cat, arrows):
 
 def single_gabriel_arrows(cat):
     """The Gabriel arrows of cat, all of multiplicity 1.  Raises
-    BudgetExceeded at a multiple arrow x => y: the Kronecker algebra is
+    NotRepFinite at a multiple arrow x => y: the Kronecker algebra is
     then a quotient, so cat is representation-infinite."""
     arrows = cat.gabriel_arrows()
     for (s, t), m in arrows.items():
         if m > 1:
-            raise BudgetExceeded("representation-infinite: %d Gabriel arrows "
-                                 "%s -> %s (a Kronecker quotient)" % (m, s, t))
+            raise NotRepFinite("representation-infinite: %d Gabriel arrows "
+                               "%s -> %s (a Kronecker quotient)" % (m, s, t))
     return arrows
 
 
 def knit(cat, budget=512):
     """Full list of indecomposables, with tau, the projectives and the
-    injectives marked; hom bases and arrows follow on first read.  Raises
-    BudgetExceeded when the orbit enumeration passes the budget (the
-    algebra is then likely not representation-finite), and at once for a
-    multiple Gabriel arrow (single_gabriel_arrows).  Raises NotRepFinite
-    at the first module with a coordinate above OVSIENKO_BOUND when cat has
+    injectives marked; hom bases and arrows follow on first read.
+
+    The knitted modules are pairwise non-isomorphic over any algebra:
+    tau^{-1} is injective on iso classes, no tau^{-1}M is projective, and
+    the P_x of a basic category are pairwise distinct.  A directing module
+    is determined by its dimension vector (Ringel, LNM 1099, 2.4), so
+    NotRepFinite is raised at the first repeated dimension vector, past
+    the budget (the algebra is then likely not representation-finite), at
+    once for a multiple Gabriel arrow (single_gabriel_arrows), and at the
+    first module with a coordinate above OVSIENKO_BOUND when cat has
     global dimension <= 2; gldim is computed only then."""
     arrows = single_gabriel_arrows(cat)
     small_gldim = None
@@ -130,32 +134,25 @@ def knit(cat, budget=512):
     tau_map = {}
     proj_of = {}
 
-    def find(M):
+    def add(M):
         dv = M.dim_vector()
-        for i, v in enumerate(dimvecs):
-            if v == dv and modules_isomorphic(mods[i], M):
-                return i
-        return None
+        if dv in dimvecs:
+            raise NotRepFinite(
+                "not representation-directed: two knitted indecomposables "
+                "have dimension vector %s" % (dv,))
+        mods.append(M)
+        dimvecs.append(dv)
+        return len(mods) - 1
 
     for x in _seed_order(cat, arrows):
-        P = projective_module(cat, x)
-        idx = find(P)
-        if idx is not None:
-            continue
-        mods.append(P)
-        dimvecs.append(P.dim_vector())
-        proj_of[len(mods) - 1] = x
-        cur = len(mods) - 1
+        cur = add(projective_module(cat, x))
+        proj_of[cur] = x
         while True:
             nxt = tau_inv(mods[cur])
             if nxt.total_dim() == 0:
                 break
-            idx = find(nxt)
-            if idx is not None:
-                tau_map[idx] = cur
-                break
             if len(mods) >= budget:
-                raise BudgetExceeded("more than %d indecomposables" % budget)
+                raise NotRepFinite("more than %d indecomposables" % budget)
             dv = nxt.dim_vector()
             if max(dv) > OVSIENKO_BOUND:
                 if small_gldim is None:
@@ -165,10 +162,9 @@ def knit(cat, budget=512):
                         "not representation-directed: dimension vector %s has "
                         "a coordinate above %d at global dimension <= 2 "
                         "(Ovsienko's bound)" % (dv, OVSIENKO_BOUND))
-            mods.append(nxt)
-            dimvecs.append(dv)
-            tau_map[len(mods) - 1] = cur
-            cur = len(mods) - 1
+            nxt_idx = add(nxt)
+            tau_map[nxt_idx] = cur
+            cur = nxt_idx
 
     n = len(mods)
     # every non-injective vertex was continued to its tau^{-1}, so the

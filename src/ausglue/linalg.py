@@ -152,9 +152,6 @@ class Mat:
                 and self.nrows == other.nrows and self.ncols == other.ncols
                 and self.rows == other.rows)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(map(tuple, self.rows))))
-
     def __repr__(self):
         return "Mat(%r, %r)" % (self.field, self.rows)
 

@@ -117,9 +117,10 @@ def gamma(glued):
 def sigma(glued):
     """Sigma^k: End over Gamma^k of the projective-injectives, i.e. the full
     subcategory on them.  The object set is cross-checked against the
-    generator-cogenerator description End(M (+) M[1] (+) ... (+) A[k]):
-    everything at shifts < k together with the ambient projectives at the
-    top shift (the shift-symmetric form of DLambda (+) shifted copies)."""
+    description of Sigma as End(M (+) M[1] (+) ... (+) A[k]), of a
+    generator and cogenerator: everything at shifts < k together with the
+    ambient projectives at the top shift (the shift-symmetric form of
+    DLambda (+) shifted copies)."""
     pi = list(projective_injectives(glued.cat))
     alt = []
     for j in range(glued.k):
@@ -321,7 +322,7 @@ def four_angles(ambient, modules, names):
     for a, M in enumerate(modules):
         if names[a] in set(inj_name.values()):
             continue  # injective: no outgoing angle
-        res = min_proj_resolution(dual_module(M), stop_at=3)
+        res = min_proj_resolution(dual_module(M))
         if res.length != 2 or len(res.terms[2]) != 1 or \
                 any(v not in inj_name for t in res.terms[:3] for v in t):
             raise NoApproximation(

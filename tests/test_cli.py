@@ -139,11 +139,12 @@ def test_invalid_input_exits_two(runner, args):
     assert "error:" in r.stderr
 
 
-# not representation-directed: an indecomposable module has End != K
+# not representation-directed: two knitted indecomposables share a
+# dimension vector
 NOT_DIRECTED = ("quiver\narrow a0 2 3\narrow a1 1 2\narrow a2 2 4\n"
                 "arrow a3 3 4\nrelation a1.a0\n")
-NOT_DIRECTED_END = ("End of a module with dimension vector (2, 2, 0, 2) "
-                    "has dimension 2")
+NOT_DIRECTED_END = ("not representation-directed: two knitted "
+                    "indecomposables have dimension vector (1, 1, 0, 1)")
 
 
 @pytest.mark.parametrize("text, message", [

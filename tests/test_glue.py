@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from ausglue.errors import (NotComposable, NotHereditary, GldimTooBig,
-                            NotClusterTilting, BudgetExceeded)
+                            NotClusterTilting, NotRepFinite)
 from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear)
@@ -151,7 +151,7 @@ def _reference_is_rigid(modules, n):
     """is_rigid by cocycles: one ext_space per ordered pair and degree
     0 < i < n up to the length of the source's resolution."""
     for a, Ma in enumerate(modules):
-        res = min_proj_resolution(Ma, stop_at=n)
+        res = min_proj_resolution(Ma)
         for b, Mb in enumerate(modules):
             for i in range(1, min(n, res.length + 1)):
                 if ext_space(Ma, Mb, i, resolution=res).dim:
@@ -193,9 +193,10 @@ def test_cluster_tilting_checks():
         sub = ct[:idx] + ct[idx + 1:]
         ok, witness = is_cluster_tilting(nak, sub, 2)
         assert not ok
-    # with a budget too small to enumerate the ambient, the check degrades
-    ok, witness = is_cluster_tilting(nak, ct, 2, budget=2)
-    assert ok and witness == "criterion-verified, not enumeration-verified"
+    # with a budget too small to enumerate the ambient, knit's refusal
+    # propagates: maximality is never certified on a weaker criterion
+    with pytest.raises(NotRepFinite, match="^more than 2 indecomposables$"):
+        is_cluster_tilting(nak, ct, 2, budget=2)
     # maximality is checked on each side alone: over linear A3, P_2, P_3
     # and S_2 have Ext^1(-, DA) = 0 but are not injective
     a3 = make(DynkinSpec("A", 3, "linear"))
@@ -224,20 +225,25 @@ def test_input_validation():
         build_mk(nak, 1, 2, modules=ct + [extra])
 
 
-def test_kronecker_fallback_keeps_reason():
-    """knit refuses the Kronecker quiver at once; the generator-cogenerator
-    fallback of is_cluster_tilting keeps that reason in its witness, and
-    build_mk states it in words.  The tau_n orbit refuses it too."""
+def test_kronecker_refused_with_knit_reason():
+    """A representation-infinite algebra has no cluster-tilting
+    subcategory, so over the Kronecker algebra neither the projectives nor
+    the projectives and injectives pass: is_cluster_tilting, build_mk and
+    verify_theorem_higher all raise knit's reason and make no report.  The
+    tau_n orbit refuses it too."""
     kron = category_from_presentation(BoundPresentation(
         Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), []), FIELD)
     projs = [projective_module(kron, x) for x in kron.objects]
-    reason = "representation-infinite: 2 Gabriel arrows 1 -> 2"
-    ok, witness = is_cluster_tilting(kron, projs, 1)
-    assert not ok and witness[:2] == ("generator-cogenerator", 1)
-    assert witness[2].startswith(reason)
-    with pytest.raises(NotClusterTilting, match="^" + reason):
-        build_mk(kron, 1, 1, modules=projs)
-    with pytest.raises(BudgetExceeded, match="^" + reason):
+    injs = [injective_module(kron, x) for x in kron.objects]
+    reason = "^representation-infinite: 2 Gabriel arrows 1 -> 2"
+    for mods in (projs, projs + injs):
+        with pytest.raises(NotRepFinite, match=reason):
+            is_cluster_tilting(kron, mods, 1)
+        with pytest.raises(NotRepFinite, match=reason):
+            build_mk(kron, 1, 1, modules=mods)
+    with pytest.raises(NotRepFinite, match=reason):
+        tower.verify_theorem_higher(kron, 1, 1, modules=projs + injs)
+    with pytest.raises(NotRepFinite, match=reason):
         cluster_tilting_from_tau_n(kron, 1)
 
 

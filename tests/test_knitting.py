@@ -1,6 +1,6 @@
 import pytest
 
-from ausglue.errors import BudgetExceeded
+from ausglue.errors import NotRepFinite
 from ausglue import knitting
 from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
@@ -72,10 +72,15 @@ def test_hom_dims_match_interval_oracle():
 
 
 def test_budget_exceeded_on_kronecker():
+    """knit refuses a multiple Gabriel arrow and an exceeded budget as one
+    type, NotRepFinite."""
     q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
     cat = category_from_presentation(BoundPresentation(q, []), FIELD)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(NotRepFinite, match="^representation-infinite: 2 "
+                       "Gabriel arrows 1 -> 2 "):
         knit(cat, budget=16)
+    with pytest.raises(NotRepFinite, match="^more than 4 indecomposables$"):
+        knit(make(DynkinSpec("A", 3)), budget=4)
 
 
 @pytest.mark.parametrize("spec, top", [

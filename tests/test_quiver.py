@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ausglue.errors import (InvalidDynkinSpec, InvalidParams,
+from ausglue.errors import (AusglueError, InvalidDynkinSpec, InvalidParams,
                             InfiniteDimensional)
 from ausglue.fincat import FinCategory
+from ausglue.knitting import knit
 from ausglue.linalg import default_field
 from ausglue.pathcat import category_from_presentation
 from ausglue.quiver import (Quiver, DynkinSpec, dynkin_quiver,
@@ -169,10 +170,18 @@ _QUIVER_TEXT = st.one_of(
 @given(_QUIVER_TEXT)
 def test_quiver_file_gives_category_or_input_error(text):
     """Every quiver file either gives a finite category or is refused with
-    one of the three input errors, which the command line exits 2 on."""
+    one of the three input errors, which the command line exits 2 on.
+    Knitting a category it gives either returns pairwise distinct
+    dimension vectors or is refused with a package error."""
     try:
         cat = category_from_presentation(parse_quiver_file(text),
                                          default_field())
     except (InvalidParams, InvalidDynkinSpec, InfiniteDimensional):
         return
     assert isinstance(cat, FinCategory)
+    try:
+        ar = knit(cat, budget=64)
+    except AusglueError:
+        return
+    dimvecs = [dv for _, dv in ar.vertices]
+    assert len(set(dimvecs)) == len(dimvecs)
