@@ -176,6 +176,17 @@ class FinCategory:
         return arrows
 
 
+def is_basic(cat):
+    """(True, None), or (False, (x, y)) for the first x != y isomorphic: in
+    a schurian category, iff some composite x -> y -> x is nonzero, i.e.
+    some structure constant of comp[(x, y, x)] is."""
+    zero = cat.field.zero
+    pair = next(((x, y) for x in cat.objects for y in cat.objects if x != y
+                 if any(v != zero for row in cat.comp.get((x, y, x), ())
+                        for vec in row for v in vec)), None)
+    return pair is None, pair
+
+
 # ---------------------------------------------------------------------------
 # modules
 

@@ -10,9 +10,11 @@ it exhaustively through FinCategory.check_associativity.
 """
 
 from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
-                     modules_isomorphic)
-from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
+                     simple_module, modules_isomorphic, projective_label,
+                     injective_label, is_basic)
+from .homology import (min_proj_resolution, ext_space, ext_dims, gldim, pdim,
                        lift_chain_map, compose_hom_with_ext, tau_n)
+from .knitting import knit, vertex_label, single_gabriel_arrows
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
                      OrbitDiverges, NotComposable)
 
@@ -65,7 +67,6 @@ def build_glued(ambient, modules, names, n, k, table, resolutions=None):
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    field = ambient.field
     m = len(modules)
     res = resolutions or [min_proj_resolution(M) for M in modules]
     homs, end = table
@@ -111,18 +112,12 @@ def build_glued(ambient, modules, names, n, k, table, resolutions=None):
                     comp_eh[(a, b, c)] = t
 
     objects = [(names[a], s) for s in range(k + 1) for a in range(m)]
-    homdim = {}
+    homdim = {}  # FinCategory fills in the zeros across larger gaps
     for s in range(k + 1):
-        for t in range(k + 1):
-            for a in range(m):
-                for b in range(m):
-                    if s == t:
-                        d = len(homs[(a, b)])
-                    elif t == s + 1:
-                        d = exts[(a, b)].dim
-                    else:
-                        d = 0
-                    homdim[((names[a], s), (names[b], t))] = d
+        for (a, b), basis in homs.items():
+            homdim[((names[a], s), (names[b], s))] = len(basis)
+            if s < k:
+                homdim[((names[a], s), (names[b], s + 1))] = exts[(a, b)].dim
 
     comp = {}
     for s in range(k + 1):
@@ -134,7 +129,7 @@ def build_glued(ambient, modules, names, n, k, table, resolutions=None):
             for (a, b, c), t in comp_eh.items():
                 comp[((names[a], s), (names[b], s + 1), (names[c], s + 1))] = t
 
-    cat = FinCategory(field, objects, homdim, comp)
+    cat = FinCategory(ambient.field, objects, homdim, comp)
     return GluedCategory(cat, ambient, modules, names, n, k)
 
 
@@ -178,7 +173,6 @@ def auslander_category(ambient, budget=512):
 def _knit_indecomposables(ambient, budget):
     """The AR quiver, its modules and their unique names; NotRepFinite
     when knitting gives up."""
-    from .knitting import knit
     ar = knit(ambient, budget=budget)
     return ar, [ar.module(i) for i in range(ar.count)], \
         _unique_names(ar.labels())
@@ -204,67 +198,74 @@ def build_mk(ambient, k, n, modules=None, budget=512):
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
     if modules is None:
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
-    res = [min_proj_resolution(M) for M in modules]
-    ok, witness = is_cluster_tilting(ambient, modules, n, budget, res)
-    from .knitting import vertex_label
     names = _unique_names([vertex_label(ambient, M) for M in modules])
+    table = hom_table(ambient, modules, names)
+    res = [min_proj_resolution(M) for M in modules]
+    ok, witness = is_cluster_tilting(ambient, modules, n, res, table)
     if not ok:
         raise NotClusterTilting(_witness_text(names, n, witness))
-    return build_glued(ambient, modules, names, n, k,
-                       hom_table(ambient, modules, names), res)
+    return build_glued(ambient, modules, names, n, k, table, res)
 
 
 def _witness_text(names, n, witness):
     """The failed is_cluster_tilting witness in words."""
-    if witness[0] == "rigid":
-        a, b, i = witness[1]
-        return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, i, names[a], names[b])
-    return ("not maximal: X = %s lies outside them, yet Ext^i(%s) "
-            "vanishes on them for 0 < i < %d" % (witness[2], witness[3], n))
+    kind, w = witness
+    if kind in ("generator", "cogenerator"):
+        return "not a %s: %s_%s is not among them" % (
+            kind, "P" if kind == "generator" else "I", w)
+    if kind == "basic":
+        return "not basic: %s is isomorphic to %s" % (names[w[0]], names[w[1]])
+    if kind == "rigid":
+        return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, w[2], names[w[0]],
+                                                      names[w[1]])
+    return ("gldim End(M) > %d: the simple End(M)-module at %s has pdim %d"
+            % (n + 1, names[w[0]], w[1]))
 
 
 def is_rigid(modules, n, resolutions=None):
     """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
-    (True, None) or (False, (a, b, i)).  resolutions: the modules'
-    min_proj_resolution, if at hand."""
+    (True, None) or (False, (a, b, i)) for the least such i.  resolutions:
+    the modules' min_proj_resolution, if at hand."""
     for a, Ma in enumerate(modules):
         res = resolutions[a] if resolutions else min_proj_resolution(Ma)
-        for b, Mb in enumerate(modules):
-            i = _first_ext(res, Mb, n)
-            if i:
-                return False, (a, b, i)
+        top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
+        for b, Mb in enumerate(modules if top > 0 else ()):
+            for i, d in enumerate(ext_dims(res, Mb, top, 1), 1):
+                if d:
+                    return False, (a, b, i)
     return True, None
 
 
-def _first_ext(res, Y, n):
-    """The least 0 < i < n with Ext^i(res.module, Y) != 0, else None."""
-    top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
-    dims = ext_dims(res, Y, top) if top > 0 else []
-    return next((i for i in range(1, top + 1) if dims[i]), None)
-
-
-def is_cluster_tilting(ambient, modules, n, budget=512, resolutions=None):
-    """Rigidity plus maximality on each side (Iyama): an indecomposable X
-    with Ext^i(X, -) = 0 on the collection for 0 < i < n, or with
-    Ext^i(-, X) = 0 on it, must already be in it.  Maximality needs the
-    full indecomposable list, so the ambient must be knitted: knit's
-    NotRepFinite propagates.  resolutions: the modules'
-    min_proj_resolution, if at hand."""
-    res = resolutions or [min_proj_resolution(M) for M in modules]
-    ok, witness = is_rigid(modules, n, res)
+def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
+    """Whether the sum M of the given indecomposables, each with End = K,
+    is n-cluster tilting, by the higher Auslander correspondence (Iyama,
+    "Auslander correspondence", Adv. Math. 210, 2007, Thm 0.2, with
+    Mueller, Canad. J. Math. 20, 1968): a basic generator-cogenerator M
+    with Ext^i(M, M) = 0 for 0 < i < n is n-cluster tilting iff
+    gldim End(M) <= n + 1.  Nothing is knitted.  Returns (True, None), or
+    (False, witness) from the first test to fail: ("generator", x) or
+    ("cogenerator", y), no P_x or I_y; ("basic", (a, b)), two isomorphic
+    positions; ("rigid", (a, b, i)), as is_rigid; ("gldim", (a, d)), the
+    simple End(M)-module at a has pdim d > n + 1.  resolutions, table:
+    the modules' min_proj_resolution and hom_table, built if None."""
+    for kind, label in (("generator", projective_label),
+                        ("cogenerator", injective_label)):
+        have = {label(M) for M in modules}
+        x = next((x for x in ambient.objects if x not in have), None)
+        if x is not None:
+            return False, (kind, x)
+    end = (table or hom_table(ambient, modules,
+                              [str(M.dim_vector()) for M in modules]))[1]
+    ok, pair = is_basic(end)
+    if not ok:
+        return False, ("basic", pair)
+    ok, witness = is_rigid(modules, n, resolutions)
     if not ok:
         return False, ("rigid", witness)
-    from .knitting import knit
-    ar = knit(ambient, budget=budget)
-    for idx in range(ar.count):
-        X = ar.module(idx)
-        if any(modules_isomorphic(X, M) for M in modules):
-            continue
-        resX = min_proj_resolution(X)
-        if not any(_first_ext(resX, M, n) for M in modules):
-            return False, ("maximal", idx, X.dim_vector(), "X, -")
-        if not any(_first_ext(resM, X, n) for resM in res):
-            return False, ("maximal", idx, X.dim_vector(), "-, X")
+    for a in end.objects:
+        d = pdim(simple_module(end, a))
+        if d > n + 1:
+            return False, ("gldim", (a, d))
     return True, None
 
 
@@ -275,7 +276,6 @@ def cluster_tilting_from_tau_n(ambient, n, budget=512):
     n-cluster-tilting subcategory tau_n sends each indecomposable to an
     indecomposable (Iyama 2007, Thm 2.3), and here every indecomposable has
     End = K, so a tau_n(M) with a larger End raises NotClusterTilting."""
-    from .knitting import single_gabriel_arrows
     single_gabriel_arrows(ambient)
     # a basic category has pairwise non-isomorphic injectives
     found = [injective_module(ambient, x) for x in ambient.objects]

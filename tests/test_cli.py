@@ -140,11 +140,13 @@ def test_invalid_input_exits_two(runner, args):
 
 
 # not representation-directed: two knitted indecomposables share a
-# dimension vector
+# dimension vector.  verify --n 2 knits nothing and refuses it because the
+# tau_2-closure of the injectives misses P_2.
 NOT_DIRECTED = ("quiver\narrow a0 2 3\narrow a1 1 2\narrow a2 2 4\n"
                 "arrow a3 3 4\nrelation a1.a0\n")
 NOT_DIRECTED_END = ("not representation-directed: two knitted "
                     "indecomposables have dimension vector (1, 1, 0, 1)")
+NOT_DIRECTED_VERIFY = "not a generator: P_2 is not among them"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -158,7 +160,7 @@ NOT_DIRECTED_END = ("not representation-directed: two knitted "
     # finite-dimensional (ab = ba = 0), but cyclic
     ("quiver\narrow a 1 2\narrow b 2 1\nrelation a.b\nrelation b.a\n",
      "cyclic quivers are out of scope"),
-    (NOT_DIRECTED, NOT_DIRECTED_END),
+    (NOT_DIRECTED, NOT_DIRECTED_VERIFY),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
         "unknown-relation-arrow", "no-arrows", "cycle-with-relations",
         "not-directed"])
@@ -188,19 +190,24 @@ OVSIENKO_PROBE = ("quiver\narrow a0 1 4\narrow a1 1 2\narrow a2 4 2\n"
                   "arrow a3 2 3\nrelation a2.a3\n")
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "--k", "1", "--n", "2", "--field", "3"],
-    ["ar"],
-], ids=lambda a: a[0])
-def test_ovsienko_bound_ends_knitting(runner, tmp_path, args):
+@pytest.mark.parametrize("args, messages", [
+    pytest.param(["verify", "--k", "1", "--n", "2", "--field", "3"],
+                 ["error: not a generator: P_1 is not among them"],
+                 id="verify"),
+    pytest.param(["ar"], ["error: not representation-directed:",
+                          "dimension vector (6, 6, 7, 0)"], id="ar"),
+])
+def test_ovsienko_bound_ends_knitting(runner, tmp_path, args, messages):
     """Knitting stops at the first module with a coordinate above 6, which
-    over an algebra of global dimension <= 2 no directing module has."""
+    over an algebra of global dimension <= 2 no directing module has.
+    verify --n 2 knits nothing: the tau_2-closure of the injectives, which
+    ends, misses P_1."""
     qf = tmp_path / "probe.quiver"
     qf.write_text(OVSIENKO_PROBE)
     r = runner.invoke(main, [args[0], "--quiver-file", str(qf)] + args[1:])
     assert r.exit_code == 2
-    assert "error: not representation-directed:" in r.stderr
-    assert "dimension vector (6, 6, 7, 0)" in r.stderr
+    for message in messages:
+        assert message in r.stderr
 
 
 def _package_errors():
@@ -281,7 +288,7 @@ def test_import_leaves_sympy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", SYMPY_BLOCKED, NOT_DIRECTED],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["True", NOT_DIRECTED_END]
+    assert out.stdout.splitlines() == ["True", NOT_DIRECTED_VERIFY]
 
 
 def test_field_env_override(runner, monkeypatch):

@@ -183,30 +183,90 @@ def test_is_rigid_matches_reference(monkeypatch):
     assert [ok for ok, _ in got] == [False, False, True, False]
 
 
+def _knit_reference(ambient, n):
+    """The knit-based test is_cluster_tilting made before it read gldim
+    End(M): a list passes iff it is n-rigid and maximal on each side, so
+    that every knitted indecomposable X outside it has Ext^i(X, -) != 0
+    and Ext^i(-, X) != 0 on it for some 0 < i < n (Iyama).  Returns that
+    test as a function of the list; each Ext^i between two knitted modules
+    is computed once, by cocycles.  knit's NotRepFinite propagates."""
+    ar = knit(ambient)
+    knitted = [ar.module(i) for i in range(ar.count)]
+    res = [min_proj_resolution(X) for X in knitted]
+    meets = {}
+
+    def meet(a, b):
+        if (a, b) not in meets:
+            meets[(a, b)] = any(
+                ext_space(knitted[a], knitted[b], i, resolution=res[a]).dim
+                for i in range(1, min(n, res[a].length + 1)))
+        return meets[(a, b)]
+
+    def is_ct(modules):
+        idx = [next(a for a, X in enumerate(knitted)
+                    if modules_isomorphic(X, M)) for M in modules]
+        if any(meet(a, b) for a in idx for b in idx):
+            return False
+        return all(any(meet(x, b) for b in idx) and any(meet(a, x) for a in idx)
+                   for x in range(len(knitted)) if x not in idx)
+    return is_ct
+
+
+def _aus(rank):
+    return glue.auslander_category(make(DynkinSpec("A", rank)))[0]
+
+
+@pytest.mark.parametrize("case", ["nakayama-4-3", "auslander-A3",
+                                  "auslander-A4"])
+def test_cluster_tilting_matches_knit_reference(case):
+    """On the tau_2-closure of the injectives and each of its one-module
+    deletions, is_cluster_tilting agrees with the knit-based maximality
+    test; the closure passes and every deletion is refused, those of a
+    module neither projective nor injective by gldim End(M) > 3."""
+    ambient = nakayama() if case == "nakayama-4-3" else _aus(int(case[-1]))
+    ct = cluster_tilting_from_tau_n(ambient, 2)
+    reference = _knit_reference(ambient, 2)
+    assert is_cluster_tilting(ambient, ct, 2) == (True, None)
+    assert reference(ct)
+    kinds = set()
+    for idx in range(len(ct)):
+        sub = ct[:idx] + ct[idx + 1:]
+        ok, witness = is_cluster_tilting(ambient, sub, 2)
+        assert not ok and not reference(sub)
+        kinds.add(witness[0])
+        if witness[0] == "gldim":
+            assert witness[1][1] > 3
+    assert kinds == ({"generator", "cogenerator"} if case == "nakayama-4-3"
+                     else {"generator", "cogenerator", "gldim"})
+
+
 def test_cluster_tilting_checks():
     nak = nakayama()
     ct = cluster_tilting_from_tau_n(nak, 2)
     assert len(ct) == 6
     assert is_cluster_tilting(nak, ct, 2) == (True, None)
-    # dropping a module that is not projective-injective breaks maximality
-    for idx in range(len(ct)):
-        sub = ct[:idx] + ct[idx + 1:]
-        ok, witness = is_cluster_tilting(nak, sub, 2)
-        assert not ok
-    # with a budget too small to enumerate the ambient, knit's refusal
-    # propagates: maximality is never certified on a weaker criterion
-    with pytest.raises(NotRepFinite, match="^more than 2 indecomposables$"):
-        is_cluster_tilting(nak, ct, 2, budget=2)
-    # maximality is checked on each side alone: over linear A3, P_2, P_3
-    # and S_2 have Ext^1(-, DA) = 0 but are not injective
+    # over linear A3, P_2, P_3 and S_2 have Ext^1(-, DA) = 0 but are not
+    # injective: DA alone is no generator, as knitting finds too
     a3 = make(DynkinSpec("A", 3, "linear"))
     injs = [injective_module(a3, x) for x in a3.objects]
     assert is_rigid(injs, 2) == (True, None)
-    ok, witness = is_cluster_tilting(a3, injs, 2)
-    assert not ok and witness[0] == "maximal" and witness[3] == "X, -"
-    X = knit(a3).module(witness[1])
-    assert not any(modules_isomorphic(X, I) for I in injs)
-    assert all(ext_dim(X, I, 1) == 0 for I in injs)
+    assert is_cluster_tilting(a3, injs, 2) == (False, ("generator", 2))
+    assert not _knit_reference(a3, 2)(injs)
+
+
+def test_cluster_tilting_refuses_a_repeated_module():
+    """A list with a module twice is not basic: is_cluster_tilting names
+    the pair, and build_mk and verify_theorem_higher refuse it with
+    NotClusterTilting before any glued category is built."""
+    nak = nakayama()
+    ct = cluster_tilting_from_tau_n(nak, 2)
+    twice = ct + [ct[-1]]
+    assert is_cluster_tilting(nak, twice, 2) == (False, ("basic", (5, 6)))
+    reason = "^not basic: P_4 is isomorphic to P_4#1$"
+    with pytest.raises(NotClusterTilting, match=reason):
+        build_mk(nak, 1, 2, modules=twice)
+    with pytest.raises(NotClusterTilting, match=reason):
+        tower.verify_theorem_higher(nak, 1, 2, modules=twice)
 
 
 def test_input_validation():
@@ -216,7 +276,8 @@ def test_input_validation():
     with pytest.raises(GldimTooBig):
         build_mk(nak, 1, 1)
     ct = cluster_tilting_from_tau_n(nak, 2)
-    with pytest.raises(NotClusterTilting, match="^not maximal: "):
+    with pytest.raises(NotClusterTilting,
+                       match="^not a generator: P_4 is not among them$"):
         build_mk(nak, 1, 2, modules=ct[:-1])
     ar = knit(nak)
     extra = next(M for M in (ar.module(i) for i in range(ar.count))
@@ -227,21 +288,28 @@ def test_input_validation():
 
 def test_kronecker_refused_with_knit_reason():
     """A representation-infinite algebra has no cluster-tilting
-    subcategory, so over the Kronecker algebra neither the projectives nor
-    the projectives and injectives pass: is_cluster_tilting, build_mk and
-    verify_theorem_higher all raise knit's reason and make no report.  The
-    tau_n orbit refuses it too."""
+    subcategory.  Over the Kronecker algebra the projectives are no
+    cogenerator, and the projectives and injectives have gldim End = 3 >
+    n + 1: is_cluster_tilting refuses both without knitting, build_mk and
+    verify_theorem_higher raise NotClusterTilting and make no report, and
+    the knit-based test raises knit's reason.  The tau_n orbit refuses the
+    algebra with knit's reason too."""
     kron = category_from_presentation(BoundPresentation(
         Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), []), FIELD)
     projs = [projective_module(kron, x) for x in kron.objects]
     injs = [injective_module(kron, x) for x in kron.objects]
     reason = "^representation-infinite: 2 Gabriel arrows 1 -> 2"
-    for mods in (projs, projs + injs):
-        with pytest.raises(NotRepFinite, match=reason):
-            is_cluster_tilting(kron, mods, 1)
-        with pytest.raises(NotRepFinite, match=reason):
-            build_mk(kron, 1, 1, modules=mods)
     with pytest.raises(NotRepFinite, match=reason):
+        _knit_reference(kron, 1)
+    for mods, witness, text in (
+            (projs, ("cogenerator", 1), "not a cogenerator: I_1 is not "
+             "among them"),
+            (projs + injs, ("gldim", (1, 3)), r"gldim End\(M\) > 2: the "
+             r"simple End\(M\)-module at P_2 has pdim 3")):
+        assert is_cluster_tilting(kron, mods, 1) == (False, witness)
+        with pytest.raises(NotClusterTilting, match="^%s$" % text):
+            build_mk(kron, 1, 1, modules=mods)
+    with pytest.raises(NotClusterTilting, match="^gldim End"):
         tower.verify_theorem_higher(kron, 1, 1, modules=projs + injs)
     with pytest.raises(NotRepFinite, match=reason):
         cluster_tilting_from_tau_n(kron, 1)
@@ -261,12 +329,13 @@ def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):
 
 
 def test_hom_table_built_once(monkeypatch):
-    """One hom table per knitted category: build_sk, a whole A3 verdict
-    with k = 1 (quiver claim included) and auslander_category each build
-    the structure constants once and solve each ordered pair of the six
-    indecomposables of A3 once, and knitting and is_cluster_tilting build
-    no hom table at all."""
-    calls, tables = [], []
+    """One hom table per module list: build_sk, a whole A3 verdict with
+    k = 1 (quiver claim included) and auslander_category each build the
+    structure constants once and solve each ordered pair of the six
+    indecomposables of A3 once; knitting builds no hom table at all;
+    build_mk builds one, shared by is_cluster_tilting and build_glued, and
+    never knits; and is_cluster_tilting alone builds one."""
+    calls, tables, knits = [], [], []
 
     def counted(M, N):
         calls.append((M, N))
@@ -288,17 +357,20 @@ def test_hom_table_built_once(monkeypatch):
         result = run()
         assert (len(calls), len(tables)) == (36, 1)
     aus, _ = result
-
-    def forbidden(*args):
-        raise AssertionError("hom table built")
-    for mod in (fincat, glue, knitting):
-        monkeypatch.setattr(mod, "hom_table", forbidden)
     ar = knit(aus)
+    assert len(tables) == 1
     assert ar.count == 17 and all(ar.module(i).total_dim()
                                   for i in range(ar.count))
+    monkeypatch.setattr(knitting, "knit",
+                        lambda *a, **kw: knits.append(a) or knit(*a, **kw))
     nak = nakayama()
     ct = cluster_tilting_from_tau_n(nak, 2)
+    del tables[:]
+    assert build_mk(nak, 1, 2, modules=ct).rank == 12
+    assert (len(tables), knits) == (1, [])
+    del tables[:]
     assert is_cluster_tilting(nak, ct, 2) == (True, None)
+    assert len(tables) == 1
 
 
 def test_field_independence_of_hom_tables():

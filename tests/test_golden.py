@@ -33,6 +33,12 @@ GOLDEN = [
         ["--auslander-of", "A3", "--k", "1", "--n", "2"],
         "cff831705acea648f0f2a0d78c43f043dfd2ef351bf13ca534fe70604ac9d6c6",
         id="auslander-a3-k1-n2"),
+    # 2-cluster tilting by gldim End(M) = 3, though knitting the ambient
+    # stops at Ovsienko's bound
+    pytest.param(
+        ["--auslander-of", "A5", "--k", "1", "--n", "2"],
+        "0dbbd2f2a9a754eb409011a3c376fd0f489b9bd94df863c1a96546edc6caeb41",
+        id="auslander-a5-k1-n2"),
 ]
 
 

@@ -12,12 +12,12 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import (FinCategory, injective_module, injective_label,
-                            projective_module, direct_sum)
+                            projective_module, direct_sum, is_basic)
 from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
-from ausglue.tower import (is_basic, gamma, sigma, projective_injectives,
+from ausglue.tower import (gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
 
@@ -130,15 +130,15 @@ def test_arrows_and_basic_read_structure_constants():
             auslander_category(A3)[0], build_sk(A3, 1).cat, both]
     for cat in cats:
         assert cat.gabriel_arrows() == _reference_gabriel_arrows(cat)
-        assert is_basic(cat) == _reference_is_basic(cat)
-    assert all(is_basic(cat) for cat in cats[:-1])
-    assert not is_basic(both)
+        assert is_basic(cat)[0] == _reference_is_basic(cat)
+    assert all(is_basic(cat) == (True, None) for cat in cats[:-1])
+    assert is_basic(both) == (False, (1, 2))
 
 
 def test_gamma_and_basic():
     g = build_sk(A3, 1)
     G = gamma(g)
-    assert is_basic(G)
+    assert is_basic(G) == (True, None)
     assert len(G.objects) == 12
 
 
@@ -350,7 +350,7 @@ def test_non_unit_coefficients_independent_of_field(tmp_path, monkeypatch):
                                       "--k", "1", "--n", "2",
                                       "--field", name])
         assert r.exit_code == 2
-        assert "not maximal: X = (0, 1, 0, 1) " in r.stderr
+        assert "not a generator: P_2 is not among them" in r.stderr
         messages.append(r.stderr)
     assert all(d == dimvecs[0] for d in dimvecs[1:])
     assert all(m == messages[0] for m in messages[1:])
