@@ -16,8 +16,8 @@ from .linalg import QQ, GF, default_field
 from .quiver import (DynkinSpec, hereditary_presentation, nakayama_linear,
                      parse_quiver_file)
 from .pathcat import category_from_presentation
-from .knitting import knit, vertex_label
-from .glue import (build_sk, auslander_category, cluster_tilting_from_tau_n,
+from .knitting import knit
+from .glue import (build_sk, auslander_category, cluster_tilting_subcategory,
                    _unique_names)
 from .tower import (verify_theorem_dynkin, verify_theorem_higher,
                     four_angles)
@@ -220,15 +220,14 @@ def cmd_verify(dynkin_text, nakayama_text, auslander_text, quiver_file,
               help="Prime p or QQ (AUSGLUE_FIELD overrides).")
 def cmd_angles(auslander_text, nakayama_text, dynkin_text, field_text):
     """Print the connecting 4-angles of the tau_2-generated
-    2-cluster-tilting subcategory."""
+    2-cluster-tilting subcategory, refused as verify --n 2 refuses it."""
     if dynkin_text is not None:
         raise InvalidParams(
             "hereditary input: no 2-cluster-tilting subcategory; "
             "use --auslander-of or --nakayama")
     ambient, _ = _ambient(_resolve_field(field_text), nakayama=nakayama_text,
                           auslander=auslander_text)
-    modules = cluster_tilting_from_tau_n(ambient, 2)
-    names = _unique_names([vertex_label(ambient, M) for M in modules])
+    modules, names = cluster_tilting_subcategory(ambient, 2)[:2]
     for x, mid1, mid2, y in four_angles(ambient, modules, names):
         click.echo("%s -> %s -> %s -> %s -> %s[2]"
                    % (x, " (+) ".join(mid1), " (+) ".join(mid2), y, x))

@@ -23,9 +23,10 @@ class InfiniteDimensional(AusglueError):
 
 
 class Truncated(AusglueError):
-    """A resolution exceeded its length budget; in-scope algebras all have
-    finite global dimension, so hitting this indicates a bug or an
-    out-of-scope input."""
+    """A resolution exceeded its length budget.  gldim refuses a category
+    that is not directed as NotDirected before resolving, and a directed
+    one has finite global dimension, so hitting this indicates a bug or a
+    module over an out-of-scope input."""
 
     def __init__(self, max_len):
         super().__init__("resolution exceeded max_len=%d" % max_len)
@@ -41,6 +42,10 @@ class NotHereditary(AusglueError):
 
 
 class NotRepFinite(AusglueError):
+    pass
+
+
+class NotDirected(AusglueError):
     pass
 
 

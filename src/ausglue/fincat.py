@@ -319,25 +319,6 @@ class ModuleMap:
                    (self.src.dims[x] == self.dst.dims[x] == 0)
                    for x in self.src.cat.objects)
 
-    def is_natural(self):
-        c = self.src.cat
-        for x in c.objects:
-            for y in c.objects:
-                for i in range(c.homdim[(x, y)]):
-                    lhs = self.dst.action(x, y, i) * self.mats[x]
-                    rhs = self.mats[y] * self.src.action(x, y, i)
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def flatten(self):
-        """All matrix entries as one row vector (fixed object order)."""
-        out = []
-        for x in self.src.cat.objects:
-            for r in self.mats[x].rows:
-                out.extend(r)
-        return out
-
 
 def identity_map(M):
     f = M.cat.field
@@ -386,38 +367,6 @@ def injective_module(cat, x):
     if x not in cache:
         cache[x] = dual_module(projective_module(cat.opposite(), x))
     return cache[x]
-
-
-def direct_sum(cat, modules):
-    """Direct sum with inclusion and projection maps."""
-    f = cat.field
-    dims = {x: sum(m.dims[x] for m in modules) for x in cat.objects}
-    act = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            d = cat.homdim[(x, y)]
-            if d == 0 or dims[x] == 0 or dims[y] == 0:
-                continue
-            act[(x, y)] = [Mat.block_diag(f, [m.action(x, y, i) for m in modules])
-                           for i in range(d)]
-    S = CatModule(cat, dims, act)
-    incls, projs = [], []
-    off = {x: 0 for x in cat.objects}
-    for m in modules:
-        inc, prj = {}, {}
-        for x in cat.objects:
-            mi = Mat.zero(f, dims[x], m.dims[x])
-            mp = Mat.zero(f, m.dims[x], dims[x])
-            for i in range(m.dims[x]):
-                mi.rows[off[x] + i][i] = f.one
-                mp.rows[i][off[x] + i] = f.one
-            inc[x] = mi
-            prj[x] = mp
-        incls.append(ModuleMap(m, S, inc))
-        projs.append(ModuleMap(S, m, prj))
-        for x in cat.objects:
-            off[x] += m.dims[x]
-    return S, incls, projs
 
 
 def dual_module(M):
@@ -593,35 +542,7 @@ def module_label(M):
 
 
 # ---------------------------------------------------------------------------
-# sub/quotient structure
-
-
-class Submodule:
-    """An action-stable subspace of a CatModule, spanned by the rows
-    basis[x], with its own module structure."""
-
-    def __init__(self, parent, basis_rows):
-        c = parent.cat
-        f = c.field
-        self.basis = {x: basis_rows.get(x, []) for x in c.objects}
-        dims = {x: len(self.basis[x]) for x in c.objects}
-        act = {}
-        for x in c.objects:
-            if dims[x] == 0:
-                continue
-            Bx = Mat.from_cols(f, self.basis[x])
-            for y in c.objects:
-                d = c.homdim[(x, y)]
-                if d == 0 or parent.dims[y] == 0:
-                    continue
-                imgs = [parent.action(x, y, i) * Bx for i in range(d)]
-                if dims[y] == 0:
-                    if not all(img.is_zero() for img in imgs):
-                        raise ValueError("subspace not action-stable")
-                    continue
-                By = Mat.from_cols(f, self.basis[y])
-                act[(x, y)] = [By.solve(img) for img in imgs]
-        self.module = CatModule(c, dims, act)
+# quotient structure
 
 
 class Quotient:
@@ -651,12 +572,6 @@ class Quotient:
                 act[(x, y)] = [proj[y] * parent.action(x, y, i) * sect[x]
                                for i in range(d)]
         self.module = CatModule(c, dims, act)
-
-
-def kernel(phi):
-    """Kernel of a ModuleMap, as a Submodule of phi.src."""
-    return Submodule(phi.src, {x: phi.mats[x].kernel_rows()
-                               for x in phi.src.cat.objects})
 
 
 def cokernel(phi):

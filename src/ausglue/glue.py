@@ -10,10 +10,11 @@ it exhaustively through FinCategory.check_associativity.
 """
 
 from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
-                     simple_module, modules_isomorphic, projective_label,
-                     injective_label, is_basic)
-from .homology import (min_proj_resolution, ext_space, ext_dims, gldim, pdim,
-                       lift_chain_map, compose_hom_with_ext, tau_n)
+                     modules_isomorphic, projective_label, injective_label,
+                     is_basic)
+from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
+                       injective_pdims, lift_chain_map, compose_hom_with_ext,
+                       tau_n)
 from .knitting import knit, vertex_label, single_gabriel_arrows
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
                      OrbitDiverges, NotComposable)
@@ -44,9 +45,6 @@ class GluedCategory:
     @property
     def rank(self):
         return len(self.cat.objects)
-
-    def hom_dim(self, a, i, b, j):
-        return self.cat.homdim[(self.obj(a, i), self.obj(b, j))]
 
 
 def _unique_names(labels):
@@ -193,6 +191,17 @@ def build_mk(ambient, k, n, modules=None, budget=512):
     """Glue k+1 copies of an n-cluster-tilting subcategory along Ext^n.
     With modules=None the subcategory is generated from the injectives by
     the higher translate tau_n."""
+    modules, names, table, res = cluster_tilting_subcategory(
+        ambient, n, modules, budget)
+    return build_glued(ambient, modules, names, n, k, table, res)
+
+
+def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
+    """The subcategory that build_mk glues and `ausglue angles` lists:
+    GldimTooBig unless gldim(ambient) <= n, and NotClusterTilting unless
+    is_cluster_tilting passes on the modules (the tau_n-closure of the
+    injectives if None).  Returns (modules, names, hom_table,
+    resolutions), the table and resolutions built once."""
     g = gldim(ambient)
     if g > n:
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
@@ -204,7 +213,7 @@ def build_mk(ambient, k, n, modules=None, budget=512):
     ok, witness = is_cluster_tilting(ambient, modules, n, res, table)
     if not ok:
         raise NotClusterTilting(_witness_text(names, n, witness))
-    return build_glued(ambient, modules, names, n, k, table, res)
+    return modules, names, table, res
 
 
 def _witness_text(names, n, witness):
@@ -218,16 +227,16 @@ def _witness_text(names, n, witness):
     if kind == "rigid":
         return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, w[2], names[w[0]],
                                                       names[w[1]])
-    return ("gldim End(M) > %d: the simple End(M)-module at %s has pdim %d"
+    return ("gldim End(M) > %d: the injective End(M)-module at %s has pdim %d"
             % (n + 1, names[w[0]], w[1]))
 
 
 def is_rigid(modules, n, resolutions=None):
     """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
     (True, None) or (False, (a, b, i)) for the least such i.  resolutions:
-    the modules' min_proj_resolution, if at hand."""
+    the modules' min_proj_resolution where at hand, else None."""
     for a, Ma in enumerate(modules):
-        res = resolutions[a] if resolutions else min_proj_resolution(Ma)
+        res = resolutions and resolutions[a] or min_proj_resolution(Ma)
         top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
         for b, Mb in enumerate(modules if top > 0 else ()):
             for i, d in enumerate(ext_dims(res, Mb, top, 1), 1):
@@ -246,8 +255,9 @@ def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
     (False, witness) from the first test to fail: ("generator", x) or
     ("cogenerator", y), no P_x or I_y; ("basic", (a, b)), two isomorphic
     positions; ("rigid", (a, b, i)), as is_rigid; ("gldim", (a, d)), the
-    simple End(M)-module at a has pdim d > n + 1.  resolutions, table:
-    the modules' min_proj_resolution and hom_table, built if None."""
+    first injective End(M)-module, at a, with pdim d > n + 1.
+    resolutions, table: the modules' min_proj_resolution and hom_table,
+    built if None."""
     for kind, label in (("generator", projective_label),
                         ("cogenerator", injective_label)):
         have = {label(M) for M in modules}
@@ -262,8 +272,7 @@ def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
     ok, witness = is_rigid(modules, n, resolutions)
     if not ok:
         return False, ("rigid", witness)
-    for a in end.objects:
-        d = pdim(simple_module(end, a))
+    for a, d in injective_pdims(end):
         if d > n + 1:
             return False, ("gldim", (a, d))
     return True, None

@@ -1,5 +1,5 @@
-"""Minimal resolutions, Ext with explicit Yoneda cocycles, syzygies, the
-AR translate (as DTr on minimal projective presentations) and its higher
+"""Minimal resolutions, Ext with explicit Yoneda cocycles, the AR
+translate (as DTr on minimal projective presentations) and its higher
 analogues, and the two dimension statistics gldim and domdim.
 
 A minimal resolution works in free-module coordinates: each syzygy is
@@ -17,14 +17,25 @@ Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.  The
 projective label of D(P_x) there names the Nakayama pairing P_x = I_y, and
 domdim resolves D(P_x) only for the unpaired x.
+
+gldim resolves only the I_y that are not projective, by two facts.  On a
+directed category, whose hom support (x -> y for hom(x, y) != 0, x != y)
+has no cycle, the algebra is triangular, so its global dimension d is
+finite.  When d is finite, d = pd DA = max pdim I_y: Ext^d(S, N) != 0 for
+some simple S, and Ext^d(-, N) is right exact, so the mono S -> I(S) gives
+Ext^d(I(S), N) ->> Ext^d(S, N).  Any other category is refused as
+NotDirected, naming a cycle of its hom support.
 """
+
+from itertools import product
 
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
-from .fincat import (FreeModule, CatMat, kernel, cokernel, dual_module,
-                     top_generators, simple_module, projective_module,
-                     projective_label, zero_module)
-from .errors import Truncated, InvalidParams
+from .fincat import (FreeModule, CatMat, cokernel, dual_module,
+                     top_generators, projective_module, projective_label,
+                     zero_module)
+from .quiver import Quiver
+from .errors import Truncated, InvalidParams, NotDirected
 
 INFINITY = float("inf")
 
@@ -150,18 +161,50 @@ def pdim(M):
     return min_proj_resolution(M).length
 
 
-def syzygy(M):
-    """Omega(M) as a module of its own: the kernel of the projective
-    cover."""
-    return kernel(min_proj_resolution(M).eps).module
+def gldim(cat, resolutions=None):
+    """Global dimension, as max pdim I_y; see injective_pdims."""
+    return max((d for _, d in injective_pdims(cat, resolutions)), default=0)
 
 
-def gldim(cat):
-    """Global dimension: max projective dimension over the simples."""
-    best = 0
+def injective_pdims(cat, resolutions=None):
+    """(y, pdim I_y) for each y whose I_y is not projective, in object
+    order; NotDirected unless cat is directed.  resolutions: the
+    min_proj_resolution of these I_y by y, if at hand.  Any other I_y is
+    built as D(P_y) of the opposite category and dropped once resolved,
+    not cached as injective_module does: holding them raises peak memory."""
+    _refuse_cycles(cat)
+    paired = set(projective_injectives(cat).values())
+    for y in cat.objects:
+        if y not in paired:
+            res = (resolutions or {}).get(y) or min_proj_resolution(
+                dual_module(projective_module(cat.opposite(), y)))
+            yield y, res.length
+
+
+def _refuse_cycles(cat):
+    """NotDirected unless the hom support of cat has no cycle.  The message
+    names one: dropping, one at a time, each object that some cycle avoids
+    leaves a cycle without chords, in which each object has one successor."""
+    cyc = list(cat.objects)
+    if _hom_support(cat, cyc).topological_order() is not None:
+        return
     for x in cat.objects:
-        best = max(best, pdim(simple_module(cat, x)))
-    return best
+        rest = [y for y in cyc if y != x]
+        if _hom_support(cat, rest).topological_order() is None:
+            cyc = rest
+    path = cyc[:1]
+    while len(path) < len(cyc):
+        path.append(next(y for y in cyc
+                         if y != path[-1] and cat.homdim[(path[-1], y)]))
+    raise NotDirected("not directed: hom support has the cycle " +
+                      " -> ".join(map(str, path + path[:1])))
+
+
+def _hom_support(cat, objs):
+    """The quiver on objs with an arrow x -> y where hom(x, y) != 0, x != y."""
+    return Quiver(objs, [(i, x, y) for i, (x, y) in
+                         enumerate(product(objs, objs))
+                         if x != y and cat.homdim[(x, y)]])
 
 
 def projective_injectives(cat):
@@ -306,12 +349,12 @@ def ext_dim(X, Y, n):
 # transpose and AR translates
 
 
-def transpose_module(M, n=1):
+def transpose_module(M, n=1, resolution=None):
     """Tr(Omega^{n-1} M): cokernel of the dualized minimal presentation
-    d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
-    opposite category."""
+    d_n: F_n -> F_{n-1} in M's minimal resolution, given as resolution if
+    at hand; a module over the opposite category."""
     op = M.cat.opposite()
-    res = min_proj_resolution(M)
+    res = resolution or min_proj_resolution(M)
     if len(res.diffs) < n:
         return zero_module(op)
     d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])
@@ -330,11 +373,12 @@ def tau_inv(M):
     return transpose_module(dual_module(M))
 
 
-def tau_n(M, n):
-    """Higher translate tau Omega^{n-1} = D Tr(Omega^{n-1} M); n >= 1."""
+def tau_n(M, n, resolution=None):
+    """Higher translate tau Omega^{n-1} = D Tr(Omega^{n-1} M); n >= 1.
+    resolution: M's min_proj_resolution, if at hand."""
     if n < 1:
         raise InvalidParams("tau_n needs n >= 1, got %r" % (n,))
-    return dual_module(transpose_module(M, n))
+    return dual_module(transpose_module(M, n, resolution))
 
 
 # ---------------------------------------------------------------------------

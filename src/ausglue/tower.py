@@ -233,17 +233,21 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("prop5.injnotproj_sigma", "sec5", m - r,
             len(S.objects) - len(s_pair))
 
-    s_gldim = gldim(S)
+    # the projectives, then the injectives that are not also projective,
+    # each I_y resolved once for gldim, rigidity and the tau_d-closure
+    proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
+    unpaired = [y for y in S.objects if y not in proj_of]
+    inj_res = {y: min_proj_resolution(injective_module(S, y))
+               for y in unpaired}
+    s_gldim = gldim(S, inj_res)
     rep.stats["gldim_sigma"] = s_gldim
     rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim)
 
-    # the projectives, then the injectives that are not also projective
-    proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
-    unpaired = [y for y in S.objects if y not in proj_of]
     labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
     gen_cogen = [projective_module(S, x) for x in S.objects] + \
         [injective_module(S, y) for y in unpaired]
-    ok, witness = is_rigid(gen_cogen, d)
+    ok, witness = is_rigid(gen_cogen, d,
+                           [None] * len(S.objects) + list(inj_res.values()))
     if witness is not None:  # name the two modules, not their positions
         a, b, i = witness
         witness = [labels[a], labels[b], i]
@@ -258,7 +262,7 @@ def _verify_glued(glued, input_desc, gldim_id):
     closure_ok = True
     closure_witness = None
     for y in unpaired:
-        T = tau_n(injective_module(S, y), d)
+        T = tau_n(injective_module(S, y), d, inj_res[y])
         if T.total_dim() == 0:
             continue
         lab = module_label(T)

@@ -8,7 +8,7 @@ from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import direct_sum, hom_modules, injective_module
+from ausglue.fincat import hom_modules, injective_module
 from ausglue.homology import ext_dim, tau, INFINITY
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, build_mk, auslander_category,
@@ -16,6 +16,7 @@ from ausglue.glue import (build_sk, build_mk, auslander_category,
                           _unique_names)
 from ausglue.tower import (gamma, sigma, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
+from oracles import direct_sum
 
 FIELD = default_field()
 

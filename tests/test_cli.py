@@ -313,3 +313,14 @@ def test_angles_nakayama(runner):
     assert r.exit_code == 0
     lines = r.output.strip().splitlines()
     assert lines and all("[2]" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("spec", ["5,3", "4,2"])
+def test_angles_refused_as_verify_refuses(runner, spec):
+    """angles runs the checks of verify --n 2 before listing anything: a
+    linear Nakayama algebra of global dimension 3 is refused by both."""
+    for args in (["angles"], ["verify", "--k", "1", "--n", "2"]):
+        r = runner.invoke(main, args + ["--nakayama", spec])
+        assert r.exit_code == 2
+        assert r.stderr == "error: gldim 3 exceeds n = 2\n"
+        assert r.stdout == ""

@@ -6,17 +6,20 @@ from ausglue.errors import (NotComposable, NotHereditary, GldimTooBig,
                             NotClusterTilting, NotRepFinite)
 from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
-                            hereditary_presentation, nakayama_linear)
+                            hereditary_presentation, nakayama_linear,
+                            parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue import fincat, glue, knitting, tower
-from ausglue.fincat import (hom_modules, hom_table, direct_sum,
-                            projective_module, injective_module,
+from ausglue.fincat import (hom_modules, hom_table, projective_module,
+                            injective_module, simple_module,
                             modules_isomorphic)
-from ausglue.homology import ext_dim, ext_space, min_proj_resolution, tau
+from ausglue.homology import (ext_dim, ext_space, min_proj_resolution, tau,
+                              gldim, pdim)
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
                           is_rigid, is_cluster_tilting,
                           cluster_tilting_from_tau_n)
+from oracles import direct_sum, hom_dim
 
 FIELD = default_field()
 
@@ -56,7 +59,7 @@ def test_hom_table_cross_check(s1_a3):
             for i in range(3):
                 for j in range(3):
                     expect = hom if i == j else ext if j == i + 1 else 0
-                    assert g.hom_dim(a, i, b, j) == expect
+                    assert hom_dim(g, a, i, b, j) == expect
 
 
 def test_connecting_homs_satisfy_ar_duality(s1_a3):
@@ -65,7 +68,7 @@ def test_connecting_homs_satisfy_ar_duality(s1_a3):
         for b in range(len(g.modules)):
             t = tau(g.modules[a])
             expect = len(hom_modules(g.modules[b], t)) if t.total_dim() else 0
-            assert g.hom_dim(a, 0, b, 1) == expect
+            assert hom_dim(g, a, 0, b, 1) == expect
 
 
 def test_build_mk_with_n_1_equals_build_sk(s1_a3):
@@ -99,16 +102,16 @@ def test_ext_after_ext_vanishes():
     found = 0
     for a in range(m):
         for b in range(m):
-            if g.hom_dim(a, 0, b, 1) == 0:
+            if hom_dim(g, a, 0, b, 1) == 0:
                 continue
             for c in range(m):
-                if g.hom_dim(b, 1, c, 2) == 0:
+                if hom_dim(g, b, 1, c, 2) == 0:
                     continue
-                assert g.hom_dim(a, 0, c, 2) == 0
+                assert hom_dim(g, a, 0, c, 2) == 0
                 e1 = (g.obj(a, 0), g.obj(b, 1),
-                      [g.cat.field.one] * g.hom_dim(a, 0, b, 1))
+                      [g.cat.field.one] * hom_dim(g, a, 0, b, 1))
                 e2 = (g.obj(b, 1), g.obj(c, 2),
-                      [g.cat.field.one] * g.hom_dim(b, 1, c, 2))
+                      [g.cat.field.one] * hom_dim(g, b, 1, c, 2))
                 assert yoneda_compose(g, e2, e1)[2] == []
                 found += 1
     assert found > 0
@@ -168,8 +171,8 @@ def test_is_rigid_matches_reference(monkeypatch):
     ar = knit(A3)
     mods = [ar.module(i) for i in range(ar.count)]
     cases = [(mods, 2), (mods, 3)]
-    monkeypatch.setattr(tower, "is_rigid", lambda modules, n: (
-        cases.append((modules, n)) or is_rigid(modules, n)))
+    monkeypatch.setattr(tower, "is_rigid", lambda modules, n, res: (
+        cases.append((modules, n)) or is_rigid(modules, n, res)))
     assert tower.verify_theorem_dynkin(DynkinSpec("A", 3), 1).passed
     assert cases[2][1] == 4 and len(cases[2][0]) == 12
     nak = nakayama()
@@ -304,8 +307,8 @@ def test_kronecker_refused_with_knit_reason():
     for mods, witness, text in (
             (projs, ("cogenerator", 1), "not a cogenerator: I_1 is not "
              "among them"),
-            (projs + injs, ("gldim", (1, 3)), r"gldim End\(M\) > 2: the "
-             r"simple End\(M\)-module at P_2 has pdim 3")):
+            (projs + injs, ("gldim", (0, 3)), r"gldim End\(M\) > 2: the "
+             r"injective End\(M\)-module at P_1 has pdim 3")):
         assert is_cluster_tilting(kron, mods, 1) == (False, witness)
         with pytest.raises(NotClusterTilting, match="^%s$" % text):
             build_mk(kron, 1, 1, modules=mods)
@@ -313,6 +316,39 @@ def test_kronecker_refused_with_knit_reason():
         tower.verify_theorem_higher(kron, 1, 1, modules=projs + injs)
     with pytest.raises(NotRepFinite, match=reason):
         cluster_tilting_from_tau_n(kron, 1)
+
+
+def _gldim_by_simples(cat):
+    """The textbook global dimension: max pdim over the simples."""
+    return max(pdim(simple_module(cat, x)) for x in cat.objects)
+
+
+def test_gldim_by_injectives_matches_simples():
+    """gldim reads max pdim over the injectives that are not projective;
+    it agrees with max pdim over the simples on ambients (the commutative
+    square and End of the Kronecker {P1, P2, I1, I2} among them), on Gamma
+    and Sigma of three towers, and on End(M) of every one-module deletion
+    of the tau_2-closures in test_cluster_tilting_matches_knit_reference."""
+    kron = category_from_presentation(BoundPresentation(
+        Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), []), FIELD)
+    kron_m = [projective_module(kron, x) for x in kron.objects] + \
+        [injective_module(kron, x) for x in kron.objects]
+    square = category_from_presentation(parse_quiver_file(
+        "quiver\narrow a 1 2\narrow b 1 3\narrow c 2 4\narrow d 3 4\n"
+        "relation 2*a.c;-3*b.d\n"), FIELD)
+    cats = [A3, make(DynkinSpec("D", 4)), nakayama(), _aus(3), square,
+            hom_table(kron, kron_m, list("abcd"))[1]]
+    for glued in (build_sk(A3, 2), build_sk(make(DynkinSpec("D", 4)), 1),
+                  build_mk(nakayama(), 1, 2)):
+        cats += [tower.gamma(glued), tower.sigma(glued)[0]]
+    for ambient in (nakayama(), _aus(3), _aus(4)):
+        ct = cluster_tilting_from_tau_n(ambient, 2)
+        for idx in range(len(ct)):
+            sub = ct[:idx] + ct[idx + 1:]
+            cats.append(hom_table(ambient, sub, list(map(str, sub)))[1])
+    got = [gldim(cat) for cat in cats]
+    assert got == [_gldim_by_simples(cat) for cat in cats]
+    assert got[:12] == [1, 1, 2, 2, 2, 3, 8, 7, 5, 4, 7, 6]
 
 
 def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):

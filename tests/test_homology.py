@@ -3,22 +3,23 @@ import random
 import pytest
 
 from ausglue import fincat
-from ausglue.errors import InvalidParams
+from ausglue.errors import InvalidParams, NotDirected, Truncated
 from ausglue.linalg import (Mat, QQ, GF, NoSolution, default_field,
                             row_space_basis)
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.knitting import knit, vertex_label
-from ausglue.fincat import (projective_module, injective_module,
+from ausglue.fincat import (FinCategory, projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
-                            projective_label, injective_label,
-                            direct_sum, dual_module, CatMat, FreeModule,
-                            kernel, cokernel, top_generators)
-from ausglue.homology import (min_proj_resolution, pdim, syzygy, gldim,
-                              domdim, projective_injectives, ext_space,
-                              ext_dim, ext_dims, tau, tau_inv, tau_n,
-                              lift_chain_map, INFINITY)
+                            projective_label, injective_label, dual_module,
+                            CatMat, FreeModule, cokernel, top_generators)
+from ausglue.homology import (min_proj_resolution, pdim, gldim, domdim,
+                              projective_injectives, ext_space, ext_dim,
+                              ext_dims, tau, tau_inv, tau_n, lift_chain_map,
+                              INFINITY)
+import oracles
+from oracles import direct_sum, kernel, syzygy
 
 FIELD = default_field()
 
@@ -371,6 +372,27 @@ def test_ar_duality_exhaustive(cat):
             assert lhs == ext_dim(Y, X, 1)
 
 
+@pytest.mark.parametrize("objs, arrows, cycle", [
+    ("ab", ["ab", "ba"], "a -> b -> a"),
+    ("dabc", ["ab", "bc", "ca", "ad"], "a -> b -> c -> a"),
+], ids=["two-cycle", "three-cycle-and-a-sink"])
+def test_gldim_refuses_a_category_that_is_not_directed(objs, arrows, cycle):
+    """A one-dimensional hom along each arrow, every composite of two
+    arrows zero: the hom support has a cycle, so gldim refuses the
+    category and names the cycle, without the sink d.  Resolving a simple
+    there runs on into Truncated."""
+    homs = {(x, x) for x in objs} | {tuple(xy) for xy in arrows}
+    comp = {(x, y, z): [[[FIELD.one if x == y or y == z else FIELD.zero]]]
+            for x, y in homs for z in objs if {(y, z), (x, z)} <= homs}
+    cat = FinCategory(FIELD, list(objs), dict.fromkeys(homs, 1), comp)
+    assert cat.check_associativity() == (True, None)
+    with pytest.raises(NotDirected, match="^not directed: hom support has "
+                       "the cycle %s$" % cycle):
+        gldim(cat)
+    with pytest.raises(Truncated):
+        pdim(simple_module(cat, "a"))
+
+
 def test_gldim_bounds_random_sample():
     rng = random.Random(20240817)
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
@@ -527,7 +549,7 @@ def test_resolution_builds_no_submodule(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("forbidden construction")
-    monkeypatch.setattr(fincat.Submodule, "__init__", forbidden)
+    monkeypatch.setattr(oracles.Submodule, "__init__", forbidden)
     with monkeypatch.context() as mp:
         mp.setattr(FreeModule, "act", property(forbidden))
         for X in mods:

@@ -9,6 +9,7 @@ from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import hom_modules
 from ausglue.glue import auslander_category
 from ausglue.knitting import knit, vertex_label, aus_rank, OVSIENKO_BOUND
+from oracles import flatten
 
 FIELD = default_field()
 
@@ -107,7 +108,7 @@ def _coords_by_solve(field, basis_rows, vector):
 def _reference_structure_constants(field, homs, m):
     """comp[(a, b, c)][i][j]: the coordinates of g_i o f_j over the
     flattened hom(a, c) basis, from the product map and a solve."""
-    hflat = {key: [g.flatten() for g in basis] for key, basis in homs.items()}
+    hflat = {key: [flatten(g) for g in basis] for key, basis in homs.items()}
     comp = {}
     for a in range(m):
         for b in range(m):
@@ -115,7 +116,7 @@ def _reference_structure_constants(field, homs, m):
                 if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]:
                     comp[(a, b, c)] = [
                         [_coords_by_solve(field, hflat[(a, c)],
-                                          g.compose(f).flatten())
+                                          flatten(g.compose(f)))
                          for f in homs[(a, b)]]
                         for g in homs[(b, c)]]
     return comp
@@ -132,11 +133,11 @@ def _reference_arrows(ar):
             basis = homs[(i, j)]
             if i == j or not basis:
                 continue
-            vecs = [g.compose(f).flatten() for k in range(n)
+            vecs = [flatten(g.compose(f)) for k in range(n)
                     if k != i and k != j
                     for f in homs[(i, k)] for g in homs[(k, j)]]
             r2 = len(row_space_basis(ar.cat.field, vecs,
-                                     len(basis[0].flatten())))
+                                     len(flatten(basis[0]))))
             if len(basis) > r2:
                 arrows.append((i, j, len(basis) - r2))
     return arrows

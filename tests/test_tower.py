@@ -12,7 +12,7 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import (FinCategory, injective_module, injective_label,
-                            projective_module, direct_sum, is_basic)
+                            projective_module, is_basic)
 from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, auslander_category,
@@ -20,6 +20,7 @@ from ausglue.glue import (build_sk, auslander_category,
 from ausglue.tower import (gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
+from oracles import direct_sum
 
 FIELD = default_field()
 
@@ -239,7 +240,7 @@ def test_rigidity_witness_names_modules(monkeypatch):
     from ausglue.fincat import module_label
     seen = []
 
-    def fail(modules, n):
+    def fail(modules, n, resolutions):
         seen.append(modules)
         return False, (1, len(modules) - 1, 2)
     monkeypatch.setattr(tower, "is_rigid", fail)
@@ -279,7 +280,7 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     from ausglue import tower
     seen = []
 
-    def split_sum(M, d):
+    def split_sum(M, d, resolution):
         S = M.cat
         T = direct_sum(S, [projective_module(S, x) for x in S.objects[:2]])[0]
         seen.append((injective_label(M), T.dim_vector()))
@@ -291,6 +292,33 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     y, dimvec = seen[-1]
     assert claim.witness == (y, dimvec)
     assert claim.to_dict()["witness"] == [list(y), list(dimvec)]
+
+
+def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
+    """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
+    Sigma that is not projective once, counted over every module
+    isomorphic to it: gldim Sigma, the rigidity check and the
+    tau_d-closure share that one resolution."""
+    import sys
+    from ausglue import tower
+    calls, sigmas = [], []
+
+    def counted(M):
+        calls.append(M)
+        return min_proj_resolution(M)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ausglue") and hasattr(mod, "min_proj_resolution"):
+            monkeypatch.setattr(mod, "min_proj_resolution", counted)
+    monkeypatch.setattr(tower, "sigma",
+                        lambda g: sigmas.append(sigma(g)) or sigmas[-1])
+    assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
+    S = sigmas[0][0]
+    paired = set(projective_injectives(S).values())
+    unpaired = [y for y in S.objects if y not in paired]
+    assert len(unpaired) == 3  # m - r = 6 - 3
+    on_sigma = [M for M in calls if M.cat is S]
+    assert [sum(injective_label(M) == y for M in on_sigma)
+            for y in unpaired] == [1, 1, 1]
 
 
 def _report_claims(case, field):
