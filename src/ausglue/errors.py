@@ -24,9 +24,9 @@ class InfiniteDimensional(AusglueError):
 
 class Truncated(AusglueError):
     """A resolution exceeded its length budget.  gldim refuses a category
-    that is not directed as NotDirected before resolving, and a directed
-    one has finite global dimension, so hitting this indicates a bug or a
-    module over an out-of-scope input."""
+    that is not directed as NotDirected before building its coresolution
+    table, and a directed one has finite global dimension, so hitting this
+    indicates a bug or a module or table over an out-of-scope input."""
 
     def __init__(self, max_len):
         super().__init__("resolution exceeded max_len=%d" % max_len)

@@ -13,7 +13,7 @@ from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
                      modules_isomorphic, projective_label, injective_label,
                      is_basic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
-                       injective_pdims, lift_chain_map, compose_hom_with_ext,
+                       injective_dims, lift_chain_map, compose_hom_with_ext,
                        tau_n)
 from .knitting import knit, vertex_label, single_gabriel_arrows
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
@@ -57,18 +57,18 @@ def _unique_names(labels):
     return out
 
 
-def build_glued(ambient, modules, names, n, k, table, resolutions=None):
+def build_glued(ambient, modules, names, n, k, table):
     """Assemble the glued category from a list of pairwise non-isomorphic
-    indecomposable modules over the ambient category, their hom_table and,
-    if at hand, their min_proj_resolution."""
+    indecomposable modules over the ambient category and their
+    hom_table."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     m = len(modules)
-    res = resolutions or [min_proj_resolution(M) for M in modules]
+    res = [min_proj_resolution(M) for M in modules]
     homs, end = table
-    exts = {(a, b): ext_space(modules[a], modules[b], n, resolution=res[a])
+    exts = {(a, b): ext_space(modules[a], modules[b], n)
             for a in range(m) for b in range(m)}
 
     # degree-n chain-map lift of every hom basis element, for ext o hom
@@ -191,17 +191,17 @@ def build_mk(ambient, k, n, modules=None, budget=512):
     """Glue k+1 copies of an n-cluster-tilting subcategory along Ext^n.
     With modules=None the subcategory is generated from the injectives by
     the higher translate tau_n."""
-    modules, names, table, res = cluster_tilting_subcategory(
+    modules, names, table = cluster_tilting_subcategory(
         ambient, n, modules, budget)
-    return build_glued(ambient, modules, names, n, k, table, res)
+    return build_glued(ambient, modules, names, n, k, table)
 
 
 def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
     """The subcategory that build_mk glues and `ausglue angles` lists:
     GldimTooBig unless gldim(ambient) <= n, and NotClusterTilting unless
     is_cluster_tilting passes on the modules (the tau_n-closure of the
-    injectives if None).  Returns (modules, names, hom_table,
-    resolutions), the table and resolutions built once."""
+    injectives if None).  Returns (modules, names, hom_table), the table
+    built once."""
     g = gldim(ambient)
     if g > n:
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
@@ -209,11 +209,10 @@ def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
     names = _unique_names([vertex_label(ambient, M) for M in modules])
     table = hom_table(ambient, modules, names)
-    res = [min_proj_resolution(M) for M in modules]
-    ok, witness = is_cluster_tilting(ambient, modules, n, res, table)
+    ok, witness = is_cluster_tilting(ambient, modules, n, table)
     if not ok:
         raise NotClusterTilting(_witness_text(names, n, witness))
-    return modules, names, table, res
+    return modules, names, table
 
 
 def _witness_text(names, n, witness):
@@ -227,25 +226,26 @@ def _witness_text(names, n, witness):
     if kind == "rigid":
         return "not %d-rigid: Ext^%d(%s, %s) != 0" % (n, w[2], names[w[0]],
                                                       names[w[1]])
-    return ("gldim End(M) > %d: the injective End(M)-module at %s has pdim %d"
-            % (n + 1, names[w[0]], w[1]))
+    return ("gldim End(M) > %d: the projective End(M)-module at %s has "
+            "injective dimension %d" % (n + 1, names[w[0]], w[1]))
 
 
-def is_rigid(modules, n, resolutions=None):
-    """Ext^i vanishing for 0 < i < n on all ordered pairs.  Returns
-    (True, None) or (False, (a, b, i)) for the least such i.  resolutions:
-    the modules' min_proj_resolution where at hand, else None."""
-    for a, Ma in enumerate(modules):
-        res = resolutions and resolutions[a] or min_proj_resolution(Ma)
+def is_rigid(sources, targets, n):
+    """Ext^i(X, Y) = 0 for 0 < i < n, X in sources and Y in targets; a
+    caller leaves out the projective sources, for which it always holds.
+    Returns (True, None) or (False, (a, b, i)) for the first source a,
+    then target b, then least i that fails."""
+    for a, Ma in enumerate(sources):
+        res = min_proj_resolution(Ma)
         top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
-        for b, Mb in enumerate(modules if top > 0 else ()):
+        for b, Mb in enumerate(targets if top > 0 else ()):
             for i, d in enumerate(ext_dims(res, Mb, top, 1), 1):
                 if d:
                     return False, (a, b, i)
     return True, None
 
 
-def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
+def is_cluster_tilting(ambient, modules, n, table=None):
     """Whether the sum M of the given indecomposables, each with End = K,
     is n-cluster tilting, by the higher Auslander correspondence (Iyama,
     "Auslander correspondence", Adv. Math. 210, 2007, Thm 0.2, with
@@ -255,9 +255,8 @@ def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
     (False, witness) from the first test to fail: ("generator", x) or
     ("cogenerator", y), no P_x or I_y; ("basic", (a, b)), two isomorphic
     positions; ("rigid", (a, b, i)), as is_rigid; ("gldim", (a, d)), the
-    first injective End(M)-module, at a, with pdim d > n + 1.
-    resolutions, table: the modules' min_proj_resolution and hom_table,
-    built if None."""
+    first projective End(M)-module, at a, with injective dimension
+    d > n + 1.  table: the modules' hom_table, built if None."""
     for kind, label in (("generator", projective_label),
                         ("cogenerator", injective_label)):
         have = {label(M) for M in modules}
@@ -269,12 +268,12 @@ def is_cluster_tilting(ambient, modules, n, resolutions=None, table=None):
     ok, pair = is_basic(end)
     if not ok:
         return False, ("basic", pair)
-    ok, witness = is_rigid(modules, n, resolutions)
+    ok, witness = is_rigid(modules, modules, n)
     if not ok:
         return False, ("rigid", witness)
-    for a, d in injective_pdims(end):
-        if d > n + 1:
-            return False, ("gldim", (a, d))
+    if gldim(end) > n + 1:
+        return False, ("gldim", next((a, d) for a, d in
+                                     injective_dims(end).items() if d > n + 1))
     return True, None
 
 

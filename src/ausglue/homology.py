@@ -14,17 +14,16 @@ D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
 
 Injective-side computations are routed through the opposite category via
-the duality D, so only projective resolutions are ever built.  The
-projective label of D(P_x) there names the Nakayama pairing P_x = I_y, and
-domdim resolves D(P_x) only for the unpaired x.
-
-gldim resolves only the I_y that are not projective, by two facts.  On a
-directed category, whose hom support (x -> y for hom(x, y) != 0, x != y)
-has no cycle, the algebra is triangular, so its global dimension d is
-finite.  When d is finite, d = pd DA = max pdim I_y: Ext^d(S, N) != 0 for
-some simple S, and Ext^d(-, N) is right exact, so the mono S -> I(S) gives
-Ext^d(I(S), N) ->> Ext^d(S, N).  Any other category is refused as
-NotDirected, naming a cycle of its hom support.
+the duality D, so only projective resolutions are ever built.  Each
+category keeps one table of the minimal injective coresolutions of its
+P_x (injective_coresolutions), and the Nakayama pairing, domdim and gldim
+are all read off it.  gldim is max id P_x: on a directed category, whose
+hom support (x -> y for hom(x, y) != 0, x != y) has no cycle, the algebra
+is triangular, so its global dimension d is finite, and then d = id A:
+Ext^d(N, S) != 0 for some module N and simple S, and Ext^d(N, -) is right
+exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).  Any
+other category is refused as NotDirected, naming a cycle of its hom
+support.
 """
 
 from itertools import product
@@ -60,33 +59,18 @@ class Resolution:
     def length(self):
         return len(self.terms) - 1
 
-    def check_minimal(self):
-        """Every differential image must lie in the radical: in Yoneda
-        coordinates, no entry may contain an identity component."""
-        for d in self.diffs:
-            for i, b in enumerate(d.dst_objs):
-                for j, a in enumerate(d.src_objs):
-                    if b == a and any(v != self.module.cat.field.zero
-                                      for v in d.entries[i][j]):
-                        return False
-        return True
-
-    def check_complex(self):
-        for i in range(len(self.diffs) - 1):
-            hi = self.diffs[i].realize(self.frees[i + 1], self.frees[i])
-            lo = self.diffs[i + 1].realize(self.frees[i + 2], self.frees[i + 1])
-            if not hi.compose(lo).is_zero():
-                return False
-        if self.diffs:
-            d0 = self.diffs[0].realize(self.frees[1], self.frees[0])
-            if not self.eps.compose(d0).is_zero():
-                return False
-        return True
-
 
 def min_proj_resolution(M):
     """The complete minimal projective resolution of M, down to its last
-    nonzero term; raises Truncated past length dim(cat) + 2.
+    nonzero term; raises Truncated past length dim(cat) + 2.  Built once
+    and kept on M (modules are immutable)."""
+    if not hasattr(M, "_resolution"):
+        M._resolution = _resolve(M)
+    return M._resolution
+
+
+def _resolve(M):
+    """min_proj_resolution without keeping it on M.
 
     The syzygy K = ker(F_i -> F_{i-1}) is kept as rows[y], the RREF rows
     of K(y) inside F_i(y), for y in the support of F_i only.  Its
@@ -161,24 +145,11 @@ def pdim(M):
     return min_proj_resolution(M).length
 
 
-def gldim(cat, resolutions=None):
-    """Global dimension, as max pdim I_y; see injective_pdims."""
-    return max((d for _, d in injective_pdims(cat, resolutions)), default=0)
-
-
-def injective_pdims(cat, resolutions=None):
-    """(y, pdim I_y) for each y whose I_y is not projective, in object
-    order; NotDirected unless cat is directed.  resolutions: the
-    min_proj_resolution of these I_y by y, if at hand.  Any other I_y is
-    built as D(P_y) of the opposite category and dropped once resolved,
-    not cached as injective_module does: holding them raises peak memory."""
+def gldim(cat):
+    """Global dimension, as max id P_x; NotDirected unless cat is
+    directed, checked before anything is resolved."""
     _refuse_cycles(cat)
-    paired = set(projective_injectives(cat).values())
-    for y in cat.objects:
-        if y not in paired:
-            res = (resolutions or {}).get(y) or min_proj_resolution(
-                dual_module(projective_module(cat.opposite(), y)))
-            yield y, res.length
+    return max(injective_dims(cat).values())
 
 
 def _refuse_cycles(cat):
@@ -207,41 +178,54 @@ def _hom_support(cat, objs):
                          if x != y and cat.homdim[(x, y)]])
 
 
+def injective_coresolutions(cat):
+    """{x: socle labels of each term of the minimal injective coresolution
+    of P_x}, in object order, read as the projective resolution of D(P_x)
+    over the opposite category: [[y]] where D(P_x) is its P_y, so P_x =
+    I_y.  Only the labels are kept, once per category; do not mutate.
+    The projectives these resolutions cache on the opposite category are
+    dropped too: each is a dense copy of the structure constants."""
+    table = getattr(cat, "_coresolutions", None)
+    if table is None:
+        op = cat.opposite()
+        kept = dict(getattr(op, "_proj_cache", {}))
+        table = {}
+        for x in cat.objects:
+            D = dual_module(projective_module(cat, x))
+            y = projective_label(D)
+            table[x] = [[y]] if y is not None else _resolve(D).terms
+        cat._coresolutions = table
+        op._proj_cache = kept
+    return table
+
+
 def projective_injectives(cat):
     """The Nakayama pairing {x: y}, in object order: P_x is injective and
-    isomorphic to I_y, so D(P_x) is the projective P_y of the opposite
-    category.  The pairing is cached on the category, so each D(P_x) is
-    labelled once; D(P_x) itself is not kept, since holding one per object
-    raises peak memory.  Callers must not mutate the returned dict."""
-    pairing = getattr(cat, "_pi_cache", None)
-    if pairing is None:
-        ys = {x: projective_label(dual_module(projective_module(cat, x)))
-              for x in cat.objects}
-        pairing = cat._pi_cache = {x: y for x, y in ys.items()
-                                   if y is not None}
-    return pairing
+    isomorphic to I_y, its coresolution a single term."""
+    return {x: terms[0][0] for x, terms in injective_coresolutions(cat).items()
+            if len(terms) == 1}
+
+
+def injective_dims(cat):
+    """{x: id P_x}, read off injective_coresolutions."""
+    return {x: len(terms) - 1
+            for x, terms in injective_coresolutions(cat).items()}
+
+
+def dominant_dims(cat):
+    """{x: the number of leading projective-injective terms of the
+    coresolution of P_x}, INFINITY where P_x is injective; a last term is
+    not projective, as a surjection onto a projective splits."""
+    projinj = set(projective_injectives(cat).values())  # I_y projective
+    return {x: next((i for i, term in enumerate(terms)
+                     if not projinj.issuperset(term)), INFINITY)
+            for x, terms in injective_coresolutions(cat).items()}
 
 
 def domdim(cat):
-    """Dominant dimension: minimum over indecomposable projectives of the
-    number of leading projective-injective terms in the minimal injective
-    coresolution.  Returns INFINITY for self-injective input."""
-    pairing = projective_injectives(cat)
-    projinj = set(pairing.values())  # the y with I_y projective
-    best = INFINITY
-    for x in cat.objects:
-        if x in pairing:
-            continue  # P_x = I_y: the coresolution is I_y alone
-        # the minimal injective coresolution of P_x, as the projective
-        # resolution of D(P_x); terms list socle labels, term i being the
-        # sum of I_y over its entries.  Its last term is not projective: a
-        # surjection onto a projective splits.
-        res = min_proj_resolution(dual_module(projective_module(cat, x)))
-        best = min(best, next(i for i, term in enumerate(res.terms)
-                              if not projinj.issuperset(term)))
-        if best == 0:
-            break
-    return best
+    """Dominant dimension: the least of dominant_dims.  Returns INFINITY
+    for self-injective input."""
+    return min(dominant_dims(cat).values())
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +275,11 @@ class ExtSpace:
         return [f(-v) for v in rest[n + len(self.cob_rows):]]
 
 
-def ext_space(X, Y, n, resolution=None):
+def ext_space(X, Y, n):
     """Ext^n(X, Y) with explicit representatives; n >= 1.  Use hom_modules
-    for n = 0.  resolution: X's min_proj_resolution, if at hand."""
+    for n = 0."""
     f = X.cat.field
-    res = resolution or min_proj_resolution(X)
+    res = min_proj_resolution(X)
     if n > res.length:
         return ExtSpace(X, Y, n, res, [], [])
     hom_n = sum(Y.dims[b] for b in res.terms[n])
@@ -349,12 +333,12 @@ def ext_dim(X, Y, n):
 # transpose and AR translates
 
 
-def transpose_module(M, n=1, resolution=None):
+def transpose_module(M, n=1):
     """Tr(Omega^{n-1} M): cokernel of the dualized minimal presentation
-    d_n: F_n -> F_{n-1} in M's minimal resolution, given as resolution if
-    at hand; a module over the opposite category."""
+    d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
+    opposite category."""
     op = M.cat.opposite()
-    res = resolution or min_proj_resolution(M)
+    res = min_proj_resolution(M)
     if len(res.diffs) < n:
         return zero_module(op)
     d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])
@@ -373,12 +357,11 @@ def tau_inv(M):
     return transpose_module(dual_module(M))
 
 
-def tau_n(M, n, resolution=None):
-    """Higher translate tau Omega^{n-1} = D Tr(Omega^{n-1} M); n >= 1.
-    resolution: M's min_proj_resolution, if at hand."""
+def tau_n(M, n):
+    """Higher translate tau Omega^{n-1} = D Tr(Omega^{n-1} M); n >= 1."""
     if n < 1:
         raise InvalidParams("tau_n needs n >= 1, got %r" % (n,))
-    return dual_module(transpose_module(M, n, resolution))
+    return dual_module(transpose_module(M, n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ plus, for the hereditary (n=1) case, the identification of the quiver of
 from .fincat import (projective_module, injective_module, projective_label,
                      injective_label, module_label, dual_module)
 from .homology import (gldim, domdim, min_proj_resolution, ext_dim, tau_n,
-                       projective_injectives, INFINITY)
+                       projective_injectives, injective_coresolutions,
+                       injective_dims, dominant_dims, INFINITY)
 from .glue import build_sk, build_mk, is_rigid
 from .errors import NoApproximation
 from .quiver import DynkinSpec, hereditary_presentation
@@ -196,14 +197,16 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.stats.update(rank_gamma=len(G.objects), gldim_gamma=g_gldim,
                      domdim_gamma=g_domdim, projinj_count=len(pi))
 
+    g_witness = _coresolution_witness(G, injective_dims(G), g_gldim)
+    d_witness = _coresolution_witness(G, dominant_dims(G), g_domdim)
     if k == 0:
         rep.add("classical.gldim", "sec2.3", True, g_gldim <= n + 1,
-                witness=g_gldim)
+                g_witness)
         rep.add("classical.domdim", "sec2.3", True,
-                g_domdim == INFINITY or g_domdim >= n + 1, witness=g_domdim)
+                g_domdim == INFINITY or g_domdim >= n + 1, d_witness)
     else:
-        rep.add(gldim_id + ".gldim", gldim_id, d + 1, g_gldim)
-        rep.add(gldim_id + ".domdim", gldim_id, d + 1, g_domdim)
+        rep.add(gldim_id + ".gldim", gldim_id, d + 1, g_gldim, g_witness)
+        rep.add(gldim_id + ".domdim", gldim_id, d + 1, g_domdim, d_witness)
 
     rep.add("prop5.rank_gamma", "sec5", (k + 1) * m, len(G.objects))
     rep.add("prop5.projinj_gamma", "sec5", k * m + r, len(pi))
@@ -233,24 +236,23 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("prop5.injnotproj_sigma", "sec5", m - r,
             len(S.objects) - len(s_pair))
 
-    # the projectives, then the injectives that are not also projective,
-    # each I_y resolved once for gldim, rigidity and the tau_d-closure
+    s_gldim = gldim(S)
+    rep.stats["gldim_sigma"] = s_gldim
+    rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim,
+            _coresolution_witness(S, injective_dims(S), s_gldim))
+
+    # the projectives, then the injectives that are not also projective;
+    # Ext^i(P, -) = 0, so only the latter are resolved, once each for the
+    # rigidity check and the tau_d-closure
     proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
     unpaired = [y for y in S.objects if y not in proj_of]
-    inj_res = {y: min_proj_resolution(injective_module(S, y))
-               for y in unpaired}
-    s_gldim = gldim(S, inj_res)
-    rep.stats["gldim_sigma"] = s_gldim
-    rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim)
-
+    injs = [injective_module(S, y) for y in unpaired]
     labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
-    gen_cogen = [projective_module(S, x) for x in S.objects] + \
-        [injective_module(S, y) for y in unpaired]
-    ok, witness = is_rigid(gen_cogen, d,
-                           [None] * len(S.objects) + list(inj_res.values()))
+    gen_cogen = [projective_module(S, x) for x in S.objects] + injs
+    ok, witness = is_rigid(injs, gen_cogen, d)
     if witness is not None:  # name the two modules, not their positions
         a, b, i = witness
-        witness = [labels[a], labels[b], i]
+        witness = [("I", unpaired[a]), labels[b], i]
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 
@@ -261,8 +263,8 @@ def _verify_glued(glued, input_desc, gldim_id):
     tau_labels = set()
     closure_ok = True
     closure_witness = None
-    for y in unpaired:
-        T = tau_n(injective_module(S, y), d, inj_res[y])
+    for y, I in zip(unpaired, injs):
+        T = tau_n(I, d)
         if T.total_dim() == 0:
             continue
         lab = module_label(T)
@@ -279,6 +281,13 @@ def _verify_glued(glued, input_desc, gldim_id):
     same = set(labels) == inj_labels | tau_labels
     rep.add("prop5.ct_summands", "sec5", True, same)
     return rep
+
+
+def _coresolution_witness(cat, dims, value):
+    """The witness of a failing gldim or domdim claim: [x, the
+    coresolution terms of P_x] for the first x with dims[x] == value."""
+    x = next(x for x in cat.objects if dims[x] == value)
+    return [x, injective_coresolutions(cat)[x]]
 
 
 def _add_quiver_claim(rep, glued):

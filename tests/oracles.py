@@ -1,7 +1,8 @@
 """Reference constructions that only the tests use, as oracles: a syzygy
-as a module of its own (kernel, Submodule), direct sums with their
-inclusions and projections, naturality and flattening of module maps,
-and the hom dimensions of a glued category by copy."""
+as a module of its own (kernel, Submodule), the minimality and complex
+checks of a resolution, direct sums with their inclusions and
+projections, naturality and flattening of module maps, and the hom
+dimensions of a glued category by copy."""
 
 from ausglue.fincat import CatModule, ModuleMap
 from ausglue.homology import min_proj_resolution
@@ -46,6 +47,31 @@ def syzygy(M):
     """Omega(M) as a module of its own: the kernel of the projective
     cover."""
     return kernel(min_proj_resolution(M).eps).module
+
+
+def is_minimal(res):
+    """Every differential image must lie in the radical: in Yoneda
+    coordinates, no entry may contain an identity component."""
+    for d in res.diffs:
+        for i, b in enumerate(d.dst_objs):
+            for j, a in enumerate(d.src_objs):
+                if b == a and any(v != res.module.cat.field.zero
+                                  for v in d.entries[i][j]):
+                    return False
+    return True
+
+
+def is_complex(res):
+    for i in range(len(res.diffs) - 1):
+        hi = res.diffs[i].realize(res.frees[i + 1], res.frees[i])
+        lo = res.diffs[i + 1].realize(res.frees[i + 2], res.frees[i + 1])
+        if not hi.compose(lo).is_zero():
+            return False
+    if res.diffs:
+        d0 = res.diffs[0].realize(res.frees[1], res.frees[0])
+        if not res.eps.compose(d0).is_zero():
+            return False
+    return True
 
 
 def direct_sum(cat, modules):

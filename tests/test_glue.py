@@ -143,21 +143,21 @@ def test_euler_characteristic_additive_on_ar_sequences():
 def test_rigidity():
     ar = knit(A3)
     mods = [ar.module(i) for i in range(ar.count)]
-    assert is_rigid(mods, 1) == (True, None)
-    ok, witness = is_rigid(mods, 2)
+    assert is_rigid(mods, mods, 1) == (True, None)
+    ok, witness = is_rigid(mods, mods, 2)
     assert not ok and witness is not None
     a, b, i = witness
     assert i == 1 and ext_dim(mods[a], mods[b], 1) > 0
 
 
-def _reference_is_rigid(modules, n):
-    """is_rigid by cocycles: one ext_space per ordered pair and degree
+def _reference_is_rigid(sources, targets, n):
+    """is_rigid by cocycles: one ext_space per source, target and degree
     0 < i < n up to the length of the source's resolution."""
-    for a, Ma in enumerate(modules):
+    for a, Ma in enumerate(sources):
         res = min_proj_resolution(Ma)
-        for b, Mb in enumerate(modules):
+        for b, Mb in enumerate(targets):
             for i in range(1, min(n, res.length + 1)):
-                if ext_space(Ma, Mb, i, resolution=res).dim:
+                if ext_space(Ma, Mb, i).dim:
                     return False, (a, b, i)
     return True, None
 
@@ -165,24 +165,24 @@ def _reference_is_rigid(modules, n):
 def test_is_rigid_matches_reference(monkeypatch):
     """is_rigid, which ranks and skips injective targets, gives the
     (ok, witness) of the cocycle loop: on the knitted indecomposables of
-    A3 with n = 2 and 3, on the gen-cogen list of Sigma for A3 with k = 1
-    at its d, and on the cluster-tilting list of Nakayama(4,3) plus one
-    more indecomposable."""
+    A3 with n = 2 and 3, on the unpaired injectives of Sigma for A3 with
+    k = 1 into its gen-cogen list at its d, and on the cluster-tilting
+    list of Nakayama(4,3) plus one more indecomposable."""
     ar = knit(A3)
     mods = [ar.module(i) for i in range(ar.count)]
-    cases = [(mods, 2), (mods, 3)]
-    monkeypatch.setattr(tower, "is_rigid", lambda modules, n, res: (
-        cases.append((modules, n)) or is_rigid(modules, n, res)))
+    cases = [(mods, mods, 2), (mods, mods, 3)]
+    monkeypatch.setattr(tower, "is_rigid", lambda sources, targets, n: (
+        cases.append((sources, targets, n)) or is_rigid(sources, targets, n)))
     assert tower.verify_theorem_dynkin(DynkinSpec("A", 3), 1).passed
-    assert cases[2][1] == 4 and len(cases[2][0]) == 12
+    assert [len(cases[2][0]), len(cases[2][1]), cases[2][2]] == [3, 12, 4]
     nak = nakayama()
     ct = cluster_tilting_from_tau_n(nak, 2)
     ar = knit(nak)
     extra = next(M for M in (ar.module(i) for i in range(ar.count))
                  if not any(modules_isomorphic(M, T) for T in ct))
-    cases.append((ct + [extra], 2))
-    got = [is_rigid(modules, n) for modules, n in cases]
-    assert got == [_reference_is_rigid(modules, n) for modules, n in cases]
+    cases.append((ct + [extra], ct + [extra], 2))
+    got = [is_rigid(*case) for case in cases]
+    assert got == [_reference_is_rigid(*case) for case in cases]
     assert [ok for ok, _ in got] == [False, False, True, False]
 
 
@@ -195,14 +195,13 @@ def _knit_reference(ambient, n):
     is computed once, by cocycles.  knit's NotRepFinite propagates."""
     ar = knit(ambient)
     knitted = [ar.module(i) for i in range(ar.count)]
-    res = [min_proj_resolution(X) for X in knitted]
     meets = {}
 
     def meet(a, b):
         if (a, b) not in meets:
-            meets[(a, b)] = any(
-                ext_space(knitted[a], knitted[b], i, resolution=res[a]).dim
-                for i in range(1, min(n, res[a].length + 1)))
+            top = min_proj_resolution(knitted[a]).length
+            meets[(a, b)] = any(ext_space(knitted[a], knitted[b], i).dim
+                                for i in range(1, min(n, top + 1)))
         return meets[(a, b)]
 
     def is_ct(modules):
@@ -252,7 +251,7 @@ def test_cluster_tilting_checks():
     # injective: DA alone is no generator, as knitting finds too
     a3 = make(DynkinSpec("A", 3, "linear"))
     injs = [injective_module(a3, x) for x in a3.objects]
-    assert is_rigid(injs, 2) == (True, None)
+    assert is_rigid(injs, injs, 2) == (True, None)
     assert is_cluster_tilting(a3, injs, 2) == (False, ("generator", 2))
     assert not _knit_reference(a3, 2)(injs)
 
@@ -307,8 +306,8 @@ def test_kronecker_refused_with_knit_reason():
     for mods, witness, text in (
             (projs, ("cogenerator", 1), "not a cogenerator: I_1 is not "
              "among them"),
-            (projs + injs, ("gldim", (0, 3)), r"gldim End\(M\) > 2: the "
-             r"injective End\(M\)-module at P_1 has pdim 3")):
+            (projs + injs, ("gldim", (2, 3)), r"gldim End\(M\) > 2: the "
+             r"projective End\(M\)-module at I_1 has injective dimension 3")):
         assert is_cluster_tilting(kron, mods, 1) == (False, witness)
         with pytest.raises(NotClusterTilting, match="^%s$" % text):
             build_mk(kron, 1, 1, modules=mods)
@@ -324,8 +323,8 @@ def _gldim_by_simples(cat):
 
 
 def test_gldim_by_injectives_matches_simples():
-    """gldim reads max pdim over the injectives that are not projective;
-    it agrees with max pdim over the simples on ambients (the commutative
+    """gldim reads max id P_x off the coresolution table; it agrees with
+    max pdim over the simples on ambients (the commutative
     square and End of the Kronecker {P1, P2, I1, I2} among them), on Gamma
     and Sigma of three towers, and on End(M) of every one-module deletion
     of the tau_2-closures in test_cluster_tilting_matches_knit_reference."""

@@ -39,6 +39,16 @@ GOLDEN = [
         ["--auslander-of", "A5", "--k", "1", "--n", "2"],
         "0dbbd2f2a9a754eb409011a3c376fd0f489b9bd94df863c1a96546edc6caeb41",
         id="auslander-a5-k1-n2"),
+    # the default inputs of the two benchmark workloads, whose hashes
+    # verdictbench/expected.json records under "default"
+    pytest.param(
+        ["--dynkin", "A4", "--k", "4", "--field", "QQ"],
+        "84ed735d86979699ba0b33aa10c8b7849e0795ba9b94ca03ac734f70cbc8aa04",
+        id="deep-tower-a4-k4-qq"),
+    pytest.param(
+        ["--auslander-of", "A4", "--k", "1", "--n", "2"],
+        "4bcf821c626a6d40271d717007fff595f3502c3087a7c892eede8abfdf661ca0",
+        id="higher-auslander-a4-k1-n2"),
 ]
 
 

@@ -12,10 +12,11 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import (FinCategory, injective_module, injective_label,
-                            projective_module, is_basic)
+                            projective_label, projective_module, is_basic,
+                            dual_module)
 from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
 from ausglue.knitting import knit, vertex_label
-from ausglue.glue import (build_sk, auslander_category,
+from ausglue.glue import (build_sk, build_glued, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
 from ausglue.tower import (gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
@@ -240,17 +241,18 @@ def test_rigidity_witness_names_modules(monkeypatch):
     from ausglue.fincat import module_label
     seen = []
 
-    def fail(modules, n, resolutions):
-        seen.append(modules)
-        return False, (1, len(modules) - 1, 2)
+    def fail(sources, targets, n):
+        seen.append((sources, targets))
+        return False, (1, 2, n - 1)
     monkeypatch.setattr(tower, "is_rigid", fail)
     rep = verify_theorem_dynkin(DynkinSpec("A", 3), 1)
     claim = next(c for c in rep.claims if c.cid == "thm1.4.rigidity")
     assert claim.status == "fail" and not rep.passed
-    mods = seen[0]
-    assert claim.witness == [module_label(mods[1]), module_label(mods[-1]), 2]
-    assert claim.witness[0][0] == "P" and claim.witness[1][0] == "I"
-    assert claim.to_dict()["witness"][2] == 2
+    sources, targets = seen[0]
+    assert claim.witness == [module_label(sources[1]),
+                             module_label(targets[2]), 3]
+    assert claim.witness[0][0] == "I" and claim.witness[1][0] == "P"
+    assert claim.to_dict()["witness"][2] == 3
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -280,7 +282,7 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     from ausglue import tower
     seen = []
 
-    def split_sum(M, d, resolution):
+    def split_sum(M, d):
         S = M.cat
         T = direct_sum(S, [projective_module(S, x) for x in S.objects[:2]])[0]
         seen.append((injective_label(M), T.dim_vector()))
@@ -294,31 +296,85 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     assert claim.to_dict()["witness"] == [list(y), list(dimvec)]
 
 
-def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
-    """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
-    Sigma that is not projective once, counted over every module
-    isomorphic to it: gldim Sigma, the rigidity check and the
-    tau_d-closure share that one resolution."""
-    import sys
+def test_failing_gldim_and_domdim_name_a_coresolution(monkeypatch):
+    """Glued over every knitted indecomposable of A3 with n = 2 and k = 1,
+    which is not 2-cluster tilting, thm1.3.gldim, thm1.3.domdim and
+    thm1.4.gldim_sigma fail.  Each witness is [x, terms]: the first P_x of
+    largest injective dimension, or attaining domdim, and the socle labels
+    of the terms of its minimal injective coresolution.  The computed
+    value is read back from the witness, and the terms are recomputed from
+    P_x alone."""
     from ausglue import tower
-    calls, sigmas = [], []
-
-    def counted(M):
-        calls.append(M)
-        return min_proj_resolution(M)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("ausglue") and hasattr(mod, "min_proj_resolution"):
-            monkeypatch.setattr(mod, "min_proj_resolution", counted)
+    sigmas = []
     monkeypatch.setattr(tower, "sigma",
                         lambda g: sigmas.append(sigma(g)) or sigmas[-1])
+    ar = knit(A3)
+    glued = build_glued(A3, [ar.module(i) for i in range(ar.count)],
+                        _unique_names(ar.labels()), 2, 1, ar.table)
+    claims = {c.cid: c for c in
+              tower._verify_glued(glued, "all of A3", "thm1.3").claims}
+
+    def terms_of(cat, x):
+        return min_proj_resolution(dual_module(projective_module(cat, x))).terms
+
+    def leading_projinj(cat, terms):
+        return next((i for i, t in enumerate(terms) if any(
+            projective_label(injective_module(cat, y)) is None for y in t)),
+            None)
+
+    G, S = glued.cat, sigmas[0][0]
+    for cid, cat, value in (
+            ("thm1.3.gldim", G, lambda terms: len(terms) - 1),
+            ("thm1.3.domdim", G, lambda terms: leading_projinj(G, terms)),
+            ("thm1.4.gldim_sigma", S, lambda terms: len(terms) - 1)):
+        c = claims[cid]
+        assert c.status == "fail"
+        x, terms = c.witness
+        assert value(terms) == c.computed != c.expected
+        assert terms_of(cat, x) == terms
+        first = next(y for y in cat.objects
+                     if value(terms_of(cat, y)) == c.computed)
+        assert first == x
+    assert (claims["thm1.3.gldim"].computed,
+            claims["thm1.3.gldim"].expected) == (2, 7)
+
+
+def test_verdict_resolves_each_module_once(monkeypatch):
+    """verify_theorem_dynkin(A3, k = 2), counted by Resolution
+    constructions: no module object is resolved twice; each D(P_x) of
+    Gamma that is not projective over Gamma^op is resolved once, for the
+    pairing, gldim and domdim together, and the others not at all; Gamma's
+    own injectives are never built, and the projectives of Gamma^op that
+    those resolutions built are not kept; and on Sigma only the injectives
+    that are not projective are resolved, once each, no projective."""
+    from ausglue import homology, tower
+    resolved, sigmas = [], []
+    real = homology.Resolution.__init__
+
+    def counted(self, module, *rest):
+        resolved.append(module)
+        real(self, module, *rest)
+    monkeypatch.setattr(homology.Resolution, "__init__", counted)
+    monkeypatch.setattr(tower, "sigma",
+                        lambda g: sigmas.append((g, sigma(g))) or sigmas[-1][1])
     assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
-    S = sigmas[0][0]
-    paired = set(projective_injectives(S).values())
-    unpaired = [y for y in S.objects if y not in paired]
+    assert len({id(M) for M in resolved}) == len(resolved)
+    glued, (S, _, _) = sigmas[0]
+    G = glued.cat
+    paired = projective_injectives(G)
+    assert paired and len(paired) < len(G.objects)
+    on_gamma_op = [injective_label(M) for M in resolved
+                   if M.cat is G.opposite()]
+    assert on_gamma_op == [x for x in G.objects if x not in paired]
+    assert getattr(G, "_inj_cache", None) is None
+    assert not getattr(G.opposite(), "_proj_cache", None)
+    assert not any(M.cat is G for M in resolved)
+    unpaired = [y for y in S.objects
+                if y not in projective_injectives(S).values()]
     assert len(unpaired) == 3  # m - r = 6 - 3
-    on_sigma = [M for M in calls if M.cat is S]
-    assert [sum(injective_label(M) == y for M in on_sigma)
-            for y in unpaired] == [1, 1, 1]
+    on_sigma = [M for M in resolved if M.cat is S]
+    assert [injective_label(M) for M in on_sigma] == unpaired
+    assert all(projective_label(M) is None for M in on_sigma)
 
 
 def _report_claims(case, field):
