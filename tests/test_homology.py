@@ -163,6 +163,31 @@ def _reference_ext_reps(X, Y, n, res):
     return reps, zvecs
 
 
+def test_domdim_resolves_only_unpaired_projectives(monkeypatch):
+    """A paired P_x = I_y is its own coresolution, so domdim resolves
+    D(P_x), the injective at x of the opposite category, only for the x
+    outside the Nakayama pairing, and its value is unchanged."""
+    from ausglue import homology
+    from ausglue.glue import auslander_category, build_sk
+    aus, _ = auslander_category(A3)
+    real = homology._resolve
+    for cat, value in ((build_sk(A3, 1).cat, 5), (aus, 2)):
+        seen = []
+
+        def counting(M):
+            assert M.cat is cat.opposite()
+            seen.append(injective_label(M))
+            return real(M)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "_resolve", counting)
+            assert domdim(cat) == value
+        pairing = projective_injectives(cat)
+        unpaired = [x for x in cat.objects if x not in pairing]
+        assert pairing and unpaired
+        assert seen == unpaired
+
+
 def test_ext_reps_match_incremental_reference():
     """ext_space picks its representatives with one elimination; they are
     the cocycles the one-at-a-time span test keeps, in degrees 1 and 2,

@@ -296,6 +296,31 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     assert claim.to_dict()["witness"] == [list(y), list(dimvec)]
 
 
+def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
+    """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
+    Sigma that is not projective once, counted over every module
+    isomorphic to it: gldim Sigma, the rigidity check and the
+    tau_d-closure share that one resolution."""
+    from ausglue import homology, tower
+    calls, sigmas = [], []
+    real = homology._resolve
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+    monkeypatch.setattr(homology, "_resolve", counted)
+    monkeypatch.setattr(tower, "sigma",
+                        lambda g: sigmas.append(sigma(g)) or sigmas[-1])
+    assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
+    S = sigmas[0][0]
+    paired = set(projective_injectives(S).values())
+    unpaired = [y for y in S.objects if y not in paired]
+    assert len(unpaired) == 3  # m - r = 6 - 3
+    on_sigma = [M for M in calls if M.cat is S]
+    assert [sum(injective_label(M) == y for M in on_sigma)
+            for y in unpaired] == [1, 1, 1]
+
+
 def test_failing_gldim_and_domdim_name_a_coresolution(monkeypatch):
     """Glued over every knitted indecomposable of A3 with n = 2 and k = 1,
     which is not 2-cluster tilting, thm1.3.gldim, thm1.3.domdim and
