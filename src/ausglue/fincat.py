@@ -19,7 +19,7 @@ module is ever split into summands.
 
 from functools import cached_property
 
-from .linalg import Mat, row_space_basis, echelon_columns, quotient_coords
+from .linalg import Mat, row_space_basis, echelon_columns
 from .errors import NonSchurianVertex
 
 
@@ -266,43 +266,25 @@ class CatModule:
         return "CatModule(dims=%r)" % ({x: d for x, d in self.dims.items() if d},)
 
 
-class _Blocks(dict):
-    """The matrices of a ModuleMap by object.  Only the blocks given are
-    stored; a block not given (or given as None) is zero, and is built and
-    stored when first read."""
-
-    __slots__ = ("src", "dst")
-
-    def __missing__(self, x):
-        m = self[x] = Mat.zero(self.src.cat.field, self.dst.dims[x],
-                               self.src.dims[x])
-        return m
-
-
 class ModuleMap:
-    """A natural transformation between CatModules over the same category.
-
-    `mats` may leave out zero blocks: `self.mats[x]` reads every block, but
-    iterating `self.mats` lists only the blocks stored, those given and
-    the zero blocks read since."""
+    """A natural transformation between CatModules over the same category,
+    with one matrix per object in mats."""
 
     def __init__(self, src, dst, mats):
         self.src = src
         self.dst = dst
-        self.mats = _Blocks((x, m) for x, m in mats.items() if m is not None)
-        self.mats.src, self.mats.dst = src, dst
+        self.mats = mats
 
     def compose(self, other):
         """self o other."""
-        a, b = self.mats, other.mats
+        b = other.mats
         return ModuleMap(other.src, self.dst,
-                         {x: a[x] * b[x] for x in a if x in b})
+                         {x: m * b[x] for x, m in self.mats.items()})
 
     def __add__(self, other):
-        mats = dict(self.mats)
-        for x, m in other.mats.items():
-            mats[x] = mats[x] + m if x in mats else m
-        return ModuleMap(self.src, self.dst, mats)
+        b = other.mats
+        return ModuleMap(self.src, self.dst,
+                         {x: m + b[x] for x, m in self.mats.items()})
 
     def scale(self, c):
         return ModuleMap(self.src, self.dst,
@@ -542,43 +524,7 @@ def module_label(M):
 
 
 # ---------------------------------------------------------------------------
-# quotient structure
-
-
-class Quotient:
-    """Quotient of a CatModule by an action-stable subspace."""
-
-    def __init__(self, parent, sub_rows):
-        c = parent.cat
-        f = c.field
-        dims = {}
-        proj = {}
-        sect = {}
-        for x in c.objects:
-            rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
-            piv, free = echelon_columns(f, rows, parent.dims[x])
-            dims[x] = len(free)
-            unit = Mat.identity(f, parent.dims[x]).rows
-            proj[x] = Mat.from_cols(f, [quotient_coords(f, rows, piv, free, e)
-                                        for e in unit])
-            sect[x] = Mat(f, [[e[j] for j in free] for e in unit],
-                          parent.dims[x], dims[x])
-        act = {}
-        for x in c.objects:
-            for y in c.objects:
-                d = c.homdim[(x, y)]
-                if d == 0 or dims[x] == 0 or dims[y] == 0:
-                    continue
-                act[(x, y)] = [proj[y] * parent.action(x, y, i) * sect[x]
-                               for i in range(d)]
-        self.module = CatModule(c, dims, act)
-
-
-def cokernel(phi):
-    """Cokernel of a ModuleMap, as a Quotient of phi.dst by the span of
-    the columns of each block."""
-    return Quotient(phi.dst, {x: phi.mats[x].transpose().rows
-                              for x in phi.src.cat.objects})
+# radical and top
 
 
 def radical_rows(M):
@@ -618,15 +564,15 @@ def top_generators(M):
 # free modules and category matrices
 
 
-class FreeModule(CatModule):
+class FreeModule:
     """An explicit direct sum of representable projectives P_x, with
     bookkeeping of which block of each value space belongs to which
     summand.  Its support, where it is nonzero, is the union of the
     supports of the summands' P_s, each cached with P_s.  dims is 0 off
     the support and offsets is filled only on it; elsewhere yoneda_entries
-    gives empty blocks and apply_action zero vectors.  The dense action
-    act is built only when first read, while apply_action works one
-    summand at a time through the cached projective actions."""
+    gives empty blocks and apply_action zero vectors.  It has no dense
+    action: apply_action works one summand at a time through the cached
+    projective actions, and a map between free modules is a CatMat."""
 
     def __init__(self, cat, summands):
         self.cat = cat
@@ -644,20 +590,6 @@ class FreeModule(CatModule):
                 o += cat.homdim[(s, y)]
             self.offsets[y] = offs
             self.dims[y] = o
-
-    @cached_property
-    def act(self):
-        c = self.cat
-        act = {}
-        for y in self.support:
-            for z in self.support:
-                d = c.homdim[(y, z)]
-                if d:
-                    act[(y, z)] = [
-                        Mat.block_diag(c.field,
-                                       [p.action(y, z, i) for p in self.projs])
-                        for i in range(d)]
-        return act
 
     def apply_action(self, x, y, i, v):
         zero = self.cat.field.zero
@@ -680,14 +612,6 @@ class FreeModule(CatModule):
         return [N.apply_action(s, y, i, e)
                 for s, e in zip(self.summands, elements)
                 for i in range(self.cat.homdim[(s, y)])]
-
-    def yoneda_map(self, N, elements):
-        """The ModuleMap self -> N with the columns of yoneda_columns; it
-        is zero off the support."""
-        f = self.cat.field
-        return ModuleMap(self, N, {
-            y: Mat.from_cols(f, self.yoneda_columns(N, elements, y))
-            for y in self.support})
 
     def yoneda_entries(self, y, w):
         """Split a vector w of self(y) into its summand blocks: block i is
@@ -719,13 +643,34 @@ class CatMat:
                    for j in range(len(self.src_objs))]
         return CatMat(opc, self.dst_objs, self.src_objs, entries)
 
-    def realize(self, src_free, dst_free):
-        """The induced ModuleMap between the given free realizations: by
-        Yoneda, the generator of summand j goes to the vector of
-        dst_free(src_objs[j]) whose blocks are the entries of column j."""
-        return src_free.yoneda_map(dst_free, [
-            [v for row in self.entries for v in row[j]]
-            for j in range(len(self.src_objs))])
+    def images(self):
+        """By Yoneda, the vector of F(dst_objs) at src_objs[j] that the
+        generator of summand j goes to, for each j: the entries of column
+        j, one block per summand of F(dst_objs)."""
+        return [[v for row in self.entries for v in row[j]]
+                for j in range(len(self.src_objs))]
+
+    def compose(self, other):
+        """self o other, for other: F(other.src_objs) -> F(self.src_objs).
+        Entry (k, j) is the sum over i of other's (i, j) entry composed
+        with self's (k, i) entry, u_ij o v_ki in hom(dst_k, src_j): the
+        composite P_a -> P_b -> P_c sends 1_a to u in hom(b, a), and then
+        to u o v in hom(c, a)."""
+        c = self.cat
+        p = c.field.p
+        entries = []
+        for k, z in enumerate(self.dst_objs):
+            row = []
+            for j, x in enumerate(other.src_objs):
+                acc = [c.field.zero] * c.homdim[(z, x)]
+                for i, y in enumerate(self.src_objs):
+                    if c.homdim[(z, y)] and c.homdim[(y, x)]:
+                        uv = c.compose(z, y, x, other.entries[i][j],
+                                       self.entries[k][i])
+                        acc = [a + b for a, b in zip(acc, uv)]
+                row.append(acc if p is None else [a % p for a in acc])
+            entries.append(row)
+        return CatMat(c, other.src_objs, self.dst_objs, entries)
 
     def hom_into(self, N):
         """Induced map Hom(F(dst), N) -> Hom(F(src), N) in Yoneda

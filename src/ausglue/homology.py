@@ -30,7 +30,7 @@ from itertools import product
 
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
-from .fincat import (FreeModule, CatMat, cokernel, dual_module,
+from .fincat import (FreeModule, CatMat, CatModule, dual_module,
                      top_generators, projective_module, projective_label,
                      zero_module)
 from .quiver import Quiver
@@ -42,18 +42,20 @@ INFINITY = float("inf")
 class Resolution:
     """A minimal projective resolution ... -> F_1 -> F_0 -> M -> 0.
 
-    terms[i]: summand-object list of F_i; frees[i]: its FreeModule
-    realization, which builds its dense action only on demand; diffs[i]:
-    the CatMat F_{i+1} -> F_i; eps: F_0 -> M.  The syzygies themselves are
-    not kept: each was only the RREF rows of its value spaces in F_i.
+    terms[i]: summand-object list of F_i; frees[i]: its FreeModule, for
+    the offsets and the action of its value spaces; diffs[i]: the CatMat
+    F_{i+1} -> F_i; tops: the vectors of M that the generators of F_0 go
+    to, one per summand, which fix the cover F_0 -> M by Yoneda.  Neither
+    M nor any map out of a free module is kept, so a module is not
+    referenced by its own resolution.  The syzygies are not kept either:
+    each was only the RREF rows of its value spaces in F_i.
     """
 
-    def __init__(self, module, terms, frees, diffs, eps):
-        self.module = module
+    def __init__(self, terms, frees, diffs, tops):
         self.terms = terms
         self.frees = frees
         self.diffs = diffs
-        self.eps = eps
+        self.tops = tops
 
     @property
     def length(self):
@@ -80,10 +82,9 @@ def _resolve(M):
     max_len = cat.total_dimension() + 2
     gens = top_generators(M)
     F = FreeModule(cat, [x for x, _ in gens])
-    eps = F.yoneda_map(M, [v for _, v in gens])
-    res = Resolution(M, [list(F.summands)], [F], [], eps)
-    rows = {y: eps.mats[y].kernel_rows() if F.dims[y] > M.dims[y] else []
-            for y in F.support}  # eps onto: dim K(y) = dim F(y) - dim M(y)
+    tops = [v for _, v in gens]
+    res = Resolution([list(F.summands)], [F], [], tops)
+    rows = {y: _next_rows(F, M, tops, y, M.dims[y]) for y in F.support}
     while any(rows.values()):
         if len(res.diffs) + 1 > max_len:
             raise Truncated(max_len)
@@ -93,19 +94,20 @@ def _resolve(M):
         res.diffs.append(_catmat_from_images(G, F, images))
         res.frees.append(G)
         res.terms.append(list(G.summands))
-        rows = {y: _next_rows(G, F, images, y, rows.get(y, []))
+        rows = {y: _next_rows(G, F, images, y, len(rows.get(y, ())))
                 for y in G.support}
         F = G
     return res
 
 
-def _next_rows(G, F, images, y, ky):
-    """RREF rows of ker(G(y) -> F(y)) for G covering K, K(y) spanned by ky:
-    of dimension dim G(y) - dim K(y), and all of G(y) where K(y) = 0."""
+def _next_rows(G, F, images, y, k):
+    """RREF rows of ker(G(y) -> F(y)) for G covering K, dim K(y) = k, by
+    sending its generators to images in F (M itself at degree 0): of
+    dimension dim G(y) - k, and all of G(y) where K(y) = 0."""
     f, d = G.cat.field, G.dims[y]
-    if d == len(ky):
+    if d == k:
         return []
-    if not ky:
+    if not k:
         return [_unit(f, d, i) for i in range(d)]
     return Mat.from_cols(f, G.yoneda_columns(F, images, y)).kernel_rows()
 
@@ -314,9 +316,9 @@ def _unit(f, n, i):
 
 
 def ext_dims(res, Y, top, low=0):
-    """dim Ext^i(X, Y) for i = low..top, X = res.module, from its
-    min_proj_resolution res: dim Hom(F_i, Y) less the ranks of the maps
-    into and out of it, each built and ranked once."""
+    """dim Ext^i(X, Y) for i = low..top, from res = min_proj_resolution(X):
+    dim Hom(F_i, Y) less the ranks of the maps into and out of it, each
+    built and ranked once."""
     hom = [sum(Y.dims[b] for b in t) for t in res.terms] + [0] * (top + 2)
     rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
     for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
@@ -336,15 +338,32 @@ def ext_dim(X, Y, n):
 def transpose_module(M, n=1):
     """Tr(Omega^{n-1} M): cokernel of the dualized minimal presentation
     d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
-    opposite category."""
+    opposite category.  At each y of its free module G the image of d_n
+    is spanned by Yoneda columns, and the quotient keeps the free columns
+    of its RREF, on which G's action is read through quotient_coords."""
     op = M.cat.opposite()
     res = min_proj_resolution(M)
     if len(res.diffs) < n:
         return zero_module(op)
+    f = op.field
     d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])
-    src = FreeModule(op, d.src_objs)
-    dst = FreeModule(op, d.dst_objs)
-    return cokernel(d.realize(src, dst)).module
+    F, G = FreeModule(op, d.src_objs), FreeModule(op, d.dst_objs)
+    images = d.images()
+    quot = {}
+    for y in G.support:
+        rows = row_space_basis(f, F.yoneda_columns(G, images, y), G.dims[y])
+        quot[y] = (rows, *echelon_columns(f, rows, G.dims[y]))
+    dims = {y: len(q[2]) for y, q in quot.items()}
+    live = [y for y in G.support if dims[y]]
+    act = {}
+    for x in live:
+        units = [_unit(f, G.dims[x], j) for j in quot[x][2]]
+        for y in live:
+            if op.homdim[(x, y)]:
+                act[(x, y)] = [Mat.from_cols(f, [
+                    quotient_coords(f, *quot[y], G.apply_action(x, y, i, e))
+                    for e in units]) for i in range(op.homdim[(x, y)])]
+    return CatModule(op, dims, act)
 
 
 def tau(M):
@@ -369,49 +388,45 @@ def tau_n(M, n):
 
 
 def lift_chain_map(f, res_src, res_dst, upto):
-    """Lift f: res_src.module -> res_dst.module to a chain map between the
-    resolutions, as CatMats lifts[i]: F_i(src) -> F_i(dst), i = 0..upto.
-    Any two lifts differ by a homotopy, which dies in Ext."""
+    """Lift f: X -> Y to a chain map between res_src and res_dst, the
+    resolutions of X and Y, as CatMats lifts[i]: F_i(src) -> F_i(dst),
+    i = 0..upto.  By Yoneda each lift is fixed by the images of the
+    generators of F_i(src), each solved against the columns of the map
+    below it at that generator's object only: the cover F_0(dst) -> Y at
+    degree 0, and the differential of res_dst after that, with the
+    composite of the previous lift and the differential of res_src as
+    the target.  Any two lifts differ by a homotopy, which dies in Ext."""
+    field = f.src.cat.field
     lifts = []
     prev = None
     for m in range(upto + 1):
         if m > res_src.length:
             break
-        Fs = res_src.frees[m]
-        if m > res_dst.length:
-            # target resolution ended; the lift is forced to be zero
+        if m > res_dst.length or (m and prev is None):
+            # target resolution ended here or below; the lift is zero
             lifts.append(None)
             prev = None
             continue
-        Fd = res_dst.frees[m]
+        Fs, Fd = res_src.frees[m], res_dst.frees[m]
         if m == 0:
-            target = f.compose(res_src.eps)          # F_0(src) -> dst module
-            post = res_dst.eps                       # F_0(dst) -> dst module
-            lifted = _lift_generators(Fs, Fd, post, target)
+            below, post = f.dst, res_dst.tops
+            targets = [f.mats[a].apply(v)
+                       for a, v in zip(Fs.summands, res_src.tops)]
         else:
-            if prev is None:
-                lifts.append(None)
-                continue
-            dd = res_dst.diffs[m - 1].realize(res_dst.frees[m], res_dst.frees[m - 1])
-            ds = res_src.diffs[m - 1].realize(res_src.frees[m], res_src.frees[m - 1])
-            prev_map = prev.realize(res_src.frees[m - 1], res_dst.frees[m - 1])
-            target = prev_map.compose(ds)            # F_m(src) -> F_{m-1}(dst)
-            lifted = _lift_generators(Fs, Fd, dd, target)
-        lifts.append(lifted)
-        prev = lifted
+            below = res_dst.frees[m - 1]
+            post = res_dst.diffs[m - 1].images()
+            targets = prev.compose(res_src.diffs[m - 1]).images()
+        cols = {}
+        images = []
+        for a, t in zip(Fs.summands, targets):
+            if a not in cols:
+                cs = Fd.yoneda_columns(below, post, a)
+                cols[a] = Mat.from_cols(field, cs) if cs else \
+                    Mat.zero(field, len(t), 0)
+            images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
+        prev = _catmat_from_images(Fs, Fd, images)
+        lifts.append(prev)
     return lifts
-
-
-def _lift_generators(Fs, Fd, post, target):
-    """A CatMat u: Fs -> Fd with post o realize(u) = target.  By Yoneda, u
-    is fixed by the images of the generators of Fs (the identity of P_a in
-    each summand), so it takes one solve per summand."""
-    f = Fs.cat.field
-    images = []
-    for j, a in enumerate(Fs.summands):
-        col = target.mats[a].col(Fs.offsets[a][j])
-        images.append(post.mats[a].solve(Mat.from_cols(f, [col])).col(0))
-    return _catmat_from_images(Fs, Fd, images)
 
 
 def _catmat_from_images(Fs, Fd, images):

@@ -1,12 +1,20 @@
 """Reference constructions that only the tests use, as oracles: a syzygy
-as a module of its own (kernel, Submodule), the minimality and complex
-checks of a resolution, direct sums with their inclusions and
-projections, naturality and flattening of module maps, and the hom
-dimensions of a glued category by copy."""
+as a module of its own (kernel, Submodule), a cokernel as a module of its
+own (cokernel, Quotient), the dense realization of free modules and of
+the maps between them (dense_free, yoneda_map, realize, cover), the
+minimality and complex checks of a resolution, direct sums with their
+inclusions and projections, naturality and flattening of module maps,
+and the hom dimensions of a glued category by copy.
 
-from ausglue.fincat import CatModule, ModuleMap
+The program keeps a free module's action sparse and a map between free
+modules in Yoneda coordinates (a CatMat); the dense forms here, with a
+block-diagonal action and one matrix per object, are what those are
+checked against."""
+
+from ausglue.fincat import CatModule, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution
-from ausglue.linalg import Mat
+from ausglue.linalg import (Mat, row_space_basis, echelon_columns,
+                            quotient_coords)
 
 
 class Submodule:
@@ -43,10 +51,85 @@ def kernel(phi):
                                for x in phi.src.cat.objects})
 
 
+class Quotient:
+    """Quotient of a CatModule by an action-stable subspace."""
+
+    def __init__(self, parent, sub_rows):
+        c = parent.cat
+        f = c.field
+        dims = {}
+        proj = {}
+        sect = {}
+        for x in c.objects:
+            rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
+            piv, free = echelon_columns(f, rows, parent.dims[x])
+            dims[x] = len(free)
+            unit = Mat.identity(f, parent.dims[x]).rows
+            proj[x] = Mat.from_cols(f, [quotient_coords(f, rows, piv, free, e)
+                                        for e in unit])
+            sect[x] = Mat(f, [[e[j] for j in free] for e in unit],
+                          parent.dims[x], dims[x])
+        act = {}
+        for x in c.objects:
+            for y in c.objects:
+                d = c.homdim[(x, y)]
+                if d == 0 or dims[x] == 0 or dims[y] == 0:
+                    continue
+                act[(x, y)] = [proj[y] * parent.action(x, y, i) * sect[x]
+                               for i in range(d)]
+        self.module = CatModule(c, dims, act)
+
+
+def cokernel(phi):
+    """Cokernel of a ModuleMap, as a Quotient of phi.dst by the span of
+    the columns of each block."""
+    return Quotient(phi.dst, {x: phi.mats[x].transpose().rows
+                              for x in phi.src.cat.objects})
+
+
+def dense_free(F):
+    """The FreeModule F as a CatModule of its own, with the block-diagonal
+    action of its summands' projectives."""
+    c = F.cat
+    act = {}
+    for y in F.support:
+        for z in F.support:
+            d = c.homdim[(y, z)]
+            if d:
+                act[(y, z)] = [Mat.block_diag(c.field, [p.action(y, z, i)
+                                                         for p in F.projs])
+                               for i in range(d)]
+    return CatModule(c, F.dims, act)
+
+
+def yoneda_map(F, N, elements):
+    """The ModuleMap dense_free(F) -> N sending the generator of summand j
+    of the FreeModule F to elements[j], a vector of N(summands[j]), with
+    a block of the right shape at every object."""
+    f = F.cat.field
+    mats = {}
+    for y in F.cat.objects:
+        cols = F.yoneda_columns(N, elements, y)
+        mats[y] = Mat.from_cols(f, cols) if cols else \
+            Mat.zero(f, N.dims[y], 0)
+    return ModuleMap(dense_free(F), N, mats)
+
+
+def realize(u):
+    """The CatMat u as a ModuleMap between dense free modules."""
+    return yoneda_map(FreeModule(u.cat, u.src_objs),
+                      dense_free(FreeModule(u.cat, u.dst_objs)), u.images())
+
+
+def cover(res, M):
+    """The cover F_0 -> M of M's resolution res, from its tops."""
+    return yoneda_map(res.frees[0], M, res.tops)
+
+
 def syzygy(M):
     """Omega(M) as a module of its own: the kernel of the projective
     cover."""
-    return kernel(min_proj_resolution(M).eps).module
+    return kernel(cover(min_proj_resolution(M), M)).module
 
 
 def is_minimal(res):
@@ -55,23 +138,18 @@ def is_minimal(res):
     for d in res.diffs:
         for i, b in enumerate(d.dst_objs):
             for j, a in enumerate(d.src_objs):
-                if b == a and any(v != res.module.cat.field.zero
+                if b == a and any(v != d.cat.field.zero
                                   for v in d.entries[i][j]):
                     return False
     return True
 
 
-def is_complex(res):
-    for i in range(len(res.diffs) - 1):
-        hi = res.diffs[i].realize(res.frees[i + 1], res.frees[i])
-        lo = res.diffs[i + 1].realize(res.frees[i + 2], res.frees[i + 1])
-        if not hi.compose(lo).is_zero():
-            return False
-    if res.diffs:
-        d0 = res.diffs[0].realize(res.frees[1], res.frees[0])
-        if not res.eps.compose(d0).is_zero():
-            return False
-    return True
+def is_complex(M):
+    """Whether M's resolution, with its cover, composes to zero, checked
+    on the dense realizations."""
+    res = min_proj_resolution(M)
+    maps = [cover(res, M)] + [realize(d) for d in res.diffs]
+    return all(hi.compose(lo).is_zero() for hi, lo in zip(maps, maps[1:]))
 
 
 def direct_sum(cat, modules):

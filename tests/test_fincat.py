@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import Mat, QQ, default_field, row_space_basis
+from ausglue.linalg import QQ, default_field, row_space_basis
 from ausglue.quiver import (DynkinSpec, hereditary_presentation,
                             nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -11,9 +11,10 @@ from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             dual_module, identity_map, CatModule,
-                            FinCategory, ModuleMap, FreeModule, cokernel,
-                            radical_rows, top_generators)
-from oracles import direct_sum, flatten, is_natural, kernel
+                            FinCategory, FreeModule, radical_rows,
+                            top_generators)
+from oracles import (cokernel, dense_free, direct_sum, is_natural, kernel,
+                     yoneda_map)
 
 
 def make(n=3, field=None):
@@ -181,8 +182,8 @@ def _sample_modules(cat):
                     dual_module(I))
         gens = top_generators(I)
         F = FreeModule(cat, [s for s, _ in gens])
-        cover = F.yoneda_map(I, [v for _, v in gens])
-        yield F
+        cover = yoneda_map(F, I, [v for _, v in gens])
+        yield cover.src
         yield kernel(cover).module
         for y in cat.objects:
             for phi in hom_modules(projective_module(cat, y), P):
@@ -208,7 +209,8 @@ def test_sparse_action_matches_dense(build):
 def test_free_module_lives_on_its_support():
     """A FreeModule's support is where it is nonzero; off it, offsets has
     no entry, yoneda_entries gives empty blocks and apply_action gives
-    [], and apply_action agrees everywhere with the dense action."""
+    [], and apply_action agrees everywhere with the dense action of
+    dense_free."""
     rng = random.Random(3)
     for cat in (make(4), build_sk(make(3), 1).cat,
                 category_from_presentation(nakayama_linear(4, 3),
@@ -217,6 +219,7 @@ def test_free_module_lives_on_its_support():
         for summands in ([], [cat.objects[-1]], cat.objects[:2] * 2,
                          rng.sample(cat.objects, 3)):
             F = FreeModule(cat, summands)
+            dense = dense_free(F)
             assert F.support == [y for y in cat.objects if F.dims[y] > 0]
             assert set(F.dims) == set(cat.objects)
             assert set(F.offsets) == set(F.support)
@@ -227,46 +230,6 @@ def test_free_module_lives_on_its_support():
                     for i in range(cat.homdim[(x, y)]):
                         v = [f(rng.randrange(5)) for _ in range(F.dims[x])]
                         w = F.apply_action(x, y, i, v)
-                        assert w == F.action(x, y, i).apply(v)
+                        assert w == dense.action(x, y, i).apply(v)
                         if y not in F.support:
                             assert w == []
-
-
-def test_yoneda_map_keeps_only_its_support(monkeypatch):
-    """A map out of a free module stores no block off the support; a
-    block read there is zero, and compose, is_zero and is_natural agree
-    with a zero-filled copy of the map.  A block given as None is zero."""
-    rng = random.Random(5)
-    for cat in (make(4), build_sk(make(3), 1).cat):
-        f = cat.field
-        x = next(y for y in cat.objects
-                 if 1 < len(FreeModule(cat, [y]).support) < len(cat.objects))
-        F = FreeModule(cat, [x, x])
-        N = direct_sum(cat, [projective_module(cat, x),
-                             injective_module(cat, x)])[0]
-        zeros = []
-        real_zero = Mat.zero
-        monkeypatch.setattr(Mat, "zero", staticmethod(
-            lambda *a: zeros.append(a[1:]) or real_zero(*a)))
-        elements = [[f(rng.randrange(3)) for _ in range(N.dims[x])]
-                    for _ in F.summands]
-        phi = F.yoneda_map(N, elements)
-        assert zeros == []
-        assert set(phi.mats) == set(F.support)
-        assert not phi.is_zero()
-        nones = ModuleMap(F, N, {y: phi.mats.get(y) for y in cat.objects})
-        assert set(nones.mats) == set(F.support)
-        monkeypatch.undo()
-        filled = ModuleMap(F, N, {y: phi.mats.get(y) or
-                                  Mat.zero(f, N.dims[y], F.dims[y])
-                                  for y in cat.objects})
-        assert phi.is_zero() == filled.is_zero()
-        assert flatten(phi) == flatten(filled) == flatten(nones)
-        for g in hom_modules(N, N) + [identity_map(N)]:
-            lazy, full = g.compose(phi), g.compose(filled)
-            assert all(lazy.mats[y] == full.mats[y] for y in cat.objects)
-            assert lazy.is_zero() == full.is_zero()
-        for y in cat.objects:
-            assert phi.mats[y] == filled.mats[y]
-        assert is_natural(phi) and is_natural(filled)
-        assert (phi - filled).is_zero()

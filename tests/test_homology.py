@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -13,13 +15,14 @@ from ausglue.knitting import knit, vertex_label
 from ausglue.fincat import (FinCategory, projective_module, injective_module,
                             simple_module, hom_modules, modules_isomorphic,
                             projective_label, injective_label, dual_module,
-                            CatMat, FreeModule, cokernel, top_generators)
+                            CatMat, FreeModule, ModuleMap, top_generators)
 from ausglue.homology import (min_proj_resolution, pdim, gldim, domdim,
                               projective_injectives, ext_space, ext_dim,
                               ext_dims, tau, tau_inv, tau_n, lift_chain_map,
-                              INFINITY)
+                              transpose_module, INFINITY)
 import oracles
-from oracles import direct_sum, is_complex, is_minimal, kernel, syzygy
+from oracles import (direct_sum, is_complex, is_minimal, kernel, syzygy,
+                     cokernel, cover, realize, yoneda_map)
 
 FIELD = default_field()
 
@@ -39,9 +42,10 @@ def indecomposables(cat):
 
 
 def test_resolution_oracle_a2():
-    res = min_proj_resolution(simple_module(A2, 1))
+    S = simple_module(A2, 1)
+    res = min_proj_resolution(S)
     assert res.terms == [[1], [2]]
-    assert is_complex(res)
+    assert is_complex(S)
     assert is_minimal(res)
     assert pdim(projective_module(A2, 1)) == 0
 
@@ -49,9 +53,9 @@ def test_resolution_oracle_a2():
 def test_resolutions_minimal_and_complex():
     for cat in (A3, D4):
         for x in cat.objects:
-            res = min_proj_resolution(simple_module(cat, x))
-            assert is_complex(res)
-            assert is_minimal(res)
+            S = simple_module(cat, x)
+            assert is_complex(S)
+            assert is_minimal(min_proj_resolution(S))
 
 
 def test_gldim_domdim_oracles():
@@ -405,17 +409,22 @@ def test_gldim_bounds_random_sample():
 
 
 def assert_chain_map(f, res_src, res_dst, lifts):
-    """Every lifted square commutes: eps o L_0 = f o eps and
-    d o L_m = L_{m-1} o d."""
-    real = [L.realize(res_src.frees[m], res_dst.frees[m])
-            for m, L in enumerate(lifts)]
-    assert (res_dst.eps.compose(real[0]) - f.compose(res_src.eps)).is_zero()
+    """Every lifted square commutes on the dense realizations:
+    eps o L_0 = f o eps and d o L_m = L_{m-1} o d, eps the covers.  A lift
+    None, past the end of res_dst, is zero, and then so is L_{m-1} o d."""
+    real = [None if L is None else realize(L) for L in lifts]
+    eps_src, eps_dst = cover(res_src, f.src), cover(res_dst, f.dst)
+    assert (eps_dst.compose(real[0]) - f.compose(eps_src)).is_zero()
     for m in range(1, len(real)):
-        dd = res_dst.diffs[m - 1].realize(res_dst.frees[m],
-                                          res_dst.frees[m - 1])
-        ds = res_src.diffs[m - 1].realize(res_src.frees[m],
-                                          res_src.frees[m - 1])
-        assert (dd.compose(real[m]) - real[m - 1].compose(ds)).is_zero()
+        if real[m - 1] is None:
+            assert real[m] is None
+            continue
+        right = real[m - 1].compose(realize(res_src.diffs[m - 1]))
+        if real[m] is None:
+            assert right.is_zero()
+        else:
+            left = realize(res_dst.diffs[m - 1]).compose(real[m])
+            assert (left - right).is_zero()
 
 
 def test_lift_well_defined_under_homotopy():
@@ -462,13 +471,78 @@ def test_lift_well_defined_under_homotopy():
     assert checked > 0
 
 
+def test_lift_degree_two_squares_commute():
+    """Lifts up to degree 2, the n = 2 path of build_mk: every square
+    commutes, over every hom between the knitted indecomposables of
+    Auslander(A3), and CatMat.compose agrees with the dense product on
+    both sides of each square."""
+    from ausglue.glue import auslander_category
+    aus, _ = auslander_category(A3)
+    mods = indecomposables(aus)
+    degree_two = 0
+    for X in mods:
+        res_src = min_proj_resolution(X)
+        for Y in mods:
+            res_dst = min_proj_resolution(Y)
+            for f in hom_modules(X, Y):
+                lifts = lift_chain_map(f, res_src, res_dst, 2)
+                assert_chain_map(f, res_src, res_dst, lifts)
+                for m in range(1, len(lifts)):
+                    if lifts[m] is None:
+                        continue
+                    for v, u in ((res_dst.diffs[m - 1], lifts[m]),
+                                 (lifts[m - 1], res_src.diffs[m - 1])):
+                        assert realize(v.compose(u)).mats == \
+                            realize(v).compose(realize(u)).mats
+                    degree_two += m == 2
+    assert degree_two
+
+
+def test_catmat_compose_of_differentials_is_zero():
+    """Consecutive differentials compose to zero in Yoneda coordinates,
+    entry by entry, with the composite's summands those of the ends."""
+    zero = FIELD.zero
+    composites = 0
+    for M in _resolution_cases():
+        res = min_proj_resolution(M)
+        for hi, lo in zip(res.diffs, res.diffs[1:]):
+            d = hi.compose(lo)
+            assert (d.src_objs, d.dst_objs) == (lo.src_objs, hi.dst_objs)
+            assert all(v == zero for row in d.entries for e in row for v in e)
+            composites += any(e for row in d.entries for e in row)
+    assert composites
+
+
+def test_resolved_temporaries_are_freed_without_gc():
+    """A resolution keeps neither its module nor a map into it, so a
+    temporary module that gets resolved is freed by reference counting
+    alone: D(P_x) resolved, as injective_coresolutions does, and D(M)
+    transposed, as tau_inv does."""
+    gc.disable()
+    try:
+        for x in A3.objects:
+            D = dual_module(projective_module(A3, x))
+            min_proj_resolution(D)
+            ref = weakref.ref(D)
+            del D
+            assert ref() is None
+        for M in indecomposables(A3):
+            D = dual_module(M)
+            transpose_module(D)
+            ref = weakref.ref(D)
+            del D
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _reference_resolution(M):
     """(terms, diffs) of the minimal resolution as built by giving every
     syzygy its own module structure (a Submodule with a solved action) and
     covering it by its top_generators."""
     gens = top_generators(M)
     F = FreeModule(M.cat, [x for x, _ in gens])
-    K = kernel(F.yoneda_map(M, [v for _, v in gens]))
+    K = kernel(yoneda_map(F, M, [v for _, v in gens]))
     terms, diffs = [list(F.summands)], []
     while K.module.total_dim():
         kgens = top_generators(K.module)
@@ -479,23 +553,21 @@ def _reference_resolution(M):
                             [[col[i] for col in cols]
                              for i in range(len(F.summands))]))
         terms.append(list(G.summands))
-        K = kernel(G.yoneda_map(K.module, [v for _, v in kgens]))
+        K = kernel(yoneda_map(G, K.module, [v for _, v in kgens]))
         F = G
     return terms, diffs
 
 
-def _reference_tau_n(M, n):
-    """tau(Omega^{n-1} M): n - 1 Submodule syzygies, then D of the cokernel
-    of the dualized presentation from _reference_resolution."""
+def _reference_transpose(M, n):
+    """Tr(Omega^{n-1} M): n - 1 Submodule syzygies, then the Quotient
+    cokernel of the dense dualized presentation from
+    _reference_resolution."""
     for _ in range(n - 1):
         M = syzygy(M)
-    op = M.cat.opposite()
     _, diffs = _reference_resolution(M)
     if not diffs:
-        return dual_module(fincat.zero_module(op))
-    d = diffs[0].op()
-    src, dst = FreeModule(op, d.src_objs), FreeModule(op, d.dst_objs)
-    return dual_module(cokernel(d.realize(src, dst)).module)
+        return fincat.zero_module(M.cat.opposite())
+    return cokernel(realize(diffs[0].op())).module
 
 
 def _resolution_cases():
@@ -526,37 +598,51 @@ def test_resolution_matches_submodule_reference():
 
 
 def test_tau_n_matches_syzygy_reference():
-    """tau_n read off the resolution equals tau of the iterated Submodule
-    syzygy, with the same dims and action matrices; n < 1 is refused."""
+    """transpose_module, tau_n and tau_inv read off the resolution equal
+    the Quotient cokernel of the dense presentation of the iterated
+    Submodule syzygy, and its dual, with the same dims and action
+    matrices; n < 1 is refused."""
     from ausglue.glue import auslander_category
     aus, _ = auslander_category(A3)
     for cat in (A3, aus):
         for M in indecomposables(cat):
             for n in (1, 2):
-                T, R = tau_n(M, n), _reference_tau_n(M, n)
-                assert T.dims == R.dims and T.act == R.act
+                R = _reference_transpose(M, n)
+                for T, ref in ((transpose_module(M, n), R),
+                               (tau_n(M, n), dual_module(R))):
+                    assert T.dims == ref.dims and T.act == ref.act
+            T, R = tau_inv(M), _reference_transpose(dual_module(M), 1)
+            assert T.dims == R.dims and T.act == R.act
     with pytest.raises(InvalidParams):
         tau_n(simple_module(A3, 1), 0)
 
 
 def test_resolution_builds_no_submodule(monkeypatch):
-    """Resolutions, Ext and tau_n never give a syzygy its own module
-    structure, and neither a resolution nor Ext reads the dense action of
-    a free module."""
-    from ausglue.glue import auslander_category
-    aus, _ = auslander_category(A3)
-    mods = indecomposables(aus)
+    """Knitting, resolutions, Ext, tau_n, chain-map lifts and build_mk
+    never give a syzygy its own module structure, and never build a
+    ModuleMap out of a free module: a map between free modules stays a
+    CatMat."""
+    from ausglue.glue import auslander_category, build_mk
 
     def forbidden(*args):
         raise AssertionError("forbidden construction")
+    module_map = ModuleMap.__init__
+
+    def no_free_source(self, src, dst, mats):
+        if isinstance(src, FreeModule):
+            forbidden()
+        module_map(self, src, dst, mats)
     monkeypatch.setattr(oracles.Submodule, "__init__", forbidden)
-    with monkeypatch.context() as mp:
-        mp.setattr(FreeModule, "act", property(forbidden))
-        for X in mods:
-            res = min_proj_resolution(X)
-            assert is_minimal(res)
-            for Y in mods:
-                for i in (1, 2):
-                    assert ext_space(X, Y, i).resolution is res
-    for M in mods:
-        tau_n(M, 2)
+    monkeypatch.setattr(ModuleMap, "__init__", no_free_source)
+    aus, _ = auslander_category(A3)
+    mods = indecomposables(aus)
+    for X in mods:
+        res = min_proj_resolution(X)
+        assert is_minimal(res)
+        for Y in mods:
+            for i in (1, 2):
+                assert ext_space(X, Y, i).resolution is res
+            for f in hom_modules(X, Y):
+                lift_chain_map(f, res, min_proj_resolution(Y), 2)
+        tau_n(X, 2)
+    build_mk(aus, 1, 2)

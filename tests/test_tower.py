@@ -365,21 +365,22 @@ def test_failing_gldim_and_domdim_name_a_coresolution(monkeypatch):
 
 
 def test_verdict_resolves_each_module_once(monkeypatch):
-    """verify_theorem_dynkin(A3, k = 2), counted by Resolution
-    constructions: no module object is resolved twice; each D(P_x) of
-    Gamma that is not projective over Gamma^op is resolved once, for the
-    pairing, gldim and domdim together, and the others not at all; Gamma's
-    own injectives are never built, and the projectives of Gamma^op that
-    those resolutions built are not kept; and on Sigma only the injectives
-    that are not projective are resolved, once each, no projective."""
+    """verify_theorem_dynkin(A3, k = 2), counted by the modules resolved
+    (homology._resolve, which builds every Resolution): no module object
+    is resolved twice; each D(P_x) of Gamma that is not projective over
+    Gamma^op is resolved once, for the pairing, gldim and domdim
+    together, and the others not at all; Gamma's own injectives are never
+    built, and the projectives of Gamma^op that those resolutions built
+    are not kept; and on Sigma only the injectives that are not
+    projective are resolved, once each, no projective."""
     from ausglue import homology, tower
     resolved, sigmas = [], []
-    real = homology.Resolution.__init__
+    real = homology._resolve
 
-    def counted(self, module, *rest):
+    def counted(module):
         resolved.append(module)
-        real(self, module, *rest)
-    monkeypatch.setattr(homology.Resolution, "__init__", counted)
+        return real(module)
+    monkeypatch.setattr(homology, "_resolve", counted)
     monkeypatch.setattr(tower, "sigma",
                         lambda g: sigmas.append((g, sigma(g))) or sigmas[-1][1])
     assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
