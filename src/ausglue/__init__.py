@@ -9,11 +9,10 @@ from .quiver import (Quiver, DynkinSpec, BoundPresentation, dynkin_quiver,
                      parse_quiver_file)
 from .pathcat import category_from_presentation
 from .fincat import (FinCategory, CatModule, ModuleMap, projective_module,
-                     injective_module, simple_module, hom_modules,
-                     modules_isomorphic)
+                     injective_module, simple_module)
 from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
                        domdim, projective_injectives, tau, tau_inv, tau_n,
-                       INFINITY)
+                       hom_modules, modules_isomorphic, INFINITY)
 from .knitting import knit, vertex_label, aus_rank
 from .glue import (GluedCategory, build_glued, build_sk, build_mk,
                    yoneda_compose, endomorphism_category,

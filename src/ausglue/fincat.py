@@ -11,10 +11,8 @@ vectors, so the action of f: x -> y has shape (dim M(y), dim M(x)).
 
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
-the off-diagonal hom spaces.  The modules compared in scope are
-indecomposable with End = K (the algebras are representation-directed or
-n-representation-finite), so isomorphism is decided by one Hom and no
-module is ever split into summands.
+the off-diagonal hom spaces.  Hom between modules, and with it the
+isomorphism test, is read off minimal resolutions in homology.
 """
 
 from functools import cached_property
@@ -268,7 +266,12 @@ class CatModule:
 
 class ModuleMap:
     """A natural transformation between CatModules over the same category,
-    with one matrix per object in mats."""
+    with one matrix per object in mats.  A hom_modules basis map also keeps
+    its Yoneda coordinates as images: the vectors of dst that the
+    generators of F_0, in the minimal resolution of src, go to; any other
+    map has images None."""
+
+    images = None
 
     def __init__(self, src, dst, mats):
         self.src = src
@@ -300,11 +303,6 @@ class ModuleMap:
         return all(self.mats[x].is_invertible() or
                    (self.src.dims[x] == self.dst.dims[x] == 0)
                    for x in self.src.cat.objects)
-
-
-def identity_map(M):
-    f = M.cat.field
-    return ModuleMap(M, M, {x: Mat.identity(f, M.dims[x]) for x in M.cat.objects})
 
 
 def zero_module(cat):
@@ -362,136 +360,6 @@ def dual_module(M):
                 continue
             act[(x, y)] = [M.action(y, x, i).transpose() for i in range(d)]
     return CatModule(op, dict(M.dims), act)
-
-
-def hom_modules(M, N):
-    """Exact basis of natural transformations M -> N, by solving all
-    naturality squares simultaneously."""
-    c = M.cat
-    f = c.field
-    objs = [x for x in c.objects]
-    sizes = {x: N.dims[x] * M.dims[x] for x in objs}
-    total = sum(sizes.values())
-    if total == 0:
-        return []
-    offs = {}
-    o = 0
-    for x in objs:
-        offs[x] = o
-        o += sizes[x]
-
-    rows = []
-    for x in [x for x in objs if M.dims[x]]:
-        for y in [y for y in objs if N.dims[y]]:
-            for i in range(c.homdim[(x, y)]):
-                A = N.action(x, y, i)   # N(x) -> N(y)
-                B = M.action(x, y, i)   # M(x) -> M(y)
-                # constraint: A * T_x - T_y * B = 0, entries (r, s) with
-                # r over N.dims[y], s over M.dims[x]
-                for r in range(N.dims[y]):
-                    for s in range(M.dims[x]):
-                        row = [f.zero] * total
-                        for t in range(N.dims[x]):
-                            # (A*T_x)[r,s] = sum_t A[r,t] T_x[t,s]
-                            row[offs[x] + t * M.dims[x] + s] = A[r, t]
-                        for t in range(M.dims[y]):
-                            v = row[offs[y] + r * M.dims[y] + t]
-                            row[offs[y] + r * M.dims[y] + t] = v - B[t, s]
-                        if f.p is not None:
-                            row = [v % f.p for v in row]
-                        rows.append(row)
-    if not rows:
-        K = Mat.identity(f, total)
-    else:
-        K = Mat(f, rows, len(rows), total).kernel_basis()
-    out = []
-    for j in range(K.ncols):
-        v = K.col(j)
-        mats = {}
-        for x in objs:
-            m = Mat.zero(f, N.dims[x], M.dims[x])
-            for r in range(N.dims[x]):
-                for s in range(M.dims[x]):
-                    m.rows[r][s] = v[offs[x] + r * M.dims[x] + s]
-            mats[x] = m
-        out.append(ModuleMap(M, N, mats))
-    return out
-
-
-def hom_table(cat, modules, names):
-    """(homs, end) for pairwise non-isomorphic indecomposables over cat:
-    homs[(a, b)] is the basis of Hom(modules[a], modules[b]) by positions,
-    the identity for each End (NonSchurianVertex, naming the module, when
-    an End is not K); end is End of their direct sum on the positions
-    0..m-1, its structure constants read off g o f at the entries where
-    the hom bases are read (_read_entry), with no product and no solve."""
-    homs = {}
-    for a, Ma in enumerate(modules):
-        for b, Mb in enumerate(modules):
-            basis = hom_modules(Ma, Mb)
-            if a == b:
-                if len(basis) != 1:
-                    raise NonSchurianVertex("End(%s) has dimension %d"
-                                            % (names[a], len(basis)))
-                basis = [identity_map(Ma)]
-            homs[(a, b)] = basis
-    read = {key: [_read_entry(h) for h in basis]
-            for key, basis in homs.items()}
-    p = cat.field.p
-    m = len(modules)
-    comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)], p)
-                         for f in homs[(a, b)]] for g in homs[(b, c)]]
-            for a in range(m) for b in range(m) for c in range(m)
-            if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]}
-    homdim = {key: len(basis) for key, basis in homs.items()}
-    return homs, FinCategory(cat.field, range(m), homdim, comp)
-
-
-def _read_entry(h):
-    """The entry (x, r, s), block x row r column s, at which coordinates
-    over a hom basis are read: the last nonzero entry of the basis map h.
-    A kernel_basis column of hom_modules is 1 at its free column, which is
-    its last nonzero entry, and 0 at the free columns of the other basis
-    maps; an End = K is spanned by the identity, and c.id is c at every
-    diagonal entry."""
-    zero = h.src.cat.field.zero
-    return [(x, r, s) for x in h.src.support
-            for r, row in enumerate(h.mats[x].rows)
-            for s, v in enumerate(row) if v != zero][-1]
-
-
-def _composite_entries(g, f, entries, p):
-    """The given (x, r, s) entries of g o f, each one row of g's block x
-    times one column of f's."""
-    out = []
-    for x, r, s in entries:
-        fx = f.mats[x].rows
-        v = sum(a * fx[t][s] for t, a in enumerate(g.mats[x].rows[r]))
-        out.append(v if p is None else v % p)
-    return out
-
-
-def modules_isomorphic(M, N):
-    """Exact isomorphism test for modules whose End is K, which is every
-    module compared in scope.  A one-dimensional Hom(M, N) holds an
-    isomorphism iff its basis element is invertible.  Isomorphic modules
-    have Hom(M, N) = End M, so a larger Hom between two modules with
-    End = K rules one out; when an End is not K the test refuses with
-    NonSchurianVertex, naming the dimension vector and dim End."""
-    if M.dim_vector() != N.dim_vector():
-        return False
-    if M.total_dim() == 0:
-        return True
-    maps = hom_modules(M, N)
-    if len(maps) < 2:
-        return len(maps) == 1 and maps[0].is_isomorphism()
-    for X in (M, N):
-        e = len(hom_modules(X, X))
-        if e != 1:
-            raise NonSchurianVertex(
-                "End of a module with dimension vector %s has dimension %d"
-                % (X.dim_vector(), e))
-    return False
 
 
 def projective_label(M):

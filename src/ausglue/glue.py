@@ -9,12 +9,11 @@ Associativity of the assembled category is not assumed; the tests verify
 it exhaustively through FinCategory.check_associativity.
 """
 
-from .fincat import (FinCategory, hom_table, hom_modules, injective_module,
-                     modules_isomorphic, projective_label, injective_label,
-                     is_basic)
+from .fincat import (FinCategory, injective_module, projective_label,
+                     injective_label, is_basic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        injective_dims, lift_chain_map, compose_hom_with_ext,
-                       tau_n)
+                       tau_n, hom_table, hom_modules, modules_isomorphic)
 from .knitting import knit, vertex_label, single_gabriel_arrows
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
                      OrbitDiverges, NotComposable)

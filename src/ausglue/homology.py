@@ -13,6 +13,12 @@ neither 0 nor everything are solved.  The higher translate tau_n is
 D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
 
+Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
+M's resolution by hom_modules, on which hom_table and modules_isomorphic
+are built.  The modules compared in scope are indecomposable with End = K
+(the algebras are representation-directed or n-representation-finite),
+so isomorphism is decided by one Hom and no module is ever split.
+
 Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.  Each
 category keeps one table of the minimal injective coresolutions of its
@@ -26,15 +32,15 @@ other category is refused as NotDirected, naming a cycle of its hom
 support.
 """
 
-from itertools import product
+from itertools import accumulate, product
 
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
-from .fincat import (FreeModule, CatMat, CatModule, dual_module,
-                     top_generators, projective_module, projective_label,
-                     zero_module)
+from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
+                     dual_module, top_generators, projective_module,
+                     projective_label, zero_module)
 from .quiver import Quiver
-from .errors import Truncated, InvalidParams, NotDirected
+from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
 INFINITY = float("inf")
 
@@ -278,13 +284,14 @@ class ExtSpace:
 
 
 def ext_space(X, Y, n):
-    """Ext^n(X, Y) with explicit representatives; n >= 1.  Use hom_modules
-    for n = 0."""
+    """Ext^n(X, Y), n >= 0, with explicit representatives: a basis of the
+    cocycles of Hom(F_n, Y) modulo the coboundaries.  At n = 0 there are
+    none, and the cocycles are Hom(X, Y) (hom_modules)."""
     f = X.cat.field
     res = min_proj_resolution(X)
-    if n > res.length:
+    hom_n = sum(Y.dims[b] for b in res.terms[n]) if n <= res.length else 0
+    if not hom_n:
         return ExtSpace(X, Y, n, res, [], [])
-    hom_n = sum(Y.dims[b] for b in res.terms[n])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
     if n < len(res.diffs):
         U = res.diffs[n].hom_into(Y)
@@ -299,11 +306,12 @@ def ext_space(X, Y, n):
     else:
         bvecs = []
     cob_rows = row_space_basis(f, bvecs, hom_n)
-    # one elimination of [coboundaries | cocycles]: the cocycles at pivot
-    # columns are those outside the span of everything before them
-    c = len(cob_rows)
-    reps = []
-    if zvecs:
+    # kernel_basis columns are independent, so with no coboundaries every
+    # cocycle is kept; else one elimination of [coboundaries | cocycles]
+    # keeps those at pivot columns, outside the span of all before them
+    reps = zvecs
+    if cob_rows and zvecs:
+        c = len(cob_rows)
         pivots = Mat.from_cols(f, cob_rows + zvecs).rref()[1]
         reps = [zvecs[j - c] for j in pivots if j >= c]
     return ExtSpace(X, Y, n, res, reps, cob_rows)
@@ -329,6 +337,120 @@ def ext_dims(res, Y, top, low=0):
 
 def ext_dim(X, Y, n):
     return ext_dims(min_proj_resolution(X), Y, n, n)[0]
+
+
+# ---------------------------------------------------------------------------
+# Hom, read off the resolution
+
+
+def hom_modules(M, N):
+    """A basis of Hom(M, N), as ModuleMaps.  By left exactness Hom(M, N) =
+    ker Hom(d_0, N) = Ext^0(M, N): each basis map is a degree-0 cocycle of
+    ext_space(M, N, 0), the images in N of the generators of F_0 that
+    vanish on F_1 (all of Hom(F_0, N) when M is projective), kept as the
+    map's images.  Its block at y is the unique h_y with h_y C_y = D_y,
+    for C_y and D_y the Yoneda columns at y of the cover F_0 -> M and of
+    the images: C_y is onto, so one solve of C_y^T serves every map."""
+    ext = ext_space(M, N, 0)
+    if not ext.reps:
+        return []
+    f = M.cat.field
+    res = ext.resolution
+    F = res.frees[0]
+    offs = list(accumulate((N.dims[s] for s in F.summands), initial=0))
+    images = [[v[o:e] for o, e in zip(offs, offs[1:])] for v in ext.reps]
+    maps = [ModuleMap(M, N, {}) for _ in images]
+    for y in M.cat.objects:
+        m, n = M.dims[y], N.dims[y]
+        if m and n:
+            cover = F.yoneda_columns(M, res.tops, y)
+            cols = [F.yoneda_columns(N, w, y) for w in images]
+            rhs = [[v for c in cols for v in c[i]] for i in range(len(cover))]
+            X = Mat(f, cover, len(cover), m).solve(
+                Mat(f, rhs, len(cover), n * len(maps))).transpose().rows
+        else:
+            X = [[f.zero] * m for _ in range(n * len(maps))]
+        for k, phi in enumerate(maps):
+            phi.mats[y] = Mat._wrap(f, X[k * n:(k + 1) * n], n, m)
+    for phi, w in zip(maps, images):
+        phi.images = w
+    return maps
+
+
+def hom_table(cat, modules, names):
+    """(homs, end) for pairwise non-isomorphic indecomposables over cat:
+    homs[(a, b)] is the hom_modules basis of Hom(modules[a], modules[b])
+    by positions.  Each End must be K (NonSchurianVertex, naming the
+    module, if not), and its basis map is then the identity: it is c.id,
+    with images c.tops, and tops are unit vectors, so c = 1 at their last
+    nonzero entry.  end is End of their direct sum on the positions
+    0..m-1, its structure constants read off the images of g o f at the
+    entries where the hom bases are read (_read_entry), with no product
+    and no solve."""
+    homs = {}
+    for a, Ma in enumerate(modules):
+        for b, Mb in enumerate(modules):
+            basis = homs[(a, b)] = hom_modules(Ma, Mb)
+            if a == b and len(basis) != 1:
+                raise NonSchurianVertex("End(%s) has dimension %d"
+                                        % (names[a], len(basis)))
+    read = {key: [_read_entry(h) for h in basis]
+            for key, basis in homs.items()}
+    summands = [min_proj_resolution(M).terms[0] for M in modules]
+    p = cat.field.p
+    m = len(modules)
+    comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)],
+                                            summands[a], p)
+                         for f in homs[(a, b)]] for g in homs[(b, c)]]
+            for a in range(m) for b in range(m) for c in range(m)
+            if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]}
+    homdim = {key: len(basis) for key, basis in homs.items()}
+    return homs, FinCategory(cat.field, range(m), homdim, comp)
+
+
+def _read_entry(h):
+    """The entry (j, r), entry r of the image of generator j, at which
+    coordinates over a hom basis are read: the last nonzero one of h's
+    images.  A kernel_basis column is 1 at its free column, 0 at the free
+    columns of the other basis maps, and elsewhere nonzero only at pivot
+    columns to its left."""
+    zero = h.src.cat.field.zero
+    return [(j, r) for j, w in enumerate(h.images)
+            for r, v in enumerate(w) if v != zero][-1]
+
+
+def _composite_entries(g, f, entries, summands, p):
+    """The given (j, r) entries of the images of g o f: row r of g's block
+    at summands[j], the object of generator j, times f's image j."""
+    out = []
+    for j, r in entries:
+        v = sum(a * b for a, b in zip(g.mats[summands[j]].rows[r],
+                                      f.images[j]))
+        out.append(v if p is None else v % p)
+    return out
+
+
+def modules_isomorphic(M, N):
+    """Exact isomorphism test for modules whose End is K, which is every
+    module compared in scope.  A one-dimensional Hom(M, N) holds an
+    isomorphism iff its basis element is invertible.  Isomorphic modules
+    have Hom(M, N) = End M, so a larger Hom between two modules with
+    End = K rules one out; when an End is not K the test refuses with
+    NonSchurianVertex, naming the dimension vector and dim End."""
+    if M.dim_vector() != N.dim_vector():
+        return False
+    if M.total_dim() == 0:
+        return True
+    maps = hom_modules(M, N)
+    if len(maps) < 2:
+        return len(maps) == 1 and maps[0].is_isomorphism()
+    for X in (M, N):
+        e = len(hom_modules(X, X))
+        if e != 1:
+            raise NonSchurianVertex(
+                "End of a module with dimension vector %s has dimension %d"
+                % (X.dim_vector(), e))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +512,14 @@ def tau_n(M, n):
 def lift_chain_map(f, res_src, res_dst, upto):
     """Lift f: X -> Y to a chain map between res_src and res_dst, the
     resolutions of X and Y, as CatMats lifts[i]: F_i(src) -> F_i(dst),
-    i = 0..upto.  By Yoneda each lift is fixed by the images of the
-    generators of F_i(src), each solved against the columns of the map
-    below it at that generator's object only: the cover F_0(dst) -> Y at
-    degree 0, and the differential of res_dst after that, with the
-    composite of the previous lift and the differential of res_src as
-    the target.  Any two lifts differ by a homotopy, which dies in Ext."""
+    i = 0..upto; f is a hom_modules basis map, so it keeps its images.
+    By Yoneda each lift is fixed by the images of the generators of
+    F_i(src), each solved against the columns of the map below it at that
+    generator's object only: the images of f against the cover
+    F_0(dst) -> Y at degree 0, and the images of the composite of the
+    previous lift and the differential of res_src against the
+    differential of res_dst after that.  Any two lifts differ by a
+    homotopy, which dies in Ext."""
     field = f.src.cat.field
     lifts = []
     prev = None
@@ -409,9 +533,7 @@ def lift_chain_map(f, res_src, res_dst, upto):
             continue
         Fs, Fd = res_src.frees[m], res_dst.frees[m]
         if m == 0:
-            below, post = f.dst, res_dst.tops
-            targets = [f.mats[a].apply(v)
-                       for a, v in zip(Fs.summands, res_src.tops)]
+            below, post, targets = f.dst, res_dst.tops, f.images
         else:
             below = res_dst.frees[m - 1]
             post = res_dst.diffs[m - 1].images()

@@ -20,8 +20,8 @@ Ovsienko 1978).
 from functools import cached_property
 
 from .quiver import Quiver
-from .fincat import projective_module, module_label, hom_table
-from .homology import tau_inv, gldim
+from .fincat import projective_module, module_label
+from .homology import tau_inv, gldim, hom_table
 from .errors import NotRepFinite
 
 OVSIENKO_BOUND = 6

@@ -278,8 +278,9 @@ def _verify_glued(glued, input_desc, gldim_id):
 
     inj_labels = {("P", proj_of[y]) if y in proj_of else ("I", y)
                   for y in S.objects}
-    same = set(labels) == inj_labels | tau_labels
-    rep.add("prop5.ct_summands", "sec5", True, same)
+    diff = set(labels) ^ (inj_labels | tau_labels)
+    rep.add("prop5.ct_summands", "sec5", True, not diff,
+            witness=sorted(diff, key=str))
     return rep
 
 

@@ -4,12 +4,14 @@ own (cokernel, Quotient), the dense realization of free modules and of
 the maps between them (dense_free, yoneda_map, realize, cover), the
 minimality and complex checks of a resolution, direct sums with their
 inclusions and projections, naturality and flattening of module maps,
-and the hom dimensions of a glued category by copy.
+Hom by solving every naturality square at once (hom_by_naturality) and
+the identity map of a module (identity_map), and the hom dimensions of a
+glued category by copy.
 
 The program keeps a free module's action sparse and a map between free
-modules in Yoneda coordinates (a CatMat); the dense forms here, with a
-block-diagonal action and one matrix per object, are what those are
-checked against."""
+modules in Yoneda coordinates (a CatMat), and reads Hom off a module's
+resolution; the dense forms and the naturality solver here are what
+those are checked against."""
 
 from ausglue.fincat import CatModule, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution
@@ -205,6 +207,65 @@ def flatten(phi):
         for r in phi.mats[x].rows:
             out.extend(r)
     return out
+
+
+def hom_by_naturality(M, N):
+    """Exact basis of natural transformations M -> N, by solving all
+    naturality squares simultaneously."""
+    c = M.cat
+    f = c.field
+    objs = [x for x in c.objects]
+    sizes = {x: N.dims[x] * M.dims[x] for x in objs}
+    total = sum(sizes.values())
+    if total == 0:
+        return []
+    offs = {}
+    o = 0
+    for x in objs:
+        offs[x] = o
+        o += sizes[x]
+
+    rows = []
+    for x in [x for x in objs if M.dims[x]]:
+        for y in [y for y in objs if N.dims[y]]:
+            for i in range(c.homdim[(x, y)]):
+                A = N.action(x, y, i)   # N(x) -> N(y)
+                B = M.action(x, y, i)   # M(x) -> M(y)
+                # constraint: A * T_x - T_y * B = 0, entries (r, s) with
+                # r over N.dims[y], s over M.dims[x]
+                for r in range(N.dims[y]):
+                    for s in range(M.dims[x]):
+                        row = [f.zero] * total
+                        for t in range(N.dims[x]):
+                            # (A*T_x)[r,s] = sum_t A[r,t] T_x[t,s]
+                            row[offs[x] + t * M.dims[x] + s] = A[r, t]
+                        for t in range(M.dims[y]):
+                            v = row[offs[y] + r * M.dims[y] + t]
+                            row[offs[y] + r * M.dims[y] + t] = v - B[t, s]
+                        if f.p is not None:
+                            row = [v % f.p for v in row]
+                        rows.append(row)
+    if not rows:
+        K = Mat.identity(f, total)
+    else:
+        K = Mat(f, rows, len(rows), total).kernel_basis()
+    out = []
+    for j in range(K.ncols):
+        v = K.col(j)
+        mats = {}
+        for x in objs:
+            m = Mat.zero(f, N.dims[x], M.dims[x])
+            for r in range(N.dims[x]):
+                for s in range(M.dims[x]):
+                    m.rows[r][s] = v[offs[x] + r * M.dims[x] + s]
+            mats[x] = m
+        out.append(ModuleMap(M, N, mats))
+    return out
+
+
+def identity_map(M):
+    f = M.cat.field
+    return ModuleMap(M, M, {x: Mat.identity(f, M.dims[x]) for x in M.cat.objects})
 
 
 def hom_dim(glued, a, i, b, j):

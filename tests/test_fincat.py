@@ -9,12 +9,12 @@ from ausglue.quiver import (DynkinSpec, hereditary_presentation,
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
-                            simple_module, hom_modules, modules_isomorphic,
-                            dual_module, identity_map, CatModule,
+                            simple_module, dual_module, CatModule,
                             FinCategory, FreeModule, radical_rows,
                             top_generators)
-from oracles import (cokernel, dense_free, direct_sum, is_natural, kernel,
-                     yoneda_map)
+from ausglue.homology import hom_modules, modules_isomorphic
+from oracles import (cokernel, dense_free, direct_sum, identity_map,
+                     is_natural, kernel, yoneda_map)
 
 
 def make(n=3, field=None):

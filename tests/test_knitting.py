@@ -6,10 +6,11 @@ from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import hom_modules
 from ausglue.glue import auslander_category
+from ausglue.homology import hom_modules, min_proj_resolution
 from ausglue.knitting import knit, vertex_label, aus_rank, OVSIENKO_BOUND
-from oracles import flatten
+from oracles import (cover, flatten, hom_by_naturality, is_natural,
+                     yoneda_map)
 
 FIELD = default_field()
 
@@ -69,7 +70,8 @@ def test_hom_dims_match_interval_oracle():
             for j in range(ar.count):
                 c, d = interval(j)
                 expect = 1 if c <= a <= d <= b else 0
-                assert len(hom_modules(ar.module(i), ar.module(j))) == expect
+                assert len(hom_by_naturality(ar.module(i),
+                                             ar.module(j))) == expect
 
 
 def test_budget_exceeded_on_kronecker():
@@ -143,30 +145,67 @@ def _reference_arrows(ar):
     return arrows
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
-@pytest.mark.parametrize("name", ["A3", "A3-alternating", "D4",
-                                  "auslander-A3", "nakayama-4-3"])
+SPECS = {"A3": DynkinSpec("A", 3),
+         "A3-alternating": DynkinSpec("A", 3, "alternating"),
+         "D4": DynkinSpec("D", 4)}
+TABLE_CASES = pytest.mark.parametrize(
+    "name", ["A3", "A3-alternating", "D4", "auslander-A3", "nakayama-4-3"])
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+
+
+def _table_category(name, field):
+    if name in SPECS:
+        return make(SPECS[name], field)
+    if name == "auslander-A3":
+        return auslander_category(make(DynkinSpec("A", 3), field))[0]
+    return category_from_presentation(nakayama_linear(4, 3), field)
+
+
+@FIELDS
+@TABLE_CASES
 def test_hom_table_matches_solve_reference(name, field):
     """The structure constants read off the hom bases at their read entries
     equal the solved coordinates of the product maps, and the AR arrows,
     the Gabriel arrows of that table, equal the rank of the flattened
     composites; the mesh holds on the hereditary inputs."""
-    specs = {"A3": DynkinSpec("A", 3),
-             "A3-alternating": DynkinSpec("A", 3, "alternating"),
-             "D4": DynkinSpec("D", 4)}
-    if name in specs:
-        cat = make(specs[name], field)
-    elif name == "auslander-A3":
-        cat = auslander_category(make(DynkinSpec("A", 3), field))[0]
-    else:
-        cat = category_from_presentation(nakayama_linear(4, 3), field)
-    ar = knit(cat)
+    ar = knit(_table_category(name, field))
     homs, end = ar.table
     assert end.objects == list(range(ar.count))
     assert end.comp == _reference_structure_constants(field, homs, ar.count)
     assert ar.arrows == _reference_arrows(ar)
-    if name in specs:
+    if name in SPECS:
         assert ar.check_mesh() == (True, None)
+
+
+@FIELDS
+@TABLE_CASES
+def test_hom_by_resolution_matches_naturality_reference(name, field):
+    """hom_modules, read off the resolution, against the naturality solver
+    on every ordered pair of knitted indecomposables: the same dimension
+    and span, and each basis map natural, with h o cover the Yoneda map
+    of its images; the basis of each End = K is the Yoneda map of tops,
+    the identity."""
+    cat = _table_category(name, field)
+    ar = knit(cat)
+    mods = [ar.module(i) for i in range(ar.count)]
+    nonzero = 0
+    for M in mods:
+        res = min_proj_resolution(M)
+        pi = cover(res, M)
+        assert [h.images for h in hom_modules(M, M)] == [res.tops]
+        for N in mods:
+            basis, ref = hom_modules(M, N), hom_by_naturality(M, N)
+            assert len(basis) == len(ref)
+            for h in basis:
+                assert is_natural(h)
+                assert h.compose(pi).mats == \
+                    yoneda_map(res.frees[0], N, h.images).mats
+            length = sum(M.dims[x] * N.dims[x] for x in cat.objects)
+            assert row_space_basis(field, [flatten(h) for h in basis],
+                                   length) == \
+                row_space_basis(field, [flatten(h) for h in ref], length)
+            nonzero += bool(basis)
+    assert nonzero > len(mods)
 
 
 def test_aus_rank():

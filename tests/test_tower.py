@@ -13,7 +13,7 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import (FinCategory, injective_module, injective_label,
                             projective_label, projective_module, is_basic,
-                            dual_module)
+                            dual_module, zero_module)
 from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, build_glued, auslander_category,
@@ -294,6 +294,28 @@ def test_tau_d_closure_refuses_a_decomposable_translate(monkeypatch):
     y, dimvec = seen[-1]
     assert claim.witness == (y, dimvec)
     assert claim.to_dict()["witness"] == [list(y), list(dimvec)]
+
+
+def test_ct_summands_witness_names_the_unmatched_labels(monkeypatch):
+    """A failing prop5.ct_summands claim carries the symmetric difference
+    of the labels of Sigma's generator-cogenerator and those of its
+    injectives and tau_d images: with every tau_d(I_y) stubbed to zero,
+    the P_x of Sigma that are not injective are left unmatched."""
+    from ausglue import tower
+    sigmas = []
+    monkeypatch.setattr(tower, "tau_n", lambda M, d: zero_module(M.cat))
+    monkeypatch.setattr(tower, "sigma",
+                        lambda g: sigmas.append(sigma(g)) or sigmas[-1])
+    rep = verify_theorem_dynkin(DynkinSpec("A", 3), 1)
+    claim = next(c for c in rep.claims if c.cid == "prop5.ct_summands")
+    assert claim.status == "fail" and not rep.passed
+    S = sigmas[0][0]
+    paired = projective_injectives(S)
+    unmatched = [("P", x) for x in S.objects if x not in paired]
+    assert unmatched
+    assert claim.witness == sorted(unmatched, key=str)
+    assert claim.to_dict()["witness"] == [["P", list(x)]
+                                          for _, x in claim.witness]
 
 
 def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
