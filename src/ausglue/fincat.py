@@ -50,6 +50,17 @@ class FinCategory:
     def total_dimension(self):
         return self._total_dimension
 
+    @cached_property
+    def out_support(self):
+        """{x: the y with hom(x, y) != 0, in object order}."""
+        out = {x: [] for x in self.objects}
+        for (x, y), d in self.homdim.items():
+            if d:
+                out[x].append(y)
+        for ys in out.values():
+            ys.sort(key=self.obj_index.__getitem__)
+        return out
+
     def compose_basis(self, x, y, z, i, j):
         """Coordinates in hom(x,z) of g_i o f_j, g_i in hom(y,z) basis,
         f_j in hom(x,y) basis."""
@@ -278,27 +289,6 @@ class ModuleMap:
         self.dst = dst
         self.mats = mats
 
-    def compose(self, other):
-        """self o other."""
-        b = other.mats
-        return ModuleMap(other.src, self.dst,
-                         {x: m * b[x] for x, m in self.mats.items()})
-
-    def __add__(self, other):
-        b = other.mats
-        return ModuleMap(self.src, self.dst,
-                         {x: m + b[x] for x, m in self.mats.items()})
-
-    def scale(self, c):
-        return ModuleMap(self.src, self.dst,
-                         {x: m.scale(c) for x, m in self.mats.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(self.src.cat.field(-1))
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.mats.values())
-
     def is_isomorphism(self):
         return all(self.mats[x].is_invertible() or
                    (self.src.dims[x] == self.dst.dims[x] == 0)
@@ -339,14 +329,32 @@ def projective_module(cat, x):
 
 def injective_module(cat, x):
     """I_x = D hom(-,x), the dual of the projective P_x of the opposite
-    category: f: y -> z acts by the transpose of precomposition
-    hom(z,x) -> hom(y,x).  Cached on the category."""
+    category (dual_projective_module there): f: y -> z acts by the
+    transpose of precomposition hom(z,x) -> hom(y,x).  Cached on the
+    category."""
     cache = getattr(cat, "_inj_cache", None)
     if cache is None:
         cache = cat._inj_cache = {}
     if x not in cache:
-        cache[x] = dual_module(projective_module(cat.opposite(), x))
+        cache[x] = dual_projective_module(cat.opposite(), x)
     return cache[x]
+
+
+def dual_projective_module(cat, x):
+    """D(P_x), a module over the opposite category, read in place from the
+    structure constants: the i-th basis element of hom_op(a, b) =
+    hom(b, a) acts by the transpose of postcomposition hom(x, b) ->
+    hom(x, a), whose rows comp[(x, b, a)][i] already are, so nothing is
+    copied.  Where comp has no key the action is zero and is left out."""
+    dims = {y: cat.homdim[(x, y)] for y in cat.out_support[x]}
+    act = {}
+    for b in dims:
+        for a in cat.out_support[b]:
+            t = cat.comp.get((x, b, a))
+            if t and a in dims:
+                act[(a, b)] = [Mat._wrap(cat.field, rows, dims[b], dims[a])
+                               for rows in t]
+    return CatModule(cat.opposite(), dims, act)
 
 
 def dual_module(M):
@@ -436,17 +444,17 @@ class FreeModule:
     """An explicit direct sum of representable projectives P_x, with
     bookkeeping of which block of each value space belongs to which
     summand.  Its support, where it is nonzero, is the union of the
-    supports of the summands' P_s, each cached with P_s.  dims is 0 off
-    the support and offsets is filled only on it; elsewhere yoneda_entries
-    gives empty blocks and apply_action zero vectors.  It has no dense
-    action: apply_action works one summand at a time through the cached
-    projective actions, and a map between free modules is a CatMat."""
+    out_support of its summands.  dims is 0 off the support and offsets
+    is filled only on it; elsewhere yoneda_entries gives empty blocks and
+    apply_action zero vectors.  It has no dense action and builds no
+    projective: apply_action reads the structure constants in place, one
+    summand at a time, and a map between free modules is a CatMat."""
 
     def __init__(self, cat, summands):
         self.cat = cat
         self.summands = list(summands)
-        self.projs = [projective_module(cat, s) for s in self.summands]
-        self.support = sorted(set().union(*(p.support for p in self.projs)),
+        self.support = sorted({y for s in set(self.summands)
+                               for y in cat.out_support[s]},
                               key=cat.obj_index.__getitem__)
         self.offsets = {}
         self.dims = dict.fromkeys(cat.objects, 0)
@@ -460,17 +468,27 @@ class FreeModule:
             self.dims[y] = o
 
     def apply_action(self, x, y, i, v):
-        zero = self.cat.field.zero
+        """g_i in hom(x, y) applied to v in self(x): on summand s, sum_j
+        v_j comp[(s, x, y)][i][j], and a zero block where comp has none."""
+        c = self.cat
+        zero, p = c.field.zero, c.field.p
         offs = self.offsets.get(x)
         if offs is None:
             return [zero] * self.dims[y]
+        homdim, comp = c.homdim, c.comp
         out = []
-        for p, o in zip(self.projs, offs):
-            mats = p.act.get((x, y))
-            if mats is None:
-                out.extend([zero] * p.dims[y])
+        for s, o in zip(self.summands, offs):
+            acc = None
+            t = comp.get((s, x, y))
+            if t is not None:
+                for a, row in zip(v[o:o + homdim[(s, x)]], t[i]):
+                    if a:
+                        acc = [a * w for w in row] if acc is None else \
+                            [u + a * w for u, w in zip(acc, row)]
+            if acc is None:
+                out.extend([zero] * homdim[(s, y)])
             else:
-                out.extend(mats[i].apply(v[o:o + p.dims[x]]))
+                out.extend(acc if p is None else [u % p for u in acc])
         return out
 
     def yoneda_columns(self, N, elements, y):

@@ -37,7 +37,7 @@ from itertools import accumulate, product
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
 from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
-                     dual_module, top_generators, projective_module,
+                     dual_module, dual_projective_module, top_generators,
                      projective_label, zero_module)
 from .quiver import Quiver
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
@@ -190,20 +190,17 @@ def injective_coresolutions(cat):
     """{x: socle labels of each term of the minimal injective coresolution
     of P_x}, in object order, read as the projective resolution of D(P_x)
     over the opposite category: [[y]] where D(P_x) is its P_y, so P_x =
-    I_y.  Only the labels are kept, once per category; do not mutate.
-    The projectives these resolutions cache on the opposite category are
-    dropped too: each is a dense copy of the structure constants."""
+    I_y.  Each D(P_x) is read in place from the structure constants
+    (dual_projective_module), so no projective of either category is
+    built.  Only the labels are kept, once per category; do not mutate."""
     table = getattr(cat, "_coresolutions", None)
     if table is None:
-        op = cat.opposite()
-        kept = dict(getattr(op, "_proj_cache", {}))
         table = {}
         for x in cat.objects:
-            D = dual_module(projective_module(cat, x))
+            D = dual_projective_module(cat, x)
             y = projective_label(D)
             table[x] = [[y]] if y is not None else _resolve(D).terms
         cat._coresolutions = table
-        op._proj_cache = kept
     return table
 
 

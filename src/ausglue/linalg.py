@@ -245,19 +245,6 @@ class Mat:
                 rows[i].extend(m.rows[i])
         return Mat._wrap(field, rows, nrows, len(rows[0]) if rows else 0)
 
-    @staticmethod
-    def block_diag(field, mats):
-        nr = sum(m.nrows for m in mats)
-        nc = sum(m.ncols for m in mats)
-        out = Mat.zero(field, nr, nc)
-        i0 = j0 = 0
-        for m in mats:
-            for i in range(m.nrows):
-                out.rows[i0 + i][j0:j0 + m.ncols] = m.rows[i][:]
-            i0 += m.nrows
-            j0 += m.ncols
-        return out
-
     # -- elimination ----------------------------------------------------
 
     def rref(self):
@@ -348,15 +335,6 @@ class Mat:
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        try:
-            x = self.solve(Mat.identity(self.field, self.nrows))
-        except NoSolution:
-            raise ValueError("singular matrix")
-        return x
 
 
 def row_space_basis(field, vectors, length):

@@ -209,9 +209,12 @@ def _verify_glued(glued, input_desc, gldim_id):
         rep.add(gldim_id + ".domdim", gldim_id, d + 1, g_domdim, d_witness)
 
     rep.add("prop5.rank_gamma", "sec5", (k + 1) * m, len(G.objects))
-    rep.add("prop5.projinj_gamma", "sec5", k * m + r, len(pi))
+    rep.add("prop5.projinj_gamma", "sec5", k * m + r, len(pi),
+            witness=sorted(pi, key=str))
     rep.add("prop5.injnotproj_gamma", "sec5", m - r,
-            len(G.objects) - len(pi))
+            len(G.objects) - len(pi), witness=sorted(
+                set(G.objects) - set(projective_injectives(G).values()),
+                key=str))
 
     rep.add("prop3.4.projinj_set", "prop3.4", True, char_match,
             witness=sorted(pi, key=str))
@@ -229,12 +232,15 @@ def _verify_glued(glued, input_desc, gldim_id):
         return rep
 
     s_pair = projective_injectives(S)
+    proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
+    unpaired = [y for y in S.objects if y not in proj_of]
     rep.stats.update(rank_sigma=len(S.objects), projinj_sigma=len(s_pair),
                      inj_not_proj_gamma=len(G.objects) - len(pi),
                      inj_not_proj_sigma=len(S.objects) - len(s_pair))
-    rep.add("prop5.projinj_sigma", "sec5", (k - 1) * m + 2 * r, len(s_pair))
+    rep.add("prop5.projinj_sigma", "sec5", (k - 1) * m + 2 * r, len(s_pair),
+            witness=sorted(s_pair, key=str))
     rep.add("prop5.injnotproj_sigma", "sec5", m - r,
-            len(S.objects) - len(s_pair))
+            len(S.objects) - len(s_pair), witness=sorted(unpaired, key=str))
 
     s_gldim = gldim(S)
     rep.stats["gldim_sigma"] = s_gldim
@@ -244,8 +250,6 @@ def _verify_glued(glued, input_desc, gldim_id):
     # the projectives, then the injectives that are not also projective;
     # Ext^i(P, -) = 0, so only the latter are resolved, once each for the
     # rigidity check and the tau_d-closure
-    proj_of = {y: x for x, y in s_pair.items()}  # I_y = P_x
-    unpaired = [y for y in S.objects if y not in proj_of]
     injs = [injective_module(S, y) for y in unpaired]
     labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
     gen_cogen = [projective_module(S, x) for x in S.objects] + injs

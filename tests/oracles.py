@@ -5,7 +5,9 @@ the maps between them (dense_free, yoneda_map, realize, cover), the
 minimality and complex checks of a resolution, direct sums with their
 inclusions and projections, naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
-the identity map of a module (identity_map), and the hom dimensions of a
+the identity map of a module (identity_map), the arithmetic of module
+maps (compose_maps, add_maps, sub_maps, scale_map, map_is_zero), the
+block-diagonal matrix and the matrix inverse, and the hom dimensions of a
 glued category by copy.
 
 The program keeps a free module's action sparse and a map between free
@@ -13,10 +15,60 @@ modules in Yoneda coordinates (a CatMat), and reads Hom off a module's
 resolution; the dense forms and the naturality solver here are what
 those are checked against."""
 
-from ausglue.fincat import CatModule, FreeModule, ModuleMap
+from ausglue.fincat import (CatModule, FreeModule, ModuleMap,
+                            projective_module)
 from ausglue.homology import min_proj_resolution
-from ausglue.linalg import (Mat, row_space_basis, echelon_columns,
-                            quotient_coords)
+from ausglue.linalg import (Mat, NoSolution, row_space_basis,
+                            echelon_columns, quotient_coords)
+
+
+def compose_maps(phi, other):
+    """phi o other."""
+    b = other.mats
+    return ModuleMap(other.src, phi.dst,
+                     {x: m * b[x] for x, m in phi.mats.items()})
+
+
+def add_maps(phi, other):
+    b = other.mats
+    return ModuleMap(phi.src, phi.dst,
+                     {x: m + b[x] for x, m in phi.mats.items()})
+
+
+def scale_map(phi, c):
+    return ModuleMap(phi.src, phi.dst,
+                     {x: m.scale(c) for x, m in phi.mats.items()})
+
+
+def sub_maps(phi, other):
+    return add_maps(phi, scale_map(other, phi.src.cat.field(-1)))
+
+
+def map_is_zero(phi):
+    return all(m.is_zero() for m in phi.mats.values())
+
+
+def block_diag(field, mats):
+    nr = sum(m.nrows for m in mats)
+    nc = sum(m.ncols for m in mats)
+    out = Mat.zero(field, nr, nc)
+    i0 = j0 = 0
+    for m in mats:
+        for i in range(m.nrows):
+            out.rows[i0 + i][j0:j0 + m.ncols] = m.rows[i][:]
+        i0 += m.nrows
+        j0 += m.ncols
+    return out
+
+
+def inverse(m):
+    if m.nrows != m.ncols:
+        raise ValueError("not square")
+    try:
+        x = m.solve(Mat.identity(m.field, m.nrows))
+    except NoSolution:
+        raise ValueError("singular matrix")
+    return x
 
 
 class Submodule:
@@ -93,13 +145,14 @@ def dense_free(F):
     """The FreeModule F as a CatModule of its own, with the block-diagonal
     action of its summands' projectives."""
     c = F.cat
+    projs = [projective_module(c, s) for s in F.summands]
     act = {}
     for y in F.support:
         for z in F.support:
             d = c.homdim[(y, z)]
             if d:
-                act[(y, z)] = [Mat.block_diag(c.field, [p.action(y, z, i)
-                                                         for p in F.projs])
+                act[(y, z)] = [block_diag(c.field, [p.action(y, z, i)
+                                                    for p in projs])
                                for i in range(d)]
     return CatModule(c, F.dims, act)
 
@@ -151,7 +204,8 @@ def is_complex(M):
     on the dense realizations."""
     res = min_proj_resolution(M)
     maps = [cover(res, M)] + [realize(d) for d in res.diffs]
-    return all(hi.compose(lo).is_zero() for hi, lo in zip(maps, maps[1:]))
+    return all(map_is_zero(compose_maps(hi, lo))
+               for hi, lo in zip(maps, maps[1:]))
 
 
 def direct_sum(cat, modules):
@@ -164,7 +218,7 @@ def direct_sum(cat, modules):
             d = cat.homdim[(x, y)]
             if d == 0 or dims[x] == 0 or dims[y] == 0:
                 continue
-            act[(x, y)] = [Mat.block_diag(f, [m.action(x, y, i) for m in modules])
+            act[(x, y)] = [block_diag(f, [m.action(x, y, i) for m in modules])
                            for i in range(d)]
     S = CatModule(cat, dims, act)
     incls, projs = [], []

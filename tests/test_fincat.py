@@ -3,13 +3,14 @@ import random
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import QQ, default_field, row_space_basis
+from ausglue.linalg import QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (DynkinSpec, hereditary_presentation,
                             nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
-                            simple_module, dual_module, CatModule,
+                            dual_projective_module, simple_module,
+                            dual_module, CatModule,
                             FinCategory, FreeModule, radical_rows,
                             top_generators)
 from ausglue.homology import hom_modules, modules_isomorphic
@@ -179,7 +180,7 @@ def _sample_modules(cat):
     for x in cat.objects:
         P, I = projective_module(cat, x), injective_module(cat, x)
         yield from (P, I, simple_module(cat, x), dual_module(P),
-                    dual_module(I))
+                    dual_module(I), dual_projective_module(cat, x))
         gens = top_generators(I)
         F = FreeModule(cat, [s for s, _ in gens])
         cover = yoneda_map(F, I, [v for _, v in gens])
@@ -206,15 +207,20 @@ def test_sparse_action_matches_dense(build):
         assert radical_rows(M) == _dense_radical_rows(M)
 
 
+def _support_categories(field):
+    """Linear A4, Gamma of A3 with one shift and the Nakayama algebra with
+    four simples and Loewy length 3, over field."""
+    return (make(4, field), build_sk(make(3, field), 1).cat,
+            category_from_presentation(nakayama_linear(4, 3), field))
+
+
 def test_free_module_lives_on_its_support():
     """A FreeModule's support is where it is nonzero; off it, offsets has
     no entry, yoneda_entries gives empty blocks and apply_action gives
     [], and apply_action agrees everywhere with the dense action of
     dense_free."""
     rng = random.Random(3)
-    for cat in (make(4), build_sk(make(3), 1).cat,
-                category_from_presentation(nakayama_linear(4, 3),
-                                           default_field())):
+    for cat in _support_categories(default_field()):
         f = cat.field
         for summands in ([], [cat.objects[-1]], cat.objects[:2] * 2,
                          rng.sample(cat.objects, 3)):
@@ -233,3 +239,27 @@ def test_free_module_lives_on_its_support():
                         assert w == dense.action(x, y, i).apply(v)
                         if y not in F.support:
                             assert w == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_in_place_duals_match_dense_reference(field):
+    """D(P_x) read in place from the structure constants, and the
+    injective I_x built the same way over the opposite category, agree
+    action for action with the dense reference dual_module of
+    projective_module, on every object."""
+    for cat in _support_categories(field):
+        op = cat.opposite()
+        for x in cat.objects:
+            for M, ref in (
+                    (dual_projective_module(cat, x),
+                     dual_module(projective_module(cat, x))),
+                    (injective_module(cat, x),
+                     dual_module(projective_module(op, x)))):
+                c = M.cat
+                assert c is ref.cat
+                assert M.dims == ref.dims
+                for a in c.objects:
+                    for b in c.objects:
+                        for i in range(c.homdim[(a, b)]):
+                            assert M.action(a, b, i) == ref.action(a, b, i)
+

@@ -318,6 +318,39 @@ def test_ct_summands_witness_names_the_unmatched_labels(monkeypatch):
                                           for _, x in claim.witness]
 
 
+def test_count_claims_witness_the_pairing(monkeypatch):
+    """With the last pair dropped from every Nakayama pairing the verifier
+    reads, the four prop5 count claims fail: projinj_gamma and
+    projinj_sigma carry the paired objects x (P_x injective), sorted, and
+    injnotproj_gamma and injnotproj_sigma the y whose I_y is left
+    unpaired, sorted, among them the y of the dropped pair."""
+    from ausglue import tower
+    calls = []
+
+    def short(cat):
+        pairing = dict(list(projective_injectives(cat).items())[:-1])
+        calls.append((cat, pairing))
+        return pairing
+    monkeypatch.setattr(tower, "projective_injectives", short)
+    rep = verify_theorem_dynkin(DynkinSpec("A", 3), 1)
+    claims = {c.cid: c for c in rep.claims}
+    G = calls[0][0]
+    S = next(cat for cat, _ in calls if cat is not G)
+    for cat, which in ((G, "gamma"), (S, "sigma")):
+        pairing = next(p for c, p in calls if c is cat)
+        dropped = list(projective_injectives(cat).items())[-1]
+        paired, unpaired = (claims["prop5.%s_%s" % (cid, which)]
+                            for cid in ("projinj", "injnotproj"))
+        assert paired.status == unpaired.status == "fail"
+        assert paired.computed == len(pairing)
+        assert paired.witness == sorted(pairing, key=str)
+        assert dropped[0] not in paired.witness
+        assert unpaired.witness == sorted(
+            (y for y in cat.objects if y not in pairing.values()), key=str)
+        assert unpaired.computed == len(unpaired.witness)
+        assert dropped[1] in unpaired.witness
+
+
 def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
     """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
     Sigma that is not projective once, counted over every module
@@ -392,9 +425,9 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     is resolved twice; each D(P_x) of Gamma that is not projective over
     Gamma^op is resolved once, for the pairing, gldim and domdim
     together, and the others not at all; Gamma's own injectives are never
-    built, and the projectives of Gamma^op that those resolutions built
-    are not kept; and on Sigma only the injectives that are not
-    projective are resolved, once each, no projective."""
+    built, and no projective of Gamma^op is built, so none is cached on
+    it; and on Sigma only the injectives that are not projective are
+    resolved, once each, no projective."""
     from ausglue import homology, tower
     resolved, sigmas = [], []
     real = homology._resolve
@@ -423,6 +456,35 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     on_sigma = [M for M in resolved if M.cat is S]
     assert [injective_label(M) for M in on_sigma] == unpaired
     assert all(projective_label(M) is None for M in on_sigma)
+
+
+def test_verdict_builds_no_projective_of_gamma_or_the_opposites(monkeypatch):
+    """verify_theorem_dynkin(A3, k = 2), with the category of every
+    projective_module call recorded in each ausglue namespace that binds
+    it: free modules and the coresolution table read the structure
+    constants in place, and Sigma's injectives are built over Sigma, so no
+    call falls on Gamma, Gamma^op or Sigma^op.  Sigma's own projectives,
+    the generators of its rigidity check, are still built."""
+    import sys
+    from ausglue import fincat, tower
+    cats, sigmas = [], []
+    real = fincat.projective_module
+
+    def recorded(cat, x):
+        cats.append(cat)
+        return real(cat, x)
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "ausglue" and \
+                getattr(mod, "projective_module", None) is real:
+            monkeypatch.setattr(mod, "projective_module", recorded)
+    monkeypatch.setattr(tower, "sigma",
+                        lambda g: sigmas.append((g, sigma(g))) or sigmas[-1][1])
+    assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
+    glued, (S, _, _) = sigmas[0]
+    G = glued.cat
+    assert any(c is S for c in cats)
+    assert not [c for c in cats
+                if c is G or c is G.opposite() or c is S.opposite()]
 
 
 def _report_claims(case, field):
