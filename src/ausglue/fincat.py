@@ -61,20 +61,15 @@ class FinCategory:
             ys.sort(key=self.obj_index.__getitem__)
         return out
 
-    def compose_basis(self, x, y, z, i, j):
-        """Coordinates in hom(x,z) of g_i o f_j, g_i in hom(y,z) basis,
-        f_j in hom(x,y) basis."""
-        t = self.comp.get((x, y, z))
-        if t is None:
-            return [self.field.zero] * self.homdim[(x, z)]
-        return t[i][j]
-
     def compose(self, x, y, z, g, f):
         """Compose coefficient vectors: g over hom(y,z), f over hom(x,y);
         returns coefficient vector over hom(x,z)."""
         n = self.homdim[(x, z)]
         out = [self.field.zero] * n
         zero = self.field.zero
+        t = self.comp.get((x, y, z))
+        if t is None:
+            return out
         for i, gc in enumerate(g):
             if gc == zero:
                 continue
@@ -82,61 +77,12 @@ class FinCategory:
                 if fc == zero:
                     continue
                 sc = gc * fc
-                row = self.compose_basis(x, y, z, i, j)
+                row = t[i][j]
                 for k in range(n):
                     out[k] = out[k] + sc * row[k]
         if self.field.p is not None:
             out = [v % self.field.p for v in out]
         return out
-
-    def identity_vector(self, x):
-        return [self.field.one]
-
-    # -- structural checks --------------------------------------------
-
-    def check_associativity(self):
-        """Exhaustive check of (h o g) o f = h o (g o f) on basis triples."""
-        for w in self.objects:
-            for x in self.objects:
-                if self.homdim[(w, x)] == 0:
-                    continue
-                for y in self.objects:
-                    if self.homdim[(x, y)] == 0:
-                        continue
-                    for z in self.objects:
-                        if self.homdim[(y, z)] == 0:
-                            continue
-                        for i in range(self.homdim[(y, z)]):
-                            h = self._basis_vec(y, z, i)
-                            for j in range(self.homdim[(x, y)]):
-                                g = self._basis_vec(x, y, j)
-                                gf = self.compose(x, y, z, h, g)
-                                for k in range(self.homdim[(w, x)]):
-                                    f = self._basis_vec(w, x, k)
-                                    left = self.compose(w, x, z, gf, f)
-                                    right = self.compose(
-                                        w, y, z, h,
-                                        self.compose(w, x, y, g, f))
-                                    if left != right:
-                                        return False, (w, x, y, z, i, j, k)
-        return True, None
-
-    def check_identities(self):
-        for x in self.objects:
-            for y in self.objects:
-                d = self.homdim[(x, y)]
-                for j in range(d):
-                    f = self._basis_vec(x, y, j)
-                    if self.compose(x, y, y, self.identity_vector(y), f) != f:
-                        return False, (x, y, j, "left")
-                    if self.compose(x, x, y, f, self.identity_vector(x)) != f:
-                        return False, (x, y, j, "right")
-        return True, None
-
-    def _basis_vec(self, x, y, i):
-        v = [self.field.zero] * self.homdim[(x, y)]
-        v[i] = self.field.one
-        return v
 
     # -- derived categories of the same kind ---------------------------
 
@@ -146,12 +92,10 @@ class FinCategory:
             return self._op
         homdim = {(x, y): self.homdim[(y, x)]
                   for x in self.objects for y in self.objects}
-        comp = {}
-        for (x, y, z), t in self.comp.items():
-            # comp_op[(z,y,x)][j][i] = comp[(x,y,z)][i][j]
-            ni = self.homdim[(x, y)]
-            nj = self.homdim[(y, z)]
-            comp[(z, y, x)] = [[t[j][i] for j in range(nj)] for i in range(ni)]
+        # comp_op[(z,y,x)][j][i] = comp[(x,y,z)][i][j]; a key is stored
+        # only when all three hom spaces are nonzero, so no block is empty
+        comp = {(z, y, x): [list(c) for c in zip(*t)]
+                for (x, y, z), t in self.comp.items()}
         op = FinCategory(self.field, self.objects, homdim, comp)
         op._op = self
         self._op = op
@@ -248,29 +192,6 @@ class CatModule:
     def is_zero(self):
         return self.total_dim() == 0
 
-    def check(self):
-        """Verify identity and composition compatibility of the action."""
-        c = self.cat
-        for x in c.objects:
-            if self.dims[x] and not self.action(x, x, 0) == Mat.identity(c.field, self.dims[x]):
-                return False
-        for x in c.objects:
-            for y in c.objects:
-                if c.homdim[(x, y)] == 0:
-                    continue
-                for z in c.objects:
-                    if c.homdim[(y, z)] == 0:
-                        continue
-                    for i in range(c.homdim[(y, z)]):
-                        g = c._basis_vec(y, z, i)
-                        for j in range(c.homdim[(x, y)]):
-                            f = c._basis_vec(x, y, j)
-                            gf = c.compose(x, y, z, g, f)
-                            if self.act_elem(x, z, gf) != \
-                                    self.action(y, z, i) * self.action(x, y, j):
-                                return False
-        return True
-
     def __repr__(self):
         return "CatModule(dims=%r)" % ({x: d for x, d in self.dims.items() if d},)
 
@@ -307,37 +228,15 @@ def simple_module(cat, x):
 def projective_module(cat, x):
     """P_x = hom(x,-); the i-th basis element g_i of hom(y, z) acts by
     postcomposition, so column j of its matrix holds the structure
-    constants of g_i o f_j.  Cached on the category (modules are
-    immutable)."""
-    cache = getattr(cat, "_proj_cache", None)
-    if cache is None:
-        cache = cat._proj_cache = {}
-    if x in cache:
-        return cache[x]
-    dims = {y: cat.homdim[(x, y)] for y in cat.objects}
-    M = CatModule(cat, dims, {})
-    for y in M.support:
-        for z in M.support:
-            if cat.homdim[(y, z)]:
-                M.act[(y, z)] = [
-                    Mat.from_cols(cat.field, [cat.compose_basis(x, y, z, i, j)
-                                              for j in range(dims[y])])
-                    for i in range(cat.homdim[(y, z)])]
-    cache[x] = M
-    return M
+    constants of g_i o f_j: the transpose of the in-place D(P_x)."""
+    return dual_module(dual_projective_module(cat, x))
 
 
 def injective_module(cat, x):
     """I_x = D hom(-,x), the dual of the projective P_x of the opposite
     category (dual_projective_module there): f: y -> z acts by the
-    transpose of precomposition hom(z,x) -> hom(y,x).  Cached on the
-    category."""
-    cache = getattr(cat, "_inj_cache", None)
-    if cache is None:
-        cache = cat._inj_cache = {}
-    if x not in cache:
-        cache[x] = dual_projective_module(cat.opposite(), x)
-    return cache[x]
+    transpose of precomposition hom(z,x) -> hom(y,x)."""
+    return dual_projective_module(cat.opposite(), x)
 
 
 def dual_projective_module(cat, x):

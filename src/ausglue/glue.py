@@ -6,7 +6,7 @@ Composition is Yoneda composition on explicit cocycles: hom after hom is
 map composition, ext after hom precomposes with a lifted chain map, hom
 after ext postcomposes on cocycle blocks, and ext after ext vanishes.
 Associativity of the assembled category is not assumed; the tests verify
-it exhaustively through FinCategory.check_associativity.
+it exhaustively (check_associativity in tests/oracles.py).
 """
 
 from .fincat import (FinCategory, injective_module, projective_label,

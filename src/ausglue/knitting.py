@@ -61,20 +61,6 @@ class ARQuiver:
         return [(i, j, m)
                 for (i, j), m in self.table[1].gabriel_arrows().items()]
 
-    def arrows_into(self, i):
-        return sorted((s, m) for s, d, m in self.arrows if d == i)
-
-    def arrows_out_of(self, i):
-        return sorted((d, m) for s, d, m in self.arrows if s == i)
-
-    def check_mesh(self):
-        """At every non-projective vertex Z the multiset of arrow sources
-        into Z must match the multiset of arrow targets out of tau(Z)."""
-        for z, tz in self.tau.items():
-            if self.arrows_into(z) != self.arrows_out_of(tz):
-                return False, z
-        return True, None
-
     def labels(self):
         return [vertex_label(self.cat, self.module(i)) for i in range(self.count)]
 

@@ -1,7 +1,11 @@
-"""Reference constructions that only the tests use, as oracles: a syzygy
-as a module of its own (kernel, Submodule), a cokernel as a module of its
-own (cokernel, Quotient), the dense realization of free modules and of
-the maps between them (dense_free, yoneda_map, realize, cover), the
+"""Reference constructions that only the tests use, as oracles: the
+exhaustive axiom checks of a category (check_associativity,
+check_identities, with basis_vec and identity_vector), of a module
+(check_module) and of an AR quiver's mesh (check_mesh, with arrows_into
+and arrows_out_of), a syzygy as a module of its own (kernel, Submodule),
+a cokernel as a module of its own (cokernel, Quotient), the dense
+realization of projectives, of free modules and of the maps between them
+(dense_projective, dense_free, yoneda_map, realize, cover), the
 minimality and complex checks of a resolution, direct sums with their
 inclusions and projections, naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
@@ -10,16 +14,109 @@ maps (compose_maps, add_maps, sub_maps, scale_map, map_is_zero), the
 block-diagonal matrix and the matrix inverse, and the hom dimensions of a
 glued category by copy.
 
-The program keeps a free module's action sparse and a map between free
+The program reads every representable in place from the structure
+constants, keeps a free module's action sparse and a map between free
 modules in Yoneda coordinates (a CatMat), and reads Hom off a module's
 resolution; the dense forms and the naturality solver here are what
 those are checked against."""
 
-from ausglue.fincat import (CatModule, FreeModule, ModuleMap,
-                            projective_module)
+from ausglue.fincat import CatModule, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution
 from ausglue.linalg import (Mat, NoSolution, row_space_basis,
                             echelon_columns, quotient_coords)
+
+
+def basis_vec(cat, x, y, i):
+    v = [cat.field.zero] * cat.homdim[(x, y)]
+    v[i] = cat.field.one
+    return v
+
+
+def identity_vector(cat, x):
+    return [cat.field.one]
+
+
+def check_associativity(cat):
+    """Exhaustive check of (h o g) o f = h o (g o f) on basis triples."""
+    for w in cat.objects:
+        for x in cat.objects:
+            if cat.homdim[(w, x)] == 0:
+                continue
+            for y in cat.objects:
+                if cat.homdim[(x, y)] == 0:
+                    continue
+                for z in cat.objects:
+                    if cat.homdim[(y, z)] == 0:
+                        continue
+                    for i in range(cat.homdim[(y, z)]):
+                        h = basis_vec(cat, y, z, i)
+                        for j in range(cat.homdim[(x, y)]):
+                            g = basis_vec(cat, x, y, j)
+                            gf = cat.compose(x, y, z, h, g)
+                            for k in range(cat.homdim[(w, x)]):
+                                f = basis_vec(cat, w, x, k)
+                                left = cat.compose(w, x, z, gf, f)
+                                right = cat.compose(
+                                    w, y, z, h,
+                                    cat.compose(w, x, y, g, f))
+                                if left != right:
+                                    return False, (w, x, y, z, i, j, k)
+    return True, None
+
+
+def check_identities(cat):
+    for x in cat.objects:
+        for y in cat.objects:
+            d = cat.homdim[(x, y)]
+            for j in range(d):
+                f = basis_vec(cat, x, y, j)
+                if cat.compose(x, y, y, identity_vector(cat, y), f) != f:
+                    return False, (x, y, j, "left")
+                if cat.compose(x, x, y, f, identity_vector(cat, x)) != f:
+                    return False, (x, y, j, "right")
+    return True, None
+
+
+def check_module(M):
+    """Verify identity and composition compatibility of the action."""
+    c = M.cat
+    for x in c.objects:
+        if M.dims[x] and not M.action(x, x, 0) == Mat.identity(c.field, M.dims[x]):
+            return False
+    for x in c.objects:
+        for y in c.objects:
+            if c.homdim[(x, y)] == 0:
+                continue
+            for z in c.objects:
+                if c.homdim[(y, z)] == 0:
+                    continue
+                for i in range(c.homdim[(y, z)]):
+                    g = basis_vec(c, y, z, i)
+                    for j in range(c.homdim[(x, y)]):
+                        f = basis_vec(c, x, y, j)
+                        gf = c.compose(x, y, z, g, f)
+                        if M.act_elem(x, z, gf) != \
+                                M.action(y, z, i) * M.action(x, y, j):
+                            return False
+    return True
+
+
+def arrows_into(ar, i):
+    return sorted((s, m) for s, d, m in ar.arrows if d == i)
+
+
+def arrows_out_of(ar, i):
+    return sorted((d, m) for s, d, m in ar.arrows if s == i)
+
+
+def check_mesh(ar):
+    """At every non-projective vertex Z of the ARQuiver ar the multiset of
+    arrow sources into Z must match the multiset of arrow targets out of
+    tau(Z)."""
+    for z, tz in ar.tau.items():
+        if arrows_into(ar, z) != arrows_out_of(ar, tz):
+            return False, z
+    return True, None
 
 
 def compose_maps(phi, other):
@@ -141,11 +238,29 @@ def cokernel(phi):
                               for x in phi.src.cat.objects})
 
 
+def dense_projective(cat, x):
+    """P_x built densely: column j of the matrix of g_i in hom(y, z) is
+    copied out of the structure constants of g_i o f_j, a zero block where
+    comp has no key."""
+    f = cat.field
+    dims = {y: cat.homdim[(x, y)] for y in cat.objects}
+    M = CatModule(cat, dims, {})
+    for y in M.support:
+        for z in M.support:
+            d = cat.homdim[(y, z)]
+            if d:
+                t = cat.comp.get((x, y, z), [[[f.zero] * dims[z]] * dims[y]] * d)
+                M.act[(y, z)] = [
+                    Mat.from_cols(f, [t[i][j] for j in range(dims[y])])
+                    for i in range(d)]
+    return M
+
+
 def dense_free(F):
     """The FreeModule F as a CatModule of its own, with the block-diagonal
-    action of its summands' projectives."""
+    action of its summands' projectives, built by dense_projective."""
     c = F.cat
-    projs = [projective_module(c, s) for s in F.summands]
+    projs = [dense_projective(c, s) for s in F.summands]
     act = {}
     for y in F.support:
         for z in F.support:

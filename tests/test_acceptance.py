@@ -16,6 +16,7 @@ from ausglue.glue import (build_sk, build_mk, auslander_category,
                           _unique_names)
 from ausglue.tower import (gamma, sigma, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
+import oracles
 from oracles import direct_sum, hom_by_naturality
 
 FIELD = default_field()
@@ -256,14 +257,14 @@ def test_criterion_8_property_suites(aus_setup):
                   build_sk(make(DynkinSpec("A", 3)), 1),
                   build_mk(aus_cat, 1, 2, modules=modules)]
     for g in glued_list:
-        ok &= g.cat.check_identities() == (True, None)
-        ok &= g.cat.check_associativity() == (True, None)
+        ok &= oracles.check_identities(g.cat) == (True, None)
+        ok &= oracles.check_associativity(g.cat) == (True, None)
     # hom/ext exactness across every almost-split sequence of A3
     A3 = make(DynkinSpec("A", 3))
     ar3 = knit(A3)
     for z, tz in ar3.tau.items():
         middle = []
-        for s, mult in ar3.arrows_into(z):
+        for s, mult in oracles.arrows_into(ar3, z):
             middle.extend([ar3.module(s)] * mult)
         K, _, _ = direct_sum(A3, middle)
         for i in range(ar3.count):
@@ -278,7 +279,7 @@ def test_criterion_8_property_suites(aus_setup):
     for spec in (DynkinSpec("A", 3), DynkinSpec("D", 4, "out")):
         cat = make(spec)
         ar = knit(cat)
-        ok &= ar.check_mesh()[0]
+        ok &= oracles.check_mesh(ar)[0]
         mods = [ar.module(i) for i in range(ar.count)]
         for X in mods:
             for Y in mods:

@@ -19,6 +19,7 @@ from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
                           is_rigid, is_cluster_tilting,
                           cluster_tilting_from_tau_n)
+import oracles
 from oracles import direct_sum, hom_by_naturality, hom_dim
 
 FIELD = default_field()
@@ -43,8 +44,8 @@ def s1_a3():
 
 def test_axioms_exhaustive(s1_a3):
     for glued in (build_sk(A2, 1), s1_a3, build_mk(nakayama(), 1, 2)):
-        assert glued.cat.check_identities() == (True, None)
-        assert glued.cat.check_associativity() == (True, None)
+        assert oracles.check_identities(glued.cat) == (True, None)
+        assert oracles.check_associativity(glued.cat) == (True, None)
 
 
 def test_hom_table_cross_check(s1_a3):
@@ -92,7 +93,7 @@ def test_yoneda_compose(s1_a3):
     src, dst = ("P_2", 0), ("P_1", 0)
     assert cat.homdim[(src, dst)] == 1
     f = (src, dst, [one])
-    ident = (dst, dst, cat.identity_vector(dst))
+    ident = (dst, dst, oracles.identity_vector(cat, dst))
     assert yoneda_compose(g, ident, f) == (src, dst, [one])
     with pytest.raises(NotComposable):
         yoneda_compose(g, f, f)
@@ -136,7 +137,7 @@ def test_euler_characteristic_additive_on_ar_sequences():
     assert ar.tau  # A3 does have non-projective vertices
     for z, tz in ar.tau.items():
         middle = []
-        for s, mult in ar.arrows_into(z):
+        for s, mult in oracles.arrows_into(ar, z):
             middle.extend([ar.module(s)] * mult)
         K, _, _ = direct_sum(A3, middle)
         Z, tZ = ar.module(z), ar.module(tz)

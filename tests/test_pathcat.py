@@ -5,6 +5,7 @@ from ausglue.linalg import QQ, default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
+import oracles
 
 
 def a_linear(n):
@@ -46,8 +47,8 @@ def test_axioms_hold():
     for pres in (a_linear(3), nakayama_linear(4, 3),
                  hereditary_presentation(DynkinSpec("D", 4))):
         cat = category_from_presentation(pres, default_field())
-        assert cat.check_associativity() == (True, None)
-        assert cat.check_identities() == (True, None)
+        assert oracles.check_associativity(cat) == (True, None)
+        assert oracles.check_identities(cat) == (True, None)
 
 
 def test_loop_is_infinite_dimensional():

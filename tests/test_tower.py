@@ -21,6 +21,7 @@ from ausglue.glue import (build_sk, build_glued, auslander_category,
 from ausglue.tower import (gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
+import oracles
 from oracles import direct_sum
 
 FIELD = default_field()
@@ -97,8 +98,8 @@ def _reference_gabriel_arrows(cat):
         for y in cat.objects:
             if x == y or cat.homdim[(x, y)] == 0:
                 continue
-            vecs = [cat.compose(x, z, y, cat._basis_vec(z, y, i),
-                                cat._basis_vec(x, z, j))
+            vecs = [cat.compose(x, z, y, oracles.basis_vec(cat, z, y, i),
+                                oracles.basis_vec(cat, x, z, j))
                     for z in cat.objects if z != x and z != y
                     for i in range(cat.homdim[(z, y)])
                     for j in range(cat.homdim[(x, z)])]
@@ -113,7 +114,8 @@ def _reference_is_basic(cat):
     """is_basic by composing unit vectors x -> y -> x through cat.compose."""
     return not any(
         any(v != cat.field.zero for v in cat.compose(
-            x, y, x, cat._basis_vec(y, x, i), cat._basis_vec(x, y, j)))
+            x, y, x, oracles.basis_vec(cat, y, x, i),
+            oracles.basis_vec(cat, x, y, j)))
         for x in cat.objects for y in cat.objects if x != y
         for i in range(cat.homdim[(y, x)])
         for j in range(cat.homdim[(x, y)]))
@@ -424,10 +426,11 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     (homology._resolve, which builds every Resolution): no module object
     is resolved twice; each D(P_x) of Gamma that is not projective over
     Gamma^op is resolved once, for the pairing, gldim and domdim
-    together, and the others not at all; Gamma's own injectives are never
-    built, and no projective of Gamma^op is built, so none is cached on
-    it; and on Sigma only the injectives that are not projective are
-    resolved, once each, no projective."""
+    together, and the others not at all; no module over Gamma is
+    resolved (the next test checks that none of Gamma's injectives and no
+    projective of Gamma or Gamma^op is built); and on Sigma only the
+    injectives that are not projective are resolved, once each, no
+    projective."""
     from ausglue import homology, tower
     resolved, sigmas = [], []
     real = homology._resolve
@@ -447,8 +450,6 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     on_gamma_op = [injective_label(M) for M in resolved
                    if M.cat is G.opposite()]
     assert on_gamma_op == [x for x in G.objects if x not in paired]
-    assert getattr(G, "_inj_cache", None) is None
-    assert not getattr(G.opposite(), "_proj_cache", None)
     assert not any(M.cat is G for M in resolved)
     unpaired = [y for y in S.objects
                 if y not in projective_injectives(S).values()]
@@ -460,31 +461,38 @@ def test_verdict_resolves_each_module_once(monkeypatch):
 
 def test_verdict_builds_no_projective_of_gamma_or_the_opposites(monkeypatch):
     """verify_theorem_dynkin(A3, k = 2), with the category of every
-    projective_module call recorded in each ausglue namespace that binds
-    it: free modules and the coresolution table read the structure
-    constants in place, and Sigma's injectives are built over Sigma, so no
-    call falls on Gamma, Gamma^op or Sigma^op.  Sigma's own projectives,
-    the generators of its rigidity check, are still built."""
+    projective_module and every injective_module call recorded in each
+    ausglue namespace that binds it: free modules and the coresolution
+    table read the structure constants in place, and Sigma's injectives
+    are built over Sigma, so no projective_module call falls on Gamma,
+    Gamma^op or Sigma^op, and no injective_module call on Gamma.  Sigma's
+    own projectives, the generators of its rigidity check, are still
+    built."""
     import sys
     from ausglue import fincat, tower
-    cats, sigmas = [], []
-    real = fincat.projective_module
+    cats = {"projective_module": [], "injective_module": []}
+    sigmas = []
+    for fname, calls in cats.items():
+        real = getattr(fincat, fname)
 
-    def recorded(cat, x):
-        cats.append(cat)
-        return real(cat, x)
-    for name, mod in list(sys.modules.items()):
-        if name.partition(".")[0] == "ausglue" and \
-                getattr(mod, "projective_module", None) is real:
-            monkeypatch.setattr(mod, "projective_module", recorded)
+        def recorded(cat, x, real=real, calls=calls):
+            calls.append(cat)
+            return real(cat, x)
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "ausglue" and \
+                    getattr(mod, fname, None) is real:
+                monkeypatch.setattr(mod, fname, recorded)
     monkeypatch.setattr(tower, "sigma",
                         lambda g: sigmas.append((g, sigma(g))) or sigmas[-1][1])
     assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
     glued, (S, _, _) = sigmas[0]
     G = glued.cat
-    assert any(c is S for c in cats)
-    assert not [c for c in cats
+    projs, injs = cats["projective_module"], cats["injective_module"]
+    assert any(c is S for c in projs)
+    assert not [c for c in projs
                 if c is G or c is G.opposite() or c is S.opposite()]
+    assert any(c is S for c in injs)
+    assert not [c for c in injs if c is G]
 
 
 def _report_claims(case, field):
