@@ -117,10 +117,10 @@ class FinCategory:
         structure constants of the composites x -> z -> y."""
         arrows = {}
         for x in self.objects:
-            for y in self.objects:
-                if x == y or self.homdim[(x, y)] == 0:
+            for y in self.out_support[x]:
+                if x == y:
                     continue
-                vecs = [v for z in self.objects if z != x and z != y
+                vecs = [v for z in self.out_support[x] if z not in (x, y)
                         for row in self.comp.get((x, z, y), ()) for v in row]
                 r2 = len(row_space_basis(self.field, vecs, self.homdim[(x, y)]))
                 m = self.homdim[(x, y)] - r2

@@ -230,10 +230,11 @@ def _witness_text(names, n, witness):
 
 
 def is_rigid(sources, targets, n):
-    """Ext^i(X, Y) = 0 for 0 < i < n, X in sources and Y in targets; a
-    caller leaves out the projective sources, for which it always holds.
-    Returns (True, None) or (False, (a, b, i)) for the first source a,
-    then target b, then least i that fails."""
+    """Ext^i(X, Y) = 0 for 0 < i < n, X in sources and Y in targets.  It
+    always holds for a projective X or an injective Y, so a caller leaves
+    those out and maps positions back to its own lists.  Returns (True,
+    None) or (False, (a, b, i)) for the first source a, then target b,
+    then least i that fails."""
     for a, Ma in enumerate(sources):
         res = min_proj_resolution(Ma)
         top = min(n - 1, res.length)  # Ext^i(X, -) = 0 above pdim X
@@ -253,12 +254,13 @@ def is_cluster_tilting(ambient, modules, n, table=None):
     gldim End(M) <= n + 1.  Nothing is knitted.  Returns (True, None), or
     (False, witness) from the first test to fail: ("generator", x) or
     ("cogenerator", y), no P_x or I_y; ("basic", (a, b)), two isomorphic
-    positions; ("rigid", (a, b, i)), as is_rigid; ("gldim", (a, d)), the
+    positions; ("rigid", (a, b, i)), as is_rigid on modules twice, which
+    skips projective sources and injective targets; ("gldim", (a, d)), the
     first projective End(M)-module, at a, with injective dimension
     d > n + 1.  table: the modules' hom_table, built if None."""
-    for kind, label in (("generator", projective_label),
-                        ("cogenerator", injective_label)):
-        have = {label(M) for M in modules}
+    labels = [[label(M) for M in modules]
+              for label in (projective_label, injective_label)]
+    for kind, have in zip(("generator", "cogenerator"), labels):
         x = next((x for x in ambient.objects if x not in have), None)
         if x is not None:
             return False, (kind, x)
@@ -267,9 +269,12 @@ def is_cluster_tilting(ambient, modules, n, table=None):
     ok, pair = is_basic(end)
     if not ok:
         return False, ("basic", pair)
-    ok, witness = is_rigid(modules, modules, n)
+    srcs, tgts = ([a for a, x in enumerate(xs) if x is None] for xs in labels)
+    ok, witness = is_rigid([modules[a] for a in srcs],
+                           [modules[b] for b in tgts], n)
     if not ok:
-        return False, ("rigid", witness)
+        a, b, i = witness
+        return False, ("rigid", (srcs[a], tgts[b], i))
     if gldim(end) > n + 1:
         return False, ("gldim", next((a, d) for a, d in
                                      injective_dims(end).items() if d > n + 1))

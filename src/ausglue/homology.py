@@ -23,9 +23,11 @@ Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.  Each
 category keeps one table of the minimal injective coresolutions of its
 P_x (injective_coresolutions), and the Nakayama pairing, domdim and gldim
-are all read off it.  gldim is max id P_x: on a directed category, whose
-hom support (x -> y for hom(x, y) != 0, x != y) has no cycle, the algebra
-is triangular, so its global dimension d is finite, and then d = id A:
+are all read off it; the pairing P_x = I_y is read from the structure
+constants by Yoneda, so only an unpaired P_x is coresolved.  gldim is
+max id P_x: on a directed category, whose hom support (x -> y for
+hom(x, y) != 0, x != y) has no cycle, the algebra is triangular, so its
+global dimension d is finite, and then d = id A:
 Ext^d(N, S) != 0 for some module N and simple S, and Ext^d(N, -) is right
 exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).  Any
 other category is refused as NotDirected, naming a cycle of its hom
@@ -38,7 +40,7 @@ from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
 from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
                      dual_module, dual_projective_module, top_generators,
-                     projective_label, zero_module)
+                     zero_module)
 from .quiver import Quiver
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
@@ -188,20 +190,34 @@ def _hom_support(cat, objs):
 
 def injective_coresolutions(cat):
     """{x: socle labels of each term of the minimal injective coresolution
-    of P_x}, in object order, read as the projective resolution of D(P_x)
-    over the opposite category: [[y]] where D(P_x) is its P_y, so P_x =
-    I_y.  Each D(P_x) is read in place from the structure constants
-    (dual_projective_module), so no projective of either category is
-    built.  Only the labels are kept, once per category; do not mutate."""
+    of P_x}, in object order: [[y]] where P_x = I_y (_nakayama_pairing),
+    which builds no module, else the projective resolution of D(P_x) over
+    the opposite category, read in place from the structure constants
+    (dual_projective_module).  Kept once per category; do not mutate."""
     table = getattr(cat, "_coresolutions", None)
     if table is None:
-        table = {}
-        for x in cat.objects:
-            D = dual_projective_module(cat, x)
-            y = projective_label(D)
-            table[x] = [[y]] if y is not None else _resolve(D).terms
-        cat._coresolutions = table
+        pairing = _nakayama_pairing(cat)
+        table = cat._coresolutions = {
+            x: [[pairing[x]]] if x in pairing else
+            _resolve(dual_projective_module(cat, x)).terms
+            for x in cat.objects}
     return table
+
+
+def _nakayama_pairing(cat):
+    """{x: y} where P_x = I_y.  By Yoneda Hom(P_x, I_y) = D hom(x, y), so
+    P_x = I_y iff dim hom(x, z) = dim hom(z, y) for all z (at z = y, so
+    hom(x, y) = K) and composition hom(z, y) x hom(x, z) -> hom(x, y) is a
+    perfect pairing at each z in out_support[x]."""
+    objs, hd, comp = cat.objects, cat.homdim, cat.comp
+    cols = {}  # the y by their column (dim hom(z, y))_z
+    for y in objs:
+        cols.setdefault(tuple(hd[(z, y)] for z in objs), []).append(y)
+    return {x: y for x in objs
+            for y in cols.get(tuple(hd[(x, z)] for z in objs), ())
+            if all((x, z, y) in comp and Mat(cat.field, [
+                [c[0] for c in r] for r in comp[(x, z, y)]]).is_invertible()
+                for z in cat.out_support[x])}
 
 
 def projective_injectives(cat):

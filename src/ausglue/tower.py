@@ -248,22 +248,24 @@ def _verify_glued(glued, input_desc, gldim_id):
             _coresolution_witness(S, injective_dims(S), s_gldim))
 
     # the projectives, then the injectives that are not also projective;
-    # Ext^i(P, -) = 0, so only the latter are resolved, once each for the
-    # rigidity check and the tau_d-closure
+    # Ext^i(P, -) = 0 = Ext^i(-, I), so only the latter are resolved, once
+    # each for the rigidity check and the tau_d-closure, and mapped only
+    # into the P_x that are not injective
     injs = [injective_module(S, y) for y in unpaired]
     labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
-    gen_cogen = [projective_module(S, x) for x in S.objects] + injs
-    ok, witness = is_rigid(injs, gen_cogen, d)
+    targets = [x for x in S.objects if x not in s_pair]
+    projs = [projective_module(S, x) for x in targets]
+    ok, witness = is_rigid(injs, projs, d)
     if witness is not None:  # name the two modules, not their positions
         a, b, i = witness
-        witness = [("I", unpaired[a]), labels[b], i]
+        witness = [("I", unpaired[a]), ("P", targets[b]), i]
     rep.stats["rigidity_result"] = ok
     rep.add("thm1.4.rigidity", "thm1.4", True, ok, witness=witness)
 
-    # gen_cogen holds every P_x and I_y up to isomorphism, so a module lies
-    # in it exactly when it has a label; tau_d kills the projective I_y, and
-    # sends the others to indecomposables (Iyama 2007, Thm 2.3), so an
-    # unlabelled T, decomposable or not, refutes the closure
+    # labels names every P_x and I_y up to isomorphism, so a module is
+    # among them exactly when it has a label; tau_d kills the projective
+    # I_y, and sends the others to indecomposables (Iyama 2007, Thm 2.3),
+    # so an unlabelled T, decomposable or not, refutes the closure
     tau_labels = set()
     closure_ok = True
     closure_witness = None

@@ -170,18 +170,27 @@ def _reference_is_rigid(sources, targets, n):
 
 
 def test_is_rigid_matches_reference(monkeypatch):
-    """is_rigid, which ranks and skips injective targets, gives the
-    (ok, witness) of the cocycle loop: on the knitted indecomposables of
-    A3 with n = 2 and 3, on the unpaired injectives of Sigma for A3 with
-    k = 1 into its gen-cogen list at its d, and on the cluster-tilting
-    list of Nakayama(4,3) plus one more indecomposable."""
+    """is_rigid, which ranks, gives the (ok, witness) of the cocycle loop:
+    on the knitted indecomposables of A3 with n = 2 and 3; on the unpaired
+    injectives of Sigma for A3 with k = 1 at its d, into the P_x that are
+    not injective, which is all that verify passes it, and into its whole
+    gen-cogen list, every P_x and the unpaired I_y, so that injective
+    targets stay covered; and on the cluster-tilting list of
+    Nakayama(4,3) plus one more indecomposable."""
     ar = knit(A3)
     mods = [ar.module(i) for i in range(ar.count)]
     cases = [(mods, mods, 2), (mods, mods, 3)]
     monkeypatch.setattr(tower, "is_rigid", lambda sources, targets, n: (
         cases.append((sources, targets, n)) or is_rigid(sources, targets, n)))
     assert tower.verify_theorem_dynkin(DynkinSpec("A", 3), 1).passed
-    assert [len(cases[2][0]), len(cases[2][1]), cases[2][2]] == [3, 12, 4]
+    assert [len(cases[2][0]), len(cases[2][1]), cases[2][2]] == [3, 3, 4]
+    S = tower.sigma(build_sk(A3, 1))[0]
+    pairing = tower.projective_injectives(S)
+    unpaired = [y for y in S.objects if y not in pairing.values()]
+    injs = [injective_module(S, y) for y in unpaired]
+    gen_cogen = [projective_module(S, x) for x in S.objects] + injs
+    assert len(gen_cogen) == 12
+    cases.append((injs, gen_cogen, cases[2][2]))
     nak = nakayama()
     ct = cluster_tilting_from_tau_n(nak, 2)
     ar = knit(nak)
@@ -190,7 +199,19 @@ def test_is_rigid_matches_reference(monkeypatch):
     cases.append((ct + [extra], ct + [extra], 2))
     got = [is_rigid(*case) for case in cases]
     assert got == [_reference_is_rigid(*case) for case in cases]
-    assert [ok for ok, _ in got] == [False, False, True, False]
+    assert [ok for ok, _ in got] == [False, False, True, True, False]
+
+
+def test_cluster_tilting_rigid_witness_is_positional():
+    """is_cluster_tilting passes is_rigid only the non-projective sources
+    and the non-injective targets, and maps its witness back: on the
+    knitted indecomposables of A3 with n = 2 it is the first failure of
+    the cocycle loop over the whole list."""
+    ar = knit(A3)
+    mods = [ar.module(i) for i in range(ar.count)]
+    ok, witness = _reference_is_rigid(mods, mods, 2)
+    assert not ok
+    assert is_cluster_tilting(A3, mods, 2) == (False, ("rigid", witness))
 
 
 def _knit_reference(ambient, n):

@@ -29,8 +29,8 @@ from oracles import (direct_sum, is_complex, is_minimal, kernel, syzygy,
 FIELD = default_field()
 
 
-def make(spec):
-    return category_from_presentation(hereditary_presentation(spec), FIELD)
+def make(spec, field=FIELD):
+    return category_from_presentation(hereditary_presentation(spec), field)
 
 
 A2 = make(DynkinSpec("A", 2, "linear"))
@@ -76,57 +76,92 @@ def test_gldim_domdim_oracles():
 
 
 def test_projective_injectives_labels_once(monkeypatch):
-    """The pairing is computed once per category: the first call labels
-    every D(P_x), and a later call, like the one in sigma after domdim,
-    labels nothing and returns the same pairing."""
+    """The pairing is computed once per category, from the structure
+    constants: the first call builds D(P_x) only for the x with P_x not
+    injective, once each and in object order, and a later call, like the
+    one in sigma after domdim, builds none and returns the same pairing."""
     from ausglue import homology
-    labelled = []
+    built = []
 
-    def counted(M):
-        labelled.append(M)
-        return projective_label(M)
-    monkeypatch.setattr(homology, "projective_label", counted)
+    def counted(cat, x):
+        built.append(x)
+        return fincat.dual_projective_module(cat, x)
+    monkeypatch.setattr(homology, "dual_projective_module", counted)
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
     first = projective_injectives(nak)
-    assert len(labelled) == len(nak.objects)
-    del labelled[:]
+    assert first and built == [x for x in nak.objects if x not in first]
+    del built[:]
     assert projective_injectives(nak) == first
-    assert domdim(nak) == 1 and labelled == []
+    assert domdim(nak) == 1 and built == []
 
 
 def test_projective_injectives_match_isomorphism_test():
-    """The Yoneda criteria against the definitions they replace: the
+    """The Yoneda criteria against the definitions they replace, over the
+    default field, GF(2) and QQ, as the pairing is read off ranks: the
     pairing holds x: y exactly when P_x is isomorphic to I_y, in object
     order, and over the opposite category its keys are the y whose I_y is
-    projective; on every knitted indecomposable the top/socle labels name
-    the P_x / I_y it is isomorphic to, and vertex_label agrees with hom
-    solving."""
-    from ausglue.glue import auslander_category
-    nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
-    aus, _ = auslander_category(A3)
-    for cat in (A3, D4, nak, aus):
-        projs = {x: projective_module(cat, x) for x in cat.objects}
-        injs = {y: injective_module(cat, y) for y in cat.objects}
-        pairing = projective_injectives(cat)
-        assert list(pairing) == [x for x in cat.objects if x in pairing]
-        for x in cat.objects:
-            for y in cat.objects:
-                assert (pairing.get(x) == y) == \
-                    modules_isomorphic(projs[x], injs[y])
-        assert set(projective_injectives(cat.opposite())) == {
-            y for y in cat.objects
-            if any(modules_isomorphic(injs[y], projs[x]) for x in cat.objects)}
-        for M in indecomposables(cat):
-            P = [x for x in cat.objects if modules_isomorphic(M, projs[x])]
-            I = [y for y in cat.objects if modules_isomorphic(M, injs[y])]
-            S = [x for x in cat.objects
-                 if modules_isomorphic(M, simple_module(cat, x))]
-            assert len(P) <= 1 and len(I) <= 1 and len(S) <= 1
-            assert projective_label(M) == next(iter(P), None)
-            assert injective_label(M) == next(iter(I), None)
-            assert vertex_label(cat, M) == (
-                "P_%s" % (P[0],) if P else "I_%s" % (I[0],) if I
-                else "S_%s" % (S[0],) if S else "M%s" % (M.dim_vector(),))
+    projective, on A3, D4, Nakayama(4,3), Auslander(A3), Gamma and Sigma
+    of A3 with k = 1, and a category whose pairing at x -> z -> y has
+    determinant 2, so that P_x = I_y except over GF(2).  On every knitted
+    indecomposable of the first four the top/socle labels name the P_x /
+    I_y it is isomorphic to, and vertex_label agrees with hom solving."""
+    from ausglue.glue import auslander_category, build_sk
+    from ausglue.tower import sigma
+    for field in (FIELD, GF(2), QQ):
+        a3 = make(DynkinSpec("A", 3, "linear"), field)
+        nak = category_from_presentation(nakayama_linear(4, 3), field)
+        glued = build_sk(a3, 1)
+        det2 = category_from_presentation(_determinant_two(), field)
+        cats = [a3, make(DynkinSpec("D", 4, "out"), field), nak,
+                auslander_category(a3)[0], glued.cat, sigma(glued)[0], det2]
+        for cat in cats:
+            _check_pairing(cat)
+        for cat in cats[:4]:
+            _check_labels(cat)
+        assert (projective_injectives(det2).get("x") == "y") == \
+            (field.p != 2)
+
+
+def _determinant_two():
+    """x => z => y by arrows a1, a2 and b1, b2, with hom(x, y) = K spanned
+    by t = b1 a1, and b1 a2 = b2 a2 = t, b2 a1 = -t: the dimensions of
+    P_x and I_y agree, and the pairing at z is [[1, 1], [-1, 1]]."""
+    q = Quiver(["x", "z", "y"], [("a1", "x", "z"), ("a2", "x", "z"),
+                                 ("b1", "z", "y"), ("b2", "z", "y")])
+    t = (1, ("a1", "b1"))
+    return BoundPresentation(q, [[t, (-1, ("a2", "b1"))],
+                                 [t, (-1, ("a2", "b2"))],
+                                 [t, (1, ("a1", "b2"))]])
+
+
+def _check_pairing(cat):
+    projs = {x: projective_module(cat, x) for x in cat.objects}
+    injs = {y: injective_module(cat, y) for y in cat.objects}
+    pairing = projective_injectives(cat)
+    assert list(pairing) == [x for x in cat.objects if x in pairing]
+    for x in cat.objects:
+        for y in cat.objects:
+            assert (pairing.get(x) == y) == \
+                modules_isomorphic(projs[x], injs[y])
+    assert set(projective_injectives(cat.opposite())) == {
+        y for y in cat.objects
+        if any(modules_isomorphic(injs[y], projs[x]) for x in cat.objects)}
+
+
+def _check_labels(cat):
+    projs = {x: projective_module(cat, x) for x in cat.objects}
+    injs = {y: injective_module(cat, y) for y in cat.objects}
+    for M in indecomposables(cat):
+        P = [x for x in cat.objects if modules_isomorphic(M, projs[x])]
+        I = [y for y in cat.objects if modules_isomorphic(M, injs[y])]
+        S = [x for x in cat.objects
+             if modules_isomorphic(M, simple_module(cat, x))]
+        assert len(P) <= 1 and len(I) <= 1 and len(S) <= 1
+        assert projective_label(M) == next(iter(P), None)
+        assert injective_label(M) == next(iter(I), None)
+        assert vertex_label(cat, M) == (
+            "P_%s" % (P[0],) if P else "I_%s" % (I[0],) if I
+            else "S_%s" % (S[0],) if S else "M%s" % (M.dim_vector(),))
 
 
 def test_ext_oracles():
