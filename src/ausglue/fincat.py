@@ -11,10 +11,13 @@ vectors, so the action of f: x -> y has shape (dim M(y), dim M(x)).
 
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
-the off-diagonal hom spaces.  Hom between modules, and with it the
-isomorphism test, is read off minimal resolutions in homology.
+the off-diagonal hom spaces.  One routine, submodule_top, takes the top
+of a module and of every syzygy inside its free module.  Hom between
+modules, and with it the isomorphism test, is read off minimal
+resolutions in homology.
 """
 
+import weakref
 from functools import cached_property
 
 from .linalg import Mat, row_space_basis, echelon_columns
@@ -35,7 +38,7 @@ class FinCategory:
             for y in self.objects:
                 self.homdim.setdefault((x, y), 0)
         self.comp = comp
-        self._op = None
+        self._op = None  # see opposite()
         for x in self.objects:
             if self.homdim[(x, x)] != 1:
                 raise NonSchurianVertex("hom(%r,%r) has dimension %d"
@@ -87,9 +90,13 @@ class FinCategory:
     # -- derived categories of the same kind ---------------------------
 
     def opposite(self):
-        """The opposite category; hom_op(x,y) reuses the basis of hom(y,x)."""
-        if self._op is not None:
-            return self._op
+        """The opposite category; hom_op(x,y) reuses the basis of hom(y,x).
+        Kept once built.  It refers back to this category only weakly, so
+        the two form no cycle; once this category has died, the opposite
+        builds a new one."""
+        op = self._op() if isinstance(self._op, weakref.ref) else self._op
+        if op is not None:
+            return op
         homdim = {(x, y): self.homdim[(y, x)]
                   for x in self.objects for y in self.objects}
         # comp_op[(z,y,x)][j][i] = comp[(x,y,z)][i][j]; a key is stored
@@ -97,7 +104,7 @@ class FinCategory:
         comp = {(z, y, x): [list(c) for c in zip(*t)]
                 for (x, y, z), t in self.comp.items()}
         op = FinCategory(self.field, self.objects, homdim, comp)
-        op._op = self
+        op._op = weakref.ref(self)
         self._op = op
         return op
 
@@ -299,40 +306,50 @@ def module_label(M):
 
 
 # ---------------------------------------------------------------------------
-# radical and top
+# top
 
 
-def radical_rows(M):
-    """Spanning rows of rad M = J.M per object (J = category radical); []
-    off the support of M."""
-    c = M.cat
-    out = {y: [] for y in c.objects}
-    for y in M.support:
+def submodule_top(F, rows):
+    """The top of the submodule K of F with K(y) spanned by the RREF rows
+    rows[y] (K(y) = 0 where rows has none), as (y, vector of F(y)) pairs
+    in the order of rows; of F, a CatModule or a FreeModule, only cat,
+    dims and apply_action are read.  rad K(y), the span of hom(x, y).K(x)
+    for x != y, is taken in K's coordinates, the pivot columns of rows[y];
+    the rows at the free columns of its RREF lift a basis of K / rad K
+    (Green, Solberg and Zacharia, Trans. AMS 353, 2001)."""
+    c = F.cat
+    f = c.field
+    live = [y for y, ky in rows.items() if ky]
+    gens = []
+    for y in live:
+        ky = rows[y]
+        k = len(ky)
+        piv = None if k == F.dims[y] else \
+            echelon_columns(f, ky, F.dims[y])[0]
         vecs = []
-        for x in M.support:
-            if x == y:
+        for x in live:
+            d = c.homdim[(x, y)]
+            if not d or x == y:
                 continue
-            for A in M.act.get((x, y), ()):
-                for j in range(M.dims[x]):
-                    vecs.append(A.col(j))
-        out[y] = row_space_basis(c.field, vecs, M.dims[y])
-    return out
+            for i in range(d):
+                for r in rows[x]:
+                    w = F.apply_action(x, y, i, r)
+                    if piv is not None:
+                        w = [w[j] for j in piv]
+                    if any(w):
+                        vecs.append(w)
+        # the images are field elements already, and only pivots are read
+        rad = Mat._wrap(f, vecs, len(vecs), k).rref()[1] if vecs else ()
+        gens.extend((y, ky[j]) for j in range(k) if j not in rad)
+    return gens
 
 
 def top_generators(M):
-    """A minimal generating set: (object, vector) pairs lifting a basis of
-    M / rad M.  Deterministic (standard coordinates at the free positions
-    of the radical's RREF)."""
-    c = M.cat
-    f = c.field
-    rad = radical_rows(M)
-    gens = []
-    for x in M.support:
-        for j in echelon_columns(f, rad[x], M.dims[x])[1]:
-            v = [f.zero] * M.dims[x]
-            v[j] = f.one
-            gens.append((x, v))
-    return gens
+    """A minimal generating set of M, (object, unit vector) pairs lifting a
+    basis of M / rad M: the top of M inside itself."""
+    f = M.cat.field
+    return submodule_top(M, {x: Mat.identity(f, M.dims[x]).rows
+                             for x in M.support})
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from .fincat import (FinCategory, injective_module, projective_label,
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        injective_dims, lift_chain_map, compose_hom_with_ext,
                        tau_n, hom_table, hom_modules, modules_isomorphic)
-from .knitting import knit, vertex_label, single_gabriel_arrows
+from .knitting import (knit, vertex_label, single_gabriel_arrows,
+                       OVSIENKO_BOUND)
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
-                     OrbitDiverges, NotComposable)
+                     InvalidParams, OrbitDiverges, NotComposable,
+                     NotRepFinite)
 
 
 class GluedCategory:
@@ -197,13 +199,17 @@ def build_mk(ambient, k, n, modules=None, budget=512):
 
 def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
     """The subcategory that build_mk glues and `ausglue angles` lists:
-    GldimTooBig unless gldim(ambient) <= n, and NotClusterTilting unless
-    is_cluster_tilting passes on the modules (the tau_n-closure of the
-    injectives if None).  Returns (modules, names, hom_table), the table
+    GldimTooBig unless gldim(ambient) <= n, InvalidParams at gldim 0 (a
+    semisimple ambient has no Ext^n to glue along), and NotClusterTilting
+    unless is_cluster_tilting passes on the modules (the tau_n-closure of
+    the injectives if None).  Returns (modules, names, hom_table), the table
     built once."""
     g = gldim(ambient)
     if g > n:
         raise GldimTooBig("gldim %d exceeds n = %d" % (g, n))
+    if g == 0:
+        raise InvalidParams("gldim 0: the algebra is semisimple, so there "
+                            "is no Ext to glue along")
     if modules is None:
         modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
     names = _unique_names([vertex_label(ambient, M) for M in modules])
@@ -284,10 +290,13 @@ def is_cluster_tilting(ambient, modules, n, table=None):
 def cluster_tilting_from_tau_n(ambient, n, budget=512):
     """Closure of the indecomposable injectives under the higher translate
     tau_n; raises OrbitDiverges past the budget, and NotRepFinite at once
-    for a multiple Gabriel arrow, whose tau_n-orbits do not end.  In an
-    n-cluster-tilting subcategory tau_n sends each indecomposable to an
-    indecomposable (Iyama 2007, Thm 2.3), and here every indecomposable has
-    End = K, so a tau_n(M) with a larger End raises NotClusterTilting."""
+    for a multiple Gabriel arrow, whose tau_n-orbits do not end, and at
+    n = 1 for a module with a coordinate above OVSIENKO_BOUND: an ambient
+    that cluster_tilting_subcategory accepts is then hereditary, and no
+    indecomposable of a Dynkin quiver has one.  In an n-cluster-tilting
+    subcategory tau_n sends each indecomposable to an indecomposable
+    (Iyama 2007, Thm 2.3), and here every indecomposable has End = K, so
+    a tau_n(M) with a larger End raises NotClusterTilting."""
     single_gabriel_arrows(ambient)
     # a basic category has pairwise non-isomorphic injectives
     found = [injective_module(ambient, x) for x in ambient.objects]
@@ -297,6 +306,10 @@ def cluster_tilting_from_tau_n(ambient, n, budget=512):
         T = tau_n(M, n)
         if T.total_dim() == 0:
             continue
+        if n == 1 and max(T.dim_vector()) > OVSIENKO_BOUND:
+            raise NotRepFinite(
+                "not representation-finite: tau gives dimension vector %s, "
+                "with a coordinate above %d" % (T.dim_vector(), OVSIENKO_BOUND))
         e = len(hom_modules(T, T))
         if e != 1:
             raise NotClusterTilting("tau_n of %s has a %d-dimensional End"

@@ -5,7 +5,8 @@ analogues, and the two dimension statistics gldim and domdim.
 A minimal resolution works in free-module coordinates: each syzygy is
 kept as the RREF rows of its value spaces inside the last free module,
 never as a module of its own, and its top is read off through the free
-module's action (Green, Solberg and Zacharia, "Minimal projective
+module's action by fincat.submodule_top, the routine that gives the top
+of the module itself (Green, Solberg and Zacharia, "Minimal projective
 resolutions", Trans. AMS 353, 2001).  Every step walks only the support
 of its free module, the objects where it is nonzero; elsewhere the syzygy
 is 0.  Rank-nullity gives each syzygy's dimensions, so only kernels
@@ -39,8 +40,8 @@ from itertools import accumulate, product
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
 from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
-                     dual_module, dual_projective_module, top_generators,
-                     zero_module)
+                     dual_module, dual_projective_module, submodule_top,
+                     top_generators, zero_module)
 from .quiver import Quiver
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
@@ -96,7 +97,7 @@ def _resolve(M):
     while any(rows.values()):
         if len(res.diffs) + 1 > max_len:
             raise Truncated(max_len)
-        kgens = _kernel_top(F, rows)
+        kgens = submodule_top(F, rows)
         G = FreeModule(cat, [y for y, _ in kgens])
         images = [w for _, w in kgens]
         res.diffs.append(_catmat_from_images(G, F, images))
@@ -118,35 +119,6 @@ def _next_rows(G, F, images, y, k):
     if not k:
         return [_unit(f, d, i) for i in range(d)]
     return Mat.from_cols(f, G.yoneda_columns(F, images, y)).kernel_rows()
-
-
-def _kernel_top(F, rows):
-    """Generators of the submodule K of the free module F with K(y)
-    spanned by the RREF rows rows[y], as (y, vector of F(y)) pairs; an
-    object missing from rows or with no rows has K(y) = 0.
-
-    A vector of K(y) has its K-coordinates at the pivot columns of
-    rows[y], so rad K(y) is read from F's action on the rows of K(x),
-    x != y, without a solve; the rows at the free columns of its RREF
-    lift a basis of the top, as top_generators does for a module."""
-    c = F.cat
-    f = c.field
-    live = [y for y, ky in rows.items() if ky]
-    gens = []
-    for y in live:
-        ky = rows[y]
-        piv = echelon_columns(f, ky, F.dims[y])[0]
-        vecs = []
-        for x in live:
-            if x == y:
-                continue
-            for i in range(c.homdim[(x, y)]):
-                for r in rows[x]:
-                    w = F.apply_action(x, y, i, r)
-                    vecs.append([w[p] for p in piv])
-        rad = row_space_basis(f, vecs, len(ky))
-        gens.extend((y, ky[j]) for j in echelon_columns(f, rad, len(ky))[1])
-    return gens
 
 
 def pdim(M):

@@ -48,9 +48,6 @@ class Quiver:
     def is_acyclic(self):
         return self.topological_order() is not None
 
-    def opposite(self):
-        return Quiver(self.vertices, [(a, t, s) for a, s, t in self.arrows])
-
     def path_source(self, path):
         return self.source[path[0]]
 

