@@ -9,15 +9,14 @@ from .quiver import (Quiver, DynkinSpec, BoundPresentation, dynkin_quiver,
                      parse_quiver_file)
 from .pathcat import category_from_presentation
 from .fincat import (FinCategory, CatModule, ModuleMap, projective_module,
-                     injective_module, simple_module)
+                     injective_module)
 from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
-                       domdim, projective_injectives, tau, tau_inv, tau_n,
+                       domdim, projective_injectives, tau_inv, tau_n,
                        hom_modules, modules_isomorphic, INFINITY)
-from .knitting import knit, vertex_label, aus_rank
+from .knitting import knit, vertex_label
 from .glue import (GluedCategory, build_glued, build_sk, build_mk,
-                   yoneda_compose, endomorphism_category,
-                   auslander_category, is_rigid, is_cluster_tilting,
-                   cluster_tilting_from_tau_n)
+                   endomorphism_category, auslander_category, is_rigid,
+                   is_cluster_tilting, cluster_tilting_from_tau_n)
 from .tower import (TowerReport, gamma, sigma, verify_theorem_dynkin,
                     verify_theorem_higher, four_angles)
 
@@ -27,13 +26,12 @@ __all__ = [
     "hereditary_presentation", "nakayama_linear", "parse_quiver_file",
     "category_from_presentation",
     "FinCategory", "CatModule", "ModuleMap", "projective_module",
-    "injective_module", "simple_module", "hom_modules",
-    "modules_isomorphic",
+    "injective_module", "hom_modules", "modules_isomorphic",
     "min_proj_resolution", "ext_space", "ext_dim", "gldim", "domdim",
-    "tau", "tau_inv", "tau_n", "INFINITY",
-    "knit", "vertex_label", "aus_rank",
+    "tau_inv", "tau_n", "INFINITY",
+    "knit", "vertex_label",
     "GluedCategory", "build_glued", "build_sk", "build_mk",
-    "yoneda_compose", "endomorphism_category", "auslander_category",
+    "endomorphism_category", "auslander_category",
     "is_rigid", "is_cluster_tilting", "cluster_tilting_from_tau_n",
     "TowerReport", "gamma", "sigma", "projective_injectives",
     "verify_theorem_dynkin", "verify_theorem_higher", "four_angles",

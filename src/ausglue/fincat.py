@@ -9,6 +9,11 @@ A CatModule is a covariant functor to vector spaces: a dimension per
 object and a matrix per hom-basis element.  Matrices act on column
 vectors, so the action of f: x -> y has shape (dim M(y), dim M(x)).
 
+Hom and module dimensions are kept on their support only: homdim holds
+the pairs with hom(x, y) != 0 and a module's dims the objects where it is
+nonzero, each as a Sparse dict that reads 0 at every other key, so a pass
+over a category or a module walks its support, not every object pair.
+
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
 the off-diagonal hom spaces.  One routine, submodule_top, takes the top
@@ -20,23 +25,33 @@ resolutions in homology.
 import weakref
 from functools import cached_property
 
-from .linalg import Mat, row_space_basis, echelon_columns
+from .linalg import Mat, echelon_columns
 from .errors import NonSchurianVertex
 
 
+class Sparse(dict):
+    """A dict of dimensions that holds only the nonzero ones and reads 0
+    at any other key."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def _sparse(dims):
+    return Sparse((key, d) for key, d in dims.items() if d)
+
+
 class FinCategory:
-    """objects: label list; homdim[(x,y)]: basis size; comp[(x,y,z)]:
-    structure constants, comp[(x,y,z)][i][j] = coordinates in hom(x,z) of
-    (g_i o f_j) for g_i in hom(y,z), f_j in hom(x,y)."""
+    """objects: label list; homdim[(x,y)]: basis size, a Sparse dict kept
+    on the pairs with hom(x, y) != 0; comp[(x,y,z)]: structure constants,
+    comp[(x,y,z)][i][j] = coordinates in hom(x,z) of (g_i o f_j) for g_i
+    in hom(y,z), f_j in hom(x,y)."""
 
     def __init__(self, field, objects, homdim, comp):
         self.field = field
         self.objects = list(objects)
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
-        self.homdim = dict(homdim)
-        for x in self.objects:
-            for y in self.objects:
-                self.homdim.setdefault((x, y), 0)
+        self.homdim = _sparse(homdim)
         self.comp = comp
         self._op = None  # see opposite()
         for x in self.objects:
@@ -57,9 +72,8 @@ class FinCategory:
     def out_support(self):
         """{x: the y with hom(x, y) != 0, in object order}."""
         out = {x: [] for x in self.objects}
-        for (x, y), d in self.homdim.items():
-            if d:
-                out[x].append(y)
+        for x, y in self.homdim:
+            out[x].append(y)
         for ys in out.values():
             ys.sort(key=self.obj_index.__getitem__)
         return out
@@ -97,8 +111,7 @@ class FinCategory:
         op = self._op() if isinstance(self._op, weakref.ref) else self._op
         if op is not None:
             return op
-        homdim = {(x, y): self.homdim[(y, x)]
-                  for x in self.objects for y in self.objects}
+        homdim = {(y, x): d for (x, y), d in self.homdim.items()}
         # comp_op[(z,y,x)][j][i] = comp[(x,y,z)][i][j]; a key is stored
         # only when all three hom spaces are nonzero, so no block is empty
         comp = {(z, y, x): [list(c) for c in zip(*t)]
@@ -113,7 +126,8 @@ class FinCategory:
         algebra of their direct sum)."""
         objs = list(objs)
         keep = set(objs)
-        homdim = {(x, y): self.homdim[(x, y)] for x in objs for y in objs}
+        homdim = {(x, y): d for (x, y), d in self.homdim.items()
+                  if x in keep and y in keep}
         comp = {key: t for key, t in self.comp.items() if keep.issuperset(key)}
         return FinCategory(self.field, objs, homdim, comp)
 
@@ -127,23 +141,25 @@ class FinCategory:
             for y in self.out_support[x]:
                 if x == y:
                     continue
+                d = self.homdim[(x, y)]
                 vecs = [v for z in self.out_support[x] if z not in (x, y)
                         for row in self.comp.get((x, z, y), ()) for v in row]
-                r2 = len(row_space_basis(self.field, vecs, self.homdim[(x, y)]))
-                m = self.homdim[(x, y)] - r2
+                # the entries are field elements already; only the rank is read
+                m = d - len(Mat._wrap(self.field, vecs, len(vecs), d).rref()[1])
                 if m:
                     arrows[(x, y)] = m
         return arrows
 
 
 def is_basic(cat):
-    """(True, None), or (False, (x, y)) for the first x != y isomorphic: in
-    a schurian category, iff some composite x -> y -> x is nonzero, i.e.
-    some structure constant of comp[(x, y, x)] is."""
-    zero = cat.field.zero
-    pair = next(((x, y) for x in cat.objects for y in cat.objects if x != y
-                 if any(v != zero for row in cat.comp.get((x, y, x), ())
-                        for vec in row for v in vec)), None)
+    """(True, None), or (False, (x, y)) for the first x != y isomorphic, in
+    object order: in a schurian category, iff some composite x -> y -> x
+    is nonzero, i.e. some structure constant of comp[(x, y, x)] is.  Only
+    the keys of comp of that form are read."""
+    zero, idx = cat.field.zero, cat.obj_index
+    pairs = [(x, y) for (x, y, z), t in cat.comp.items() if x == z != y
+             if any(v != zero for row in t for vec in row for v in vec)]
+    pair = min(pairs, key=lambda p: (idx[p[0]], idx[p[1]]), default=None)
     return pair is None, pair
 
 
@@ -154,20 +170,22 @@ def is_basic(cat):
 class CatModule:
     """A covariant module over a FinCategory.
 
-    act[(x, y)] is the list of action matrices, one per basis element of
-    hom(x, y).  A key is present only when homdim(x, y), dims[x] and
-    dims[y] are all nonzero; every other action is zero, and action()
-    returns it as a zero matrix of the right shape."""
+    dims[x] is dim M(x), a Sparse dict kept on the support, the objects
+    where M is nonzero.  act[(x, y)] is the list of action matrices, one
+    per basis element of hom(x, y).  A key is present only when
+    homdim(x, y), dims[x] and dims[y] are all nonzero; every other action
+    is zero, and action() returns it as a zero matrix of the right
+    shape."""
 
     def __init__(self, cat, dims, act):
         self.cat = cat
-        self.dims = {x: dims.get(x, 0) for x in cat.objects}
+        self.dims = _sparse(dims)
         self.act = act
 
     @cached_property
     def support(self):
         """The objects x with M(x) nonzero, in object order."""
-        return [x for x in self.cat.objects if self.dims[x]]
+        return sorted(self.dims, key=self.cat.obj_index.__getitem__)
 
     def action(self, x, y, i):
         mats = self.act.get((x, y))
@@ -196,11 +214,8 @@ class CatModule:
     def dim_vector(self):
         return tuple(self.dims[x] for x in self.cat.objects)
 
-    def is_zero(self):
-        return self.total_dim() == 0
-
     def __repr__(self):
-        return "CatModule(dims=%r)" % ({x: d for x, d in self.dims.items() if d},)
+        return "CatModule(dims=%r)" % ({x: self.dims[x] for x in self.support},)
 
 
 class ModuleMap:
@@ -225,11 +240,6 @@ class ModuleMap:
 
 def zero_module(cat):
     return CatModule(cat, {}, {})
-
-
-def simple_module(cat, x):
-    f = cat.field
-    return CatModule(cat, {x: 1}, {(x, x): [Mat.identity(f, 1)]})
 
 
 def projective_module(cat, x):
@@ -273,7 +283,7 @@ def dual_module(M):
             if d == 0:
                 continue
             act[(x, y)] = [M.action(y, x, i).transpose() for i in range(d)]
-    return CatModule(op, dict(M.dims), act)
+    return CatModule(op, M.dims, act)
 
 
 def projective_label(M):
@@ -284,7 +294,7 @@ def projective_label(M):
         return None
     x = gens[0][0]
     c = M.cat
-    if M.total_dim() != sum(c.homdim[(x, y)] for y in c.objects):
+    if M.total_dim() != sum(c.homdim[(x, y)] for y in c.out_support[x]):
         return None
     return x
 
@@ -360,9 +370,9 @@ class FreeModule:
     """An explicit direct sum of representable projectives P_x, with
     bookkeeping of which block of each value space belongs to which
     summand.  Its support, where it is nonzero, is the union of the
-    out_support of its summands.  dims is 0 off the support and offsets
-    is filled only on it; elsewhere yoneda_entries gives empty blocks and
-    apply_action zero vectors.  It has no dense action and builds no
+    out_support of its summands.  dims, a Sparse dict, and offsets are
+    kept on the support only; elsewhere dims reads 0, yoneda_entries gives
+    empty blocks and apply_action zero vectors.  It has no dense action and builds no
     projective: apply_action reads the structure constants in place, one
     summand at a time, and a map between free modules is a CatMat."""
 
@@ -373,7 +383,7 @@ class FreeModule:
                                for y in cat.out_support[s]},
                               key=cat.obj_index.__getitem__)
         self.offsets = {}
-        self.dims = dict.fromkeys(cat.objects, 0)
+        self.dims = Sparse()
         for y in self.support:
             offs = []
             o = 0

@@ -17,8 +17,7 @@ from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
 from .knitting import (knit, vertex_label, single_gabriel_arrows,
                        OVSIENKO_BOUND)
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
-                     InvalidParams, OrbitDiverges, NotComposable,
-                     NotRepFinite)
+                     InvalidParams, OrbitDiverges, NotRepFinite)
 
 
 class GluedCategory:
@@ -111,7 +110,7 @@ def build_glued(ambient, modules, names, n, k, table):
                     comp_eh[(a, b, c)] = t
 
     objects = [(names[a], s) for s in range(k + 1) for a in range(m)]
-    homdim = {}  # FinCategory fills in the zeros across larger gaps
+    homdim = {}  # zero across larger gaps; FinCategory keeps only nonzeros
     for s in range(k + 1):
         for (a, b), basis in homs.items():
             homdim[((names[a], s), (names[b], s))] = len(basis)
@@ -130,25 +129,6 @@ def build_glued(ambient, modules, names, n, k, table):
 
     cat = FinCategory(ambient.field, objects, homdim, comp)
     return GluedCategory(cat, ambient, modules, names, n, k)
-
-
-def yoneda_compose(glued, g, f):
-    """Compose two morphisms of the glued category, each a (src, dst,
-    coeffs) triple with coeffs over the hom basis of hom(src, dst).
-    Returns the triple of g o f; raises NotComposable unless f ends where
-    g starts."""
-    fs, fd, fc = f
-    gs, gd, gc = g
-    cat = glued.cat
-    for x in (fs, fd, gs, gd):
-        if x not in cat.obj_index:
-            raise NotComposable("unknown object %r" % (x,))
-    if len(fc) != cat.homdim[(fs, fd)] or len(gc) != cat.homdim[(gs, gd)]:
-        raise NotComposable("coefficient length does not match hom space")
-    if fd != gs:
-        raise NotComposable("cannot compose %r -> %r after %r -> %r"
-                            % (gs, gd, fs, fd))
-    return fs, gd, cat.compose(fs, fd, gd, gc, fc)
 
 
 def endomorphism_category(table, names):

@@ -27,7 +27,8 @@ P_x (injective_coresolutions), and the Nakayama pairing, domdim and gldim
 are all read off it; the pairing P_x = I_y is read from the structure
 constants by Yoneda, so only an unpaired P_x is coresolved.  gldim is
 max id P_x: on a directed category, whose hom support (x -> y for
-hom(x, y) != 0, x != y) has no cycle, the algebra is triangular, so its
+hom(x, y) != 0, x != y) has no cycle (Kahn's algorithm over out_support
+decides this, on the support alone), the algebra is triangular, so its
 global dimension d is finite, and then d = id A:
 Ext^d(N, S) != 0 for some module N and simple S, and Ext^d(N, -) is right
 exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).  Any
@@ -35,14 +36,13 @@ other category is refused as NotDirected, naming a cycle of its hom
 support.
 """
 
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
 from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
                      dual_module, dual_projective_module, submodule_top,
                      top_generators, zero_module)
-from .quiver import Quiver
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
 INFINITY = float("inf")
@@ -121,12 +121,6 @@ def _next_rows(G, F, images, y, k):
     return Mat.from_cols(f, G.yoneda_columns(F, images, y)).kernel_rows()
 
 
-def pdim(M):
-    if M.total_dim() == 0:
-        return -1
-    return min_proj_resolution(M).length
-
-
 def gldim(cat):
     """Global dimension, as max id P_x; NotDirected unless cat is
     directed, checked before anything is resolved."""
@@ -139,11 +133,11 @@ def _refuse_cycles(cat):
     names one: dropping, one at a time, each object that some cycle avoids
     leaves a cycle without chords, in which each object has one successor."""
     cyc = list(cat.objects)
-    if _hom_support(cat, cyc).topological_order() is not None:
+    if _acyclic(cat, cyc):
         return
     for x in cat.objects:
         rest = [y for y in cyc if y != x]
-        if _hom_support(cat, rest).topological_order() is None:
+        if not _acyclic(cat, rest):
             cyc = rest
     path = cyc[:1]
     while len(path) < len(cyc):
@@ -153,11 +147,25 @@ def _refuse_cycles(cat):
                       " -> ".join(map(str, path + path[:1])))
 
 
-def _hom_support(cat, objs):
-    """The quiver on objs with an arrow x -> y where hom(x, y) != 0, x != y."""
-    return Quiver(objs, [(i, x, y) for i, (x, y) in
-                         enumerate(product(objs, objs))
-                         if x != y and cat.homdim[(x, y)]])
+def _acyclic(cat, objs):
+    """Whether the hom support of cat on objs (x -> y for hom(x, y) != 0,
+    x != y) has no cycle: Kahn's algorithm over out_support, which takes
+    every object with no arrow in from those not yet taken, and takes all
+    of objs iff there is none."""
+    keep = set(objs)
+    succ = {x: [y for y in cat.out_support[x] if y != x and y in keep]
+            for x in objs}
+    indeg = dict.fromkeys(objs, 0)
+    for ys in succ.values():
+        for y in ys:
+            indeg[y] += 1
+    taken = [x for x in objs if not indeg[x]]
+    for x in taken:  # grows as it is walked
+        for y in succ[x]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                taken.append(y)
+    return len(taken) == len(objs)
 
 
 def injective_coresolutions(cat):
@@ -180,16 +188,27 @@ def _nakayama_pairing(cat):
     """{x: y} where P_x = I_y.  By Yoneda Hom(P_x, I_y) = D hom(x, y), so
     P_x = I_y iff dim hom(x, z) = dim hom(z, y) for all z (at z = y, so
     hom(x, y) = K) and composition hom(z, y) x hom(x, z) -> hom(x, y) is a
-    perfect pairing at each z in out_support[x]."""
-    objs, hd, comp = cat.objects, cat.homdim, cat.comp
-    cols = {}  # the y by their column (dim hom(z, y))_z
+    perfect pairing at each z in out_support[x].  The dimensions are
+    compared on their support, as (z, dim) pairs in object order."""
+    objs, hd, comp, f = cat.objects, cat.homdim, cat.comp, cat.field
+    col = {y: [] for y in objs}  # (z, dim hom(z, y)) for hom(z, y) != 0
+    for z in objs:
+        for y in cat.out_support[z]:
+            col[y].append((z, hd[(z, y)]))
+    cols = {}  # the y by their column
     for y in objs:
-        cols.setdefault(tuple(hd[(z, y)] for z in objs), []).append(y)
+        cols.setdefault(tuple(col[y]), []).append(y)
+
+    def invertible(x, z, y):
+        # the entries are field elements already; only the rank is read
+        d, t = hd[(x, z)], comp.get((x, z, y))
+        return t is not None and len(Mat._wrap(
+            f, [[c[0] for c in r] for r in t], d, d).rref()[1]) == d
+
     return {x: y for x in objs
-            for y in cols.get(tuple(hd[(x, z)] for z in objs), ())
-            if all((x, z, y) in comp and Mat(cat.field, [
-                [c[0] for c in r] for r in comp[(x, z, y)]]).is_invertible()
-                for z in cat.out_support[x])}
+            for y in cols.get(tuple((z, hd[(x, z)])
+                                    for z in cat.out_support[x]), ())
+            if all(invertible(x, z, y) for z in cat.out_support[x])}
 
 
 def projective_injectives(cat):
@@ -471,11 +490,6 @@ def transpose_module(M, n=1):
                     quotient_coords(f, *quot[y], G.apply_action(x, y, i, e))
                     for e in units]) for i in range(op.homdim[(x, y)])]
     return CatModule(op, dims, act)
-
-
-def tau(M):
-    """AR translate DTr; zero on projectives."""
-    return tau_n(M, 1)
 
 
 def tau_inv(M):

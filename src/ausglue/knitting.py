@@ -72,7 +72,7 @@ def vertex_label(cat, M):
     if lab is not None:
         return "%s_%s" % lab
     if M.total_dim() == 1:
-        return "S_%s" % (next(x for x in cat.objects if M.dims[x]),)
+        return "S_%s" % (M.support[0],)
     return "M%s" % (M.dim_vector(),)
 
 
@@ -160,14 +160,3 @@ def knit(cat, budget=512):
     vertices = [(mods[i], dimvecs[i]) for i in range(n)]
     return ARQuiver(cat, vertices, tau_map,
                     {i: proj_of.get(i) for i in range(n)}, inj_flags)
-
-
-def aus_rank(spec, field):
-    """Aus(Q): the number of indecomposables of the path algebra of the
-    Dynkin quiver, i.e. the rank of its Auslander algebra."""
-    from .quiver import hereditary_presentation
-    from .pathcat import category_from_presentation
-    cat = category_from_presentation(hereditary_presentation(spec), field)
-    ar = knit(cat)
-    assert ar.count == spec.positive_root_count()
-    return ar.count

@@ -13,7 +13,14 @@ the identity map of a module (identity_map), the top of a module from
 its dense radical (dense_top), the arithmetic of module
 maps (compose_maps, add_maps, sub_maps, scale_map, map_is_zero), the
 block-diagonal matrix and the matrix inverse, and the hom dimensions of a
-glued category by copy.
+glued category by copy.  The passes over a category that scan every
+object pair are kept here as references for the ones that walk its hom
+support: the Nakayama pairing (nakayama_pairing), the directedness check
+through the quiver of its hom support (refuse_cycles, hom_support) and
+the Gabriel quiver (dense_gabriel_arrows).  So are the simple modules,
+pdim, the AR translate tau, the composition of two morphisms of a glued
+category (yoneda_compose) and the number of indecomposables of a Dynkin
+quiver (aus_rank), which only the tests use.
 
 The program reads every representable in place from the structure
 constants, keeps a free module's action sparse and a map between free
@@ -21,10 +28,15 @@ modules in Yoneda coordinates (a CatMat), and reads Hom off a module's
 resolution; the dense forms and the naturality solver here are what
 those are checked against."""
 
+from itertools import product
+
+from ausglue.errors import NotComposable, NotDirected
 from ausglue.fincat import CatModule, FreeModule, ModuleMap
-from ausglue.homology import min_proj_resolution
+from ausglue.homology import min_proj_resolution, tau_n
+from ausglue.knitting import knit
 from ausglue.linalg import (Mat, NoSolution, row_space_basis,
                             echelon_columns, quotient_coords)
+from ausglue.quiver import Quiver
 
 
 def basis_vec(cat, x, y, i):
@@ -460,3 +472,108 @@ def identity_map(M):
 def hom_dim(glued, a, i, b, j):
     """dim hom(X_a[i], X_b[j]) in the glued category."""
     return glued.cat.homdim[(glued.obj(a, i), glued.obj(b, j))]
+
+
+def simple_module(cat, x):
+    f = cat.field
+    return CatModule(cat, {x: 1}, {(x, x): [Mat.identity(f, 1)]})
+
+
+def pdim(M):
+    if M.total_dim() == 0:
+        return -1
+    return min_proj_resolution(M).length
+
+
+def tau(M):
+    """AR translate DTr; zero on projectives."""
+    return tau_n(M, 1)
+
+
+def yoneda_compose(glued, g, f):
+    """Compose two morphisms of the glued category, each a (src, dst,
+    coeffs) triple with coeffs over the hom basis of hom(src, dst).
+    Returns the triple of g o f; raises NotComposable unless f ends where
+    g starts."""
+    fs, fd, fc = f
+    gs, gd, gc = g
+    cat = glued.cat
+    for x in (fs, fd, gs, gd):
+        if x not in cat.obj_index:
+            raise NotComposable("unknown object %r" % (x,))
+    if len(fc) != cat.homdim[(fs, fd)] or len(gc) != cat.homdim[(gs, gd)]:
+        raise NotComposable("coefficient length does not match hom space")
+    if fd != gs:
+        raise NotComposable("cannot compose %r -> %r after %r -> %r"
+                            % (gs, gd, fs, fd))
+    return fs, gd, cat.compose(fs, fd, gd, gc, fc)
+
+
+def aus_rank(spec, field):
+    """Aus(Q): the number of indecomposables of the path algebra of the
+    Dynkin quiver, i.e. the rank of its Auslander algebra."""
+    from ausglue.quiver import hereditary_presentation
+    from ausglue.pathcat import category_from_presentation
+    cat = category_from_presentation(hereditary_presentation(spec), field)
+    ar = knit(cat)
+    assert ar.count == spec.positive_root_count()
+    return ar.count
+
+
+def nakayama_pairing(cat):
+    """{x: y} where P_x = I_y.  By Yoneda Hom(P_x, I_y) = D hom(x, y), so
+    P_x = I_y iff dim hom(x, z) = dim hom(z, y) for all z (at z = y, so
+    hom(x, y) = K) and composition hom(z, y) x hom(x, z) -> hom(x, y) is a
+    perfect pairing at each z in out_support[x]."""
+    objs, hd, comp = cat.objects, cat.homdim, cat.comp
+    cols = {}  # the y by their column (dim hom(z, y))_z
+    for y in objs:
+        cols.setdefault(tuple(hd[(z, y)] for z in objs), []).append(y)
+    return {x: y for x in objs
+            for y in cols.get(tuple(hd[(x, z)] for z in objs), ())
+            if all((x, z, y) in comp and Mat(cat.field, [
+                [c[0] for c in r] for r in comp[(x, z, y)]]).is_invertible()
+                for z in cat.out_support[x])}
+
+
+def refuse_cycles(cat):
+    """NotDirected unless the hom support of cat has no cycle.  The message
+    names one: dropping, one at a time, each object that some cycle avoids
+    leaves a cycle without chords, in which each object has one successor."""
+    cyc = list(cat.objects)
+    if hom_support(cat, cyc).topological_order() is not None:
+        return
+    for x in cat.objects:
+        rest = [y for y in cyc if y != x]
+        if hom_support(cat, rest).topological_order() is None:
+            cyc = rest
+    path = cyc[:1]
+    while len(path) < len(cyc):
+        path.append(next(y for y in cyc
+                         if y != path[-1] and cat.homdim[(path[-1], y)]))
+    raise NotDirected("not directed: hom support has the cycle " +
+                      " -> ".join(map(str, path + path[:1])))
+
+
+def hom_support(cat, objs):
+    """The quiver on objs with an arrow x -> y where hom(x, y) != 0, x != y."""
+    return Quiver(objs, [(i, x, y) for i, (x, y) in
+                         enumerate(product(objs, objs))
+                         if x != y and cat.homdim[(x, y)]])
+
+
+def dense_gabriel_arrows(cat):
+    """The Gabriel quiver over every object pair: dim hom(x, y) less the
+    rank of the composites x -> z -> y over every z other than x and y."""
+    arrows = {}
+    for x in cat.objects:
+        for y in cat.objects:
+            if x == y or not cat.homdim[(x, y)]:
+                continue
+            vecs = [v for z in cat.objects if z not in (x, y)
+                    for row in cat.comp.get((x, z, y), ()) for v in row]
+            m = cat.homdim[(x, y)] - len(
+                row_space_basis(cat.field, vecs, cat.homdim[(x, y)]))
+            if m:
+                arrows[(x, y)] = m
+    return arrows

@@ -9,7 +9,7 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import injective_module
-from ausglue.homology import ext_dim, tau, INFINITY
+from ausglue.homology import ext_dim, INFINITY
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, build_mk, auslander_category,
                           cluster_tilting_from_tau_n, is_cluster_tilting,
@@ -17,7 +17,7 @@ from ausglue.glue import (build_sk, build_mk, auslander_category,
 from ausglue.tower import (gamma, sigma, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
 import oracles
-from oracles import direct_sum, hom_by_naturality
+from oracles import direct_sum, hom_by_naturality, tau
 
 FIELD = default_field()
 

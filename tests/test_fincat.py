@@ -11,13 +11,13 @@ from ausglue.quiver import (DynkinSpec, hereditary_presentation,
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
-                            dual_projective_module, simple_module,
-                            dual_module, CatModule,
+                            dual_projective_module, dual_module, CatModule,
                             FinCategory, FreeModule, top_generators)
 from ausglue.homology import hom_modules, modules_isomorphic
 import oracles
 from oracles import (cokernel, dense_free, dense_projective, direct_sum,
-                     identity_map, is_natural, kernel, yoneda_map)
+                     identity_map, is_natural, kernel, simple_module,
+                     yoneda_map)
 
 
 def make(n=3, field=None):
@@ -238,10 +238,11 @@ def test_free_module_lives_on_its_support():
             F = FreeModule(cat, summands)
             dense = dense_free(F)
             assert F.support == [y for y in cat.objects if F.dims[y] > 0]
-            assert set(F.dims) == set(cat.objects)
+            assert set(F.dims) == set(F.support)
             assert set(F.offsets) == set(F.support)
             for y in cat.objects:
                 if y not in F.support:
+                    assert F.dims[y] == 0
                     assert F.yoneda_entries(y, []) == [[] for _ in summands]
                 for x in cat.objects:
                     for i in range(cat.homdim[(x, y)]):
@@ -250,6 +251,43 @@ def test_free_module_lives_on_its_support():
                         assert w == dense.action(x, y, i).apply(v)
                         if y not in F.support:
                             assert w == []
+
+
+def _assert_on_support(dims, keys):
+    """dims holds a nonzero value at each of keys and nothing else."""
+    assert set(dims) == set(keys) and 0 not in dims.values()
+
+
+def test_dimensions_are_kept_on_their_support():
+    """homdim holds the pairs with hom(x, y) != 0 only, and reads 0 at
+    every other pair, for a category, its opposite and a full subcategory;
+    a module's dims holds its support only, in object order, and reads 0
+    off it, even where it was built with zeros."""
+    for cat in _support_categories(default_field()):
+        objs = cat.objects
+        keep = objs[1:]
+        sub = cat.full_subcategory(keep)
+        op = cat.opposite()
+        _assert_on_support(cat.homdim, [(x, y) for x in objs
+                                        for y in cat.out_support[x]])
+        _assert_on_support(op.homdim, [(y, x) for x, y in cat.homdim])
+        _assert_on_support(sub.homdim, [(x, y) for x, y in cat.homdim
+                                        if x in keep and y in keep])
+        for x in objs:
+            for y in objs:
+                assert op.homdim[(y, x)] == cat.homdim[(x, y)]
+                if (x, y) not in cat.homdim:
+                    assert cat.homdim[(x, y)] == 0
+        for x in objs:
+            for M in (projective_module(cat, x), injective_module(cat, x),
+                      dual_projective_module(cat, x), simple_module(cat, x)):
+                c = M.cat
+                assert M.support == [y for y in c.objects if M.dims[y]]
+                _assert_on_support(M.dims, M.support)
+                assert all(M.dims[y] == 0 for y in c.objects
+                           if y not in M.support)
+        M = CatModule(cat, dict.fromkeys(objs, 0) | {objs[-1]: 1}, {})
+        assert M.dims == {objs[-1]: 1} and M.support == [objs[-1]]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])

@@ -10,17 +10,16 @@ from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
 from ausglue import fincat, glue, knitting, tower
-from ausglue.fincat import (projective_module, injective_module,
-                            simple_module)
-from ausglue.homology import (ext_dim, ext_space, min_proj_resolution, tau,
-                              gldim, pdim, hom_modules, hom_table,
+from ausglue.fincat import projective_module, injective_module
+from ausglue.homology import (ext_dim, ext_space, min_proj_resolution,
+                              gldim, hom_modules, hom_table,
                               modules_isomorphic)
 from ausglue.knitting import knit
-from ausglue.glue import (build_sk, build_mk, build_glued, yoneda_compose,
-                          is_rigid, is_cluster_tilting,
-                          cluster_tilting_from_tau_n)
+from ausglue.glue import (build_sk, build_mk, build_glued, is_rigid,
+                          is_cluster_tilting, cluster_tilting_from_tau_n)
 import oracles
-from oracles import direct_sum, hom_by_naturality, hom_dim
+from oracles import (direct_sum, hom_by_naturality, hom_dim, simple_module,
+                     pdim, tau, yoneda_compose)
 
 FIELD = default_field()
 

@@ -3,6 +3,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ausglue import fincat
 from ausglue.errors import InvalidParams, NotDirected, Truncated
@@ -13,18 +14,19 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
 from ausglue.pathcat import category_from_presentation
 from ausglue.knitting import knit, vertex_label
 from ausglue.fincat import (FinCategory, projective_module, injective_module,
-                            simple_module, projective_label, injective_label,
-                            dual_module, CatMat, FreeModule, ModuleMap,
-                            top_generators)
-from ausglue.homology import (min_proj_resolution, pdim, gldim, domdim,
+                            projective_label, injective_label, dual_module,
+                            CatMat, FreeModule, ModuleMap, top_generators)
+from ausglue.homology import (_nakayama_pairing, _refuse_cycles,
+                              min_proj_resolution, gldim, domdim,
                               projective_injectives, ext_space, ext_dim,
-                              ext_dims, tau, tau_inv, tau_n, lift_chain_map,
+                              ext_dims, tau_inv, tau_n, lift_chain_map,
                               transpose_module, hom_modules,
                               modules_isomorphic, INFINITY)
 import oracles
 from oracles import (direct_sum, is_complex, is_minimal, kernel, syzygy,
                      cokernel, cover, realize, yoneda_map, hom_by_naturality,
-                     compose_maps, sub_maps, map_is_zero)
+                     compose_maps, sub_maps, map_is_zero, simple_module, pdim,
+                     tau)
 
 FIELD = default_field()
 
@@ -433,6 +435,82 @@ def test_gldim_refuses_a_category_that_is_not_directed(objs, arrows, cycle):
         gldim(cat)
     with pytest.raises(Truncated):
         pdim(simple_module(cat, "a"))
+
+
+def _arrow_category(objs, arrows):
+    """A one-dimensional hom along each arrow, every composite of two
+    arrows zero."""
+    homs = {(x, x) for x in objs} | {tuple(xy) for xy in arrows}
+    comp = {(x, y, z): [[[FIELD.one if x == y or y == z else FIELD.zero]]]
+            for x, y in homs for z in objs if {(y, z), (x, z)} <= homs}
+    return FinCategory(FIELD, list(objs), dict.fromkeys(homs, 1), comp)
+
+
+def _directedness(check, cat):
+    """None when check passes cat, else the NotDirected message."""
+    try:
+        check(cat)
+    except NotDirected as e:
+        return str(e)
+    return None
+
+
+def _assert_sparse_passes_match_dense(cat):
+    """The passes that walk the hom support against the references that
+    scan every object pair, dict order included."""
+    assert list(_nakayama_pairing(cat).items()) == \
+        list(oracles.nakayama_pairing(cat).items())
+    assert _directedness(_refuse_cycles, cat) == \
+        _directedness(oracles.refuse_cycles, cat)
+    assert list(cat.gabriel_arrows().items()) == \
+        list(oracles.dense_gabriel_arrows(cat).items())
+
+
+def test_sparse_passes_match_dense_references():
+    """The Nakayama pairing, the directedness verdict with its named cycle
+    and the Gabriel quiver agree with the dense references on A3, D4,
+    Nakayama(4,3), Auslander(A3), Gamma and Sigma of A3 with k = 1, Gamma
+    of A4 with k = 2, the determinant-two category and the two categories
+    that are not directed, over the default field, GF(2) and QQ, and on
+    each opposite."""
+    from ausglue.glue import auslander_category, build_sk
+    from ausglue.tower import sigma
+    cyclic = [_arrow_category("ab", ["ab", "ba"]),
+              _arrow_category("dabc", ["ab", "bc", "ca", "ad"])]
+    assert all(_directedness(_refuse_cycles, c) for c in cyclic)
+    for field in (FIELD, GF(2), QQ):
+        a3 = make(DynkinSpec("A", 3, "linear"), field)
+        glued = build_sk(a3, 1)
+        cats = [a3, make(DynkinSpec("D", 4, "out"), field),
+                category_from_presentation(nakayama_linear(4, 3), field),
+                auslander_category(a3)[0], glued.cat, sigma(glued)[0],
+                build_sk(make(DynkinSpec("A", 4), field), 2).cat,
+                category_from_presentation(_determinant_two(), field)]
+        for cat in cats + cyclic:
+            _assert_sparse_passes_match_dense(cat)
+            _assert_sparse_passes_match_dense(cat.opposite())
+
+
+@st.composite
+def _hom_supports(draw):
+    """Objects 0..n-1 and arrows between them: any set of pairs, or only
+    the pairs that go forward in a drawn order, which have no cycle."""
+    n = draw(st.integers(1, 6))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    if draw(st.booleans()):
+        rank = {x: i for i, x in enumerate(draw(st.permutations(range(n))))}
+        pairs = [(x, y) for x, y in pairs if rank[x] < rank[y]]
+    arrows = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return list(range(n)), sorted(arrows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hom_supports())
+def test_sparse_passes_match_dense_on_random_supports(support):
+    objs, arrows = support
+    cat = _arrow_category(objs, arrows)
+    _assert_sparse_passes_match_dense(cat)
+    _assert_sparse_passes_match_dense(cat.opposite())
 
 
 def test_gldim_bounds_random_sample():

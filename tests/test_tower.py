@@ -14,7 +14,7 @@ from ausglue.pathcat import category_from_presentation
 from ausglue.fincat import (FinCategory, injective_module, injective_label,
                             projective_label, projective_module, is_basic,
                             dual_module, zero_module)
-from ausglue.homology import domdim, gldim, min_proj_resolution, pdim, tau_n
+from ausglue.homology import domdim, gldim, min_proj_resolution, tau_n
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, build_glued, auslander_category,
                           cluster_tilting_from_tau_n, _unique_names)
@@ -22,7 +22,7 @@ from ausglue.tower import (gamma, sigma, projective_injectives,
                            expected_glued_ar_arrows, verify_theorem_dynkin,
                            verify_theorem_higher, four_angles)
 import oracles
-from oracles import direct_sum
+from oracles import direct_sum, pdim
 
 FIELD = default_field()
 
