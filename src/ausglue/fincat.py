@@ -78,29 +78,6 @@ class FinCategory:
             ys.sort(key=self.obj_index.__getitem__)
         return out
 
-    def compose(self, x, y, z, g, f):
-        """Compose coefficient vectors: g over hom(y,z), f over hom(x,y);
-        returns coefficient vector over hom(x,z)."""
-        n = self.homdim[(x, z)]
-        out = [self.field.zero] * n
-        zero = self.field.zero
-        t = self.comp.get((x, y, z))
-        if t is None:
-            return out
-        for i, gc in enumerate(g):
-            if gc == zero:
-                continue
-            for j, fc in enumerate(f):
-                if fc == zero:
-                    continue
-                sc = gc * fc
-                row = t[i][j]
-                for k in range(n):
-                    out[k] = out[k] + sc * row[k]
-        if self.field.p is not None:
-            out = [v % self.field.p for v in out]
-        return out
-
     # -- derived categories of the same kind ---------------------------
 
     def opposite(self):
@@ -439,7 +416,9 @@ class CatMat:
     """A matrix of morphisms between free modules F(src_objs) -> F(dst_objs):
     entries[i][j] is a coefficient vector over hom(dst_objs[i], src_objs[j]),
     the Yoneda coordinate of the component P_{src_objs[j]} -> P_{dst_objs[i]}
-    (acting by precomposition)."""
+    (acting by precomposition).  It is applied only through its images,
+    by FreeModule.yoneda_columns at one object at a time; two CatMats are
+    never composed entry by entry."""
 
     def __init__(self, cat, src_objs, dst_objs, entries):
         self.cat = cat
@@ -461,28 +440,6 @@ class CatMat:
         j, one block per summand of F(dst_objs)."""
         return [[v for row in self.entries for v in row[j]]
                 for j in range(len(self.src_objs))]
-
-    def compose(self, other):
-        """self o other, for other: F(other.src_objs) -> F(self.src_objs).
-        Entry (k, j) is the sum over i of other's (i, j) entry composed
-        with self's (k, i) entry, u_ij o v_ki in hom(dst_k, src_j): the
-        composite P_a -> P_b -> P_c sends 1_a to u in hom(b, a), and then
-        to u o v in hom(c, a)."""
-        c = self.cat
-        p = c.field.p
-        entries = []
-        for k, z in enumerate(self.dst_objs):
-            row = []
-            for j, x in enumerate(other.src_objs):
-                acc = [c.field.zero] * c.homdim[(z, x)]
-                for i, y in enumerate(self.src_objs):
-                    if c.homdim[(z, y)] and c.homdim[(y, x)]:
-                        uv = c.compose(z, y, x, other.entries[i][j],
-                                       self.entries[k][i])
-                        acc = [a + b for a, b in zip(acc, uv)]
-                row.append(acc if p is None else [a % p for a in acc])
-            entries.append(row)
-        return CatMat(c, other.src_objs, self.dst_objs, entries)
 
     def hom_into(self, N):
         """Induced map Hom(F(dst), N) -> Hom(F(src), N) in Yoneda

@@ -12,7 +12,10 @@ of its free module, the objects where it is nonzero; elsewhere the syzygy
 is 0.  Rank-nullity gives each syzygy's dimensions, so only kernels
 neither 0 nor everything are solved.  The higher translate tau_n is
 D Tr of F_n -> F_{n-1} in that resolution.
-ext_dims reads dim Ext^i off ranks; ext_space builds cocycles.
+ext_dims reads dim Ext^i off ranks; ext_space builds cocycles, and
+lift_chain_map lifts a map of modules to their resolutions to compose Ext
+with Hom.  Both the resolution steps and the lifts apply a map out of a
+free module only through its Yoneda columns at one object at a time.
 
 Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
 M's resolution by hom_modules, on which hom_table and modules_isomorphic
@@ -27,9 +30,9 @@ P_x (injective_coresolutions), and the Nakayama pairing, domdim and gldim
 are all read off it; the pairing P_x = I_y is read from the structure
 constants by Yoneda, so only an unpaired P_x is coresolved.  gldim is
 max id P_x: on a directed category, whose hom support (x -> y for
-hom(x, y) != 0, x != y) has no cycle (Kahn's algorithm over out_support
-decides this, on the support alone), the algebra is triangular, so its
-global dimension d is finite, and then d = id A:
+hom(x, y) != 0, x != y) has no cycle (quiver.topological_order over
+out_support decides this, on the support alone), the algebra is
+triangular, so its global dimension d is finite, and then d = id A:
 Ext^d(N, S) != 0 for some module N and simple S, and Ext^d(N, -) is right
 exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).  Any
 other category is refused as NotDirected, naming a cycle of its hom
@@ -43,6 +46,7 @@ from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
 from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
                      dual_module, dual_projective_module, submodule_top,
                      top_generators, zero_module)
+from .quiver import topological_order
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
 INFINITY = float("inf")
@@ -51,24 +55,27 @@ INFINITY = float("inf")
 class Resolution:
     """A minimal projective resolution ... -> F_1 -> F_0 -> M -> 0.
 
-    terms[i]: summand-object list of F_i; frees[i]: its FreeModule, for
-    the offsets and the action of its value spaces; diffs[i]: the CatMat
-    F_{i+1} -> F_i; tops: the vectors of M that the generators of F_0 go
-    to, one per summand, which fix the cover F_0 -> M by Yoneda.  Neither
-    M nor any map out of a free module is kept, so a module is not
+    frees[i]: the FreeModule F_i, for the offsets and the action of its
+    value spaces, and terms[i] its summand-object list; diffs[i]: the
+    CatMat F_{i+1} -> F_i; tops: the vectors of M that the generators of
+    F_0 go to, one per summand, which fix the cover F_0 -> M by Yoneda.
+    Neither M nor any map out of a free module is kept, so a module is not
     referenced by its own resolution.  The syzygies are not kept either:
     each was only the RREF rows of its value spaces in F_i.
     """
 
-    def __init__(self, terms, frees, diffs, tops):
-        self.terms = terms
+    def __init__(self, frees, diffs, tops):
         self.frees = frees
         self.diffs = diffs
         self.tops = tops
 
     @property
+    def terms(self):
+        return [F.summands for F in self.frees]
+
+    @property
     def length(self):
-        return len(self.terms) - 1
+        return len(self.frees) - 1
 
 
 def min_proj_resolution(M):
@@ -92,7 +99,7 @@ def _resolve(M):
     gens = top_generators(M)
     F = FreeModule(cat, [x for x, _ in gens])
     tops = [v for _, v in gens]
-    res = Resolution([list(F.summands)], [F], [], tops)
+    res = Resolution([F], [], tops)
     rows = {y: _next_rows(F, M, tops, y, M.dims[y]) for y in F.support}
     while any(rows.values()):
         if len(res.diffs) + 1 > max_len:
@@ -102,7 +109,6 @@ def _resolve(M):
         images = [w for _, w in kgens]
         res.diffs.append(_catmat_from_images(G, F, images))
         res.frees.append(G)
-        res.terms.append(list(G.summands))
         rows = {y: _next_rows(G, F, images, y, len(rows.get(y, ())))
                 for y in G.support}
         F = G
@@ -149,23 +155,11 @@ def _refuse_cycles(cat):
 
 def _acyclic(cat, objs):
     """Whether the hom support of cat on objs (x -> y for hom(x, y) != 0,
-    x != y) has no cycle: Kahn's algorithm over out_support, which takes
-    every object with no arrow in from those not yet taken, and takes all
-    of objs iff there is none."""
+    x != y) has no cycle, by topological_order over out_support."""
     keep = set(objs)
-    succ = {x: [y for y in cat.out_support[x] if y != x and y in keep]
-            for x in objs}
-    indeg = dict.fromkeys(objs, 0)
-    for ys in succ.values():
-        for y in ys:
-            indeg[y] += 1
-    taken = [x for x in objs if not indeg[x]]
-    for x in taken:  # grows as it is walked
-        for y in succ[x]:
-            indeg[y] -= 1
-            if not indeg[y]:
-                taken.append(y)
-    return len(taken) == len(objs)
+    return topological_order(objs, {
+        x: [y for y in cat.out_support[x] if y != x and y in keep]
+        for x in objs}) is not None
 
 
 def injective_coresolutions(cat):
@@ -293,7 +287,8 @@ def ext_space(X, Y, n):
     none, and the cocycles are Hom(X, Y) (hom_modules)."""
     f = X.cat.field
     res = min_proj_resolution(X)
-    hom_n = sum(Y.dims[b] for b in res.terms[n]) if n <= res.length else 0
+    hom_n = sum(Y.dims[b] for b in res.frees[n].summands) \
+        if n <= res.length else 0
     if not hom_n:
         return ExtSpace(X, Y, n, res, [], [])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
@@ -331,7 +326,8 @@ def ext_dims(res, Y, top, low=0):
     """dim Ext^i(X, Y) for i = low..top, from res = min_proj_resolution(X):
     dim Hom(F_i, Y) less the ranks of the maps into and out of it, each
     built and ranked once."""
-    hom = [sum(Y.dims[b] for b in t) for t in res.terms] + [0] * (top + 2)
+    hom = [sum(Y.dims[b] for b in F.summands) for F in res.frees] + \
+        [0] * (top + 2)
     rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
     for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
         if hom[i] and hom[i + 1]:
@@ -400,7 +396,7 @@ def hom_table(cat, modules, names):
                                         % (names[a], len(basis)))
     read = {key: [_read_entry(h) for h in basis]
             for key, basis in homs.items()}
-    summands = [min_proj_resolution(M).terms[0] for M in modules]
+    summands = [min_proj_resolution(M).frees[0].summands for M in modules]
     p = cat.field.p
     m = len(modules)
     comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)],
@@ -515,13 +511,13 @@ def lift_chain_map(f, res_src, res_dst, upto):
     By Yoneda each lift is fixed by the images of the generators of
     F_i(src), each solved against the columns of the map below it at that
     generator's object only: the images of f against the cover
-    F_0(dst) -> Y at degree 0, and the images of the composite of the
-    previous lift and the differential of res_src against the
-    differential of res_dst after that.  Any two lifts differ by a
-    homotopy, which dies in Ext."""
+    F_0(dst) -> Y at degree 0, and after that the images of the
+    differential of res_src, carried by the previous lift through its
+    Yoneda columns at the same object, against the differential of
+    res_dst.  Any two lifts differ by a homotopy, which dies in Ext."""
     field = f.src.cat.field
     lifts = []
-    prev = None
+    prev = None  # the images of the previous lift
     for m in range(upto + 1):
         if m > res_src.length:
             break
@@ -536,7 +532,13 @@ def lift_chain_map(f, res_src, res_dst, upto):
         else:
             below = res_dst.frees[m - 1]
             post = res_dst.diffs[m - 1].images()
-            targets = prev.compose(res_src.diffs[m - 1]).images()
+            carry = {}
+            targets = []
+            for a, w in zip(Fs.summands, res_src.diffs[m - 1].images()):
+                if a not in carry:
+                    carry[a] = Mat.from_cols(field, res_src.frees[m - 1]
+                                             .yoneda_columns(below, prev, a))
+                targets.append(carry[a].apply(w))
         cols = {}
         images = []
         for a, t in zip(Fs.summands, targets):
@@ -545,8 +547,8 @@ def lift_chain_map(f, res_src, res_dst, upto):
                 cols[a] = Mat.from_cols(field, cs) if cs else \
                     Mat.zero(field, len(t), 0)
             images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
-        prev = _catmat_from_images(Fs, Fd, images)
-        lifts.append(prev)
+        prev = images
+        lifts.append(_catmat_from_images(Fs, Fd, images))
     return lifts
 
 

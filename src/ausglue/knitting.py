@@ -3,12 +3,14 @@
 Vertices are found as the tau^{-1}-orbits of the indecomposable
 projectives (for a representation-directed algebra every indecomposable
 is tau^{-j} of a projective, and knitting these orbits terminates).
-Knitting only enumerates: the hom table of the vertices and the arrows
-are computed on first read.  Arrows carry irreducible-map multiplicities
-dim rad/rad^2, the Gabriel arrows of End of the sum of the vertices read
-off that table's structure constants rather than middle-term
-bookkeeping; the mesh property ties the two together and is checked
-exhaustively in the tests.
+The projectives are taken in a topological order of the Gabriel quiver,
+sources first, by quiver.topological_order on its arrows.  Knitting only
+enumerates: the hom table of the vertices and the arrows are computed on
+first read.  Arrows carry irreducible-map multiplicities dim rad/rad^2,
+the Gabriel arrows of End of the sum of the vertices read off that
+table's structure constants rather than middle-term bookkeeping; the
+mesh property ties the two together and is checked exhaustively in the
+tests.
 
 A knitted module with a coordinate above 6 shows that an algebra of
 global dimension <= 2 is not representation-directed: were it, the
@@ -19,7 +21,7 @@ Ovsienko 1978).
 
 from functools import cached_property
 
-from .quiver import Quiver
+from .quiver import topological_order
 from .fincat import projective_module, module_label
 from .homology import tau_inv, gldim, hom_table
 from .errors import NotRepFinite
@@ -79,12 +81,10 @@ def vertex_label(cat, M):
 def _seed_order(cat, arrows):
     """Objects in a topological order of the Gabriel quiver (sources first),
     ties broken by object list position."""
-    q = Quiver(cat.objects, [("g%d" % i, s, t)
-                             for i, ((s, t), _) in enumerate(sorted(
-                                 arrows.items(),
-                                 key=lambda kv: (cat.obj_index[kv[0][0]],
-                                                 cat.obj_index[kv[0][1]])))])
-    order = q.topological_order()
+    succ = {x: [] for x in cat.objects}
+    for s, t in arrows:
+        succ[s].append(t)
+    order = topological_order(cat.objects, succ)
     return order if order is not None else list(cat.objects)
 
 

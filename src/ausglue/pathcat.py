@@ -3,7 +3,10 @@
 category_from_presentation turns a BoundPresentation into a FinCategory:
 objects are the vertices, hom(x,y) is spanned by the paths x -> y reduced
 modulo the two-sided ideal generated by the relations, and composition is
-path concatenation followed by reduction.
+path concatenation followed by reduction.  The paths out of each vertex
+are enumerated level by level through its out-arrows, and the paths, the
+ideal, the bases and the composition are kept only for the pairs joined
+by a path, so the work follows the paths rather than every vertex pair.
 """
 
 from .linalg import row_space_basis, echelon_columns, quotient_coords
@@ -19,53 +22,44 @@ def category_from_presentation(pres, field):
         raise InvalidParams("cyclic quivers are out of scope: "
                             "representation-directed algebras are acyclic")
 
-    # enumerate paths by length, grouped by (source, target)
-    paths = {}  # (x, y) -> ordered path list
+    out = {v: [] for v in q.vertices}  # (arrow, target) in arrow order
+    for aid, s, t in q.arrows:
+        out[s].append((aid, t))
+    # the paths out of each vertex by length, as (path, endpoint), and
+    # grouped by (source, target) for the pairs joined by a path, in
+    # vertex order
+    walks = {}
+    paths = {}
     for x in q.vertices:
-        paths[(x, x)] = [()]
-        for y in q.vertices:
-            paths.setdefault((x, y), [])
-    cur = {x: [((), x)] for x in q.vertices}  # by source: (path, endpoint)
-    all_paths = {x: [((), x)] for x in q.vertices}
-    while any(cur.values()):
-        new = {x: [] for x in q.vertices}
-        for x in q.vertices:
-            for path, end in cur[x]:
-                for aid, s, t in q.arrows:
-                    if s == end:
-                        np = path + (aid,)
-                        new[x].append((np, t))
-                        paths[(x, t)].append(np)
-        for x in q.vertices:
-            all_paths[x].extend(new[x])
-        cur = new
+        walk, level = [], [((), x)]
+        while level:
+            walk.extend(level)
+            level = [(p + (aid,), t)
+                     for p, end in level for aid, t in out[end]]
+        walks[x] = walk
+        ends = {}
+        for p, y in walk:
+            ends.setdefault(y, []).append(p)
+        paths.update(((x, y), ends[y]) for y in q.vertices if y in ends)
+    index = {key: {p: i for i, p in enumerate(plist)}
+             for key, plist in paths.items()}
 
-    index = {}  # (x, y) -> {path: position}
-    for key, plist in paths.items():
-        index[key] = {p: i for i, p in enumerate(plist)}
-
-    # two-sided ideal: p . r . q for every relation r and all paths p, q
+    # two-sided ideal: p . r . q for every relation r and all paths p, q;
+    # p ends at u, r runs u -> v and q starts at v, so p . r . q is a path
     ideal_rows = {key: [] for key in paths}
     for rel in pres.relations:
         u = q.path_source(rel[0][1])
         v = q.path_target(rel[0][1])
         for x in q.vertices:
-            for p, pend in all_paths[x]:
+            for p, pend in walks[x]:
                 if pend != u:
                     continue
-                for qq, qend in all_paths[v]:
-                    y = qend
-                    vec = [0] * len(paths[(x, y)])
-                    ok = True
+                for qq, y in walks[v]:
+                    at = index[(x, y)]
+                    vec = [0] * len(at)
                     for coeff, rp in rel:
-                        full = p + rp + qq
-                        pos = index[(x, y)].get(full)
-                        if pos is None:
-                            ok = False
-                            break
-                        vec[pos] += coeff
-                    if ok:
-                        ideal_rows[(x, y)].append([field(c) for c in vec])
+                        vec[at[p + rp + qq]] += coeff
+                    ideal_rows[(x, y)].append([field(c) for c in vec])
 
     # reduce: basis = paths at non-pivot positions of the ideal's RREF
     basis = {}
@@ -76,15 +70,15 @@ def category_from_presentation(pres, field):
         basis[key] = [plist[j] for j in free]
         reducer[key] = (rows, piv, free)
 
-    objects = list(q.vertices)
-    homdim = {(x, y): len(basis[(x, y)]) for x in objects for y in objects}
+    homdim = {key: len(b) for key, b in basis.items() if b}
+    succ = {x: [] for x in q.vertices}  # the y with hom(x, y) != 0
+    for x, y in homdim:
+        succ[x].append(y)
     comp = {}
-    for x in objects:
-        for y in objects:
-            if homdim[(x, y)] == 0:
-                continue
-            for z in objects:
-                if homdim[(y, z)] == 0 or homdim[(x, z)] == 0:
+    for x in q.vertices:
+        for y in succ[x]:
+            for z in succ[y]:
+                if (x, z) not in homdim:
                     continue
                 rows, piv, free = reducer[(x, z)]
                 at = index[(x, z)]
@@ -97,4 +91,4 @@ def category_from_presentation(pres, field):
                         row.append(quotient_coords(field, rows, piv, free, v))
                     t.append(row)
                 comp[(x, y, z)] = t
-    return FinCategory(field, objects, homdim, comp)
+    return FinCategory(field, q.vertices, homdim, comp)

@@ -1,11 +1,39 @@
-"""Quivers, Dynkin shapes and bound presentations (quiver + relations).
+"""Quivers, Dynkin shapes and bound presentations (quiver + relations),
+and topological_order, the one topological sort of the package: Kahn's
+algorithm on a digraph given by successor lists, which orders a quiver,
+the hom support of a category and its Gabriel quiver alike.
 
 A path is a tuple of arrow ids, listed in traversal order: (a, b) means
 "first a, then b" and requires target(a) == source(b).  A relation is a
 list of (coefficient, path) pairs whose paths all share source and target.
 """
 
+from bisect import insort
+
 from .errors import InvalidDynkinSpec, InvalidParams
+
+
+def topological_order(vertices, succ):
+    """Kahn's algorithm: vertices in a source-first order, the ready vertex
+    first in the list taken next, or None if the digraph has a cycle.
+    succ[v] lists the heads of the arrows out of v, a head once per arrow,
+    so self-loops and multiple arrows count."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    indeg = [0] * len(vertices)
+    for v in vertices:
+        for w in succ[v]:
+            indeg[pos[w]] += 1
+    ready = [i for i, d in enumerate(indeg) if not d]  # positions, sorted
+    order = []
+    while ready:
+        v = vertices[ready.pop(0)]
+        order.append(v)
+        for w in succ[v]:
+            j = pos[w]
+            indeg[j] -= 1
+            if not indeg[j]:
+                insort(ready, j)
+    return order if len(order) == len(vertices) else None
 
 
 class Quiver:
@@ -26,23 +54,10 @@ class Quiver:
     def topological_order(self):
         """Vertices in a source-first order; None if the quiver has an
         oriented cycle.  Ties broken by position in the vertex list."""
-        indeg = {v: 0 for v in self.vertices}
+        succ = {v: [] for v in self.vertices}
         for _, s, t in self.arrows:
-            indeg[t] += 1
-        order = []
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for aid, s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        ready.append(t)
-            ready.sort(key=self.vertices.index)
-        if len(order) != len(self.vertices):
-            return None
-        return order
+            succ[s].append(t)
+        return topological_order(self.vertices, succ)
 
     @property
     def is_acyclic(self):

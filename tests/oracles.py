@@ -16,27 +16,80 @@ block-diagonal matrix and the matrix inverse, and the hom dimensions of a
 glued category by copy.  The passes over a category that scan every
 object pair are kept here as references for the ones that walk its hom
 support: the Nakayama pairing (nakayama_pairing), the directedness check
-through the quiver of its hom support (refuse_cycles, hom_support) and
-the Gabriel quiver (dense_gabriel_arrows).  So are the simple modules,
-pdim, the AR translate tau, the composition of two morphisms of a glued
-category (yoneda_compose) and the number of indecomposables of a Dynkin
-quiver (aus_rank), which only the tests use.
+through the quiver of its hom support (refuse_cycles, hom_support), the
+Gabriel quiver (dense_gabriel_arrows) and the path category of a bound
+quiver (dense_category_from_presentation).  So are the simple
+modules, pdim, the AR translate tau, the composition of two morphisms of
+a category (compose) and of a glued category (yoneda_compose), the
+product of two maps of free modules in Yoneda coordinates
+(compose_catmats), Kahn's algorithm on a Quiver (topological_order) and
+the number of indecomposables of a Dynkin quiver (aus_rank), which only
+the tests use.
 
 The program reads every representable in place from the structure
 constants, keeps a free module's action sparse and a map between free
-modules in Yoneda coordinates (a CatMat), and reads Hom off a module's
-resolution; the dense forms and the naturality solver here are what
-those are checked against."""
+modules in Yoneda coordinates (a CatMat), applied only by its Yoneda
+columns, and reads Hom off a module's resolution; the dense forms, the
+compositions and the naturality solver here are what those are checked
+against."""
 
 from itertools import product
 
-from ausglue.errors import NotComposable, NotDirected
-from ausglue.fincat import CatModule, FreeModule, ModuleMap
+from ausglue.errors import (InfiniteDimensional, InvalidParams,
+                            NotComposable, NotDirected)
+from ausglue.fincat import (CatMat, CatModule, FinCategory, FreeModule,
+                            ModuleMap)
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
 from ausglue.linalg import (Mat, NoSolution, row_space_basis,
                             echelon_columns, quotient_coords)
 from ausglue.quiver import Quiver
+
+
+def compose(cat, x, y, z, g, f):
+    """Compose coefficient vectors: g over hom(y,z), f over hom(x,y);
+    returns coefficient vector over hom(x,z)."""
+    n = cat.homdim[(x, z)]
+    out = [cat.field.zero] * n
+    zero = cat.field.zero
+    t = cat.comp.get((x, y, z))
+    if t is None:
+        return out
+    for i, gc in enumerate(g):
+        if gc == zero:
+            continue
+        for j, fc in enumerate(f):
+            if fc == zero:
+                continue
+            sc = gc * fc
+            row = t[i][j]
+            for k in range(n):
+                out[k] = out[k] + sc * row[k]
+    if cat.field.p is not None:
+        out = [v % cat.field.p for v in out]
+    return out
+
+
+def compose_catmats(v, u):
+    """The CatMat v o u, for u: F(u.src_objs) -> F(v.src_objs).  Entry
+    (k, j) is the sum over i of u's (i, j) entry composed with v's (k, i)
+    entry, u_ij o v_ki in hom(dst_k, src_j): the composite
+    P_a -> P_b -> P_c sends 1_a to u in hom(b, a), and then to u o v in
+    hom(c, a)."""
+    c = v.cat
+    p = c.field.p
+    entries = []
+    for k, z in enumerate(v.dst_objs):
+        row = []
+        for j, x in enumerate(u.src_objs):
+            acc = [c.field.zero] * c.homdim[(z, x)]
+            for i, y in enumerate(v.src_objs):
+                if c.homdim[(z, y)] and c.homdim[(y, x)]:
+                    uv = compose(c, z, y, x, u.entries[i][j], v.entries[k][i])
+                    acc = [a + b for a, b in zip(acc, uv)]
+            row.append(acc if p is None else [a % p for a in acc])
+        entries.append(row)
+    return CatMat(c, u.src_objs, v.dst_objs, entries)
 
 
 def basis_vec(cat, x, y, i):
@@ -65,13 +118,13 @@ def check_associativity(cat):
                         h = basis_vec(cat, y, z, i)
                         for j in range(cat.homdim[(x, y)]):
                             g = basis_vec(cat, x, y, j)
-                            gf = cat.compose(x, y, z, h, g)
+                            gf = compose(cat, x, y, z, h, g)
                             for k in range(cat.homdim[(w, x)]):
                                 f = basis_vec(cat, w, x, k)
-                                left = cat.compose(w, x, z, gf, f)
-                                right = cat.compose(
-                                    w, y, z, h,
-                                    cat.compose(w, x, y, g, f))
+                                left = compose(cat, w, x, z, gf, f)
+                                right = compose(
+                                    cat, w, y, z, h,
+                                    compose(cat, w, x, y, g, f))
                                 if left != right:
                                     return False, (w, x, y, z, i, j, k)
     return True, None
@@ -83,9 +136,9 @@ def check_identities(cat):
             d = cat.homdim[(x, y)]
             for j in range(d):
                 f = basis_vec(cat, x, y, j)
-                if cat.compose(x, y, y, identity_vector(cat, y), f) != f:
+                if compose(cat, x, y, y, identity_vector(cat, y), f) != f:
                     return False, (x, y, j, "left")
-                if cat.compose(x, x, y, f, identity_vector(cat, x)) != f:
+                if compose(cat, x, x, y, f, identity_vector(cat, x)) != f:
                     return False, (x, y, j, "right")
     return True, None
 
@@ -107,7 +160,7 @@ def check_module(M):
                     g = basis_vec(c, y, z, i)
                     for j in range(c.homdim[(x, y)]):
                         f = basis_vec(c, x, y, j)
-                        gf = c.compose(x, y, z, g, f)
+                        gf = compose(c, x, y, z, g, f)
                         if M.act_elem(x, z, gf) != \
                                 M.action(y, z, i) * M.action(x, y, j):
                             return False
@@ -506,7 +559,7 @@ def yoneda_compose(glued, g, f):
     if fd != gs:
         raise NotComposable("cannot compose %r -> %r after %r -> %r"
                             % (gs, gd, fs, fd))
-    return fs, gd, cat.compose(fs, fd, gd, gc, fc)
+    return fs, gd, compose(cat, fs, fd, gd, gc, fc)
 
 
 def aus_rank(spec, field):
@@ -541,11 +594,11 @@ def refuse_cycles(cat):
     names one: dropping, one at a time, each object that some cycle avoids
     leaves a cycle without chords, in which each object has one successor."""
     cyc = list(cat.objects)
-    if hom_support(cat, cyc).topological_order() is not None:
+    if topological_order(hom_support(cat, cyc)) is not None:
         return
     for x in cat.objects:
         rest = [y for y in cyc if y != x]
-        if hom_support(cat, rest).topological_order() is None:
+        if topological_order(hom_support(cat, rest)) is None:
             cyc = rest
     path = cyc[:1]
     while len(path) < len(cyc):
@@ -553,6 +606,28 @@ def refuse_cycles(cat):
                          if y != path[-1] and cat.homdim[(path[-1], y)]))
     raise NotDirected("not directed: hom support has the cycle " +
                       " -> ".join(map(str, path + path[:1])))
+
+
+def topological_order(quiver):
+    """Vertices in a source-first order; None if the quiver has an
+    oriented cycle.  Ties broken by position in the vertex list."""
+    indeg = {v: 0 for v in quiver.vertices}
+    for _, s, t in quiver.arrows:
+        indeg[t] += 1
+    order = []
+    ready = [v for v in quiver.vertices if indeg[v] == 0]
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for aid, s, t in quiver.arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    ready.append(t)
+        ready.sort(key=quiver.vertices.index)
+    if len(order) != len(quiver.vertices):
+        return None
+    return order
 
 
 def hom_support(cat, objs):
@@ -577,3 +652,95 @@ def dense_gabriel_arrows(cat):
             if m:
                 arrows[(x, y)] = m
     return arrows
+
+
+def dense_category_from_presentation(pres, field):
+    """category_from_presentation by scanning every arrow for each path,
+    every vertex pair for the ideal and every object triple for
+    composition."""
+    q = pres.quiver
+    if not q.is_acyclic:
+        if not pres.relations:
+            raise InfiniteDimensional("oriented cycle without relations")
+        raise InvalidParams("cyclic quivers are out of scope: "
+                            "representation-directed algebras are acyclic")
+
+    # enumerate paths by length, grouped by (source, target)
+    paths = {}  # (x, y) -> ordered path list
+    for x in q.vertices:
+        paths[(x, x)] = [()]
+        for y in q.vertices:
+            paths.setdefault((x, y), [])
+    cur = {x: [((), x)] for x in q.vertices}  # by source: (path, endpoint)
+    all_paths = {x: [((), x)] for x in q.vertices}
+    while any(cur.values()):
+        new = {x: [] for x in q.vertices}
+        for x in q.vertices:
+            for path, end in cur[x]:
+                for aid, s, t in q.arrows:
+                    if s == end:
+                        np = path + (aid,)
+                        new[x].append((np, t))
+                        paths[(x, t)].append(np)
+        for x in q.vertices:
+            all_paths[x].extend(new[x])
+        cur = new
+
+    index = {}  # (x, y) -> {path: position}
+    for key, plist in paths.items():
+        index[key] = {p: i for i, p in enumerate(plist)}
+
+    # two-sided ideal: p . r . q for every relation r and all paths p, q
+    ideal_rows = {key: [] for key in paths}
+    for rel in pres.relations:
+        u = q.path_source(rel[0][1])
+        v = q.path_target(rel[0][1])
+        for x in q.vertices:
+            for p, pend in all_paths[x]:
+                if pend != u:
+                    continue
+                for qq, qend in all_paths[v]:
+                    y = qend
+                    vec = [0] * len(paths[(x, y)])
+                    ok = True
+                    for coeff, rp in rel:
+                        full = p + rp + qq
+                        pos = index[(x, y)].get(full)
+                        if pos is None:
+                            ok = False
+                            break
+                        vec[pos] += coeff
+                    if ok:
+                        ideal_rows[(x, y)].append([field(c) for c in vec])
+
+    # reduce: basis = paths at non-pivot positions of the ideal's RREF
+    basis = {}
+    reducer = {}
+    for key, plist in paths.items():
+        rows = row_space_basis(field, ideal_rows[key], len(plist))
+        piv, free = echelon_columns(field, rows, len(plist))
+        basis[key] = [plist[j] for j in free]
+        reducer[key] = (rows, piv, free)
+
+    objects = list(q.vertices)
+    homdim = {(x, y): len(basis[(x, y)]) for x in objects for y in objects}
+    comp = {}
+    for x in objects:
+        for y in objects:
+            if homdim[(x, y)] == 0:
+                continue
+            for z in objects:
+                if homdim[(y, z)] == 0 or homdim[(x, z)] == 0:
+                    continue
+                rows, piv, free = reducer[(x, z)]
+                at = index[(x, z)]
+                t = []
+                for g in basis[(y, z)]:
+                    row = []
+                    for f in basis[(x, y)]:
+                        v = [field.zero] * len(at)
+                        v[at[f + g]] = field.one
+                        row.append(quotient_coords(field, rows, piv, free, v))
+                    t.append(row)
+                comp[(x, y, z)] = t
+    return FinCategory(field, objects, homdim, comp)

@@ -14,7 +14,8 @@ from ausglue.linalg import default_field
 from ausglue.pathcat import category_from_presentation
 from ausglue.quiver import (Quiver, DynkinSpec, dynkin_quiver,
                             hereditary_presentation, nakayama_linear,
-                            parse_quiver_file)
+                            parse_quiver_file, topological_order)
+import oracles
 
 
 def test_dynkin_spec_validation():
@@ -62,6 +63,38 @@ def test_quiver_validation_and_opposite():
     assert q.is_acyclic
     cyc = Quiver([1, 2], [("a", 1, 2), ("b", 2, 1)])
     assert not cyc.is_acyclic
+
+
+@st.composite
+def _digraphs(draw):
+    """Vertices 0..n-1 in a drawn order and arrows between them, loops and
+    repeats allowed: any, or only those forward in a second drawn order,
+    which have no cycle."""
+    n = draw(st.integers(1, 7))
+    vertices = draw(st.permutations(range(n)))
+    arrows = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                     st.sampled_from(vertices)), max_size=14))
+    if draw(st.booleans()):
+        rank = {v: i for i, v in enumerate(draw(st.permutations(range(n))))}
+        arrows = [(s, t) for s, t in arrows if rank[s] < rank[t]]
+    return vertices, arrows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_topological_order_matches_reference(digraph):
+    """topological_order on successor lists, and Quiver.topological_order
+    through it, give the order of the reference Kahn's algorithm, ties
+    broken by vertex position, or None with it on a cycle."""
+    vertices, arrows = digraph
+    q = Quiver(vertices, [("a%d" % i, s, t)
+                          for i, (s, t) in enumerate(arrows)])
+    succ = {v: [] for v in vertices}
+    for s, t in arrows:
+        succ[s].append(t)
+    expected = oracles.topological_order(q)
+    assert topological_order(vertices, succ) == expected
+    assert q.topological_order() == expected
 
 
 def test_nakayama_presentation():
