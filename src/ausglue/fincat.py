@@ -17,9 +17,11 @@ over a category or a module walks its support, not every object pair.
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
 the off-diagonal hom spaces.  One routine, submodule_top, takes the top
-of a module and of every syzygy inside its free module.  Hom between
-modules, and with it the isomorphism test, is read off minimal
-resolutions in homology.
+of a module and of every syzygy inside its free module.  A map out of a
+free module is kept only as the images of its generators (Yoneda), one
+vector per summand, and applied through its Yoneda columns at one object
+at a time.  Hom between modules, and with it the isomorphism test, is
+read off minimal resolutions in homology.
 """
 
 import weakref
@@ -340,7 +342,7 @@ def top_generators(M):
 
 
 # ---------------------------------------------------------------------------
-# free modules and category matrices
+# free modules and the maps between them
 
 
 class FreeModule:
@@ -349,9 +351,11 @@ class FreeModule:
     summand.  Its support, where it is nonzero, is the union of the
     out_support of its summands.  dims, a Sparse dict, and offsets are
     kept on the support only; elsewhere dims reads 0, yoneda_entries gives
-    empty blocks and apply_action zero vectors.  It has no dense action and builds no
-    projective: apply_action reads the structure constants in place, one
-    summand at a time, and a map between free modules is a CatMat."""
+    empty blocks and apply_action zero vectors.  It has no dense action
+    and builds no projective: apply_action reads the structure constants
+    in place, one summand at a time.  A map d: F -> self is kept as its
+    images, the vectors of self that F's generators go to, the j-th at
+    objs[j], the object of F's j-th summand."""
 
     def __init__(self, cat, summands):
         self.cat = cat
@@ -411,43 +415,33 @@ class FreeModule:
         return [w[o:o + self.cat.homdim[(s, y)]]
                 for s, o in zip(self.summands, offs)]
 
-
-class CatMat:
-    """A matrix of morphisms between free modules F(src_objs) -> F(dst_objs):
-    entries[i][j] is a coefficient vector over hom(dst_objs[i], src_objs[j]),
-    the Yoneda coordinate of the component P_{src_objs[j]} -> P_{dst_objs[i]}
-    (acting by precomposition).  It is applied only through its images,
-    by FreeModule.yoneda_columns at one object at a time; two CatMats are
-    never composed entry by entry."""
-
-    def __init__(self, cat, src_objs, dst_objs, entries):
-        self.cat = cat
-        self.src_objs = list(src_objs)
-        self.dst_objs = list(dst_objs)
-        self.entries = entries
-
-    def op(self):
-        """The same data read as a map of free modules over the opposite
-        category, Hom(-, C): F_op(dst_objs) -> F_op(src_objs)."""
-        opc = self.cat.opposite()
-        entries = [[self.entries[i][j] for i in range(len(self.dst_objs))]
-                   for j in range(len(self.src_objs))]
-        return CatMat(opc, self.dst_objs, self.src_objs, entries)
-
-    def images(self):
-        """By Yoneda, the vector of F(dst_objs) at src_objs[j] that the
-        generator of summand j goes to, for each j: the entries of column
-        j, one block per summand of F(dst_objs)."""
-        return [[v for row in self.entries for v in row[j]]
-                for j in range(len(self.src_objs))]
-
-    def hom_into(self, N):
-        """Induced map Hom(F(dst), N) -> Hom(F(src), N) in Yoneda
-        coordinates (stacked N(obj) blocks)."""
+    def pull(self, N, elements, objs, images):
+        """The images of phi o d, for phi: self -> N sending the generator
+        of summand i to elements[i]: phi applied to each of d's images by
+        its Yoneda columns there, built once per object; the zero vector
+        of N where self is 0."""
         f = self.cat.field
-        # block (j, i) is the action N(b_i) -> N(a_j) of entry (i, j)
+        zero, p = f.zero, f.p
+        cols = {}
+        out = []
+        for a, w in zip(objs, images):
+            if a not in cols:
+                cols[a] = self.yoneda_columns(N, elements, a)
+            acc = [zero] * N.dims[a]
+            for c, col in zip(w, cols[a]):
+                if c:
+                    acc = [u + c * v for u, v in zip(acc, col)]
+            out.append(acc if p is None else [u % p for u in acc])
+        return out
+
+    def hom_into(self, N, objs, images):
+        """The matrix of Hom(d, N): Hom(self, N) -> Hom(F, N) in Yoneda
+        coordinates (one N block per summand); block (j, i) is the action
+        N(b_i) -> N(objs[j]) of the block of images[j] at summand b_i."""
+        f = self.cat.field
         return Mat.vstack(f, [
-            Mat.hstack(f, [N.act_elem(b, a, self.entries[i][j])
-                           for i, b in enumerate(self.dst_objs)], N.dims[a])
-            for j, a in enumerate(self.src_objs)],
-            sum(N.dims[b] for b in self.dst_objs))
+            Mat.hstack(f, [N.act_elem(b, a, e) for b, e in
+                           zip(self.summands, self.yoneda_entries(a, w))],
+                       N.dims[a])
+            for a, w in zip(objs, images)],
+            sum(N.dims[b] for b in self.summands))

@@ -3,8 +3,9 @@ hom(X[i], Y[i]) the ordinary hom, hom(X[i], Y[i+1]) = Ext^n(X, Y), and
 nothing across larger gaps.
 
 Composition is Yoneda composition on explicit cocycles: hom after hom is
-map composition, ext after hom precomposes with a lifted chain map, hom
-after ext postcomposes on cocycle blocks, and ext after ext vanishes.
+map composition, ext after hom precomposes with a lifted chain map (the
+cocycle applied to the lift's images, FreeModule.pull), hom after ext
+postcomposes on cocycle blocks, and ext after ext vanishes.
 Associativity of the assembled category is not assumed; the tests verify
 it exhaustively (check_associativity in tests/oracles.py).
 """
@@ -89,14 +90,16 @@ def build_glued(ambient, modules, names, n, k, table):
                 dbc = len(homs[(b, c)])
                 ebc = exts[(b, c)].dim
                 if dab and ebc and exts[(a, c)].dim:
+                    # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions
+                    # reach F_n, so every lift has a degree-n term
+                    F, objs = res[b].frees[n], res[a].frees[n].summands
                     t = []
-                    for i in range(ebc):
-                        vec = exts[(b, c)].reps[i]
-                        # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions
-                        # reach F_n, so every lift has a degree-n term
-                        t.append([exts[(a, c)].reduce(lifts[(a, b, j)]
-                                  .hom_into(modules[c]).apply(vec))
-                                  for j in range(dab)])
+                    for vec in exts[(b, c)].reps:
+                        phi = exts[(b, c)].images(vec)
+                        t.append([exts[(a, c)].reduce(
+                            [v for w in F.pull(modules[c], phi, objs,
+                                               lifts[(a, b, j)]) for v in w])
+                            for j in range(dab)])
                     comp_he[(a, b, c)] = t
                 if eab and dbc and exts[(a, c)].dim:
                     t = []

@@ -14,8 +14,10 @@ neither 0 nor everything are solved.  The higher translate tau_n is
 D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles, and
 lift_chain_map lifts a map of modules to their resolutions to compose Ext
-with Hom.  Both the resolution steps and the lifts apply a map out of a
-free module only through its Yoneda columns at one object at a time.
+with Hom.  A differential or a lift is kept as the images of its
+generators and applied by its Yoneda columns at one object at a time
+(FreeModule.pull); only ext_space and ext_dims, which need a kernel or a
+rank, form the matrix of Hom(d, N) (FreeModule.hom_into).
 
 Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
 M's resolution by hom_modules, on which hom_table and modules_isomorphic
@@ -43,7 +45,7 @@ from itertools import accumulate
 
 from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
                      quotient_coords)
-from .fincat import (FinCategory, FreeModule, CatMat, CatModule, ModuleMap,
+from .fincat import (FinCategory, FreeModule, CatModule, ModuleMap,
                      dual_module, dual_projective_module, submodule_top,
                      top_generators, zero_module)
 from .quiver import topological_order
@@ -57,8 +59,9 @@ class Resolution:
 
     frees[i]: the FreeModule F_i, for the offsets and the action of its
     value spaces, and terms[i] its summand-object list; diffs[i]: the
-    CatMat F_{i+1} -> F_i; tops: the vectors of M that the generators of
-    F_0 go to, one per summand, which fix the cover F_0 -> M by Yoneda.
+    images in F_i of the generators of F_{i+1}, which fix the differential
+    by Yoneda; tops: the images in M of the generators of F_0, which fix
+    the cover F_0 -> M.
     Neither M nor any map out of a free module is kept, so a module is not
     referenced by its own resolution.  The syzygies are not kept either:
     each was only the RREF rows of its value spaces in F_i.
@@ -107,7 +110,7 @@ def _resolve(M):
         kgens = submodule_top(F, rows)
         G = FreeModule(cat, [y for y, _ in kgens])
         images = [w for _, w in kgens]
-        res.diffs.append(_catmat_from_images(G, F, images))
+        res.diffs.append(images)
         res.frees.append(G)
         rows = {y: _next_rows(G, F, images, y, len(rows.get(y, ())))
                 for y in G.support}
@@ -261,6 +264,13 @@ class ExtSpace:
     def dim(self):
         return len(self.reps)
 
+    def images(self, vec):
+        """A cocycle as the images in Y of the generators of F_n."""
+        F = self.resolution.frees[self.n]
+        offs = list(accumulate((self.Y.dims[b] for b in F.summands),
+                               initial=0))
+        return [vec[o:e] for o, e in zip(offs, offs[1:])]
+
     def reduce(self, vec):
         """Coordinates of a cocycle modulo coboundaries, in the rep basis;
         NoSolution for any other vector.  The first call takes the RREF of
@@ -293,14 +303,16 @@ def ext_space(X, Y, n):
         return ExtSpace(X, Y, n, res, [], [])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
     if n < len(res.diffs):
-        U = res.diffs[n].hom_into(Y)
+        U = res.frees[n].hom_into(Y, res.frees[n + 1].summands,
+                                  res.diffs[n])
         Z = U.kernel_basis()
         zvecs = [Z.col(j) for j in range(Z.ncols)]
     else:
         zvecs = [_unit(f, hom_n, i) for i in range(hom_n)]
     # coboundaries: image of Hom(F_{n-1}, Y) -> Hom(F_n, Y)
     if n >= 1:
-        V = res.diffs[n - 1].hom_into(Y)
+        V = res.frees[n - 1].hom_into(Y, res.frees[n].summands,
+                                      res.diffs[n - 1])
         bvecs = [V.col(j) for j in range(V.ncols)]
     else:
         bvecs = []
@@ -331,7 +343,8 @@ def ext_dims(res, Y, top, low=0):
     rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
     for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
         if hom[i] and hom[i + 1]:
-            rank[i + 1] = res.diffs[i].hom_into(Y).rank()
+            rank[i + 1] = res.frees[i].hom_into(
+                Y, res.frees[i + 1].summands, res.diffs[i]).rank()
     return [hom[i] - rank[i] - rank[i + 1] for i in range(low, top + 1)]
 
 
@@ -357,8 +370,7 @@ def hom_modules(M, N):
     f = M.cat.field
     res = ext.resolution
     F = res.frees[0]
-    offs = list(accumulate((N.dims[s] for s in F.summands), initial=0))
-    images = [[v[o:e] for o, e in zip(offs, offs[1:])] for v in ext.reps]
+    images = [ext.images(v) for v in ext.reps]
     maps = [ModuleMap(M, N, {}) for _ in images]
     for y in M.cat.objects:
         m, n = M.dims[y], N.dims[y]
@@ -460,17 +472,23 @@ def modules_isomorphic(M, N):
 def transpose_module(M, n=1):
     """Tr(Omega^{n-1} M): cokernel of the dualized minimal presentation
     d_n: F_n -> F_{n-1} in M's minimal resolution; a module over the
-    opposite category.  At each y of its free module G the image of d_n
-    is spanned by Yoneda columns, and the quotient keeps the free columns
-    of its RREF, on which G's action is read through quotient_coords."""
+    opposite category.  Its images regroup the same Yoneda blocks: at
+    summand j, the image of generator i of F_op(terms[n-1]) in G =
+    F_op(terms[n]) holds the block of d_n's image j at summand i.  At each
+    y of G the image is spanned by Yoneda columns, and the quotient keeps
+    the free columns of its RREF, on which G's action is read through
+    quotient_coords."""
     op = M.cat.opposite()
     res = min_proj_resolution(M)
     if len(res.diffs) < n:
         return zero_module(op)
     f = op.field
-    d = res.diffs[n - 1].op()  # F_op(terms[n-1]) -> F_op(terms[n])
-    F, G = FreeModule(op, d.src_objs), FreeModule(op, d.dst_objs)
-    images = d.images()
+    lo = res.frees[n - 1]
+    blocks = [lo.yoneda_entries(a, w)
+              for a, w in zip(res.frees[n].summands, res.diffs[n - 1])]
+    images = [[v for col in blocks for v in col[i]]
+              for i in range(len(lo.summands))]
+    F, G = FreeModule(op, lo.summands), FreeModule(op, res.frees[n].summands)
     quot = {}
     for y in G.support:
         rows = row_space_basis(f, F.yoneda_columns(G, images, y), G.dims[y])
@@ -506,15 +524,15 @@ def tau_n(M, n):
 
 def lift_chain_map(f, res_src, res_dst, upto):
     """Lift f: X -> Y to a chain map between res_src and res_dst, the
-    resolutions of X and Y, as CatMats lifts[i]: F_i(src) -> F_i(dst),
-    i = 0..upto; f is a hom_modules basis map, so it keeps its images.
-    By Yoneda each lift is fixed by the images of the generators of
-    F_i(src), each solved against the columns of the map below it at that
-    generator's object only: the images of f against the cover
-    F_0(dst) -> Y at degree 0, and after that the images of the
-    differential of res_src, carried by the previous lift through its
-    Yoneda columns at the same object, against the differential of
-    res_dst.  Any two lifts differ by a homotopy, which dies in Ext."""
+    resolutions of X and Y, as lifts[i]: F_i(src) -> F_i(dst), i =
+    0..upto, each the images in F_i(dst) of the generators of F_i(src)
+    (None where res_dst has ended, a zero lift); f is a hom_modules basis
+    map, so it keeps its images.  Each image is solved against the columns
+    of the map below it at that generator's object only: the images of f
+    against the cover F_0(dst) -> Y at degree 0, and after that the images
+    of the differential of res_src, carried by the previous lift
+    (FreeModule.pull), against the differential of res_dst.  Any two lifts
+    differ by a homotopy, which dies in Ext."""
     field = f.src.cat.field
     lifts = []
     prev = None  # the images of the previous lift
@@ -530,15 +548,9 @@ def lift_chain_map(f, res_src, res_dst, upto):
         if m == 0:
             below, post, targets = f.dst, res_dst.tops, f.images
         else:
-            below = res_dst.frees[m - 1]
-            post = res_dst.diffs[m - 1].images()
-            carry = {}
-            targets = []
-            for a, w in zip(Fs.summands, res_src.diffs[m - 1].images()):
-                if a not in carry:
-                    carry[a] = Mat.from_cols(field, res_src.frees[m - 1]
-                                             .yoneda_columns(below, prev, a))
-                targets.append(carry[a].apply(w))
+            below, post = res_dst.frees[m - 1], res_dst.diffs[m - 1]
+            targets = res_src.frees[m - 1].pull(below, prev, Fs.summands,
+                                                res_src.diffs[m - 1])
         cols = {}
         images = []
         for a, t in zip(Fs.summands, targets):
@@ -548,27 +560,14 @@ def lift_chain_map(f, res_src, res_dst, upto):
                     Mat.zero(field, len(t), 0)
             images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
         prev = images
-        lifts.append(_catmat_from_images(Fs, Fd, images))
+        lifts.append(images)
     return lifts
-
-
-def _catmat_from_images(Fs, Fd, images):
-    """The CatMat Fs -> Fd sending the generator of the j-th summand of Fs
-    to images[j], a vector of Fd at that summand's object."""
-    cols = [Fd.yoneda_entries(a, w) for a, w in zip(Fs.summands, images)]
-    entries = [[col[i] for col in cols] for i in range(len(Fd.summands))]
-    return CatMat(Fs.cat, list(Fs.summands), list(Fd.summands), entries)
 
 
 def compose_hom_with_ext(g, ext, vec):
     """Postcompose: g in Hom(Y, Z), vec a cocycle for Ext^n(X, Y); returns
     the cocycle vector of g o vec in Ext^n(X, Z) coordinates."""
-    F = ext.resolution.frees[ext.n]
-    out = []
-    o = 0
-    for b in F.summands:
-        d = ext.Y.dims[b]
-        out.extend(g.mats[b].apply(vec[o:o + d]))
-        o += d
-    return out
+    return [v for b, w in zip(ext.resolution.frees[ext.n].summands,
+                              ext.images(vec))
+            for v in g.mats[b].apply(w)]
 

@@ -6,8 +6,11 @@ and arrows_out_of), a syzygy as a module of its own (kernel, Submodule),
 a cokernel as a module of its own (cokernel, Quotient), the dense
 realization of projectives, of free modules and of the maps between them
 (dense_projective, dense_free, yoneda_map, realize, cover), the
-minimality and complex checks of a resolution, direct sums with their
-inclusions and projections, naturality and flattening of module maps,
+differentials of a resolution as maps (differentials), the Yoneda
+entries of a map of free modules (entries, from_entries) and its dual
+over the opposite category (dual_map), the minimality and complex checks
+of a resolution, direct sums with their inclusions and projections,
+naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
 the identity map of a module (identity_map), the top of a module from
 its dense radical (dense_top), the arithmetic of module
@@ -21,24 +24,24 @@ Gabriel quiver (dense_gabriel_arrows) and the path category of a bound
 quiver (dense_category_from_presentation).  So are the simple
 modules, pdim, the AR translate tau, the composition of two morphisms of
 a category (compose) and of a glued category (yoneda_compose), the
-product of two maps of free modules in Yoneda coordinates
-(compose_catmats), Kahn's algorithm on a Quiver (topological_order) and
-the number of indecomposables of a Dynkin quiver (aus_rank), which only
-the tests use.
+product of two maps of free modules, entry by entry in Yoneda
+coordinates (compose_catmats), Kahn's algorithm on a Quiver
+(topological_order) and the number of indecomposables of a Dynkin quiver
+(aus_rank), which only the tests use.
 
 The program reads every representable in place from the structure
 constants, keeps a free module's action sparse and a map between free
-modules in Yoneda coordinates (a CatMat), applied only by its Yoneda
-columns, and reads Hom off a module's resolution; the dense forms, the
-compositions and the naturality solver here are what those are checked
-against."""
+modules F -> G as the images of F's generators, vectors of G, applied
+only by its Yoneda columns, and reads Hom off a module's resolution; the
+dense forms, the compositions and the naturality solver here are what
+those are checked against.  Here such a map is the triple (F, G,
+images)."""
 
 from itertools import product
 
 from ausglue.errors import (InfiniteDimensional, InvalidParams,
                             NotComposable, NotDirected)
-from ausglue.fincat import (CatMat, CatModule, FinCategory, FreeModule,
-                            ModuleMap)
+from ausglue.fincat import CatModule, FinCategory, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
 from ausglue.linalg import (Mat, NoSolution, row_space_basis,
@@ -70,26 +73,56 @@ def compose(cat, x, y, z, g, f):
     return out
 
 
+def entries(u):
+    """The Yoneda entries of the map u = (F, G, images): entries[i][j], the
+    block at G's summand i of the image of F's generator j, a coefficient
+    vector over hom(G.summands[i], F.summands[j])."""
+    F, G, images = u
+    cols = [G.yoneda_entries(a, w) for a, w in zip(F.summands, images)]
+    return [[col[i] for col in cols] for i in range(len(G.summands))]
+
+
+def from_entries(F, G, ents):
+    """The map (F, G, images) with the given Yoneda entries: image j joins
+    the entries of column j, one block per summand of G."""
+    return F, G, [[v for row in ents for v in row[j]]
+                  for j in range(len(F.summands))]
+
+
 def compose_catmats(v, u):
-    """The CatMat v o u, for u: F(u.src_objs) -> F(v.src_objs).  Entry
-    (k, j) is the sum over i of u's (i, j) entry composed with v's (k, i)
-    entry, u_ij o v_ki in hom(dst_k, src_j): the composite
-    P_a -> P_b -> P_c sends 1_a to u in hom(b, a), and then to u o v in
-    hom(c, a)."""
-    c = v.cat
+    """The map v o u, for u: F -> G and v: G -> H.  Entry (k, j) is the
+    sum over i of u's (i, j) entry composed with v's (k, i) entry,
+    u_ij o v_ki in hom(H_k, F_j): the composite P_a -> P_b -> P_c sends
+    1_a to u in hom(b, a), and then to u o v in hom(c, a)."""
+    F, G, H = u[0], u[1], v[1]
+    assert v[0].summands == G.summands
+    c = F.cat
     p = c.field.p
-    entries = []
-    for k, z in enumerate(v.dst_objs):
+    eu, ev = entries(u), entries(v)
+    out = []
+    for k, z in enumerate(H.summands):
         row = []
-        for j, x in enumerate(u.src_objs):
+        for j, x in enumerate(F.summands):
             acc = [c.field.zero] * c.homdim[(z, x)]
-            for i, y in enumerate(v.src_objs):
+            for i, y in enumerate(G.summands):
                 if c.homdim[(z, y)] and c.homdim[(y, x)]:
-                    uv = compose(c, z, y, x, u.entries[i][j], v.entries[k][i])
+                    uv = compose(c, z, y, x, eu[i][j], ev[k][i])
                     acc = [a + b for a, b in zip(acc, uv)]
             row.append(acc if p is None else [a % p for a in acc])
-        entries.append(row)
-    return CatMat(c, u.src_objs, v.dst_objs, entries)
+        out.append(row)
+    return from_entries(F, H, out)
+
+
+def dual_map(u):
+    """The map u = (F, G, images) read over the opposite category,
+    Hom(-, C): F_op(G.summands) -> F_op(F.summands), its entries
+    transposed."""
+    F, G, _ = u
+    op = F.cat.opposite()
+    ents = entries(u)
+    return from_entries(FreeModule(op, G.summands), FreeModule(op, F.summands),
+                        [list(col) for col in zip(*ents)] if ents else
+                        [[] for _ in F.summands])
 
 
 def basis_vec(cat, x, y, i):
@@ -371,9 +404,16 @@ def yoneda_map(F, N, elements):
 
 
 def realize(u):
-    """The CatMat u as a ModuleMap between dense free modules."""
-    return yoneda_map(FreeModule(u.cat, u.src_objs),
-                      dense_free(FreeModule(u.cat, u.dst_objs)), u.images())
+    """The map u = (F, G, images) as a ModuleMap between dense free
+    modules."""
+    F, G, images = u
+    return yoneda_map(F, dense_free(G), images)
+
+
+def differentials(res):
+    """The differentials of res as maps (F_{i+1}, F_i, images)."""
+    return [(res.frees[i + 1], res.frees[i], d)
+            for i, d in enumerate(res.diffs)]
 
 
 def cover(res, M):
@@ -390,11 +430,12 @@ def syzygy(M):
 def is_minimal(res):
     """Every differential image must lie in the radical: in Yoneda
     coordinates, no entry may contain an identity component."""
-    for d in res.diffs:
-        for i, b in enumerate(d.dst_objs):
-            for j, a in enumerate(d.src_objs):
-                if b == a and any(v != d.cat.field.zero
-                                  for v in d.entries[i][j]):
+    for d in differentials(res):
+        F, G, _ = d
+        zero, ents = F.cat.field.zero, entries(d)
+        for i, b in enumerate(G.summands):
+            for j, a in enumerate(F.summands):
+                if b == a and any(v != zero for v in ents[i][j]):
                     return False
     return True
 
@@ -403,7 +444,7 @@ def is_complex(M):
     """Whether M's resolution, with its cover, composes to zero, checked
     on the dense realizations."""
     res = min_proj_resolution(M)
-    maps = [cover(res, M)] + [realize(d) for d in res.diffs]
+    maps = [cover(res, M)] + [realize(d) for d in differentials(res)]
     return all(map_is_zero(compose_maps(hi, lo))
                for hi, lo in zip(maps, maps[1:]))
 

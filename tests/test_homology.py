@@ -15,7 +15,7 @@ from ausglue.pathcat import category_from_presentation
 from ausglue.knitting import knit, vertex_label
 from ausglue.fincat import (FinCategory, projective_module, injective_module,
                             projective_label, injective_label, dual_module,
-                            CatMat, FreeModule, ModuleMap, top_generators)
+                            FreeModule, ModuleMap, top_generators)
 from ausglue.homology import (_nakayama_pairing, _refuse_cycles,
                               min_proj_resolution, gldim, domdim,
                               projective_injectives, ext_space, ext_dim,
@@ -25,8 +25,9 @@ from ausglue.homology import (_nakayama_pairing, _refuse_cycles,
 import oracles
 from oracles import (direct_sum, is_complex, is_minimal, kernel, syzygy,
                      cokernel, cover, realize, yoneda_map, hom_by_naturality,
-                     compose_maps, compose_catmats, sub_maps, map_is_zero,
-                     simple_module, pdim, tau)
+                     compose_maps, compose_catmats, differentials, dual_map,
+                     from_entries, sub_maps, map_is_zero, simple_module, pdim,
+                     tau)
 
 FIELD = default_field()
 
@@ -187,14 +188,15 @@ def _reference_ext_reps(X, Y, n, res):
         return [], []
     hom_n = sum(Y.dims[b] for b in res.terms[n])
     if n < res.length:
-        Z = res.diffs[n].hom_into(Y).kernel_basis()
+        Z = res.frees[n].hom_into(Y, res.terms[n + 1],
+                                  res.diffs[n]).kernel_basis()
         zvecs = [Z.col(j) for j in range(Z.ncols)]
     else:
         zvecs = [[f.one if j == i else f.zero for j in range(hom_n)]
                  for i in range(hom_n)]
     bvecs = []
     if len(res.diffs) >= n:
-        V = res.diffs[n - 1].hom_into(Y)
+        V = res.frees[n - 1].hom_into(Y, res.terms[n], res.diffs[n - 1])
         bvecs = [V.col(j) for j in range(V.ncols)]
     span = row_space_basis(f, bvecs, hom_n)
     reps = []
@@ -528,7 +530,9 @@ def assert_chain_map(f, res_src, res_dst, lifts):
     """Every lifted square commutes on the dense realizations:
     eps o L_0 = f o eps and d o L_m = L_{m-1} o d, eps the covers.  A lift
     None, past the end of res_dst, is zero, and then so is L_{m-1} o d."""
-    real = [None if L is None else realize(L) for L in lifts]
+    real = [None if L is None else
+            realize((res_src.frees[m], res_dst.frees[m], L))
+            for m, L in enumerate(lifts)]
     eps_src, eps_dst = cover(res_src, f.src), cover(res_dst, f.dst)
     assert map_is_zero(sub_maps(compose_maps(eps_dst, real[0]),
                                 compose_maps(f, eps_src)))
@@ -536,11 +540,13 @@ def assert_chain_map(f, res_src, res_dst, lifts):
         if real[m - 1] is None:
             assert real[m] is None
             continue
-        right = compose_maps(real[m - 1], realize(res_src.diffs[m - 1]))
+        right = compose_maps(real[m - 1],
+                             realize(differentials(res_src)[m - 1]))
         if real[m] is None:
             assert map_is_zero(right)
         else:
-            left = compose_maps(realize(res_dst.diffs[m - 1]), real[m])
+            left = compose_maps(realize(differentials(res_dst)[m - 1]),
+                                real[m])
             assert map_is_zero(sub_maps(left, right))
 
 
@@ -570,22 +576,63 @@ def test_lift_well_defined_under_homotopy():
                 ext_xz = ext_space(X, Z, 1)
                 L = lift_chain_map(homs[0], res_src, res_dst, 1)
                 vec = ext_yz.reps[0]
-                w = L[1].hom_into(Z).apply(vec)
+                w = res_dst.frees[1].hom_into(Z, res_src.terms[1],
+                                              L[1]).apply(vec)
                 # homotopy s: F_0(src) -> F_1(dst), random coefficients
                 src0 = res_src.terms[0]
                 dst1 = res_dst.terms[1]
                 entries = [[[FIELD(rng.randint(-3, 3))
                              for _ in range(A3.homdim[(b, a)])]
                             for a in src0] for b in dst1]
-                s = CatMat(A3, list(src0), list(dst1), entries)
-                u = s.hom_into(Z).apply(vec)
-                corr = res_src.diffs[0].hom_into(Z).apply(u)
+                _, _, s = from_entries(res_src.frees[0], res_dst.frees[1],
+                                       entries)
+                u = res_dst.frees[1].hom_into(Z, src0, s).apply(vec)
+                corr = res_src.frees[0].hom_into(
+                    Z, res_src.terms[1], res_src.diffs[0]).apply(u)
                 w2 = [a + b for a, b in zip(w, corr)]
                 if FIELD.p is not None:
                     w2 = [v % FIELD.p for v in w2]
                 assert ext_xz.reduce(w2) == ext_xz.reduce(w)
                 checked += 1
     assert checked > 0
+
+
+def test_pull_matches_hom_matrix():
+    """FreeModule.pull, as build_glued applies it to every degree-n lift
+    and Ext^n representative, gives the cocycle that the matrix of
+    Hom(L_n, Z) gives, block by block: on the cluster-tilting modules of
+    Auslander(A3) with n = 2, and on the knitted indecomposables of A3 and
+    of D4 with n = 1, which build_sk glues into Gamma.  D4 also meets a
+    generator at an object where F_n(b) is 0 (the A3 inputs never do);
+    there the image is the zero vector of Z, of length dim Z there."""
+    from itertools import accumulate
+    from ausglue.glue import auslander_category, cluster_tilting_subcategory
+    aus, _ = auslander_category(A3)
+    pulls = zero_space = 0
+    for mods, n in ((cluster_tilting_subcategory(aus, 2)[0], 2),
+                    (indecomposables(A3), 1), (indecomposables(D4), 1)):
+        res = [min_proj_resolution(M) for M in mods]
+        for a, X in enumerate(mods):
+            for b, Y in enumerate(mods):
+                for f in hom_modules(X, Y):
+                    lifts = lift_chain_map(f, res[a], res[b], n)
+                    if len(lifts) <= n or lifts[n] is None:
+                        continue
+                    F, objs = res[b].frees[n], res[a].terms[n]
+                    for Z in mods:
+                        ext = ext_space(Y, Z, n)
+                        for vec in ext.reps:
+                            pulled = F.pull(Z, ext.images(vec), objs,
+                                            lifts[n])
+                            full = F.hom_into(Z, objs, lifts[n]).apply(vec)
+                            offs = list(accumulate(
+                                (Z.dims[x] for x in objs), initial=0))
+                            assert pulled == [full[o:e] for o, e in
+                                              zip(offs, offs[1:])]
+                            pulls += 1
+                            zero_space += any(not F.dims[x] and Z.dims[x]
+                                              for x in objs)
+    assert pulls and zero_space
 
 
 def test_lift_degree_two_squares_commute():
@@ -607,8 +654,10 @@ def test_lift_degree_two_squares_commute():
                 for m in range(1, len(lifts)):
                     if lifts[m] is None:
                         continue
-                    for v, u in ((res_dst.diffs[m - 1], lifts[m]),
-                                 (lifts[m - 1], res_src.diffs[m - 1])):
+                    lift = [(res_src.frees[i], res_dst.frees[i], lifts[i])
+                            for i in (m - 1, m)]
+                    for v, u in ((differentials(res_dst)[m - 1], lift[1]),
+                                 (lift[0], differentials(res_src)[m - 1])):
                         assert realize(compose_catmats(v, u)).mats == \
                             compose_maps(realize(v), realize(u)).mats
                     degree_two += m == 2
@@ -621,12 +670,13 @@ def test_catmat_compose_of_differentials_is_zero():
     zero = FIELD.zero
     composites = 0
     for M in _resolution_cases():
-        res = min_proj_resolution(M)
-        for hi, lo in zip(res.diffs, res.diffs[1:]):
-            d = compose_catmats(hi, lo)
-            assert (d.src_objs, d.dst_objs) == (lo.src_objs, hi.dst_objs)
-            assert all(v == zero for row in d.entries for e in row for v in e)
-            composites += any(e for row in d.entries for e in row)
+        ds = differentials(min_proj_resolution(M))
+        for hi, lo in zip(ds, ds[1:]):
+            src, dst, images = compose_catmats(hi, lo)
+            assert (src.summands, dst.summands) == (lo[0].summands,
+                                                    hi[1].summands)
+            assert all(v == zero for w in images for v in w)
+            composites += any(images)
     assert composites
 
 
@@ -665,11 +715,8 @@ def _reference_resolution(M):
     while K.module.total_dim():
         kgens = oracles.dense_top(K.module)
         G = FreeModule(M.cat, [x for x, _ in kgens])
-        cols = [F.yoneda_entries(y, Mat.from_cols(M.cat.field, K.basis[y])
-                                 .apply(v)) for y, v in kgens]
-        diffs.append(CatMat(M.cat, G.summands, F.summands,
-                            [[col[i] for col in cols]
-                             for i in range(len(F.summands))]))
+        diffs.append([Mat.from_cols(M.cat.field, K.basis[y]).apply(v)
+                      for y, v in kgens])
         terms.append(list(G.summands))
         K = kernel(yoneda_map(G, K.module, [v for _, v in kgens]))
         F = G
@@ -682,10 +729,11 @@ def _reference_transpose(M, n):
     _reference_resolution."""
     for _ in range(n - 1):
         M = syzygy(M)
-    _, diffs = _reference_resolution(M)
+    terms, diffs = _reference_resolution(M)
     if not diffs:
         return fincat.zero_module(M.cat.opposite())
-    return cokernel(realize(diffs[0].op())).module
+    d = (FreeModule(M.cat, terms[1]), FreeModule(M.cat, terms[0]), diffs[0])
+    return cokernel(realize(dual_map(d))).module
 
 
 def _resolution_cases():
@@ -706,13 +754,13 @@ def _resolution_cases():
 
 def test_resolution_matches_submodule_reference():
     """Resolving in free-module coordinates gives the terms and the
-    differentials of the Submodule-based construction, entry for entry."""
+    differentials of the Submodule-based construction, image for image,
+    so entry for entry."""
     for M in _resolution_cases():
         res = min_proj_resolution(M)
         terms, diffs = _reference_resolution(M)
         assert res.terms == terms
-        assert [(d.src_objs, d.dst_objs, d.entries) for d in res.diffs] \
-            == [(d.src_objs, d.dst_objs, d.entries) for d in diffs]
+        assert res.diffs == diffs
 
 
 def test_tau_n_matches_syzygy_reference():
@@ -738,8 +786,8 @@ def test_tau_n_matches_syzygy_reference():
 def test_resolution_builds_no_submodule(monkeypatch):
     """Knitting, resolutions, Ext, tau_n, chain-map lifts and build_mk
     never give a syzygy its own module structure, and never build a
-    ModuleMap out of a free module: a map between free modules stays a
-    CatMat."""
+    ModuleMap out of a free module: a map between free modules stays the
+    list of its generators' images."""
     from ausglue.glue import auslander_category, build_mk
 
     def forbidden(*args):
