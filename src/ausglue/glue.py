@@ -5,9 +5,11 @@ nothing across larger gaps.
 Composition is Yoneda composition on explicit cocycles: hom after hom is
 map composition, ext after hom precomposes with a lifted chain map (the
 cocycle applied to the lift's images, FreeModule.pull), hom after ext
-postcomposes on cocycle blocks, and ext after ext vanishes.
-Associativity of the assembled category is not assumed; the tests verify
-it exhaustively (check_associativity in tests/oracles.py).
+postcomposes on cocycle blocks, and ext after ext vanishes.  build_glued
+makes each block once, for a triple whose three hom spaces are nonzero,
+writes it under its shifted keys, and lifts a hom basis to degree n only
+where an ext after hom block reads the lift.  Associativity is not
+assumed; the tests verify it exhaustively (oracles.check_associativity).
 """
 
 from .fincat import (FinCategory, injective_module, projective_label,
@@ -61,7 +63,8 @@ def _unique_names(labels):
 def build_glued(ambient, modules, names, n, k, table):
     """Assemble the glued category from a list of pairwise non-isomorphic
     indecomposable modules over the ambient category and their
-    hom_table."""
+    hom_table, in one pass over the support of the structure constants
+    (see the module docstring)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
@@ -71,64 +74,50 @@ def build_glued(ambient, modules, names, n, k, table):
     homs, end = table
     exts = {(a, b): ext_space(modules[a], modules[b], n)
             for a in range(m) for b in range(m)}
-
-    # degree-n chain-map lift of every hom basis element, for ext o hom
-    lifts = {}
-    for (a, b), basis in homs.items():
-        for j, f in enumerate(basis):
-            L = lift_chain_map(f, res[a], res[b], n)
-            if len(L) > n:
-                lifts[(a, b, j)] = L[n]
-
-    comp_he = {}
-    comp_eh = {}
-    for a in range(m):
-        for b in range(m):
-            dab = len(homs[(a, b)])
-            eab = exts[(a, b)].dim
-            for c in range(m):
-                dbc = len(homs[(b, c)])
-                ebc = exts[(b, c)].dim
-                if dab and ebc and exts[(a, c)].dim:
-                    # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions
-                    # reach F_n, so every lift has a degree-n term
-                    F, objs = res[b].frees[n], res[a].frees[n].summands
-                    t = []
-                    for vec in exts[(b, c)].reps:
-                        phi = exts[(b, c)].images(vec)
-                        t.append([exts[(a, c)].reduce(
-                            [v for w in F.pull(modules[c], phi, objs,
-                                               lifts[(a, b, j)]) for v in w])
-                            for j in range(dab)])
-                    comp_he[(a, b, c)] = t
-                if eab and dbc and exts[(a, c)].dim:
-                    t = []
-                    for g in homs[(b, c)]:
-                        row = []
-                        for j in range(eab):
-                            w = compose_hom_with_ext(
-                                g, exts[(a, b)], exts[(a, b)].reps[j])
-                            row.append(exts[(a, c)].reduce(w))
-                        t.append(row)
-                    comp_eh[(a, b, c)] = t
-
+    ext_out = [[c for c in range(m) if exts[(a, c)].dim] for a in range(m)]
     objects = [(names[a], s) for s in range(k + 1) for a in range(m)]
+
     homdim = {}  # zero across larger gaps; FinCategory keeps only nonzeros
     for s in range(k + 1):
+        at = objects[s * m:(s + 1) * m]
+        up = objects[(s + 1) * m:(s + 2) * m]
         for (a, b), basis in homs.items():
-            homdim[((names[a], s), (names[b], s))] = len(basis)
+            homdim[(at[a], at[b])] = len(basis)
             if s < k:
-                homdim[((names[a], s), (names[b], s + 1))] = exts[(a, b)].dim
+                homdim[(at[a], up[b])] = exts[(a, b)].dim
 
     comp = {}
-    for s in range(k + 1):
-        for (a, b, c), t in end.comp.items():
-            comp[((names[a], s), (names[b], s), (names[c], s))] = t
-        if s < k:
-            for (a, b, c), t in comp_he.items():
-                comp[((names[a], s), (names[b], s), (names[c], s + 1))] = t
-            for (a, b, c), t in comp_eh.items():
-                comp[((names[a], s), (names[b], s + 1), (names[c], s + 1))] = t
+
+    def spread(a, b, c, db, dc, t):
+        # t at ((a, s), (b, s + db), (c, s + dc)) for every shift s there
+        for s in range(k + 1 - dc):
+            comp[(objects[s * m + a], objects[(s + db) * m + b],
+                  objects[(s + dc) * m + c])] = t
+
+    for (a, b, c), t in end.comp.items():
+        spread(a, b, c, 0, 0, t)
+    for (a, b), basis in homs.items():
+        cs = [c for c in ext_out[b] if exts[(a, c)].dim]
+        if not basis or not cs:
+            continue
+        # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions reach F_n, so
+        # every lift has a degree-n term
+        lifts = [lift_chain_map(f, res[a], res[b], n)[n] for f in basis]
+        F, objs = res[b].frees[n], res[a].frees[n].summands
+        for c in cs:
+            E = exts[(b, c)]
+            spread(a, b, c, 0, 1, [
+                [exts[(a, c)].reduce([v for w in F.pull(
+                    modules[c], E.images(vec), objs, L) for v in w])
+                 for L in lifts] for vec in E.reps])
+    for a, bs in enumerate(ext_out):
+        for b in bs:
+            E = exts[(a, b)]
+            for c in bs:
+                if homs[(b, c)]:
+                    spread(a, b, c, 1, 1, [
+                        [exts[(a, c)].reduce(compose_hom_with_ext(g, E, r))
+                         for r in E.reps] for g in homs[(b, c)]])
 
     cat = FinCategory(ambient.field, objects, homdim, comp)
     return GluedCategory(cat, ambient, modules, names, n, k)

@@ -411,11 +411,12 @@ def hom_table(cat, modules, names):
     summands = [min_proj_resolution(M).frees[0].summands for M in modules]
     p = cat.field.p
     m = len(modules)
+    out = [[c for c in range(m) if homs[(b, c)]] for b in range(m)]
     comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)],
                                             summands[a], p)
-                         for f in homs[(a, b)]] for g in homs[(b, c)]]
-            for a in range(m) for b in range(m) for c in range(m)
-            if homs[(a, b)] and homs[(b, c)] and homs[(a, c)]}
+                         for f in basis] for g in homs[(b, c)]]
+            for (a, b), basis in homs.items() if basis
+            for c in out[b] if homs[(a, c)]}
     homdim = {key: len(basis) for key, basis in homs.items()}
     return homs, FinCategory(cat.field, range(m), homdim, comp)
 

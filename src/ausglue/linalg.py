@@ -44,7 +44,8 @@ class Field:
     Elements of F_p are ints in [0, p).  A QQ element is an int when it
     is integral and a Fraction otherwise; the field makes a Fraction only
     where a division leaves a non-integer.  Arithmetic may produce an
-    integral Fraction, which is still exact.  The field object only
+    integral Fraction, which is still exact.  F_p maps n/d to n * d^-1;
+    both fields refuse a float, which is not exact.  The field object only
     carries p, the conversion/inversion rules and its zero and one
     (elements are immutable, so every caller may share them).
     """
@@ -61,13 +62,17 @@ class Field:
         self.one = self(1)
 
     def __call__(self, v):
+        if type(v) is int:
+            return v if self.p is None else v % self.p
+        if isinstance(v, float):
+            raise ValueError("%r is not an exact field element" % (v,))
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
         if self.p is None:
-            if type(v) is int:
-                return v
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
             return v.numerator if v.denominator == 1 else v
-        return int(v) % self.p
+        if v.denominator % self.p == 0:
+            raise ZeroDivisionError("%s has no image in %r" % (v, self))
+        return v.numerator * pow(v.denominator, self.p - 2, self.p) % self.p
 
     def inv(self, a):
         if self.p is None:

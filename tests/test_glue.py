@@ -455,3 +455,62 @@ def test_build_glued_rejects_negative_k():
     mods = [ar.module(i) for i in range(ar.count)]
     with pytest.raises(ValueError):
         build_glued(A2, mods, ["a", "b", "c"], 1, -1, ar.table)
+
+
+def _assert_comp_on_support(cat):
+    """comp holds a key exactly at the triples (x, y, z) with hom(x, y),
+    hom(y, z) and hom(x, z) all nonzero, and each block there is a full
+    dim(y, z) x dim(x, y) array of dim(x, z)-vectors: none is empty."""
+    d = cat.homdim
+    assert set(cat.comp) == {(x, y, z) for x, y in d
+                             for z in cat.out_support[y] if d[(x, z)]}
+    for (x, y, z), t in cat.comp.items():
+        assert len(t) == d[(y, z)]
+        assert all(len(row) == d[(x, y)] for row in t)
+        assert all(len(v) == d[(x, z)] for row in t for v in row)
+
+
+def test_comp_is_kept_on_its_support():
+    """The support invariant opposite() relies on, for path categories,
+    a hom_table End, Gamma^k at n = 1 and n = 2, Sigma^k and their
+    opposites."""
+    aus, ar = glue.auslander_category(A3)
+    D4 = make(DynkinSpec("D", 4))
+    gammas = [build_sk(A3, 2), build_sk(D4, 1), build_mk(aus, 2, 2),
+              build_mk(nakayama(), 1, 2)]
+    cats = [A3, D4, nakayama(), aus,
+            hom_table(A3, [ar.module(i) for i in range(ar.count)],
+                      ar.labels())[1]]
+    cats += [g.cat for g in gammas] + [tower.sigma(g)[0] for g in gammas]
+    for cat in cats:
+        _assert_comp_on_support(cat)
+        _assert_comp_on_support(cat.opposite())
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (1, 2)],
+                         ids=["auslander-A3-n2", "A3-k2"])
+def test_build_glued_lifts_only_what_a_block_reads(monkeypatch, n, k):
+    """build_glued lifts hom(a, b)'s basis to degree n only when some c
+    has Ext^n(b, c) != 0 and Ext^n(a, c) != 0, where an ext o hom block
+    reads the lift, and then once per basis element."""
+    if n == 2:
+        ambient = glue.auslander_category(A3)[0]
+        modules, names, (homs, end) = glue.cluster_tilting_subcategory(
+            ambient, n)
+    else:
+        ambient = A3
+        ar, modules, names = glue._knit_indecomposables(A3, 512)
+        homs, end = ar.table
+    m = len(modules)
+    ext = {(a, b): ext_space(modules[a], modules[b], n).dim
+           for a in range(m) for b in range(m)}
+    want = sum(len(homs[(a, b)]) for a in range(m) for b in range(m)
+               if any(ext[(b, c)] and ext[(a, c)] for c in range(m)))
+    calls, lift = [], glue.lift_chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+    monkeypatch.setattr(glue, "lift_chain_map", counted)
+    build_glued(ambient, modules, names, n, k, (homs, end))
+    assert 0 < len(calls) == want < sum(map(len, homs.values()))

@@ -10,10 +10,14 @@ output is meant to change.
 """
 
 import hashlib
+import importlib.util
+import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
+import ausglue
 from ausglue.cli import main
 
 GOLDEN = [
@@ -100,3 +104,34 @@ def test_stdout_is_byte_identical(args, digest, monkeypatch):
     r = CliRunner().invoke(main, args)
     assert r.exit_code == 0, r.output
     assert _sha(r.output) == digest
+
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "verdictbench"
+
+
+def _bench_workloads():
+    """verdictbench/workloads.py, loaded by path: verdictbench is a
+    directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "verdictbench_workloads", BENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+def _bench_grid():
+    """(workload, input key, hash) for every recorded input of the
+    workloads the benchmark lists."""
+    expected = json.loads((BENCH / "expected.json").read_text())
+    return [pytest.param(w, key, digest, id="%s-%s" % (w.name, key))
+            for w in _bench_workloads().values() if w.listed
+            for key, digest in expected[w.name].items()]
+
+
+@pytest.mark.parametrize("workload, key, digest", _bench_grid())
+def test_bench_grid_report_is_byte_identical(workload, key, digest):
+    """Every input the benchmark samples, not only the default keys above,
+    gives its recorded report hash."""
+    text, passed = workload.verdict(ausglue, key)
+    assert passed
+    assert _sha(text) == digest

@@ -44,6 +44,23 @@ def test_qq_elements_are_ints_when_integral():
         QQ.inv(0)
 
 
+def test_prime_field_maps_rationals_exactly():
+    F = GF(5)
+    assert F(Fraction(1, 2)) == 3 and F(Fraction(-1, 2)) == 2
+    assert F(Fraction(7, 3)) == 4 and F(Fraction(10, 1)) == 0
+    assert F("3/4") == 2 and F(-7) == 3 and type(F(-7)) is int
+    for v in (Fraction(1, 2), Fraction(7, 3), Fraction(-4, 9)):
+        assert F(v) * F(v.denominator) % 5 == F(v.numerator)
+    with pytest.raises(ZeroDivisionError):
+        F(Fraction(1, 5))
+    with pytest.raises(ZeroDivisionError):
+        F(Fraction(3, 10))
+    for field in (F, QQ):
+        for bad in (2.7, 2.0, -0.5):
+            with pytest.raises(ValueError):
+                field(bad)
+
+
 def _fraction_rref(rows):
     """Reference Gauss-Jordan with Fraction entries only, by the rule of
     Mat.rref: leftmost pivot column, first nonzero row."""
