@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 All derive from `AusglueError`, and each marks input outside what the
-verifier covers or an exceeded budget, never a false claim: the CLI turns
+verifier covers or an exceeded limit, never a false claim: the CLI turns
 any of them, like `OSError` and `ValueError`, into exit 2.
 """
 
@@ -54,10 +54,6 @@ class NotClusterTilting(AusglueError):
 
 
 class GldimTooBig(AusglueError):
-    pass
-
-
-class NotComposable(AusglueError):
     pass
 
 

@@ -60,15 +60,20 @@ def _unique_names(labels):
     return out
 
 
+def _check_k_and_n(k, n):
+    """ValueError, naming the value, unless k >= 0 and n >= 1."""
+    if k < 0:
+        raise ValueError("k = %d: the number of shifts must be >= 0" % k)
+    if n < 1:
+        raise ValueError("n = %d: the Ext degree must be >= 1" % n)
+
+
 def build_glued(ambient, modules, names, n, k, table):
     """Assemble the glued category from a list of pairwise non-isomorphic
     indecomposable modules over the ambient category and their
     hom_table, in one pass over the support of the structure constants
     (see the module docstring)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_k_and_n(k, n)
     m = len(modules)
     res = [min_proj_resolution(M) for M in modules]
     homs, end = table
@@ -134,42 +139,42 @@ def endomorphism_category(table, names):
     return FinCategory(end.field, list(names), homdim, comp)
 
 
-def auslander_category(ambient, budget=512):
+def auslander_category(ambient):
     """The Auslander algebra: End of the sum of all indecomposables.
     Returns (FinCategory, ARQuiver of the ambient)."""
-    ar, modules, names = _knit_indecomposables(ambient, budget)
+    ar, modules, names = _knit_indecomposables(ambient)
     return endomorphism_category(ar.table, names), ar
 
 
-def _knit_indecomposables(ambient, budget):
-    """The AR quiver, its modules and their unique names; NotRepFinite
-    when knitting gives up."""
-    ar = knit(ambient, budget=budget)
+def _knit_indecomposables(ambient):
+    """The AR quiver, its modules and their unique names, or NotRepFinite."""
+    ar = knit(ambient)
     return ar, [ar.module(i) for i in range(ar.count)], \
         _unique_names(ar.labels())
 
 
-def build_sk(ambient, k, budget=512):
+def build_sk(ambient, k):
     """Glue k+1 copies of the module category of a hereditary
     representation-finite algebra along Ext^1."""
+    _check_k_and_n(k, 1)
     if gldim(ambient) != 1:
         raise NotHereditary("global dimension is not 1")
-    ar, modules, names = _knit_indecomposables(ambient, budget)
+    ar, modules, names = _knit_indecomposables(ambient)
     glued = build_glued(ambient, modules, names, 1, k, ar.table)
     glued.ar = ar
     return glued
 
 
-def build_mk(ambient, k, n, modules=None, budget=512):
+def build_mk(ambient, k, n, modules=None):
     """Glue k+1 copies of an n-cluster-tilting subcategory along Ext^n.
     With modules=None the subcategory is generated from the injectives by
     the higher translate tau_n."""
-    modules, names, table = cluster_tilting_subcategory(
-        ambient, n, modules, budget)
+    _check_k_and_n(k, n)
+    modules, names, table = cluster_tilting_subcategory(ambient, n, modules)
     return build_glued(ambient, modules, names, n, k, table)
 
 
-def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
+def cluster_tilting_subcategory(ambient, n, modules=None):
     """The subcategory that build_mk glues and `ausglue angles` lists:
     GldimTooBig unless gldim(ambient) <= n, InvalidParams at gldim 0 (a
     semisimple ambient has no Ext^n to glue along), and NotClusterTilting
@@ -183,7 +188,7 @@ def cluster_tilting_subcategory(ambient, n, modules=None, budget=512):
         raise InvalidParams("gldim 0: the algebra is semisimple, so there "
                             "is no Ext to glue along")
     if modules is None:
-        modules = cluster_tilting_from_tau_n(ambient, n, budget=budget)
+        modules = cluster_tilting_from_tau_n(ambient, n)
     names = _unique_names([vertex_label(ambient, M) for M in modules])
     table = hom_table(ambient, modules, names)
     ok, witness = is_cluster_tilting(ambient, modules, n, table)
@@ -259,16 +264,21 @@ def is_cluster_tilting(ambient, modules, n, table=None):
     return True, None
 
 
-def cluster_tilting_from_tau_n(ambient, n, budget=512):
+# No bound is derived for the tau_n orbit at n >= 2: its modules need not be
+# directing, so Ovsienko's bound does not apply.  512 admits Auslander(A_r) at
+# n = 2, with 10, 20, 35, 56 and 84 closure modules for r = 3..7 (measured).
+ORBIT_LIMIT = 512
+
+
+def cluster_tilting_from_tau_n(ambient, n):
     """Closure of the indecomposable injectives under the higher translate
-    tau_n; raises OrbitDiverges past the budget, and NotRepFinite at once
-    for a multiple Gabriel arrow, whose tau_n-orbits do not end, and at
-    n = 1 for a module with a coordinate above OVSIENKO_BOUND: an ambient
-    that cluster_tilting_subcategory accepts is then hereditary, and no
-    indecomposable of a Dynkin quiver has one.  In an n-cluster-tilting
-    subcategory tau_n sends each indecomposable to an indecomposable
-    (Iyama 2007, Thm 2.3), and here every indecomposable has End = K, so
-    a tau_n(M) with a larger End raises NotClusterTilting."""
+    tau_n.  Raises NotRepFinite at once for a multiple Gabriel arrow, whose
+    tau_n-orbits do not end, and at n = 1, where the ambient is hereditary,
+    at a module above OVSIENKO_BOUND (knitting module docstring), so the
+    orbit ends; at n >= 2, OrbitDiverges past ORBIT_LIMIT modules.  In an
+    n-cluster-tilting subcategory tau_n sends each indecomposable to an
+    indecomposable (Iyama 2007, Thm 2.3), and here every indecomposable
+    has End = K, so a tau_n(M) with a larger End raises NotClusterTilting."""
     single_gabriel_arrows(ambient)
     # a basic category has pairwise non-isomorphic injectives
     found = [injective_module(ambient, x) for x in ambient.objects]
@@ -288,8 +298,8 @@ def cluster_tilting_from_tau_n(ambient, n, budget=512):
                                     % (M.dim_vector(), e))
         if any(modules_isomorphic(T, M2) for M2 in found):
             continue
-        if len(found) >= budget:
-            raise OrbitDiverges("more than %d orbit modules" % budget)
+        if n > 1 and len(found) >= ORBIT_LIMIT:
+            raise OrbitDiverges("more than %d orbit modules" % ORBIT_LIMIT)
         found.append(T)
         queue.append(T)
     return found

@@ -12,18 +12,21 @@ table's structure constants rather than middle-term bookkeeping; the
 mesh property ties the two together and is checked exhaustively in the
 tests.
 
-A knitted module with a coordinate above 6 shows that an algebra of
-global dimension <= 2 is not representation-directed: were it, the
-dimension vectors of its indecomposables would be positive roots of a
-weakly positive unit form, all <= 6 (Ringel, LNM 1099, 2.4; Bongartz 1983;
-Ovsienko 1978).
+A knitted module with a coordinate above 6 shows, at any global
+dimension, that the algebra A is not representation-directed (Ringel,
+LNM 1099, 2.4; Ovsienko 1978).  Were it, each indecomposable M would be
+(1) directing, so (2) sincere and directing over its support algebra
+B = A/<e>, e the sum of the idempotents where M = 0, as a cycle in mod B
+is one in mod A; so (3) gl.dim B <= 2 and dim M is a positive root of
+the weakly positive Euler form chi_B, a unit form as B is triangular;
+so (4) each coordinate of dim M is at most 6, by Ovsienko's theorem.
 """
 
 from functools import cached_property
 
 from .quiver import topological_order
 from .fincat import projective_module, module_label
-from .homology import tau_inv, gldim, hom_table
+from .homology import tau_inv, hom_table
 from .errors import NotRepFinite
 
 OVSIENKO_BOUND = 6
@@ -100,7 +103,7 @@ def single_gabriel_arrows(cat):
     return arrows
 
 
-def knit(cat, budget=512):
+def knit(cat):
     """Full list of indecomposables, with tau, the projectives and the
     injectives marked; hom bases and arrows follow on first read.
 
@@ -108,13 +111,12 @@ def knit(cat, budget=512):
     tau^{-1} is injective on iso classes, no tau^{-1}M is projective, and
     the P_x of a basic category are pairwise distinct.  A directing module
     is determined by its dimension vector (Ringel, LNM 1099, 2.4), so
-    NotRepFinite is raised at the first repeated dimension vector, past
-    the budget (the algebra is then likely not representation-finite), at
-    once for a multiple Gabriel arrow (single_gabriel_arrows), and at the
-    first module with a coordinate above OVSIENKO_BOUND when cat has
-    global dimension <= 2; gldim is computed only then."""
+    NotRepFinite is raised at the first repeated dimension vector, at once
+    for a multiple Gabriel arrow (single_gabriel_arrows), and at the first
+    module with a coordinate above OVSIENKO_BOUND (module docstring).
+    Vectors with coordinates <= OVSIENKO_BOUND are finitely many, so
+    knitting always ends."""
     arrows = single_gabriel_arrows(cat)
-    small_gldim = None
     mods = []
     dimvecs = []
     tau_map = {}
@@ -122,6 +124,10 @@ def knit(cat, budget=512):
 
     def add(M):
         dv = M.dim_vector()
+        if max(dv) > OVSIENKO_BOUND:
+            raise NotRepFinite("not representation-directed: dimension "
+                               "vector %s has a coordinate above %d "
+                               "(Ovsienko's bound)" % (dv, OVSIENKO_BOUND))
         if dv in dimvecs:
             raise NotRepFinite(
                 "not representation-directed: two knitted indecomposables "
@@ -137,17 +143,6 @@ def knit(cat, budget=512):
             nxt = tau_inv(mods[cur])
             if nxt.total_dim() == 0:
                 break
-            if len(mods) >= budget:
-                raise NotRepFinite("more than %d indecomposables" % budget)
-            dv = nxt.dim_vector()
-            if max(dv) > OVSIENKO_BOUND:
-                if small_gldim is None:
-                    small_gldim = gldim(cat) <= 2
-                if small_gldim:
-                    raise NotRepFinite(
-                        "not representation-directed: dimension vector %s has "
-                        "a coordinate above %d at global dimension <= 2 "
-                        "(Ovsienko's bound)" % (dv, OVSIENKO_BOUND))
             nxt_idx = add(nxt)
             tau_map[nxt_idx] = cur
             cur = nxt_idx

@@ -156,10 +156,10 @@ def expected_glued_ar_arrows(ambient, ar, names, k):
 # verification pipelines
 
 
-def verify_theorem_dynkin(spec, k, field=None, budget=512):
+def verify_theorem_dynkin(spec, k, field=None):
     """Full verification for the hereditary tower.  spec is a DynkinSpec or
-    a relation-free BoundPresentation; non-representation-finite input is
-    rejected by the knitting budget (NotRepFinite)."""
+    a relation-free BoundPresentation; knit refuses a representation-
+    infinite quiver (NotRepFinite) at Ovsienko's bound."""
     field = field or default_field()
     if isinstance(spec, DynkinSpec):
         pres = hereditary_presentation(spec)
@@ -169,17 +169,16 @@ def verify_theorem_dynkin(spec, k, field=None, budget=512):
         pres = spec
         desc = "quiver on %d vertices" % len(spec.quiver.vertices)
     ambient = category_from_presentation(pres, field)
-    glued = build_sk(ambient, k, budget=budget)
+    glued = build_sk(ambient, k)
     rep = _verify_glued(glued, desc, gldim_id="thm1.2")
     _add_quiver_claim(rep, glued)
     return rep
 
 
-def verify_theorem_higher(ambient, k, n, modules=None, input_desc="higher",
-                          budget=512):
+def verify_theorem_higher(ambient, k, n, modules=None, input_desc="higher"):
     """Full verification for the n-cluster-tilting tower over an algebra of
     global dimension <= n."""
-    glued = build_mk(ambient, k, n, modules=modules, budget=budget)
+    glued = build_mk(ambient, k, n, modules=modules)
     return _verify_glued(glued, input_desc, gldim_id="thm1.3")
 
 

@@ -39,8 +39,8 @@ images)."""
 
 from itertools import product
 
-from ausglue.errors import (InfiniteDimensional, InvalidParams,
-                            NotComposable, NotDirected)
+from ausglue.errors import (AusglueError, InfiniteDimensional,
+                            InvalidParams, NotDirected)
 from ausglue.fincat import CatModule, FinCategory, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
@@ -582,6 +582,10 @@ def pdim(M):
 def tau(M):
     """AR translate DTr; zero on projectives."""
     return tau_n(M, 1)
+
+
+class NotComposable(AusglueError):
+    """Two morphisms given to yoneda_compose that do not compose."""
 
 
 def yoneda_compose(glued, g, f):

@@ -304,7 +304,7 @@ def test_criterion_9_negative_controls(aus_setup):
         ok &= not passed
     kron = BoundPresentation(Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [])
     try:
-        verify_theorem_dynkin(kron, 1, budget=32)
+        verify_theorem_dynkin(kron, 1)
         ok = False
     except NotRepFinite:
         pass

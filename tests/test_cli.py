@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from ausglue import glue
 from ausglue.cli import main
 
 
@@ -177,10 +178,29 @@ def test_out_of_scope_ambient_is_refused_with_its_reason(runner, tmp_path,
     """verify and angles refuse a semisimple ambient with the same reason,
     before evaluating any claim; at n = 1 a representation-infinite
     hereditary ambient is refused at the first tau-orbit module above
-    Ovsienko's bound, not after the orbit budget."""
+    Ovsienko's bound."""
     r = runner.invoke(main, _with_quiver_files(tmp_path, args))
     assert r.exit_code == 2
     assert "error: " + message in r.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--nakayama", "4,3", "--k", "1", "--n", "0"], "n = 0: "),
+    (["verify", "--nakayama", "4,3", "--k", "-1", "--n", "2"], "k = -1: "),
+    (["verify", "--dynkin", "A3", "--k", "-1"], "k = -1: "),
+    (["ar", "--dynkin", "A3", "--glued", "--k", "-1"], "k = -1: "),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_bad_k_or_n_is_refused_before_any_work(runner, monkeypatch, args,
+                                               message):
+    """A negative k or an n below 1 is refused by its value before any
+    global dimension, knitting or tau_n-closure."""
+    def forbidden(*a, **kw):
+        raise AssertionError("work done before the k and n checks")
+    for name in ("gldim", "knit", "cluster_tilting_from_tau_n"):
+        monkeypatch.setattr(glue, name, forbidden)
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: " + message)
 
 
 # not representation-directed: two knitted indecomposables share a
@@ -232,22 +252,33 @@ def test_ar_not_directed_exits_two(runner, tmp_path):
 # gldim 2 and representation-infinite: its tau^-1 orbits grow without end
 OVSIENKO_PROBE = ("quiver\narrow a0 1 4\narrow a1 1 2\narrow a2 4 2\n"
                   "arrow a3 2 3\nrelation a2.a3\n")
+# D~4 with a tail of zero relations: gldim 3 and representation-infinite
+D4_TILDE_TAIL = ("quiver\narrow b1 a1 c\narrow b2 a2 c\narrow b3 a3 c\n"
+                 "arrow b4 a4 c\narrow t0 u0 u1\narrow t1 u1 u2\n"
+                 "arrow t2 u2 a1\nrelation t0.t1\nrelation t1.t2\n")
 
 
-@pytest.mark.parametrize("args, messages", [
-    pytest.param(["verify", "--k", "1", "--n", "2", "--field", "3"],
+@pytest.mark.parametrize("text, args, messages", [
+    pytest.param(OVSIENKO_PROBE,
+                 ["verify", "--k", "1", "--n", "2", "--field", "3"],
                  ["error: not a generator: P_1 is not among them"],
                  id="verify"),
-    pytest.param(["ar"], ["error: not representation-directed:",
-                          "dimension vector (6, 6, 7, 0)"], id="ar"),
+    pytest.param(OVSIENKO_PROBE, ["ar"],
+                 ["error: not representation-directed:",
+                  "dimension vector (6, 6, 7, 0)"], id="ar"),
+    pytest.param(D4_TILDE_TAIL, ["ar"],
+                 ["error: not representation-directed:",
+                  "dimension vector (3, 7, 2, 3, 3, 0, 0, 1) has a "
+                  "coordinate above 6"], id="ar-gldim-3"),
 ])
-def test_ovsienko_bound_ends_knitting(runner, tmp_path, args, messages):
+def test_ovsienko_bound_ends_knitting(runner, tmp_path, text, args,
+                                      messages):
     """Knitting stops at the first module with a coordinate above 6, which
-    over an algebra of global dimension <= 2 no directing module has.
-    verify --n 2 knits nothing: the tau_2-closure of the injectives, which
-    ends, misses P_1."""
+    no directing module has, at any global dimension.  verify --n 2 knits
+    nothing: the tau_2-closure of the injectives, which ends, misses
+    P_1."""
     qf = tmp_path / "probe.quiver"
-    qf.write_text(OVSIENKO_PROBE)
+    qf.write_text(text)
     r = runner.invoke(main, [args[0], "--quiver-file", str(qf)] + args[1:])
     assert r.exit_code == 2
     for message in messages:

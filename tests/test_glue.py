@@ -2,8 +2,8 @@ import sys
 
 import pytest
 
-from ausglue.errors import (NotComposable, NotHereditary, GldimTooBig,
-                            NotClusterTilting, NotRepFinite)
+from ausglue.errors import (NotHereditary, GldimTooBig, NotClusterTilting,
+                            NotRepFinite, OrbitDiverges)
 from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear,
@@ -19,7 +19,7 @@ from ausglue.glue import (build_sk, build_mk, build_glued, is_rigid,
                           is_cluster_tilting, cluster_tilting_from_tau_n)
 import oracles
 from oracles import (direct_sum, hom_by_naturality, hom_dim, simple_module,
-                     pdim, tau, yoneda_compose)
+                     pdim, tau, yoneda_compose, NotComposable)
 
 FIELD = default_field()
 
@@ -390,6 +390,15 @@ def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):
         cluster_tilting_from_tau_n(nak, 2)
 
 
+def test_orbit_limit_caps_only_n_above_one(monkeypatch):
+    """ORBIT_LIMIT caps the tau_n orbit at n >= 2 only; at n = 1 the
+    ambient is hereditary and Ovsienko's bound ends the orbit."""
+    monkeypatch.setattr(glue, "ORBIT_LIMIT", 3)
+    assert len(cluster_tilting_from_tau_n(A3, 1)) == 6
+    with pytest.raises(OrbitDiverges, match="^more than 3 orbit modules$"):
+        cluster_tilting_from_tau_n(nakayama(), 2)
+
+
 def test_hom_table_built_once(monkeypatch):
     """One hom table per module list: build_sk, a whole A3 verdict with
     k = 1 (quiver claim included) and auslander_category each build the
@@ -499,7 +508,7 @@ def test_build_glued_lifts_only_what_a_block_reads(monkeypatch, n, k):
             ambient, n)
     else:
         ambient = A3
-        ar, modules, names = glue._knit_indecomposables(A3, 512)
+        ar, modules, names = glue._knit_indecomposables(A3)
         homs, end = ar.table
     m = len(modules)
     ext = {(a, b): ext_space(modules[a], modules[b], n).dim

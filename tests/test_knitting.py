@@ -1,13 +1,12 @@
 import pytest
 
 from ausglue.errors import NotRepFinite
-from ausglue import knitting
 from ausglue.linalg import Mat, QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import auslander_category
-from ausglue.homology import hom_modules, min_proj_resolution
+from ausglue.homology import gldim, hom_modules, min_proj_resolution
 from ausglue.knitting import knit, vertex_label, OVSIENKO_BOUND
 import oracles
 from oracles import (aus_rank, compose_maps, cover, flatten,
@@ -75,30 +74,36 @@ def test_hom_dims_match_interval_oracle():
                                              ar.module(j))) == expect
 
 
-def test_budget_exceeded_on_kronecker():
-    """knit refuses a multiple Gabriel arrow and an exceeded budget as one
-    type, NotRepFinite."""
+def test_kronecker_refused_at_its_multiple_arrow():
+    """knit refuses a multiple Gabriel arrow at once, as NotRepFinite."""
     q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
     cat = category_from_presentation(BoundPresentation(q, []), FIELD)
     with pytest.raises(NotRepFinite, match="^representation-infinite: 2 "
                        "Gabriel arrows 1 -> 2 "):
-        knit(cat, budget=16)
-    with pytest.raises(NotRepFinite, match="^more than 4 indecomposables$"):
-        knit(make(DynkinSpec("A", 3)), budget=4)
+        knit(cat)
 
 
 @pytest.mark.parametrize("spec, top", [
     (DynkinSpec("E", 7), 4), (DynkinSpec("E", 8), 6),
+    # (m, ell): nakayama_linear(m, ell), of global dimension 3 to 6
+    ((4, 2), 1), ((5, 2), 1), ((6, 2), 1), ((7, 2), 1),
+    ((6, 3), 1), ((7, 3), 1), ((8, 4), 1),
 ], ids=str)
-def test_ovsienko_bound_is_tight(spec, top, monkeypatch):
+def test_ovsienko_bound_is_tight(spec, top):
     """Every positive root of E7 and E8 has its coordinates <= 6, and the
     highest root of E8 reaches 6, so the bound in knit refuses no Dynkin
-    input, and knitting one computes no global dimension."""
-    def forbidden(cat):
-        raise AssertionError("gldim computed")
-    monkeypatch.setattr(knitting, "gldim", forbidden)
-    ar = knit(make(spec))
-    assert ar.count == spec.positive_root_count()
+    input.  Nor does it refuse a representation-directed algebra of
+    global dimension above 2: these linear Nakayama algebras knit
+    completely, to their interval modules."""
+    if isinstance(spec, DynkinSpec):
+        cat, count = make(spec), spec.positive_root_count()
+    else:
+        m, ell = spec
+        cat = category_from_presentation(nakayama_linear(m, ell), FIELD)
+        count = sum(m - j for j in range(ell))  # intervals of length <= ell
+        assert gldim(cat) >= 3
+    ar = knit(cat)
+    assert ar.count == count
     assert max(max(dv) for _, dv in ar.vertices) == top <= OVSIENKO_BOUND
 
 

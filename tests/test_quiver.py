@@ -216,7 +216,7 @@ def test_quiver_file_gives_category_or_input_error(text):
         return
     assert isinstance(cat, FinCategory)
     try:
-        ar = knit(cat, budget=64)
+        ar = knit(cat)
     except AusglueError:
         return
     dimvecs = [dv for _, dv in ar.vertices]

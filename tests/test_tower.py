@@ -235,7 +235,7 @@ def test_verify_rejects_infinite_type():
     kron = BoundPresentation(
         Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [])
     with pytest.raises(NotRepFinite):
-        verify_theorem_dynkin(kron, 1, budget=16)
+        verify_theorem_dynkin(kron, 1)
 
 
 def test_rigidity_witness_names_modules(monkeypatch):
