@@ -18,7 +18,7 @@ from .quiver import (DynkinSpec, hereditary_presentation, nakayama_linear,
 from .pathcat import category_from_presentation
 from .knitting import knit
 from .glue import (build_sk, auslander_category, cluster_tilting_subcategory,
-                   _unique_names)
+                   _check_k_and_n, _unique_names)
 from .tower import (verify_theorem_dynkin, verify_theorem_higher,
                     four_angles)
 from .errors import AusglueError, InvalidDynkinSpec, InvalidParams
@@ -35,7 +35,7 @@ def _parse_field(text):
 
 def _resolve_field(flag):
     text = os.environ.get("AUSGLUE_FIELD") or flag
-    return _parse_field(text) if text else default_field()
+    return default_field() if text is None else _parse_field(text)
 
 
 def _parse_dynkin(text):
@@ -191,6 +191,9 @@ def cmd_verify(dynkin_text, nakayama_text, auslander_text, quiver_file,
                k, n, field_text, out_path):
     """Run the verification pipeline and emit a JSON report."""
     field = _resolve_field(field_text)
+    if n is None and dynkin_text is None:
+        raise InvalidParams("--n is required for any input but --dynkin")
+    _check_k_and_n(k, 1 if n is None else n)
     if dynkin_text is not None and \
             {nakayama_text, auslander_text, quiver_file} == {None}:
         if n not in (None, 1):
@@ -198,8 +201,6 @@ def cmd_verify(dynkin_text, nakayama_text, auslander_text, quiver_file,
         rep = verify_theorem_dynkin(_parse_dynkin(dynkin_text), k,
                                     field=field)
     else:
-        if n is None and dynkin_text is None:
-            raise InvalidParams("--n is required for any input but --dynkin")
         ambient, desc = _ambient(field, dynkin_text, nakayama_text,
                                  auslander_text, quiver_file)
         rep = verify_theorem_higher(ambient, k, n, input_desc=desc)

@@ -64,9 +64,6 @@ class FinCategory:
 
     # -- basic structure ----------------------------------------------
 
-    def dim(self, x, y):
-        return self.homdim[(x, y)]
-
     def total_dimension(self):
         return self._total_dimension
 
@@ -253,16 +250,11 @@ def dual_projective_module(cat, x):
 
 
 def dual_module(M):
-    """D(M): a module over the opposite category, on the dual spaces."""
-    op = M.cat.opposite()
-    act = {}
-    for x in M.support:
-        for y in M.support:
-            d = op.homdim[(x, y)]  # = hom_C(y, x)
-            if d == 0:
-                continue
-            act[(x, y)] = [M.action(y, x, i).transpose() for i in range(d)]
-    return CatModule(op, M.dims, act)
+    """D(M): a module over the opposite category, on the dual spaces.  Only
+    the actions M stores are transposed; any other reads as zero."""
+    return CatModule(M.cat.opposite(), M.dims,
+                     {(y, x): [m.transpose() for m in mats]
+                      for (x, y), mats in M.act.items()})
 
 
 def projective_label(M):

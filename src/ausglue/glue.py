@@ -42,13 +42,6 @@ class GluedCategory:
         self.k = k
         self.ar = None
 
-    def obj(self, a, shift):
-        return (self.names[a], shift)
-
-    @property
-    def rank(self):
-        return len(self.cat.objects)
-
 
 def _unique_names(labels):
     seen = {}
@@ -142,7 +135,7 @@ def endomorphism_category(table, names):
 def auslander_category(ambient):
     """The Auslander algebra: End of the sum of all indecomposables.
     Returns (FinCategory, ARQuiver of the ambient)."""
-    ar, modules, names = _knit_indecomposables(ambient)
+    ar, _, names = _knit_indecomposables(ambient)
     return endomorphism_category(ar.table, names), ar
 
 

@@ -250,14 +250,13 @@ class ExtSpace:
     basis, discarding coboundaries.
     """
 
-    def __init__(self, X, Y, n, resolution, reps, cob_rows):
-        self.X = X
+    def __init__(self, Y, n, resolution, reps, cob_rows):
         self.Y = Y
         self.n = n
         self.resolution = resolution
         self.reps = reps
         self.cob_rows = cob_rows
-        self.field = X.cat.field
+        self.field = Y.cat.field
         self._factor = None
 
     @property
@@ -300,7 +299,7 @@ def ext_space(X, Y, n):
     hom_n = sum(Y.dims[b] for b in res.frees[n].summands) \
         if n <= res.length else 0
     if not hom_n:
-        return ExtSpace(X, Y, n, res, [], [])
+        return ExtSpace(Y, n, res, [], [])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
     if n < len(res.diffs):
         U = res.frees[n].hom_into(Y, res.frees[n + 1].summands,
@@ -325,7 +324,7 @@ def ext_space(X, Y, n):
         c = len(cob_rows)
         pivots = Mat.from_cols(f, cob_rows + zvecs).rref()[1]
         reps = [zvecs[j - c] for j in pivots if j >= c]
-    return ExtSpace(X, Y, n, res, reps, cob_rows)
+    return ExtSpace(Y, n, res, reps, cob_rows)
 
 
 def _unit(f, n, i):

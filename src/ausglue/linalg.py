@@ -149,9 +149,6 @@ class Mat:
 
     # -- basics -------------------------------------------------------
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -188,9 +185,6 @@ class Mat:
             rows = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
         return Mat._wrap(self.field, rows, self.nrows, self.ncols)
 
-    def __sub__(self, other):
-        return self + other.scale(self.field(-1))
-
     def scale(self, c):
         c = self.field(c)
         p = self.field.p
@@ -205,23 +199,6 @@ class Mat:
         m = Mat.__new__(Mat)
         m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
         return m
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch: %dx%d * %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
-        p = self.field.p
-        z = self.field.zero
-        bt = other.transpose().rows
-        out = []
-        if p is None:
-            for r in self.rows:
-                out.append([sum((a * b for a, b in zip(r, c)), z) for c in bt])
-        else:
-            for r in self.rows:
-                out.append([sum(a * b for a, b in zip(r, c)) % p for c in bt])
-        return Mat._wrap(self.field, out, self.nrows, other.ncols)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list); returns a list."""

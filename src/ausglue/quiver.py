@@ -51,17 +51,13 @@ class Quiver:
         self.source = {aid: s for aid, s, t in self.arrows}
         self.target = {aid: t for aid, s, t in self.arrows}
 
-    def topological_order(self):
-        """Vertices in a source-first order; None if the quiver has an
-        oriented cycle.  Ties broken by position in the vertex list."""
+    @property
+    def is_acyclic(self):
+        """Whether the quiver has no oriented cycle."""
         succ = {v: [] for v in self.vertices}
         for _, s, t in self.arrows:
             succ[s].append(t)
-        return topological_order(self.vertices, succ)
-
-    @property
-    def is_acyclic(self):
-        return self.topological_order() is not None
+        return topological_order(self.vertices, succ) is not None
 
     def path_source(self, path):
         return self.source[path[0]]

@@ -125,7 +125,7 @@ def sigma(glued):
 # expected AR quiver of the glued category (hereditary case)
 
 
-def expected_glued_ar_arrows(ambient, ar, names, k):
+def expected_glued_ar_arrows(ar, names, k):
     """AR quiver of the glued category built independently of the category:
     k+1 copies of the AR quiver of the ambient, plus connecting arrows
     I -> P[next]: an injective with socle x maps irreducibly to P_a[1] iff
@@ -297,8 +297,7 @@ def _coresolution_witness(cat, dims, value):
 
 
 def _add_quiver_claim(rep, glued):
-    expected = expected_glued_ar_arrows(glued.ambient, glued.ar, glued.names,
-                                        glued.k)
+    expected = expected_glued_ar_arrows(glued.ar, glued.names, glued.k)
     computed = glued.cat.gabriel_arrows()
     rep.add("thm1.2.quiver_ar", "thm1.2", expected, computed,
             witness=sorted(set(expected) ^ set(computed), key=str))

@@ -44,9 +44,22 @@ from ausglue.errors import (AusglueError, InfiniteDimensional,
 from ausglue.fincat import CatModule, FinCategory, FreeModule, ModuleMap
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
-from ausglue.linalg import (Mat, NoSolution, row_space_basis,
+from ausglue.linalg import (FieldMismatch, Mat, NoSolution, row_space_basis,
                             echelon_columns, quotient_coords)
 from ausglue.quiver import Quiver
+
+
+def matmul(a, b):
+    """The product a b of two Mats over one field, entry by entry: the one
+    matrix product of the tests."""
+    if a.field != b.field:
+        raise FieldMismatch("%r vs %r" % (a.field, b.field))
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch: %dx%d * %dx%d"
+                         % (a.nrows, a.ncols, b.nrows, b.ncols))
+    cols = b.transpose().rows
+    return Mat(a.field, [[sum(u * v for u, v in zip(r, c)) for c in cols]
+                         for r in a.rows], a.nrows, b.ncols)
 
 
 def compose(cat, x, y, z, g, f):
@@ -195,7 +208,7 @@ def check_module(M):
                         f = basis_vec(c, x, y, j)
                         gf = compose(c, x, y, z, g, f)
                         if M.act_elem(x, z, gf) != \
-                                M.action(y, z, i) * M.action(x, y, j):
+                                matmul(M.action(y, z, i), M.action(x, y, j)):
                             return False
     return True
 
@@ -222,7 +235,7 @@ def compose_maps(phi, other):
     """phi o other."""
     b = other.mats
     return ModuleMap(other.src, phi.dst,
-                     {x: m * b[x] for x, m in phi.mats.items()})
+                     {x: matmul(m, b[x]) for x, m in phi.mats.items()})
 
 
 def add_maps(phi, other):
@@ -285,7 +298,7 @@ class Submodule:
                 d = c.homdim[(x, y)]
                 if d == 0 or parent.dims[y] == 0:
                     continue
-                imgs = [parent.action(x, y, i) * Bx for i in range(d)]
+                imgs = [matmul(parent.action(x, y, i), Bx) for i in range(d)]
                 if dims[y] == 0:
                     if not all(img.is_zero() for img in imgs):
                         raise ValueError("subspace not action-stable")
@@ -325,7 +338,8 @@ class Quotient:
                 d = c.homdim[(x, y)]
                 if d == 0 or dims[x] == 0 or dims[y] == 0:
                     continue
-                act[(x, y)] = [proj[y] * parent.action(x, y, i) * sect[x]
+                act[(x, y)] = [matmul(matmul(proj[y], parent.action(x, y, i)),
+                                      sect[x])
                                for i in range(d)]
         self.module = CatModule(c, dims, act)
 
@@ -487,8 +501,8 @@ def is_natural(phi):
     for x in c.objects:
         for y in c.objects:
             for i in range(c.homdim[(x, y)]):
-                lhs = phi.dst.action(x, y, i) * phi.mats[x]
-                rhs = phi.mats[y] * phi.src.action(x, y, i)
+                lhs = matmul(phi.dst.action(x, y, i), phi.mats[x])
+                rhs = matmul(phi.mats[y], phi.src.action(x, y, i))
                 if lhs != rhs:
                     return False
     return True
@@ -533,10 +547,10 @@ def hom_by_naturality(M, N):
                         row = [f.zero] * total
                         for t in range(N.dims[x]):
                             # (A*T_x)[r,s] = sum_t A[r,t] T_x[t,s]
-                            row[offs[x] + t * M.dims[x] + s] = A[r, t]
+                            row[offs[x] + t * M.dims[x] + s] = A.rows[r][t]
                         for t in range(M.dims[y]):
                             v = row[offs[y] + r * M.dims[y] + t]
-                            row[offs[y] + r * M.dims[y] + t] = v - B[t, s]
+                            row[offs[y] + r * M.dims[y] + t] = v - B.rows[t][s]
                         if f.p is not None:
                             row = [v % f.p for v in row]
                         rows.append(row)
@@ -565,7 +579,7 @@ def identity_map(M):
 
 def hom_dim(glued, a, i, b, j):
     """dim hom(X_a[i], X_b[j]) in the glued category."""
-    return glued.cat.homdim[(glued.obj(a, i), glued.obj(b, j))]
+    return glued.cat.homdim[((glued.names[a], i), (glued.names[b], j))]
 
 
 def simple_module(cat, x):

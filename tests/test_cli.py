@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ausglue import glue
+from ausglue import cli, glue
 from ausglue.cli import main
 
 
@@ -134,9 +134,11 @@ def _with_quiver_files(tmp_path, args):
     ["ar"],
     ["ar", "--dynkin", "A3", "--quiver-file", "x"],
     ["ar", "--dynkin", "B9"],
+    ["ar", "--dynkin", "A"],
     ["ar", "--dynkin", "A3", "--field", "six"],
     ["ar", "--quiver-file", "/nonexistent/file"],
     ["verify", "--k", "1"],
+    ["verify", "--dynkin", "A3", "--k", "1", "--field", ""],
     ["verify", "--dynkin", "A3", "--k", "1", "--n", "2"],
     ["verify", "--nakayama", "4,3", "--k", "1"],
     ["verify", "--nakayama", "4", "--k", "1", "--n", "2"],
@@ -203,6 +205,23 @@ def test_bad_k_or_n_is_refused_before_any_work(runner, monkeypatch, args,
     assert r.stderr.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--auslander-of", "E7", "--k", "-1", "--n", "2"], "k = -1: "),
+    (["verify", "--nakayama", "4,3", "--k", "1", "--n", "0"], "n = 0: "),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_verify_checks_k_and_n_before_building_the_ambient(runner, monkeypatch,
+                                                          args, message):
+    """verify refuses a bad k or n by its value before it builds the
+    input category, which for --auslander-of knits the ambient and builds
+    its hom table."""
+    def forbidden(*a, **kw):
+        raise AssertionError("ambient built before the k and n checks")
+    monkeypatch.setattr(cli, "_ambient", forbidden)
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: " + message)
+
+
 # not representation-directed: two knitted indecomposables share a
 # dimension vector.  verify --n 2 knits nothing and refuses it because the
 # tau_2-closure of the injectives misses P_2.
@@ -225,9 +244,10 @@ NOT_DIRECTED_VERIFY = "not a generator: P_2 is not among them"
     ("quiver\narrow a 1 2\narrow b 2 1\nrelation a.b\nrelation b.a\n",
      "cyclic quivers are out of scope"),
     (NOT_DIRECTED, NOT_DIRECTED_VERIFY),
+    ("dynkin A\n", "dynkin header needs letter and rank"),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
         "unknown-relation-arrow", "no-arrows", "cycle-with-relations",
-        "not-directed"])
+        "not-directed", "dynkin-without-rank"])
 def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     qf = tmp_path / "bad.quiver"
     qf.write_text(text)

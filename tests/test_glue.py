@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from ausglue.errors import (NotHereditary, GldimTooBig, NotClusterTilting,
-                            NotRepFinite, OrbitDiverges)
+                            NotRepFinite, OrbitDiverges, NonSchurianVertex)
 from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear,
@@ -45,6 +45,16 @@ def test_axioms_exhaustive(s1_a3):
     for glued in (build_sk(A2, 1), s1_a3, build_mk(nakayama(), 1, 2)):
         assert oracles.check_identities(glued.cat) == (True, None)
         assert oracles.check_associativity(glued.cat) == (True, None)
+
+
+def test_hom_table_refuses_an_end_above_k():
+    """hom_table needs End = K of every module, and names the one that
+    fails: P_1 (+) P_1 has the 2 x 2 matrices over K as its End."""
+    P1 = projective_module(A3, 1)
+    M = direct_sum(A3, [P1, P1])[0]
+    with pytest.raises(NonSchurianVertex,
+                       match=r"End\(P_1\+P_1\) has dimension 4"):
+        hom_table(A3, [M], ["P_1+P_1"])
 
 
 def test_hom_table_cross_check(s1_a3):
@@ -114,9 +124,9 @@ def test_ext_after_ext_vanishes():
                 if hom_dim(g, b, 1, c, 2) == 0:
                     continue
                 assert hom_dim(g, a, 0, c, 2) == 0
-                e1 = (g.obj(a, 0), g.obj(b, 1),
+                e1 = ((g.names[a], 0), (g.names[b], 1),
                       [g.cat.field.one] * hom_dim(g, a, 0, b, 1))
-                e2 = (g.obj(b, 1), g.obj(c, 2),
+                e2 = ((g.names[b], 1), (g.names[c], 2),
                       [g.cat.field.one] * hom_dim(g, b, 1, c, 2))
                 assert yoneda_compose(g, e2, e1)[2] == []
                 found += 1
@@ -437,7 +447,7 @@ def test_hom_table_built_once(monkeypatch):
     nak = nakayama()
     ct = cluster_tilting_from_tau_n(nak, 2)
     del tables[:]
-    assert build_mk(nak, 1, 2, modules=ct).rank == 12
+    assert len(build_mk(nak, 1, 2, modules=ct).cat.objects) == 12
     assert (len(tables), knits) == (1, [])
     del tables[:]
     assert is_cluster_tilting(nak, ct, 2) == (True, None)
@@ -453,7 +463,7 @@ def test_field_independence_of_hom_tables():
 
 def test_glued_rank_and_gaps():
     g = build_sk(A2, 3)
-    assert g.rank == 3 * 4
+    assert len(g.cat.objects) == 3 * 4
     for (src, dst), d in g.cat.homdim.items():
         if dst[1] - src[1] not in (0, 1):
             assert d == 0

@@ -345,7 +345,7 @@ def _reference_reduce(ext, vec):
         return []
     A = Mat.from_cols(f, list(ext.cob_rows) + list(ext.reps))
     sol = A.solve(Mat.from_cols(f, [vec]))
-    return [sol[len(ext.cob_rows) + i, 0] for i in range(len(ext.reps))]
+    return [sol.rows[len(ext.cob_rows) + i][0] for i in range(len(ext.reps))]
 
 
 def test_ext_reduce_matches_solve_reference():

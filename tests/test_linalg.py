@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ausglue.linalg
-from ausglue.linalg import (Field, Mat, QQ, GF, default_field, NoSolution,
-                            row_space_basis)
+from ausglue.linalg import (Field, FieldMismatch, Mat, QQ, GF, default_field,
+                            NoSolution, row_space_basis)
 from ausglue.quiver import DynkinSpec
 from ausglue.tower import verify_theorem_dynkin
-from oracles import block_diag, inverse
+from oracles import block_diag, inverse, matmul
 
 FIELDS = [QQ, GF(5), default_field()]
 
@@ -200,7 +200,7 @@ def test_rank_and_kernel_properties(field, data):
     k = m.kernel_basis()
     assert k.ncols == m.ncols - r
     if k.ncols:
-        assert (m * k).is_zero()
+        assert matmul(m, k).is_zero()
     if field == QQ:
         assert_matches_fraction_reference(m)
 
@@ -213,9 +213,9 @@ def test_solve_roundtrip(field, data):
     x = data.draw(mats(field, max_n=3))
     if x.nrows != a.ncols:
         x = Mat(field, [[1] * 2 for _ in range(a.ncols)], a.ncols, 2)
-    b = a * x
+    b = matmul(a, x)
     x2 = a.solve(b)
-    assert a * x2 == b
+    assert matmul(a, x2) == b
     if field == QQ:
         assert x2.rows == _fraction_solve(a.rows, b.rows)
 
@@ -231,9 +231,22 @@ def test_coords_in_a_row_space_basis():
 
 def test_inverse():
     m = Mat(GF(5), [[1, 2], [3, 4]])
-    assert m * inverse(m) == Mat.identity(GF(5), 2)
+    assert matmul(m, inverse(m)) == Mat.identity(GF(5), 2)
     with pytest.raises(ValueError):
         inverse(Mat.zero(QQ, 2, 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Mat(QQ, [[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: Mat(QQ, [[1]]) + Mat(GF(5), [[1]]), FieldMismatch, "QQ vs GF"),
+    (lambda: Mat(QQ, [[1]]) + Mat(QQ, [[1, 2]]), ValueError,
+     "shape mismatch"),
+    (lambda: Mat.identity(QQ, 2).solve(Mat(QQ, [[1]])), ValueError,
+     "rhs row count mismatch"),
+], ids=["ragged", "field-mismatch", "add-shapes", "solve-rows"])
+def test_mat_refuses_operands_that_do_not_fit(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_block_ops():

@@ -14,9 +14,9 @@ def a_linear(n):
 
 def test_a2_hom_dims():
     cat = category_from_presentation(a_linear(2), QQ)
-    assert cat.dim(1, 2) == 1
-    assert cat.dim(2, 1) == 0
-    assert cat.dim(1, 1) == cat.dim(2, 2) == 1
+    assert cat.homdim[(1, 2)] == 1
+    assert cat.homdim[(2, 1)] == 0
+    assert cat.homdim[(1, 1)] == cat.homdim[(2, 2)] == 1
 
 
 def test_one_vertex():
@@ -28,16 +28,16 @@ def test_one_vertex():
 
 def test_nakayama_relations_kill_paths():
     cat = category_from_presentation(nakayama_linear(4, 3), QQ)
-    assert cat.dim(1, 4) == 0
-    assert cat.dim(1, 3) == 1
-    assert cat.dim(2, 4) == 1
+    assert cat.homdim[(1, 4)] == 0
+    assert cat.homdim[(1, 3)] == 1
+    assert cat.homdim[(2, 4)] == 1
 
 
 def test_commutativity_relation():
     q = Quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)])
     pres = BoundPresentation(q, [[(1, ("a", "b")), (-1, ("c",))]])
     cat = category_from_presentation(pres, QQ)
-    assert cat.dim(1, 3) == 1
+    assert cat.homdim[(1, 3)] == 1
     g = [cat.field.one]
     f = [cat.field.one]
     assert oracles.compose(cat, 1, 2, 3, g, f) == [cat.field.one]

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 import ausglue.linalg
 from ausglue.cli import main
-from ausglue.errors import NotRepFinite
+from ausglue.errors import NoApproximation, NotRepFinite
 from ausglue.linalg import QQ, GF, default_field, row_space_basis
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear,
@@ -69,7 +69,7 @@ def expected_glued(copy_arrows, connecting, k):
 
 def test_glued_quiver_a3():
     g = build_sk(A3, 1)
-    assert g.rank == 12
+    assert len(g.cat.objects) == 12
     arrows = glued_arrow_set(g.cat)
     assert len(arrows) == 14
     assert arrows == expected_glued(A3_COPY_ARROWS, A3_CONNECTING, 1)
@@ -77,7 +77,7 @@ def test_glued_quiver_a3():
 
 def test_glued_quiver_d4():
     g = build_sk(D4, 1)
-    assert g.rank == 24
+    assert len(g.cat.objects) == 24
     arrows = glued_arrow_set(g.cat)
     assert len(arrows) == 33
     assert arrows == expected_glued(D4_COPY_ARROWS, D4_CONNECTING, 1)
@@ -87,7 +87,7 @@ def test_expected_arrows_helper_matches_category():
     for cat, k in ((A3, 2), (D4, 1)):
         g = build_sk(cat, k)
         ar = knit(cat)
-        exp = expected_glued_ar_arrows(cat, ar, g.names, k)
+        exp = expected_glued_ar_arrows(ar, g.names, k)
         assert exp == glued_arrow_set(g.cat)
 
 
@@ -208,6 +208,17 @@ def test_four_angles():
         ("P_I_2", ("P_P_1",), ("P_P_3",), "I_P_2"),
         ("P_I_1", ("P_P_1",), ("P_P_2",), "I_S_2"),
     ])
+
+
+def test_four_angles_refuses_modules_that_are_not_cluster_tilting():
+    """Over hereditary A3 every injective coresolution of a knitted module
+    has length at most 1, never the 2 of a 4-angle, so four_angles raises
+    NoApproximation at the first non-injective module."""
+    ar = knit(A3)
+    with pytest.raises(NoApproximation, match=r"coresolution of P_2 has "
+                       r"shape \[\[3\], \[1\]\]"):
+        four_angles(A3, [ar.module(i) for i in range(ar.count)],
+                    _unique_names(ar.labels()))
 
 
 def test_verify_report_shape():
