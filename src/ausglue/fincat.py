@@ -20,8 +20,9 @@ the off-diagonal hom spaces.  One routine, submodule_top, takes the top
 of a module and of every syzygy inside its free module.  A map out of a
 free module is kept only as the images of its generators (Yoneda), one
 vector per summand, and applied through its Yoneda columns at one object
-at a time.  Hom between modules, and with it the isomorphism test, is
-read off minimal resolutions in homology.
+at a time, and so is a map between modules (ModuleMap), by the
+generators of its source's cover.  Hom between modules, and with it the
+isomorphism test, is read off minimal resolutions in homology.
 """
 
 import weakref
@@ -196,22 +197,13 @@ class CatModule:
 
 class ModuleMap:
     """A natural transformation between CatModules over the same category,
-    with one matrix per object in mats.  A hom_modules basis map also keeps
-    its Yoneda coordinates as images: the vectors of dst that the
-    generators of F_0, in the minimal resolution of src, go to; any other
-    map has images None."""
+    kept as its images: the vectors of dst that the generators of F_0, in
+    the minimal resolution of src, go to, which fix it by Yoneda."""
 
-    images = None
-
-    def __init__(self, src, dst, mats):
+    def __init__(self, src, dst, images):
         self.src = src
         self.dst = dst
-        self.mats = mats
-
-    def is_isomorphism(self):
-        return all(self.mats[x].is_invertible() or
-                   (self.src.dims[x] == self.dst.dims[x] == 0)
-                   for x in self.src.cat.objects)
+        self.images = images
 
 
 def zero_module(cat):
@@ -407,14 +399,14 @@ class FreeModule:
         return [w[o:o + self.cat.homdim[(s, y)]]
                 for s, o in zip(self.summands, offs)]
 
-    def pull(self, N, elements, objs, images):
+    def pull(self, N, elements, objs, images, cols):
         """The images of phi o d, for phi: self -> N sending the generator
         of summand i to elements[i]: phi applied to each of d's images by
-        its Yoneda columns there, built once per object; the zero vector
-        of N where self is 0."""
+        its Yoneda columns there, built once per object into cols, a dict
+        that calls pulling the same phi share; the zero vector of N where
+        self is 0."""
         f = self.cat.field
         zero, p = f.zero, f.p
-        cols = {}
         out = []
         for a, w in zip(objs, images):
             if a not in cols:

@@ -2,21 +2,21 @@
 hom(X[i], Y[i]) the ordinary hom, hom(X[i], Y[i+1]) = Ext^n(X, Y), and
 nothing across larger gaps.
 
-Composition is Yoneda composition on explicit cocycles: hom after hom is
-map composition, ext after hom precomposes with a lifted chain map (the
-cocycle applied to the lift's images, FreeModule.pull), hom after ext
-postcomposes on cocycle blocks, and ext after ext vanishes.  build_glued
-makes each block once, for a triple whose three hom spaces are nonzero,
-writes it under its shifted keys, and lifts a hom basis to degree n only
-where an ext after hom block reads the lift.  Associativity is not
-assumed; the tests verify it exhaustively (oracles.check_associativity).
+Every product is Yoneda composition, a lift through a cover and a pull
+(FreeModule.pull): hom after hom is the hom_table's, ext after hom pulls
+the cocycle along f's chain-map lift, hom after ext pulls g along the
+cocycle's lift through its target's cover, and ext after ext vanishes.
+build_glued makes each block once, for a triple whose three hom spaces
+are nonzero, writes it under its shifted keys, and lifts a hom basis to
+degree n only where an ext after hom block reads the lift.  Associativity
+is not assumed; tests/oracles.py checks it exhaustively.
 """
 
 from .fincat import (FinCategory, injective_module, projective_label,
                      injective_label, is_basic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
-                       injective_dims, lift_chain_map, compose_hom_with_ext,
-                       tau_n, hom_table, hom_modules, modules_isomorphic)
+                       injective_dims, lift_chain_map, _lift, tau_n,
+                       hom_table, hom_modules, modules_isomorphic)
 from .knitting import (knit, vertex_label, single_gabriel_arrows,
                        OVSIENKO_BOUND)
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
@@ -94,6 +94,7 @@ def build_glued(ambient, modules, names, n, k, table):
 
     for (a, b, c), t in end.comp.items():
         spread(a, b, c, 0, 0, t)
+    cols = {}  # each pulled map's Yoneda columns, shared across sources a
     for (a, b), basis in homs.items():
         cs = [c for c in ext_out[b] if exts[(a, c)].dim]
         if not basis or not cs:
@@ -106,16 +107,21 @@ def build_glued(ambient, modules, names, n, k, table):
             E = exts[(b, c)]
             spread(a, b, c, 0, 1, [
                 [exts[(a, c)].reduce([v for w in F.pull(
-                    modules[c], E.images(vec), objs, L) for v in w])
-                 for L in lifts] for vec in E.reps])
+                    modules[c], E.images(vec), objs, L,
+                    cols.setdefault((b, c, i), {})) for v in w])
+                 for L in lifts] for i, vec in enumerate(E.reps)])
     for a, bs in enumerate(ext_out):
-        for b in bs:
-            E = exts[(a, b)]
-            for c in bs:
-                if homs[(b, c)]:
-                    spread(a, b, c, 1, 1, [
-                        [exts[(a, c)].reduce(compose_hom_with_ext(g, E, r))
-                         for r in E.reps] for g in homs[(b, c)]])
+        for b in bs:  # c = b qualifies, so every lift below is read
+            E, F = exts[(a, b)], res[b].frees[0]
+            objs = res[a].frees[n].summands
+            lifts = [_lift(F, modules[b], res[b].tops, objs, E.images(r))
+                     for r in E.reps]
+            for c in (c for c in bs if homs[(b, c)]):
+                spread(a, b, c, 1, 1, [
+                    [exts[(a, c)].reduce([v for w in F.pull(
+                        modules[c], g.images, objs, L,
+                        cols.setdefault(g, {})) for v in w])
+                     for L in lifts] for g in homs[(b, c)]])
 
     cat = FinCategory(ambient.field, objects, homdim, comp)
     return GluedCategory(cat, ambient, modules, names, n, k)

@@ -14,10 +14,12 @@ neither 0 nor everything are solved.  The higher translate tau_n is
 D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles, and
 lift_chain_map lifts a map of modules to their resolutions to compose Ext
-with Hom.  A differential or a lift is kept as the images of its
-generators and applied by its Yoneda columns at one object at a time
-(FreeModule.pull); only ext_space and ext_dims, which need a kernel or a
-rank, form the matrix of Hom(d, N) (FreeModule.hom_into).
+with Hom.  A differential, a lift, a Hom basis map and a cocycle are all
+kept as the images of generators and applied by their Yoneda columns at
+one object at a time (FreeModule.pull); only ext_space and ext_dims,
+which need a kernel or a rank, form the matrix of Hom(d, N)
+(FreeModule.hom_into).  Every Yoneda product is a lift through a cover
+(_lift), then a pull of the other factor's images along it.
 
 Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
 M's resolution by hom_modules, on which hom_table and modules_isomorphic
@@ -360,32 +362,9 @@ def hom_modules(M, N):
     ker Hom(d_0, N) = Ext^0(M, N): each basis map is a degree-0 cocycle of
     ext_space(M, N, 0), the images in N of the generators of F_0 that
     vanish on F_1 (all of Hom(F_0, N) when M is projective), kept as the
-    map's images.  Its block at y is the unique h_y with h_y C_y = D_y,
-    for C_y and D_y the Yoneda columns at y of the cover F_0 -> M and of
-    the images: C_y is onto, so one solve of C_y^T serves every map."""
+    map's images and nothing else."""
     ext = ext_space(M, N, 0)
-    if not ext.reps:
-        return []
-    f = M.cat.field
-    res = ext.resolution
-    F = res.frees[0]
-    images = [ext.images(v) for v in ext.reps]
-    maps = [ModuleMap(M, N, {}) for _ in images]
-    for y in M.cat.objects:
-        m, n = M.dims[y], N.dims[y]
-        if m and n:
-            cover = F.yoneda_columns(M, res.tops, y)
-            cols = [F.yoneda_columns(N, w, y) for w in images]
-            rhs = [[v for c in cols for v in c[i]] for i in range(len(cover))]
-            X = Mat(f, cover, len(cover), m).solve(
-                Mat(f, rhs, len(cover), n * len(maps))).transpose().rows
-        else:
-            X = [[f.zero] * m for _ in range(n * len(maps))]
-        for k, phi in enumerate(maps):
-            phi.mats[y] = Mat._wrap(f, X[k * n:(k + 1) * n], n, m)
-    for phi, w in zip(maps, images):
-        phi.images = w
-    return maps
+    return [ModuleMap(M, N, ext.images(v)) for v in ext.reps]
 
 
 def hom_table(cat, modules, names):
@@ -395,9 +374,9 @@ def hom_table(cat, modules, names):
     module, if not), and its basis map is then the identity: it is c.id,
     with images c.tops, and tops are unit vectors, so c = 1 at their last
     nonzero entry.  end is End of their direct sum on the positions
-    0..m-1, its structure constants read off the images of g o f at the
-    entries where the hom bases are read (_read_entry), with no product
-    and no solve."""
+    0..m-1.  Its structure constants are the images of g o f, from f
+    lifted through b's cover (_lift) and g pulled along it, read at the
+    entries where the hom(a, c) basis is read (_read_entry)."""
     homs = {}
     for a, Ma in enumerate(modules):
         for b, Mb in enumerate(modules):
@@ -407,15 +386,22 @@ def hom_table(cat, modules, names):
                                         % (names[a], len(basis)))
     read = {key: [_read_entry(h) for h in basis]
             for key, basis in homs.items()}
-    summands = [min_proj_resolution(M).frees[0].summands for M in modules]
-    p = cat.field.p
+    res = [min_proj_resolution(M) for M in modules]
     m = len(modules)
     out = [[c for c in range(m) if homs[(b, c)]] for b in range(m)]
-    comp = {(a, b, c): [[_composite_entries(g, f, read[(a, c)],
-                                            summands[a], p)
-                         for f in basis] for g in homs[(b, c)]]
-            for (a, b), basis in homs.items() if basis
-            for c in out[b] if homs[(a, c)]}
+    comp = {}
+    cols = {}  # {g: its Yoneda columns by object}, shared across sources
+    for (a, b), basis in homs.items():
+        F, objs = res[b].frees[0], res[a].frees[0].summands
+        lifts = [_lift(F, modules[b], res[b].tops, objs, f.images)
+                 for f in basis]
+        for c in out[b] if basis else ():
+            if homs[(a, c)]:
+                comp[(a, b, c)] = [
+                    [[w[j][r] for j, r in read[(a, c)]] for w in (
+                        F.pull(modules[c], g.images, objs, L,
+                               cols.setdefault(g, {})) for L in lifts)]
+                    for g in homs[(b, c)]]
     homdim = {key: len(basis) for key, basis in homs.items()}
     return homs, FinCategory(cat.field, range(m), homdim, comp)
 
@@ -431,22 +417,12 @@ def _read_entry(h):
             for r, v in enumerate(w) if v != zero][-1]
 
 
-def _composite_entries(g, f, entries, summands, p):
-    """The given (j, r) entries of the images of g o f: row r of g's block
-    at summands[j], the object of generator j, times f's image j."""
-    out = []
-    for j, r in entries:
-        v = sum(a * b for a, b in zip(g.mats[summands[j]].rows[r],
-                                      f.images[j]))
-        out.append(v if p is None else v % p)
-    return out
-
-
 def modules_isomorphic(M, N):
     """Exact isomorphism test for modules whose End is K, which is every
     module compared in scope.  A one-dimensional Hom(M, N) holds an
-    isomorphism iff its basis element is invertible.  Isomorphic modules
-    have Hom(M, N) = End M, so a larger Hom between two modules with
+    isomorphism iff its basis element is onto at each y, i.e. its Yoneda
+    columns there, which span its image, have rank dim N(y).  Isomorphic
+    modules have Hom(M, N) = End M, so a larger Hom between two modules with
     End = K rules one out; when an End is not K the test refuses with
     NonSchurianVertex, naming the dimension vector and dim End."""
     if M.dim_vector() != N.dim_vector():
@@ -455,7 +431,10 @@ def modules_isomorphic(M, N):
         return True
     maps = hom_modules(M, N)
     if len(maps) < 2:
-        return len(maps) == 1 and maps[0].is_isomorphism()
+        F, f = min_proj_resolution(M).frees[0], M.cat.field
+        return len(maps) == 1 and all(len(row_space_basis(
+            f, F.yoneda_columns(N, maps[0].images, y), N.dims[y])) == N.dims[y]
+            for y in N.support)
     for X in (M, N):
         e = len(hom_modules(X, X))
         if e != 1:
@@ -523,17 +502,15 @@ def tau_n(M, n):
 
 
 def lift_chain_map(f, res_src, res_dst, upto):
-    """Lift f: X -> Y to a chain map between res_src and res_dst, the
-    resolutions of X and Y, as lifts[i]: F_i(src) -> F_i(dst), i =
-    0..upto, each the images in F_i(dst) of the generators of F_i(src)
-    (None where res_dst has ended, a zero lift); f is a hom_modules basis
-    map, so it keeps its images.  Each image is solved against the columns
-    of the map below it at that generator's object only: the images of f
-    against the cover F_0(dst) -> Y at degree 0, and after that the images
-    of the differential of res_src, carried by the previous lift
-    (FreeModule.pull), against the differential of res_dst.  Any two lifts
-    differ by a homotopy, which dies in Ext."""
-    field = f.src.cat.field
+    """Lift f: X -> Y, a ModuleMap, to a chain map between res_src and
+    res_dst, the resolutions of X and Y, as lifts[i]: F_i(src) ->
+    F_i(dst), i = 0..upto, each the images in F_i(dst) of the generators
+    of F_i(src) (None where res_dst has ended, a zero lift).  Each degree
+    is one _lift: the images of f through the cover F_0(dst) -> Y at
+    degree 0, and after that the images of the differential of res_src,
+    carried by the previous lift (FreeModule.pull), through the
+    differential of res_dst.  Any two lifts differ by a homotopy, which
+    dies in Ext."""
     lifts = []
     prev = None  # the images of the previous lift
     for m in range(upto + 1):
@@ -544,30 +521,30 @@ def lift_chain_map(f, res_src, res_dst, upto):
             lifts.append(None)
             prev = None
             continue
-        Fs, Fd = res_src.frees[m], res_dst.frees[m]
+        objs = res_src.frees[m].summands
         if m == 0:
             below, post, targets = f.dst, res_dst.tops, f.images
         else:
             below, post = res_dst.frees[m - 1], res_dst.diffs[m - 1]
-            targets = res_src.frees[m - 1].pull(below, prev, Fs.summands,
-                                                res_src.diffs[m - 1])
-        cols = {}
-        images = []
-        for a, t in zip(Fs.summands, targets):
-            if a not in cols:
-                cs = Fd.yoneda_columns(below, post, a)
-                cols[a] = Mat.from_cols(field, cs) if cs else \
-                    Mat.zero(field, len(t), 0)
-            images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
-        prev = images
-        lifts.append(images)
+            targets = res_src.frees[m - 1].pull(below, prev, objs,
+                                                res_src.diffs[m - 1], {})
+        prev = _lift(res_dst.frees[m], below, post, objs, targets)
+        lifts.append(prev)
     return lifts
 
 
-def compose_hom_with_ext(g, ext, vec):
-    """Postcompose: g in Hom(Y, Z), vec a cocycle for Ext^n(X, Y); returns
-    the cocycle vector of g o vec in Ext^n(X, Z) coordinates."""
-    return [v for b, w in zip(ext.resolution.frees[ext.n].summands,
-                              ext.images(vec))
-            for v in g.mats[b].apply(w)]
-
+def _lift(F, below, post, objs, targets):
+    """Lift targets, vectors of below at objs, through the map F -> below
+    that sends F's generators to post: the vectors of F at objs that it
+    sends to targets, each solved against F's Yoneda columns at its
+    object only, built once per object."""
+    field = F.cat.field
+    cols = {}
+    images = []
+    for a, t in zip(objs, targets):
+        if a not in cols:
+            cs = F.yoneda_columns(below, post, a)
+            cols[a] = Mat.from_cols(field, cs) if cs else \
+                Mat.zero(field, len(t), 0)
+        images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
+    return images

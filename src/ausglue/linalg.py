@@ -315,9 +315,6 @@ class Mat:
             x.rows[pc] = R.rows[i][self.ncols:]
         return x
 
-    def is_invertible(self):
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
 
 def row_space_basis(field, vectors, length):
     """Deterministic basis (as list of row vectors) of the span of the given

@@ -207,7 +207,8 @@ def _verify_glued(glued, input_desc, gldim_id):
         rep.add(gldim_id + ".gldim", gldim_id, d + 1, g_gldim, g_witness)
         rep.add(gldim_id + ".domdim", gldim_id, d + 1, g_domdim, d_witness)
 
-    rep.add("prop5.rank_gamma", "sec5", (k + 1) * m, len(G.objects))
+    rep.add("prop5.rank_gamma", "sec5", (k + 1) * m, len(G.objects),
+            witness=_shift_counts(G, k))
     rep.add("prop5.projinj_gamma", "sec5", k * m + r, len(pi),
             witness=sorted(pi, key=str))
     rep.add("prop5.injnotproj_gamma", "sec5", m - r,
@@ -217,7 +218,8 @@ def _verify_glued(glued, input_desc, gldim_id):
 
     rep.add("prop3.4.projinj_set", "prop3.4", True, char_match,
             witness=sorted(pi, key=str))
-    rep.add("prop5.rank_sigma", "sec5", k * m + r, len(S.objects))
+    rep.add("prop5.rank_sigma", "sec5", k * m + r, len(S.objects),
+            witness=_shift_counts(S, k))
 
     if k == 0:
         rep.skip("prop5.projinj_sigma", "sec5", "count formula needs k >= 1")
@@ -287,6 +289,11 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("prop5.ct_summands", "sec5", True, not diff,
             witness=sorted(diff, key=str))
     return rep
+
+
+def _shift_counts(cat, k):
+    """A rank claim's witness: cat's objects at each shift 0..k."""
+    return [sum(s == j for _, s in cat.objects) for j in range(k + 1)]
 
 
 def _coresolution_witness(cat, dims, value):

@@ -13,9 +13,12 @@ of a resolution, direct sums with their inclusions and projections,
 naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
 the identity map of a module (identity_map), the top of a module from
-its dense radical (dense_top), the arithmetic of module
-maps (compose_maps, add_maps, sub_maps, scale_map, map_is_zero), the
-block-diagonal matrix and the matrix inverse, and the hom dimensions of a
+its dense radical (dense_top), module maps with one matrix per object
+(DenseMap), solved from a ModuleMap's images (dense_map), the arithmetic
+of module maps (compose_maps, add_maps, sub_maps, scale_map,
+map_is_zero), an Ext cocycle postcomposed with a dense map
+(compose_hom_with_ext), the block-diagonal matrix, the matrix inverse
+and the invertibility test (is_invertible), and the hom dimensions of a
 glued category by copy.  The passes over a category that scan every
 object pair are kept here as references for the ones that walk its hom
 support: the Nakayama pairing (nakayama_pairing), the directedness check
@@ -31,17 +34,17 @@ coordinates (compose_catmats), Kahn's algorithm on a Quiver
 
 The program reads every representable in place from the structure
 constants, keeps a free module's action sparse and a map between free
-modules F -> G as the images of F's generators, vectors of G, applied
-only by its Yoneda columns, and reads Hom off a module's resolution; the
-dense forms, the compositions and the naturality solver here are what
-those are checked against.  Here such a map is the triple (F, G,
-images)."""
+modules F -> G, and a map of modules M -> N, as the images of the
+generators of F or of M's cover, applied only by its Yoneda columns, and
+reads Hom off a module's resolution; the dense forms, the compositions
+and the naturality solver here are what those are checked against.
+Here a map between free modules is the triple (F, G, images)."""
 
 from itertools import product
 
 from ausglue.errors import (AusglueError, InfiniteDimensional,
                             InvalidParams, NotDirected)
-from ausglue.fincat import CatModule, FinCategory, FreeModule, ModuleMap
+from ausglue.fincat import CatModule, FinCategory, FreeModule
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
 from ausglue.linalg import (FieldMismatch, Mat, NoSolution, row_space_basis,
@@ -231,22 +234,69 @@ def check_mesh(ar):
     return True, None
 
 
+class DenseMap:
+    """A natural transformation between CatModules over the same category,
+    with one matrix per object in mats: the dense form that the program's
+    ModuleMap, kept as generator images, is checked against."""
+
+    def __init__(self, src, dst, mats):
+        self.src = src
+        self.dst = dst
+        self.mats = mats
+
+
+def dense_map(phi):
+    """The DenseMap of a ModuleMap phi: M -> N, kept as the images of the
+    generators of F_0 in M's resolution.  Its block at y is the unique h_y
+    with h_y C_y = D_y, for C_y and D_y the Yoneda columns at y of the
+    cover F_0 -> M and of the images: C_y is onto, so one solve of C_y^T
+    gives h_y."""
+    M, N = phi.src, phi.dst
+    f = M.cat.field
+    res = min_proj_resolution(M)
+    F = res.frees[0]
+    mats = {}
+    for y in M.cat.objects:
+        m, n = M.dims[y], N.dims[y]
+        if m and n:
+            C = Mat.from_cols(f, F.yoneda_columns(M, res.tops, y))
+            D = Mat.from_cols(f, F.yoneda_columns(N, phi.images, y))
+            mats[y] = C.transpose().solve(D.transpose()).transpose()
+        else:
+            mats[y] = Mat.zero(f, n, m)
+    return DenseMap(M, N, mats)
+
+
+def is_invertible(m):
+    return m.nrows == m.ncols and m.rank() == m.nrows
+
+
+def compose_hom_with_ext(g, ext, vec):
+    """Postcompose: g, a DenseMap Y -> Z, after vec, a cocycle for
+    Ext^n(X, Y); the cocycle vector of g o vec in Ext^n(X, Z)
+    coordinates, g's block at each summand of F_n applied to the image of
+    that summand's generator."""
+    return [v for b, w in zip(ext.resolution.frees[ext.n].summands,
+                              ext.images(vec))
+            for v in g.mats[b].apply(w)]
+
+
 def compose_maps(phi, other):
     """phi o other."""
     b = other.mats
-    return ModuleMap(other.src, phi.dst,
+    return DenseMap(other.src, phi.dst,
                      {x: matmul(m, b[x]) for x, m in phi.mats.items()})
 
 
 def add_maps(phi, other):
     b = other.mats
-    return ModuleMap(phi.src, phi.dst,
-                     {x: m + b[x] for x, m in phi.mats.items()})
+    return DenseMap(phi.src, phi.dst,
+                    {x: m + b[x] for x, m in phi.mats.items()})
 
 
 def scale_map(phi, c):
-    return ModuleMap(phi.src, phi.dst,
-                     {x: m.scale(c) for x, m in phi.mats.items()})
+    return DenseMap(phi.src, phi.dst,
+                    {x: m.scale(c) for x, m in phi.mats.items()})
 
 
 def sub_maps(phi, other):
@@ -309,7 +359,7 @@ class Submodule:
 
 
 def kernel(phi):
-    """Kernel of a ModuleMap, as a Submodule of phi.src."""
+    """Kernel of a DenseMap, as a Submodule of phi.src."""
     return Submodule(phi.src, {x: phi.mats[x].kernel_rows()
                                for x in phi.src.cat.objects})
 
@@ -345,7 +395,7 @@ class Quotient:
 
 
 def cokernel(phi):
-    """Cokernel of a ModuleMap, as a Quotient of phi.dst by the span of
+    """Cokernel of a DenseMap, as a Quotient of phi.dst by the span of
     the columns of each block."""
     return Quotient(phi.dst, {x: phi.mats[x].transpose().rows
                               for x in phi.src.cat.objects})
@@ -405,7 +455,7 @@ def dense_free(F):
 
 
 def yoneda_map(F, N, elements):
-    """The ModuleMap dense_free(F) -> N sending the generator of summand j
+    """The DenseMap dense_free(F) -> N sending the generator of summand j
     of the FreeModule F to elements[j], a vector of N(summands[j]), with
     a block of the right shape at every object."""
     f = F.cat.field
@@ -414,11 +464,11 @@ def yoneda_map(F, N, elements):
         cols = F.yoneda_columns(N, elements, y)
         mats[y] = Mat.from_cols(f, cols) if cols else \
             Mat.zero(f, N.dims[y], 0)
-    return ModuleMap(dense_free(F), N, mats)
+    return DenseMap(dense_free(F), N, mats)
 
 
 def realize(u):
-    """The map u = (F, G, images) as a ModuleMap between dense free
+    """The map u = (F, G, images) as a DenseMap between dense free
     modules."""
     F, G, images = u
     return yoneda_map(F, dense_free(G), images)
@@ -488,15 +538,15 @@ def direct_sum(cat, modules):
                 mp.rows[i][off[x] + i] = f.one
             inc[x] = mi
             prj[x] = mp
-        incls.append(ModuleMap(m, S, inc))
-        projs.append(ModuleMap(S, m, prj))
+        incls.append(DenseMap(m, S, inc))
+        projs.append(DenseMap(S, m, prj))
         for x in cat.objects:
             off[x] += m.dims[x]
     return S, incls, projs
 
 
 def is_natural(phi):
-    """Whether the blocks of the ModuleMap phi commute with every action."""
+    """Whether the blocks of the DenseMap phi commute with every action."""
     c = phi.src.cat
     for x in c.objects:
         for y in c.objects:
@@ -509,7 +559,7 @@ def is_natural(phi):
 
 
 def flatten(phi):
-    """All matrix entries of the ModuleMap phi as one row vector (fixed
+    """All matrix entries of the DenseMap phi as one row vector (fixed
     object order)."""
     out = []
     for x in phi.src.cat.objects:
@@ -568,13 +618,14 @@ def hom_by_naturality(M, N):
                 for s in range(M.dims[x]):
                     m.rows[r][s] = v[offs[x] + r * M.dims[x] + s]
             mats[x] = m
-        out.append(ModuleMap(M, N, mats))
+        out.append(DenseMap(M, N, mats))
     return out
 
 
 def identity_map(M):
     f = M.cat.field
-    return ModuleMap(M, M, {x: Mat.identity(f, M.dims[x]) for x in M.cat.objects})
+    return DenseMap(M, M, {x: Mat.identity(f, M.dims[x])
+                           for x in M.cat.objects})
 
 
 def hom_dim(glued, a, i, b, j):
@@ -643,8 +694,8 @@ def nakayama_pairing(cat):
         cols.setdefault(tuple(hd[(z, y)] for z in objs), []).append(y)
     return {x: y for x in objs
             for y in cols.get(tuple(hd[(x, z)] for z in objs), ())
-            if all((x, z, y) in comp and Mat(cat.field, [
-                [c[0] for c in r] for r in comp[(x, z, y)]]).is_invertible()
+            if all((x, z, y) in comp and is_invertible(Mat(cat.field, [
+                [c[0] for c in r] for r in comp[(x, z, y)]]))
                 for z in cat.out_support[x])}
 
 

@@ -24,10 +24,10 @@ from ausglue.homology import (_nakayama_pairing, _refuse_cycles,
                               modules_isomorphic, INFINITY)
 import oracles
 from oracles import (direct_sum, is_complex, is_minimal, kernel, syzygy,
-                     cokernel, cover, realize, yoneda_map, hom_by_naturality,
-                     compose_maps, compose_catmats, differentials, dual_map,
-                     from_entries, sub_maps, map_is_zero, simple_module, pdim,
-                     tau)
+                     cokernel, cover, dense_map, realize, yoneda_map,
+                     hom_by_naturality, compose_maps, compose_catmats,
+                     differentials, dual_map, from_entries, sub_maps,
+                     map_is_zero, simple_module, pdim, tau)
 
 FIELD = default_field()
 
@@ -535,7 +535,7 @@ def assert_chain_map(f, res_src, res_dst, lifts):
             for m, L in enumerate(lifts)]
     eps_src, eps_dst = cover(res_src, f.src), cover(res_dst, f.dst)
     assert map_is_zero(sub_maps(compose_maps(eps_dst, real[0]),
-                                compose_maps(f, eps_src)))
+                                compose_maps(dense_map(f), eps_src)))
     for m in range(1, len(real)):
         if real[m - 1] is None:
             assert real[m] is None
@@ -623,7 +623,7 @@ def test_pull_matches_hom_matrix():
                         ext = ext_space(Y, Z, n)
                         for vec in ext.reps:
                             pulled = F.pull(Z, ext.images(vec), objs,
-                                            lifts[n])
+                                            lifts[n], {})
                             full = F.hom_into(Z, objs, lifts[n]).apply(vec)
                             offs = list(accumulate(
                                 (Z.dims[x] for x in objs), initial=0))
@@ -794,10 +794,10 @@ def test_resolution_builds_no_submodule(monkeypatch):
         raise AssertionError("forbidden construction")
     module_map = ModuleMap.__init__
 
-    def no_free_source(self, src, dst, mats):
+    def no_free_source(self, src, dst, images):
         if isinstance(src, FreeModule):
             forbidden()
-        module_map(self, src, dst, mats)
+        module_map(self, src, dst, images)
     monkeypatch.setattr(oracles.Submodule, "__init__", forbidden)
     monkeypatch.setattr(ModuleMap, "__init__", no_free_source)
     aus, _ = auslander_category(A3)

@@ -9,7 +9,7 @@ from ausglue.glue import auslander_category
 from ausglue.homology import gldim, hom_modules, min_proj_resolution
 from ausglue.knitting import knit, vertex_label, OVSIENKO_BOUND
 import oracles
-from oracles import (aus_rank, compose_maps, cover, flatten,
+from oracles import (aus_rank, compose_maps, cover, dense_map, flatten,
                      hom_by_naturality, is_natural, yoneda_map)
 
 FIELD = default_field()
@@ -115,7 +115,9 @@ def _coords_by_solve(field, basis_rows, vector):
 
 def _reference_structure_constants(field, homs, m):
     """comp[(a, b, c)][i][j]: the coordinates of g_i o f_j over the
-    flattened hom(a, c) basis, from the product map and a solve."""
+    flattened hom(a, c) basis, from the product of the dense maps and a
+    solve."""
+    homs = {key: [dense_map(g) for g in basis] for key, basis in homs.items()}
     hflat = {key: [flatten(g) for g in basis] for key, basis in homs.items()}
     comp = {}
     for a in range(m):
@@ -132,8 +134,10 @@ def _reference_structure_constants(field, homs, m):
 
 def _reference_arrows(ar):
     """dim rad/rad^2 from i to j: dim hom(i, j) less the rank of the
-    flattened composites g o f through every third vertex k."""
-    homs = ar.table[0]
+    flattened composites g o f of the dense maps through every third
+    vertex k."""
+    homs = {key: [dense_map(g) for g in basis]
+            for key, basis in ar.table[0].items()}
     n = ar.count
     arrows = []
     for i in range(n):
@@ -202,12 +206,13 @@ def test_hom_by_resolution_matches_naturality_reference(name, field):
         for N in mods:
             basis, ref = hom_modules(M, N), hom_by_naturality(M, N)
             assert len(basis) == len(ref)
-            for h in basis:
-                assert is_natural(h)
-                assert compose_maps(h, pi).mats == \
+            dense = [dense_map(h) for h in basis]
+            for h, d in zip(basis, dense):
+                assert is_natural(d)
+                assert compose_maps(d, pi).mats == \
                     yoneda_map(res.frees[0], N, h.images).mats
             length = sum(M.dims[x] * N.dims[x] for x in cat.objects)
-            assert row_space_basis(field, [flatten(h) for h in basis],
+            assert row_space_basis(field, [flatten(d) for d in dense],
                                    length) == \
                 row_space_basis(field, [flatten(h) for h in ref], length)
             nonzero += bool(basis)

@@ -366,6 +366,35 @@ def test_count_claims_witness_the_pairing(monkeypatch):
         assert dropped[1] in unpaired.witness
 
 
+def test_rank_claims_witness_the_objects_per_shift(monkeypatch):
+    """With the last object of the top shift dropped from Gamma and from
+    Sigma, prop5.rank_gamma and prop5.rank_sigma fail, and each carries
+    the number of the category's objects at each shift 0..k: one short at
+    the top shift, against the m per shift of Gamma, and the m per lower
+    shift and r at the top of Sigma."""
+    from ausglue import tower
+
+    def drop_last(cat):
+        return cat.full_subcategory(cat.objects[:-1])
+
+    def short_sigma(glued):
+        S, pi, match = sigma(glued)
+        return drop_last(S), pi, match
+    monkeypatch.setattr(tower, "gamma", lambda g: drop_last(g.cat))
+    monkeypatch.setattr(tower, "sigma", short_sigma)
+    for k in (1, 2):
+        rep = verify_theorem_dynkin(DynkinSpec("A", 3), k)
+        claims = {c.cid: c for c in rep.claims}
+        m, r = 6, 3
+        for cid, counts in (("prop5.rank_gamma", [m] * k + [m - 1]),
+                            ("prop5.rank_sigma", [m] * k + [r - 1])):
+            c = claims[cid]
+            assert c.status == "fail"
+            assert c.witness == counts
+            assert sum(c.witness) == c.computed == c.expected - 1
+            assert c.to_dict()["witness"] == counts
+
+
 def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
     """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
     Sigma that is not projective once, counted over every module
