@@ -14,21 +14,25 @@ the pairs with hom(x, y) != 0 and a module's dims the objects where it is
 nonzero, each as a Sparse dict that reads 0 at every other key, so a pass
 over a category or a module walks its support, not every object pair.
 
+An opposite category shares comp with its category and, behind the flag
+transposed, reads each block transposed.
+
 All categories in scope are schurian: hom(x,x) is spanned by the
 identity.  This is asserted at construction and makes the radical simply
 the off-diagonal hom spaces.  One routine, submodule_top, takes the top
-of a module and of every syzygy inside its free module.  A map out of a
-free module is kept only as the images of its generators (Yoneda), one
-vector per summand, and applied through its Yoneda columns at one object
-at a time, and so is a map between modules (ModuleMap), by the
-generators of its source's cover.  Hom between modules, and with it the
-isomorphism test, is read off minimal resolutions in homology.
+of a module and of every syzygy inside its free module, and stops as
+soon as the radical images span.  A map out of a free module is kept
+only as the images of its generators (Yoneda), one vector per summand,
+and applied through its Yoneda columns at one object at a time, and so
+is a map between modules (ModuleMap), by the generators of its source's
+cover.  Hom between modules, and with it the isomorphism test, is read
+off minimal resolutions in homology.
 """
 
 import weakref
 from functools import cached_property
 
-from .linalg import Mat, echelon_columns
+from .linalg import Mat, echelon_columns, quotient_coords
 from .errors import NonSchurianVertex
 
 
@@ -48,7 +52,7 @@ class FinCategory:
     """objects: label list; homdim[(x,y)]: basis size, a Sparse dict kept
     on the pairs with hom(x, y) != 0; comp[(x,y,z)]: structure constants,
     comp[(x,y,z)][i][j] = coordinates in hom(x,z) of (g_i o f_j) for g_i
-    in hom(y,z), f_j in hom(x,y)."""
+    in hom(y,z), f_j in hom(x,y), unless transposed (see opposite())."""
 
     def __init__(self, field, objects, homdim, comp):
         self.field = field
@@ -56,7 +60,8 @@ class FinCategory:
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
         self.homdim = _sparse(homdim)
         self.comp = comp
-        self._op = None  # see opposite()
+        self.transposed = False  # see opposite()
+        self._op = None
         for x in self.objects:
             if self.homdim[(x, x)] != 1:
                 raise NonSchurianVertex("hom(%r,%r) has dimension %d"
@@ -82,6 +87,9 @@ class FinCategory:
 
     def opposite(self):
         """The opposite category; hom_op(x,y) reuses the basis of hom(y,x).
+        It shares this category's comp and reads it transposed: with
+        transposed set, block (x, y, z) is comp[(z, y, x)] with its two
+        indices swapped, so comp_op[(x,y,z)][j][i] = comp[(z,y,x)][i][j].
         Kept once built.  It refers back to this category only weakly, so
         the two form no cycle; once this category has died, the opposite
         builds a new one."""
@@ -89,11 +97,8 @@ class FinCategory:
         if op is not None:
             return op
         homdim = {(y, x): d for (x, y), d in self.homdim.items()}
-        # comp_op[(z,y,x)][j][i] = comp[(x,y,z)][i][j]; a key is stored
-        # only when all three hom spaces are nonzero, so no block is empty
-        comp = {(z, y, x): [list(c) for c in zip(*t)]
-                for (x, y, z), t in self.comp.items()}
-        op = FinCategory(self.field, self.objects, homdim, comp)
+        op = FinCategory(self.field, self.objects, homdim, self.comp)
+        op.transposed = not self.transposed
         op._op = weakref.ref(self)
         self._op = op
         return op
@@ -106,23 +111,31 @@ class FinCategory:
         homdim = {(x, y): d for (x, y), d in self.homdim.items()
                   if x in keep and y in keep}
         comp = {key: t for key, t in self.comp.items() if keep.issuperset(key)}
-        return FinCategory(self.field, objs, homdim, comp)
+        sub = FinCategory(self.field, objs, homdim, comp)
+        sub.transposed = self.transposed
+        return sub
 
     def gabriel_arrows(self):
         """Arrows of the Gabriel quiver: multiplicity of x->y equals
         dim rad(x,y)/rad^2(x,y).  Schurian, so rad(x,y) = hom(x,y) for
         x != y and rad(x,x) = 0, and rad^2(x,y) is spanned by the
-        structure constants of the composites x -> z -> y."""
+        structure constants of the composites x -> z -> y, the same
+        vectors in either orientation of comp.  A one-dimensional rad(x, y)
+        is an arrow iff every composite is zero."""
         arrows = {}
+        flip = self.transposed
         for x in self.objects:
             for y in self.out_support[x]:
                 if x == y:
                     continue
                 d = self.homdim[(x, y)]
                 vecs = [v for z in self.out_support[x] if z not in (x, y)
-                        for row in self.comp.get((x, z, y), ()) for v in row]
+                        for row in self.comp.get((y, z, x) if flip else
+                                                 (x, z, y), ())
+                        for v in row]
                 # the entries are field elements already; only the rank is read
-                m = d - len(Mat._wrap(self.field, vecs, len(vecs), d).rref()[1])
+                m = d - (any(v[0] for v in vecs) if d == 1 else len(
+                    Mat._wrap(self.field, vecs, len(vecs), d).rref()[1]))
                 if m:
                     arrows[(x, y)] = m
         return arrows
@@ -229,13 +242,18 @@ def dual_projective_module(cat, x):
     structure constants: the i-th basis element of hom_op(a, b) =
     hom(b, a) acts by the transpose of postcomposition hom(x, b) ->
     hom(x, a), whose rows comp[(x, b, a)][i] already are, so nothing is
-    copied.  Where comp has no key the action is zero and is left out."""
+    copied; over a transposed comp (an opposite category) each block is
+    transposed as it is read.  Where comp has no key the action is zero and
+    is left out."""
     dims = {y: cat.homdim[(x, y)] for y in cat.out_support[x]}
     act = {}
+    flip = cat.transposed
     for b in dims:
         for a in cat.out_support[b]:
-            t = cat.comp.get((x, b, a))
+            t = cat.comp.get((a, b, x) if flip else (x, b, a))
             if t and a in dims:
+                if flip:
+                    t = [list(rows) for rows in zip(*t)]
                 act[(a, b)] = [Mat._wrap(cat.field, rows, dims[b], dims[a])
                                for rows in t]
     return CatModule(cat.opposite(), dims, act)
@@ -287,9 +305,13 @@ def submodule_top(F, rows):
     rows[y] (K(y) = 0 where rows has none), as (y, vector of F(y)) pairs
     in the order of rows; of F, a CatModule or a FreeModule, only cat,
     dims and apply_action are read.  rad K(y), the span of hom(x, y).K(x)
-    for x != y, is taken in K's coordinates, the pivot columns of rows[y];
-    the rows at the free columns of its RREF lift a basis of K / rad K
-    (Green, Solberg and Zacharia, Trans. AMS 353, 2001)."""
+    for x != y, is taken in K's coordinates, the pivot columns of rows[y].
+    Each image is reduced into an echelon basis of rad K(y) as soon as it
+    is computed, and the scan stops once that basis spans K(y): at the
+    first nonzero image where dim K(y) = 1.  The leads (first nonzero
+    columns) of a basis whose leads differ are the pivots of its RREF, so
+    the rows at the other columns lift a basis of K / rad K (Green,
+    Solberg and Zacharia, Trans. AMS 353, 2001)."""
     c = F.cat
     f = c.field
     live = [y for y, ky in rows.items() if ky]
@@ -299,21 +321,23 @@ def submodule_top(F, rows):
         k = len(ky)
         piv = None if k == F.dims[y] else \
             echelon_columns(f, ky, F.dims[y])[0]
-        vecs = []
-        for x in live:
-            d = c.homdim[(x, y)]
-            if not d or x == y:
+        basis, leads = [], []  # each row 1 at its lead, 0 at earlier leads
+        for w in (F.apply_action(x, y, i, r) for x in live if x != y
+                  for i in range(c.homdim[(x, y)]) for r in rows[x]):
+            if piv is not None:
+                w = [w[j] for j in piv]
+            if leads:
+                w = quotient_coords(f, basis, leads, range(k), w)
+            if not any(w):
                 continue
-            for i in range(d):
-                for r in rows[x]:
-                    w = F.apply_action(x, y, i, r)
-                    if piv is not None:
-                        w = [w[j] for j in piv]
-                    if any(w):
-                        vecs.append(w)
-        # the images are field elements already, and only pivots are read
-        rad = Mat._wrap(f, vecs, len(vecs), k).rref()[1] if vecs else ()
-        gens.extend((y, ky[j]) for j in range(k) if j not in rad)
+            if len(leads) + 1 == k:
+                break
+            j = next(j for j, v in enumerate(w) if v)
+            inv = f.inv(w[j])
+            leads.append(j)
+            basis.append([f(v * inv) for v in w])
+        else:  # the images do not span K(y)
+            gens.extend((y, ky[j]) for j in range(k) if j not in leads)
     return gens
 
 
@@ -360,19 +384,21 @@ class FreeModule:
 
     def apply_action(self, x, y, i, v):
         """g_i in hom(x, y) applied to v in self(x): on summand s, sum_j
-        v_j comp[(s, x, y)][i][j], and a zero block where comp has none."""
+        v_j comp[(s, x, y)][i][j] (comp[(y, x, s)][j][i] when comp is read
+        transposed), and a zero block where comp has none."""
         c = self.cat
         zero, p = c.field.zero, c.field.p
         offs = self.offsets.get(x)
         if offs is None:
             return [zero] * self.dims[y]
-        homdim, comp = c.homdim, c.comp
+        homdim, comp, flip = c.homdim, c.comp, c.transposed
         out = []
         for s, o in zip(self.summands, offs):
             acc = None
-            t = comp.get((s, x, y))
+            t = comp.get((y, x, s) if flip else (s, x, y))
             if t is not None:
-                for a, row in zip(v[o:o + homdim[(s, x)]], t[i]):
+                for a, row in zip(v[o:o + homdim[(s, x)]],
+                                  [r[i] for r in t] if flip else t[i]):
                     if a:
                         acc = [a * w for w in row] if acc is None else \
                             [u + a * w for u, w in zip(acc, row)]

@@ -199,10 +199,12 @@ def _nakayama_pairing(cat):
         cols.setdefault(tuple(col[y]), []).append(y)
 
     def invertible(x, z, y):
-        # the entries are field elements already; only the rank is read
-        d, t = hd[(x, z)], comp.get((x, z, y))
-        return t is not None and len(Mat._wrap(
-            f, [[c[0] for c in r] for r in t], d, d).rref()[1]) == d
+        # the entries are field elements already; only the rank is read,
+        # the same for either orientation of comp
+        d = hd[(x, z)]
+        t = comp.get((y, z, x) if cat.transposed else (x, z, y))
+        return t is not None and (t[0][0][0] != f.zero if d == 1 else len(
+            Mat._wrap(f, [[c[0] for c in r] for r in t], d, d).rref()[1]) == d)
 
     return {x: y for x in objs
             for y in cols.get(tuple((z, hd[(x, z)])

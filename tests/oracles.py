@@ -13,7 +13,9 @@ of a resolution, direct sums with their inclusions and projections,
 naturality and flattening of module maps,
 Hom by solving every naturality square at once (hom_by_naturality) and
 the identity map of a module (identity_map), the top of a module from
-its dense radical (dense_top), module maps with one matrix per object
+its dense radical (dense_top), the top of a submodule of a free module
+by one RREF of every radical image (full_submodule_top, the reference for
+the early-stopping scan), module maps with one matrix per object
 (DenseMap), solved from a ModuleMap's images (dense_map), the arithmetic
 of module maps (compose_maps, add_maps, sub_maps, scale_map,
 map_is_zero), an Ext cocycle postcomposed with a dense map
@@ -38,7 +40,10 @@ modules F -> G, and a map of modules M -> N, as the images of the
 generators of F or of M's cover, applied only by its Yoneda columns, and
 reads Hom off a module's resolution; the dense forms, the compositions
 and the naturality solver here are what those are checked against.
-Here a map between free modules is the triple (F, G, images)."""
+Here a map between free modules is the triple (F, G, images).  An
+opposite category shares its category's structure constants and reads
+them transposed; every reference here reads a block through block, which
+transposes on read, independently of the program's readers."""
 
 from itertools import product
 
@@ -65,13 +70,24 @@ def matmul(a, b):
                          for r in a.rows], a.nrows, b.ncols)
 
 
+def block(cat, x, y, z):
+    """The structure constants of cat at (x, y, z), block[i][j] the
+    coordinates of g_i o f_j, or None where comp has no key: an opposite
+    category shares comp with its category, and its block is read from
+    comp[(z, y, x)] with the two indices swapped."""
+    if not cat.transposed:
+        return cat.comp.get((x, y, z))
+    t = cat.comp.get((z, y, x))
+    return None if t is None else [list(row) for row in zip(*t)]
+
+
 def compose(cat, x, y, z, g, f):
     """Compose coefficient vectors: g over hom(y,z), f over hom(x,y);
     returns coefficient vector over hom(x,z)."""
     n = cat.homdim[(x, z)]
     out = [cat.field.zero] * n
     zero = cat.field.zero
-    t = cat.comp.get((x, y, z))
+    t = block(cat, x, y, z)
     if t is None:
         return out
     for i, gc in enumerate(g):
@@ -412,7 +428,8 @@ def dense_projective(cat, x):
         for z in M.support:
             d = cat.homdim[(y, z)]
             if d:
-                t = cat.comp.get((x, y, z), [[[f.zero] * dims[z]] * dims[y]] * d)
+                t = block(cat, x, y, z) or \
+                    [[[f.zero] * dims[z]] * dims[y]] * d
                 M.act[(y, z)] = [
                     Mat.from_cols(f, [t[i][j] for j in range(dims[y])])
                     for i in range(d)]
@@ -435,6 +452,38 @@ def dense_top(M):
             v = [f.zero] * M.dims[y]
             v[j] = f.one
             gens.append((y, v))
+    return gens
+
+
+def full_submodule_top(F, rows):
+    """fincat.submodule_top by the full scan: every image hom(x, y).K(x),
+    x != y, taken in K's coordinates (the pivot columns of rows[y]) and
+    collected, then one RREF of them all, whose free columns pick the rows
+    of K(y) that lift a basis of K / rad K; as (y, vector of F(y)) pairs
+    in the order of rows."""
+    c = F.cat
+    f = c.field
+    live = [y for y, ky in rows.items() if ky]
+    gens = []
+    for y in live:
+        ky = rows[y]
+        k = len(ky)
+        piv = None if k == F.dims[y] else \
+            echelon_columns(f, ky, F.dims[y])[0]
+        vecs = []
+        for x in live:
+            d = c.homdim[(x, y)]
+            if not d or x == y:
+                continue
+            for i in range(d):
+                for r in rows[x]:
+                    w = F.apply_action(x, y, i, r)
+                    if piv is not None:
+                        w = [w[j] for j in piv]
+                    if any(w):
+                        vecs.append(w)
+        rad = Mat(f, vecs, len(vecs), k).rref()[1] if vecs else ()
+        gens.extend((y, ky[j]) for j in range(k) if j not in rad)
     return gens
 
 
@@ -688,14 +737,14 @@ def nakayama_pairing(cat):
     P_x = I_y iff dim hom(x, z) = dim hom(z, y) for all z (at z = y, so
     hom(x, y) = K) and composition hom(z, y) x hom(x, z) -> hom(x, y) is a
     perfect pairing at each z in out_support[x]."""
-    objs, hd, comp = cat.objects, cat.homdim, cat.comp
+    objs, hd = cat.objects, cat.homdim
     cols = {}  # the y by their column (dim hom(z, y))_z
     for y in objs:
         cols.setdefault(tuple(hd[(z, y)] for z in objs), []).append(y)
     return {x: y for x in objs
             for y in cols.get(tuple(hd[(x, z)] for z in objs), ())
-            if all((x, z, y) in comp and is_invertible(Mat(cat.field, [
-                [c[0] for c in r] for r in comp[(x, z, y)]]))
+            if all(block(cat, x, z, y) is not None and is_invertible(Mat(
+                cat.field, [[c[0] for c in r] for r in block(cat, x, z, y)]))
                 for z in cat.out_support[x])}
 
 
@@ -756,7 +805,7 @@ def dense_gabriel_arrows(cat):
             if x == y or not cat.homdim[(x, y)]:
                 continue
             vecs = [v for z in cat.objects if z not in (x, y)
-                    for row in cat.comp.get((x, z, y), ()) for v in row]
+                    for row in block(cat, x, z, y) or () for v in row]
             m = cat.homdim[(x, y)] - len(
                 row_space_basis(cat.field, vecs, cat.homdim[(x, y)]))
             if m:

@@ -254,6 +254,19 @@ def test_free_module_lives_on_its_support():
                             assert w == []
 
 
+def test_full_subcategory_of_an_opposite_reads_it_transposed():
+    """A full subcategory of an opposite keeps reading the shared comp
+    transposed: its blocks are the opposite's, on every triple of its
+    objects."""
+    op = make(3).opposite()
+    sub = op.full_subcategory([1, 3])
+    triples = [(x, y, z) for x in sub.objects for y in sub.objects
+               for z in sub.objects]
+    assert any(oracles.block(sub, *t) for t in triples)
+    assert all(oracles.block(sub, *t) == oracles.block(op, *t)
+               for t in triples)
+
+
 def _assert_on_support(dims, keys):
     """dims holds a nonzero value at each of keys and nothing else."""
     assert set(dims) == set(keys) and 0 not in dims.values()

@@ -10,7 +10,7 @@ from ausglue.quiver import (Quiver, BoundPresentation, DynkinSpec,
                             hereditary_presentation, nakayama_linear,
                             parse_quiver_file)
 from ausglue.pathcat import category_from_presentation
-from ausglue import fincat, glue, knitting, tower
+from ausglue import glue, knitting, tower
 from ausglue.fincat import projective_module, injective_module
 from ausglue.homology import (ext_dim, ext_space, min_proj_resolution,
                               gldim, hom_modules, hom_table,
@@ -477,14 +477,15 @@ def test_build_glued_rejects_negative_k():
         build_glued(A2, mods, ["a", "b", "c"], 1, -1, ar.table)
 
 
-def _assert_comp_on_support(cat):
-    """comp holds a key exactly at the triples (x, y, z) with hom(x, y),
-    hom(y, z) and hom(x, z) all nonzero, and each block there is a full
-    dim(y, z) x dim(x, y) array of dim(x, z)-vectors: none is empty."""
+def _assert_comp_on_support(cat, comp):
+    """comp, the blocks of cat by key, holds a key exactly at the triples
+    (x, y, z) with hom(x, y), hom(y, z) and hom(x, z) all nonzero, and
+    each block there is a full dim(y, z) x dim(x, y) array of
+    dim(x, z)-vectors: none is empty."""
     d = cat.homdim
-    assert set(cat.comp) == {(x, y, z) for x, y in d
-                             for z in cat.out_support[y] if d[(x, z)]}
-    for (x, y, z), t in cat.comp.items():
+    assert set(comp) == {(x, y, z) for x, y in d
+                         for z in cat.out_support[y] if d[(x, z)]}
+    for (x, y, z), t in comp.items():
         assert len(t) == d[(y, z)]
         assert all(len(row) == d[(x, y)] for row in t)
         assert all(len(v) == d[(x, z)] for row in t for v in row)
@@ -493,7 +494,8 @@ def _assert_comp_on_support(cat):
 def test_comp_is_kept_on_its_support():
     """The support invariant opposite() relies on, for path categories,
     a hom_table End, Gamma^k at n = 1 and n = 2, Sigma^k and their
-    opposites."""
+    opposites; an opposite shares its category's comp, and its blocks are
+    read through oracles.block."""
     aus, ar = glue.auslander_category(A3)
     D4 = make(DynkinSpec("D", 4))
     gammas = [build_sk(A3, 2), build_sk(D4, 1), build_mk(aus, 2, 2),
@@ -503,8 +505,11 @@ def test_comp_is_kept_on_its_support():
                       ar.labels())[1]]
     cats += [g.cat for g in gammas] + [tower.sigma(g)[0] for g in gammas]
     for cat in cats:
-        _assert_comp_on_support(cat)
-        _assert_comp_on_support(cat.opposite())
+        _assert_comp_on_support(cat, cat.comp)
+        op = cat.opposite()
+        assert op.comp is cat.comp
+        _assert_comp_on_support(op, {(x, y, z): oracles.block(op, x, y, z)
+                                     for z, y, x in op.comp})
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (1, 2)],

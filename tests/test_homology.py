@@ -1,5 +1,6 @@
 import gc
 import random
+import types
 import weakref
 
 import pytest
@@ -812,3 +813,87 @@ def test_resolution_builds_no_submodule(monkeypatch):
                 lift_chain_map(f, res, min_proj_resolution(Y), 2)
         tau_n(X, 2)
     build_mk(aus, 1, 2)
+
+
+def _checked_scan(monkeypatch, check):
+    """Route every top scan, of a module (top_generators) and of a syzygy
+    (min_proj_resolution), through check(F, rows, gens, seen), where gens
+    is what submodule_top gave and seen counts the images it computed at
+    each object."""
+    from ausglue import homology
+    scan = fincat.submodule_top
+
+    def checked(F, rows):
+        seen = dict.fromkeys(rows, 0)
+
+        def apply_action(x, y, i, v):
+            seen[y] += 1
+            return F.apply_action(x, y, i, v)
+        gens = scan(types.SimpleNamespace(cat=F.cat, dims=F.dims,
+                                          apply_action=apply_action), rows)
+        check(F, rows, gens, seen)
+        return gens
+    monkeypatch.setattr(fincat, "submodule_top", checked)
+    monkeypatch.setattr(homology, "submodule_top", checked)
+
+
+def test_top_scan_matches_full_scan(monkeypatch):
+    """The early-stopping top scan gives the generators of the full scan
+    (oracles.full_submodule_top), vector for vector, on every module and
+    syzygy resolved while building Gamma of A3 with k = 1, Gamma of D4
+    with k = 1 and Gamma of Auslander(A3) at n = 2 and taking their gldim
+    and domdim, and in resolving the sum of each knitted indecomposable of
+    Auslander(A3) with its next two, where images of the radical share a
+    leading column and must be reduced, and in the top of a module over
+    A2, P_1 (+) S_2 with the arrow acting by (1, 1), whose radical at 2 is
+    spanned by a vector with two nonzero entries; and it stops early,
+    before the last image, at some object where the submodule has
+    dimension 2 or more."""
+    from ausglue.glue import auslander_category, build_sk, build_mk
+    early = []
+
+    def check(F, rows, gens, seen):
+        assert gens == oracles.full_submodule_top(F, rows)
+        c = F.cat
+        early.extend(y for y, ky in rows.items() if len(ky) >= 2 and
+                     seen[y] < sum(c.homdim[(x, y)] * len(rows[x])
+                                   for x in rows if x != y))
+    _checked_scan(monkeypatch, check)
+    aus, _ = auslander_category(A3)
+    for glued in (build_sk(A3, 1), build_sk(D4, 1), build_mk(aus, 1, 2)):
+        gldim(glued.cat)
+        domdim(glued.cat)
+    mods = indecomposables(aus)
+    for i in range(len(mods) - 2):
+        min_proj_resolution(direct_sum(aus, mods[i:i + 3])[0])
+    top_generators(fincat.CatModule(A2, {1: 1, 2: 2}, {
+        (1, 2): [Mat(FIELD, [[1], [1]])]}))
+    assert early
+
+
+def test_thin_resolutions_make_no_rref(monkeypatch):
+    """Resolving a thin module, every syzygy of which is thin too (each
+    K(y) of dimension at most 1), makes no Mat.rref call: the top scan
+    stops at the first nonzero image, and each kernel is 0 or everything.
+    On the simples, projectives and injectives of linear A4 and
+    Nakayama(4,3), and their injective coresolution tables, whose pairing
+    reads one-dimensional homs by a nonzero test."""
+    from ausglue.homology import injective_coresolutions
+
+    def thin(F, rows, gens, seen):
+        assert all(len(ky) <= 1 for ky in rows.values())
+
+    def no_rref(self):
+        raise AssertionError("rref on a %dx%d matrix"
+                             % (self.nrows, self.ncols))
+    cats = [make(DynkinSpec("A", 4, "linear")),
+            category_from_presentation(nakayama_linear(4, 3), FIELD)]
+    modules = [M for cat in cats for x in cat.objects
+               for M in (simple_module(cat, x), projective_module(cat, x),
+                         injective_module(cat, x))]
+    _checked_scan(monkeypatch, thin)
+    monkeypatch.setattr(Mat, "rref", no_rref)
+    lengths = [min_proj_resolution(M).length for M in modules]
+    assert max(lengths) >= 2
+    for cat in cats:
+        injective_coresolutions(cat)

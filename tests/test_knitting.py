@@ -7,7 +7,7 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import auslander_category
 from ausglue.homology import gldim, hom_modules, min_proj_resolution
-from ausglue.knitting import knit, vertex_label, OVSIENKO_BOUND
+from ausglue.knitting import knit, OVSIENKO_BOUND
 import oracles
 from oracles import (aus_rank, compose_maps, cover, dense_map, flatten,
                      hom_by_naturality, is_natural, yoneda_map)

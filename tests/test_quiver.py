@@ -13,8 +13,8 @@ from ausglue.knitting import knit
 from ausglue.linalg import default_field
 from ausglue.pathcat import category_from_presentation
 from ausglue.quiver import (Quiver, DynkinSpec, dynkin_quiver,
-                            hereditary_presentation, nakayama_linear,
-                            parse_quiver_file, topological_order)
+                            nakayama_linear, parse_quiver_file,
+                            topological_order)
 import oracles
 
 
