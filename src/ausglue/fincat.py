@@ -25,14 +25,17 @@ soon as the radical images span.  A map out of a free module is kept
 only as the images of its generators (Yoneda), one vector per summand,
 and applied through its Yoneda columns at one object at a time, and so
 is a map between modules (ModuleMap), by the generators of its source's
-cover.  Hom between modules, and with it the isomorphism test, is read
-off minimal resolutions in homology.
+cover; only FreeModule.hom_into forms a matrix from one, as plain rows.
+Hom between modules, and with it the isomorphism test, is read off
+minimal resolutions in homology.
 """
 
 import weakref
 from functools import cached_property
+from itertools import accumulate
 
-from .linalg import Mat, echelon_columns, quotient_coords
+from .linalg import (Mat, echelon_columns, identity_rows, quotient_coords,
+                     rank)
 from .errors import NonSchurianVertex
 
 
@@ -133,9 +136,8 @@ class FinCategory:
                         for row in self.comp.get((y, z, x) if flip else
                                                  (x, z, y), ())
                         for v in row]
-                # the entries are field elements already; only the rank is read
-                m = d - (any(v[0] for v in vecs) if d == 1 else len(
-                    Mat._wrap(self.field, vecs, len(vecs), d).rref()[1]))
+                m = d - (any(v[0] for v in vecs) if d == 1 else
+                         rank(self.field, vecs, d))
                 if m:
                     arrows[(x, y)] = m
         return arrows
@@ -164,8 +166,7 @@ class CatModule:
     where M is nonzero.  act[(x, y)] is the list of action matrices, one
     per basis element of hom(x, y).  A key is present only when
     homdim(x, y), dims[x] and dims[y] are all nonzero; every other action
-    is zero, and action() returns it as a zero matrix of the right
-    shape."""
+    is zero."""
 
     def __init__(self, cat, dims, act):
         self.cat = cat
@@ -177,26 +178,12 @@ class CatModule:
         """The objects x with M(x) nonzero, in object order."""
         return sorted(self.dims, key=self.cat.obj_index.__getitem__)
 
-    def action(self, x, y, i):
-        mats = self.act.get((x, y))
-        if mats is None:
-            return Mat.zero(self.cat.field, self.dims[y], self.dims[x])
-        return mats[i]
-
     def apply_action(self, x, y, i, v):
         """The i-th basis element of hom(x, y) applied to a vector of M(x)."""
         mats = self.act.get((x, y))
         if mats is None:
             return [self.cat.field.zero] * self.dims[y]
         return mats[i].apply(v)
-
-    def act_elem(self, x, y, coeffs):
-        """Action matrix of the hom(x,y) element with the given coords."""
-        out = Mat.zero(self.cat.field, self.dims[y], self.dims[x])
-        for i, c in enumerate(coeffs):
-            if c != self.cat.field.zero:
-                out = out + self.action(x, y, i).scale(c)
-        return out
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -345,7 +332,7 @@ def top_generators(M):
     """A minimal generating set of M, (object, unit vector) pairs lifting a
     basis of M / rad M: the top of M inside itself."""
     f = M.cat.field
-    return submodule_top(M, {x: Mat.identity(f, M.dims[x]).rows
+    return submodule_top(M, {x: identity_rows(f, M.dims[x])
                              for x in M.support})
 
 
@@ -445,13 +432,22 @@ class FreeModule:
         return out
 
     def hom_into(self, N, objs, images):
-        """The matrix of Hom(d, N): Hom(self, N) -> Hom(F, N) in Yoneda
-        coordinates (one N block per summand); block (j, i) is the action
-        N(b_i) -> N(objs[j]) of the block of images[j] at summand b_i."""
+        """The rows of the matrix of Hom(d, N): Hom(self, N) -> Hom(F, N)
+        in Yoneda coordinates (one N block per summand), N a CatModule;
+        block (j, i) is sum_l e_l N.act[(b_i, objs[j])][l], for e the
+        block of images[j] at summand b_i, accumulated in place."""
         f = self.cat.field
-        return Mat.vstack(f, [
-            Mat.hstack(f, [N.act_elem(b, a, e) for b, e in
-                           zip(self.summands, self.yoneda_entries(a, w))],
-                       N.dims[a])
-            for a, w in zip(objs, images)],
-            sum(N.dims[b] for b in self.summands))
+        zero, p = f.zero, f.p
+        offs = list(accumulate((N.dims[b] for b in self.summands), initial=0))
+        rows = []
+        for a, w in zip(objs, images):
+            block = [[zero] * offs[-1] for _ in range(N.dims[a])]
+            for b, o, e in zip(self.summands, offs, self.yoneda_entries(a, w)):
+                for c, m in zip(e, N.act.get((b, a), ())):
+                    if c:
+                        for row, mrow in zip(block, m.rows):
+                            for j, v in enumerate(mrow, o):
+                                row[j] += c * v
+            rows.extend(block if p is None else
+                        [[v % p for v in row] for row in block])
+        return rows

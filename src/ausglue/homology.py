@@ -17,9 +17,10 @@ lift_chain_map lifts a map of modules to their resolutions to compose Ext
 with Hom.  A differential, a lift, a Hom basis map and a cocycle are all
 kept as the images of generators and applied by their Yoneda columns at
 one object at a time (FreeModule.pull); only ext_space and ext_dims,
-which need a kernel or a rank, form the matrix of Hom(d, N)
-(FreeModule.hom_into).  Every Yoneda product is a lift through a cover
-(_lift), then a pull of the other factor's images along it.
+which need a kernel or a rank, form the rows of the matrix of Hom(d, N)
+(FreeModule.hom_into) and eliminate on them.  Every Yoneda product is a
+lift through a cover (_lift), then a pull of the other factor's images
+along it.
 
 Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
 M's resolution by hom_modules, on which hom_table and modules_isomorphic
@@ -45,8 +46,9 @@ support.
 
 from itertools import accumulate
 
-from .linalg import (Mat, NoSolution, row_space_basis, echelon_columns,
-                     quotient_coords)
+from .linalg import (Mat, NoSolution, identity_rows, kernel_basis,
+                     kernel_rows, quotient_coords, rank, row_reduce,
+                     row_space_basis, solve)
 from .fincat import (FinCategory, FreeModule, CatModule, ModuleMap,
                      dual_module, dual_projective_module, submodule_top,
                      top_generators, zero_module)
@@ -128,8 +130,9 @@ def _next_rows(G, F, images, y, k):
     if d == k:
         return []
     if not k:
-        return [_unit(f, d, i) for i in range(d)]
-    return Mat.from_cols(f, G.yoneda_columns(F, images, y)).kernel_rows()
+        return identity_rows(f, d)
+    return kernel_rows(f, [[f(v) for v in r] for r in
+                           zip(*G.yoneda_columns(F, images, y))], d)
 
 
 def gldim(cat):
@@ -199,12 +202,11 @@ def _nakayama_pairing(cat):
         cols.setdefault(tuple(col[y]), []).append(y)
 
     def invertible(x, z, y):
-        # the entries are field elements already; only the rank is read,
-        # the same for either orientation of comp
+        # only the rank is read, the same for either orientation of comp
         d = hd[(x, z)]
         t = comp.get((y, z, x) if cat.transposed else (x, z, y))
-        return t is not None and (t[0][0][0] != f.zero if d == 1 else len(
-            Mat._wrap(f, [[c[0] for c in r] for r in t], d, d).rref()[1]) == d)
+        return t is not None and (t[0][0][0] != f.zero if d == 1 else rank(
+            f, [[c[0] for c in r] for r in t], d) == d)
 
     return {x: y for x in objs
             for y in cols.get(tuple((z, hd[(x, z)])
@@ -284,9 +286,9 @@ class ExtSpace:
         basis = self.cob_rows + self.reps
         m = len(basis)
         if self._factor is None:
-            rows = row_space_basis(f, [list(b) + _unit(f, m, j)
-                                       for j, b in enumerate(basis)], n + m)
-            self._factor = rows, echelon_columns(f, rows, n + m)[0]
+            self._factor = row_reduce(f, [[f(v) for v in b] + e for b, e in
+                                          zip(basis, identity_rows(f, m))],
+                                      n + m)
         rest = quotient_coords(f, *self._factor, range(n + m),
                                list(vec) + [f.zero] * m)
         if any(v != f.zero for v in rest[:n]):
@@ -306,17 +308,14 @@ def ext_space(X, Y, n):
         return ExtSpace(Y, n, res, [], [])
     # cocycles: kernel of Hom(F_n, Y) -> Hom(F_{n+1}, Y)
     if n < len(res.diffs):
-        U = res.frees[n].hom_into(Y, res.frees[n + 1].summands,
-                                  res.diffs[n])
-        Z = U.kernel_basis()
-        zvecs = [Z.col(j) for j in range(Z.ncols)]
+        zvecs = kernel_basis(f, res.frees[n].hom_into(
+            Y, res.frees[n + 1].summands, res.diffs[n]), hom_n)
     else:
-        zvecs = [_unit(f, hom_n, i) for i in range(hom_n)]
-    # coboundaries: image of Hom(F_{n-1}, Y) -> Hom(F_n, Y)
+        zvecs = identity_rows(f, hom_n)
+    # coboundaries: image of Hom(F_{n-1}, Y) -> Hom(F_n, Y), its columns
     if n >= 1:
-        V = res.frees[n - 1].hom_into(Y, res.frees[n].summands,
-                                      res.diffs[n - 1])
-        bvecs = [V.col(j) for j in range(V.ncols)]
+        bvecs = zip(*res.frees[n - 1].hom_into(Y, res.frees[n].summands,
+                                               res.diffs[n - 1]))
     else:
         bvecs = []
     cob_rows = row_space_basis(f, bvecs, hom_n)
@@ -326,15 +325,10 @@ def ext_space(X, Y, n):
     reps = zvecs
     if cob_rows and zvecs:
         c = len(cob_rows)
-        pivots = Mat.from_cols(f, cob_rows + zvecs).rref()[1]
+        pivots = row_reduce(f, list(zip(*cob_rows, *zvecs)),
+                            c + len(zvecs))[1]
         reps = [zvecs[j - c] for j in pivots if j >= c]
     return ExtSpace(Y, n, res, reps, cob_rows)
-
-
-def _unit(f, n, i):
-    v = [f.zero] * n
-    v[i] = f.one
-    return v
 
 
 def ext_dims(res, Y, top, low=0):
@@ -343,12 +337,12 @@ def ext_dims(res, Y, top, low=0):
     built and ranked once."""
     hom = [sum(Y.dims[b] for b in F.summands) for F in res.frees] + \
         [0] * (top + 2)
-    rank = [0] * (top + 2)  # rank[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
+    ranks = [0] * (top + 2)  # ranks[i]: of Hom(F_{i-1}, Y) -> Hom(F_i, Y)
     for i in range(max(low - 1, 0), min(top + 1, len(res.diffs))):
         if hom[i] and hom[i + 1]:
-            rank[i + 1] = res.frees[i].hom_into(
-                Y, res.frees[i + 1].summands, res.diffs[i]).rank()
-    return [hom[i] - rank[i] - rank[i + 1] for i in range(low, top + 1)]
+            ranks[i + 1] = rank(Y.cat.field, res.frees[i].hom_into(
+                Y, res.frees[i + 1].summands, res.diffs[i]), hom[i])
+    return [hom[i] - ranks[i] - ranks[i + 1] for i in range(low, top + 1)]
 
 
 def ext_dim(X, Y, n):
@@ -411,7 +405,7 @@ def hom_table(cat, modules, names):
 def _read_entry(h):
     """The entry (j, r), entry r of the image of generator j, at which
     coordinates over a hom basis are read: the last nonzero one of h's
-    images.  A kernel_basis column is 1 at its free column, 0 at the free
+    images.  A kernel_basis vector is 1 at its free column, 0 at the free
     columns of the other basis maps, and elsewhere nonzero only at pivot
     columns to its left."""
     zero = h.src.cat.field.zero
@@ -434,8 +428,8 @@ def modules_isomorphic(M, N):
     maps = hom_modules(M, N)
     if len(maps) < 2:
         F, f = min_proj_resolution(M).frees[0], M.cat.field
-        return len(maps) == 1 and all(len(row_space_basis(
-            f, F.yoneda_columns(N, maps[0].images, y), N.dims[y])) == N.dims[y]
+        return len(maps) == 1 and all(rank(
+            f, F.yoneda_columns(N, maps[0].images, y), N.dims[y]) == N.dims[y]
             for y in N.support)
     for X in (M, N):
         e = len(hom_modules(X, X))
@@ -472,13 +466,15 @@ def transpose_module(M, n=1):
     F, G = FreeModule(op, lo.summands), FreeModule(op, res.frees[n].summands)
     quot = {}
     for y in G.support:
-        rows = row_space_basis(f, F.yoneda_columns(G, images, y), G.dims[y])
-        quot[y] = (rows, *echelon_columns(f, rows, G.dims[y]))
+        rows, piv = row_reduce(f, [[f(v) for v in c] for c in
+                                   F.yoneda_columns(G, images, y)], G.dims[y])
+        quot[y] = (rows, piv, [j for j in range(G.dims[y]) if j not in piv])
     dims = {y: len(q[2]) for y, q in quot.items()}
     live = [y for y in G.support if dims[y]]
     act = {}
     for x in live:
-        units = [_unit(f, G.dims[x], j) for j in quot[x][2]]
+        units = identity_rows(f, G.dims[x])
+        units = [units[j] for j in quot[x][2]]
         for y in live:
             if op.homdim[(x, y)]:
                 act[(x, y)] = [Mat.from_cols(f, [
@@ -545,8 +541,8 @@ def _lift(F, below, post, objs, targets):
     images = []
     for a, t in zip(objs, targets):
         if a not in cols:
-            cs = F.yoneda_columns(below, post, a)
-            cols[a] = Mat.from_cols(field, cs) if cs else \
-                Mat.zero(field, len(t), 0)
-        images.append(cols[a].solve(Mat.from_cols(field, [t])).col(0))
+            cols[a] = [[field(v) for v in c]
+                       for c in F.yoneda_columns(below, post, a)]
+        images.append(solve(field, list(zip(*cols[a], map(field, t))),
+                            len(cols[a])))
     return images

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals or a prime field.
 
-All arithmetic in the package goes through the two classes here; floating
-point is never used.  Elimination is deterministic (leftmost pivot column,
-first nonzero row) so every downstream basis choice is reproducible.
+Field carries the arithmetic of the coefficients; floating point is never
+used.  Elimination works on plain row lists: row_reduce, and rank,
+row_space_basis, kernel_basis, kernel_rows and solve on top of it, all
+through Mat.rref, the one elimination.  It is deterministic (leftmost
+pivot column, first nonzero row) so every downstream basis choice is
+reproducible, and it never changes the rows it is given.  Mat itself is
+the action of a module: it acts on column vectors and transposes.
 
 A QQ element is a Python int when it is integral and a Fraction otherwise,
 so integer data (every structure constant of a Dynkin path category) is
@@ -14,10 +18,6 @@ int.
 from fractions import Fraction
 
 DEFAULT_PRIME = 32003
-
-
-class FieldMismatch(Exception):
-    pass
 
 
 class NoSolution(Exception):
@@ -105,8 +105,11 @@ def default_field():
 
 
 class Mat:
-    """Dense matrix over a fixed Field.  Immutable by convention: no method
-    mutates self; all operations return fresh matrices."""
+    """A dense matrix over a fixed Field, as a module's action carries it:
+    it acts on column vectors (apply) and is transposed for the dual.
+    Immutable by convention.  rref is the one elimination of the package,
+    which row_reduce calls on plain row lists, so that wrapping Mat.rref
+    (as verdictbench's layer trace does) sees every elimination."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -127,18 +130,12 @@ class Mat:
     @staticmethod
     def zero(field, nrows, ncols):
         z = field.zero
-        m = Mat.__new__(Mat)
-        m.field, m.nrows, m.ncols = field, nrows, ncols
-        m.rows = [[z] * ncols for _ in range(nrows)]
-        return m
+        return Mat._wrap(field, [[z] * ncols for _ in range(nrows)],
+                         nrows, ncols)
 
     @staticmethod
     def identity(field, n):
-        m = Mat.zero(field, n, n)
-        one = field.one
-        for i in range(n):
-            m.rows[i][i] = one
-        return m
+        return Mat._wrap(field, identity_rows(field, n), n, n)
 
     @staticmethod
     def from_cols(field, cols):
@@ -146,6 +143,12 @@ class Mat:
             return Mat.zero(field, 0, 0)
         rows = [[field(v) for v in r] for r in zip(*cols)]
         return Mat._wrap(field, rows, len(cols[0]), len(cols))
+
+    @staticmethod
+    def _wrap(field, rows, nrows, ncols):
+        m = Mat.__new__(Mat)
+        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
+        return m
 
     # -- basics -------------------------------------------------------
 
@@ -157,48 +160,13 @@ class Mat:
     def __repr__(self):
         return "Mat(%r, %r)" % (self.field, self.rows)
 
-    def is_zero(self):
-        z = self.field.zero
-        return all(v == z for r in self.rows for v in r)
-
     def col(self, j):
         return [r[j] for r in self.rows]
 
     def transpose(self):
-        m = Mat.__new__(Mat)
-        m.field, m.nrows, m.ncols = self.field, self.ncols, self.nrows
-        m.rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return m
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("%r vs %r" % (self.field, other.field))
-
-    def __add__(self, other):
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        p = self.field.p
-        if p is None:
-            rows = [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        else:
-            rows = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        return Mat._wrap(self.field, rows, self.nrows, self.ncols)
-
-    def scale(self, c):
-        c = self.field(c)
-        p = self.field.p
-        if p is None:
-            rows = [[c * v for v in r] for r in self.rows]
-        else:
-            rows = [[(c * v) % p for v in r] for r in self.rows]
-        return Mat._wrap(self.field, rows, self.nrows, self.ncols)
-
-    @staticmethod
-    def _wrap(field, rows, nrows, ncols):
-        m = Mat.__new__(Mat)
-        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
-        return m
+        rows = [[self.rows[i][j] for i in range(self.nrows)]
+                for j in range(self.ncols)]
+        return Mat._wrap(self.field, rows, self.ncols, self.nrows)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list); returns a list."""
@@ -208,35 +176,18 @@ class Mat:
             return [sum((a * b for a, b in zip(r, vec)), z) for r in self.rows]
         return [sum(a * b for a, b in zip(r, vec)) % p for r in self.rows]
 
-    @staticmethod
-    def vstack(field, mats, ncols=None):
-        rows = []
-        for m in mats:
-            rows.extend(r[:] for r in m.rows)
-        if ncols is None:
-            ncols = mats[0].ncols if mats else 0
-        return Mat._wrap(field, rows, len(rows), ncols)
-
-    @staticmethod
-    def hstack(field, mats, nrows=None):
-        if nrows is None:
-            nrows = mats[0].nrows if mats else 0
-        rows = [[] for _ in range(nrows)]
-        for m in mats:
-            for i in range(nrows):
-                rows[i].extend(m.rows[i])
-        return Mat._wrap(field, rows, nrows, len(rows[0]) if rows else 0)
-
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (Mat, pivot column list).
+        """(rows, pivots): the nonzero rows of the reduced row echelon form,
+        as fresh lists, and the pivot column of each; self is not changed
+        (its rows may be tuples).
 
         Deterministic: scans columns left to right, picks the first row with
         a nonzero entry in the current column.
         """
         p = self.field.p
-        rows = [r[:] for r in self.rows]
+        rows = list(self.rows)  # rows are replaced below, never mutated
         nr, nc = self.nrows, self.ncols
         pivots = []
         r = 0
@@ -266,64 +217,77 @@ class Mat:
                         rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
-        return Mat._wrap(self.field, rows, nr, nc), pivots
+        return rows[:r], pivots
 
-    def rank(self):
-        return len(self.rref()[1]) if self.nrows and self.ncols else 0
 
-    def kernel_basis(self):
-        """Matrix whose columns span ker(self); ncols = ncols - rank."""
-        if self.nrows == 0 or self.ncols == 0:
-            return Mat.identity(self.field, self.ncols)
-        R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        cols = []
-        f = self.field
-        for j in free:
-            v = [f.zero] * self.ncols
-            v[j] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = -R.rows[i][j] if f.p is None else (-R.rows[i][j]) % f.p
-            cols.append(v)
-        return Mat.from_cols(f, cols) if cols else Mat.zero(f, self.ncols, 0)
+def identity_rows(field, n):
+    """The n unit vectors of length n, as fresh lists."""
+    rows = [[field.zero] * n for _ in range(n)]
+    for i, r in enumerate(rows):
+        r[i] = field.one
+    return rows
 
-    def kernel_rows(self):
-        """The RREF rows (plain lists) spanning ker(self)."""
-        K = self.kernel_basis()
-        if self.nrows == 0 or self.ncols == 0:
-            return K.rows  # the identity, already in RREF
-        return row_space_basis(self.field, [K.col(j) for j in range(K.ncols)],
-                               self.ncols)
 
-    def solve(self, b):
-        """Solve self * x = b (b a Mat of column(s)).  Raises NoSolution."""
-        self._check(b)
-        if b.nrows != self.nrows:
-            raise ValueError("rhs row count mismatch")
-        if self.ncols == 0 and not b.is_zero():
-            raise NoSolution()
-        if self.nrows == 0 or self.ncols == 0:
-            return Mat.zero(self.field, self.ncols, b.ncols)
-        aug = Mat.hstack(self.field, [self, b], self.nrows)
-        R, pivots = aug.rref()
-        f = self.field
-        for i in range(len(pivots)):
-            if pivots[i] >= self.ncols:
-                raise NoSolution()
-        x = Mat.zero(f, self.ncols, b.ncols)
-        for i, pc in enumerate(pivots):
-            x.rows[pc] = R.rows[i][self.ncols:]
-        return x
+def row_reduce(field, rows, length):
+    """(nonzero RREF rows, pivots) of the given rows, each of the given
+    length, by Mat.rref; the rows are not changed.  A matrix with no entry
+    is answered without elimination."""
+    if not rows or not length:
+        return [], []
+    return Mat._wrap(field, rows, len(rows), length).rref()
+
+
+def rank(field, rows, length):
+    return len(row_reduce(field, rows, length)[1])
 
 
 def row_space_basis(field, vectors, length):
     """Deterministic basis (as list of row vectors) of the span of the given
-    row vectors; returned rows are the nonzero rows of the RREF."""
-    if not vectors or length == 0:
-        return []
-    m = Mat(field, vectors, len(vectors), length)
-    R, pivots = m.rref()
-    return [R.rows[i][:] for i in range(len(pivots))]
+    row vectors, their entries coerced into field; returned rows are the
+    nonzero rows of the RREF."""
+    return row_reduce(field, [[field(v) for v in r] for r in vectors],
+                      length)[0]
+
+
+def kernel_basis(field, rows, length):
+    """Vectors spanning {x : A x = 0}, A the given rows: one per free
+    column j of A's RREF, 1 at j, 0 at the other free columns and minus
+    that column of the RREF at the pivots.  All unit vectors where A has
+    no entry."""
+    if not rows or not length:
+        return identity_rows(field, length)
+    R, pivots = row_reduce(field, rows, length)
+    out = []
+    for j in (j for j in range(length) if j not in pivots):
+        v = [field.zero] * length
+        v[j] = field.one
+        for r, pc in zip(R, pivots):
+            v[pc] = field(-r[j])
+        out.append(v)
+    return out
+
+
+def kernel_rows(field, rows, length):
+    """The RREF rows spanning {x : A x = 0}, A the given rows."""
+    if not rows or not length:
+        return identity_rows(field, length)  # already in RREF
+    return row_space_basis(field, kernel_basis(field, rows, length), length)
+
+
+def solve(field, rows, ncols):
+    """The x with A x = b, for rows the augmented matrix [A | b], A of
+    ncols columns: 0 at every free variable.  Raises NoSolution."""
+    x = [field.zero] * ncols
+    if not rows or not ncols:
+        if any(r[ncols] for r in rows):
+            raise NoSolution()
+        return x
+    R, pivots = row_reduce(field, rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        raise NoSolution()
+    for r, pc in zip(R, pivots):
+        x[pc] = r[ncols]
+    return x
 
 
 def echelon_columns(field, rows, length):

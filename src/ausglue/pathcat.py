@@ -9,7 +9,7 @@ ideal, the bases and the composition are kept only for the pairs joined
 by a path, so the work follows the paths rather than every vertex pair.
 """
 
-from .linalg import row_space_basis, echelon_columns, quotient_coords
+from .linalg import quotient_coords, row_reduce
 from .fincat import FinCategory
 from .errors import InfiniteDimensional, InvalidParams
 
@@ -65,8 +65,8 @@ def category_from_presentation(pres, field):
     basis = {}
     reducer = {}
     for key, plist in paths.items():
-        rows = row_space_basis(field, ideal_rows[key], len(plist))
-        piv, free = echelon_columns(field, rows, len(plist))
+        rows, piv = row_reduce(field, ideal_rows[key], len(plist))
+        free = [j for j in range(len(plist)) if j not in piv]
         basis[key] = [plist[j] for j in free]
         reducer[key] = (rows, piv, free)
 

@@ -203,8 +203,8 @@ def nakayama_linear(m, ell):
 def parse_quiver_file(text):
     """Parse the quiver spec file format.
 
-    Header `dynkin <letter> <rank> [orientation]` or `quiver`, then
-    `arrow <id> <src> <dst>` lines and optional
+    Header `dynkin <letter> <rank> [orientation]` or `quiver`, and nothing
+    else on that line, then `arrow <id> <src> <dst>` lines and optional
     `relation <coeff>*<path>;...` lines where a path is a `.`-joined
     arrow id sequence.  Returns a BoundPresentation.
     """
@@ -214,15 +214,16 @@ def parse_quiver_file(text):
         raise InvalidParams("empty quiver file")
     head = lines[0].split()
     if head[0] == "dynkin":
-        if len(head) < 3:
-            raise InvalidParams("dynkin header needs letter and rank")
+        if not 3 <= len(head) <= 4:
+            raise InvalidParams("dynkin header needs letter and rank, then "
+                                "at most an orientation: %r" % (lines[0],))
         orientation = head[3] if len(head) > 3 else None
         rank = _parse_int(head[2], "dynkin rank", lines[0])
         spec = DynkinSpec(head[1], rank, orientation)
         if len(lines) > 1:
             raise InvalidParams("dynkin header takes no further lines")
         return hereditary_presentation(spec)
-    if head[0] != "quiver":
+    if head != ["quiver"]:
         raise InvalidParams("unknown header %r" % (lines[0],))
     arrows = []
     relation_lines = []

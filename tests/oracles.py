@@ -21,7 +21,12 @@ of module maps (compose_maps, add_maps, sub_maps, scale_map,
 map_is_zero), an Ext cocycle postcomposed with a dense map
 (compose_hom_with_ext), the block-diagonal matrix, the matrix inverse
 and the invertibility test (is_invertible), and the hom dimensions of a
-glued category by copy.  The passes over a category that scan every
+glued category by copy.  The program's Mat only carries a module's
+action and eliminates on row lists (linalg), so the matrix arithmetic
+of the tests is here, over matmul and the linalg functions: mat_add,
+mat_scale, is_zero, solve_mat (linalg.solve column by column), the
+readers of a module's action that give a zero matrix where it stores
+none (action, act_elem), and FreeModule.hom_into as a Mat (hom_matrix).  The passes over a category that scan every
 object pair are kept here as references for the ones that walk its hom
 support: the Nakayama pairing (nakayama_pairing), the directedness check
 through the quiver of its hom support (refuse_cycles, hom_support), the
@@ -52,8 +57,9 @@ from ausglue.errors import (AusglueError, InfiniteDimensional,
 from ausglue.fincat import CatModule, FinCategory, FreeModule
 from ausglue.homology import min_proj_resolution, tau_n
 from ausglue.knitting import knit
-from ausglue.linalg import (FieldMismatch, Mat, NoSolution, row_space_basis,
-                            echelon_columns, quotient_coords)
+from ausglue.linalg import (Mat, NoSolution, echelon_columns, kernel_basis,
+                            kernel_rows, quotient_coords, rank, row_reduce,
+                            row_space_basis, solve)
 from ausglue.quiver import Quiver
 
 
@@ -61,13 +67,68 @@ def matmul(a, b):
     """The product a b of two Mats over one field, entry by entry: the one
     matrix product of the tests."""
     if a.field != b.field:
-        raise FieldMismatch("%r vs %r" % (a.field, b.field))
+        raise ValueError("field mismatch: %r vs %r" % (a.field, b.field))
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch: %dx%d * %dx%d"
                          % (a.nrows, a.ncols, b.nrows, b.ncols))
     cols = b.transpose().rows
     return Mat(a.field, [[sum(u * v for u, v in zip(r, c)) for c in cols]
                          for r in a.rows], a.nrows, b.ncols)
+
+
+def mat_add(a, b):
+    """a + b, entry by entry."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    return Mat(a.field, [[u + v for u, v in zip(r, s)]
+                         for r, s in zip(a.rows, b.rows)], a.nrows, a.ncols)
+
+
+def mat_scale(m, c):
+    """c m, entry by entry."""
+    c = m.field(c)
+    return Mat(m.field, [[c * v for v in r] for r in m.rows], m.nrows, m.ncols)
+
+
+def is_zero(m):
+    return not any(v for r in m.rows for v in r)
+
+
+def solve_mat(a, b):
+    """The X with a X = b, 0 at every free variable, by linalg.solve on
+    each column of b; raises NoSolution."""
+    if b.nrows != a.nrows:
+        raise ValueError("rhs row count mismatch")
+    cols = [solve(a.field, [r + [v] for r, v in zip(a.rows, b.col(j))],
+                  a.ncols) for j in range(b.ncols)]
+    return Mat._wrap(a.field, [list(r) for r in zip(*cols)] if cols else
+                     [[] for _ in range(a.ncols)], a.ncols, b.ncols)
+
+
+def action(M, x, y, i):
+    """The matrix of the i-th basis element of hom(x, y) on the CatModule
+    M; a zero matrix of the right shape where M stores no action."""
+    mats = M.act.get((x, y))
+    if mats is None:
+        return Mat.zero(M.cat.field, M.dims[y], M.dims[x])
+    return mats[i]
+
+
+def act_elem(M, x, y, coeffs):
+    """The action matrix on M of the hom(x, y) element with the given
+    coordinates."""
+    out = Mat.zero(M.cat.field, M.dims[y], M.dims[x])
+    for i, c in enumerate(coeffs):
+        if c != M.cat.field.zero:
+            out = mat_add(out, mat_scale(action(M, x, y, i), c))
+    return out
+
+
+def hom_matrix(F, N, objs, images):
+    """FreeModule.hom_into as a Mat: its rows, one column per entry of the
+    N blocks of F's summands."""
+    return Mat(F.cat.field, F.hom_into(N, objs, images),
+               sum(N.dims[a] for a in objs), sum(N.dims[b] for b in F.summands))
 
 
 def block(cat, x, y, z):
@@ -212,7 +273,7 @@ def check_module(M):
     """Verify identity and composition compatibility of the action."""
     c = M.cat
     for x in c.objects:
-        if M.dims[x] and not M.action(x, x, 0) == Mat.identity(c.field, M.dims[x]):
+        if M.dims[x] and not action(M, x, x, 0) == Mat.identity(c.field, M.dims[x]):
             return False
     for x in c.objects:
         for y in c.objects:
@@ -226,8 +287,8 @@ def check_module(M):
                     for j in range(c.homdim[(x, y)]):
                         f = basis_vec(c, x, y, j)
                         gf = compose(c, x, y, z, g, f)
-                        if M.act_elem(x, z, gf) != \
-                                matmul(M.action(y, z, i), M.action(x, y, j)):
+                        if act_elem(M, x, z, gf) != \
+                                matmul(action(M, y, z, i), action(M, x, y, j)):
                             return False
     return True
 
@@ -277,14 +338,14 @@ def dense_map(phi):
         if m and n:
             C = Mat.from_cols(f, F.yoneda_columns(M, res.tops, y))
             D = Mat.from_cols(f, F.yoneda_columns(N, phi.images, y))
-            mats[y] = C.transpose().solve(D.transpose()).transpose()
+            mats[y] = solve_mat(C.transpose(), D.transpose()).transpose()
         else:
             mats[y] = Mat.zero(f, n, m)
     return DenseMap(M, N, mats)
 
 
 def is_invertible(m):
-    return m.nrows == m.ncols and m.rank() == m.nrows
+    return m.nrows == m.ncols and rank(m.field, m.rows, m.ncols) == m.nrows
 
 
 def compose_hom_with_ext(g, ext, vec):
@@ -307,12 +368,12 @@ def compose_maps(phi, other):
 def add_maps(phi, other):
     b = other.mats
     return DenseMap(phi.src, phi.dst,
-                    {x: m + b[x] for x, m in phi.mats.items()})
+                    {x: mat_add(m, b[x]) for x, m in phi.mats.items()})
 
 
 def scale_map(phi, c):
     return DenseMap(phi.src, phi.dst,
-                    {x: m.scale(c) for x, m in phi.mats.items()})
+                    {x: mat_scale(m, c) for x, m in phi.mats.items()})
 
 
 def sub_maps(phi, other):
@@ -320,7 +381,7 @@ def sub_maps(phi, other):
 
 
 def map_is_zero(phi):
-    return all(m.is_zero() for m in phi.mats.values())
+    return all(is_zero(m) for m in phi.mats.values())
 
 
 def block_diag(field, mats):
@@ -340,7 +401,7 @@ def inverse(m):
     if m.nrows != m.ncols:
         raise ValueError("not square")
     try:
-        x = m.solve(Mat.identity(m.field, m.nrows))
+        x = solve_mat(m, Mat.identity(m.field, m.nrows))
     except NoSolution:
         raise ValueError("singular matrix")
     return x
@@ -364,20 +425,20 @@ class Submodule:
                 d = c.homdim[(x, y)]
                 if d == 0 or parent.dims[y] == 0:
                     continue
-                imgs = [matmul(parent.action(x, y, i), Bx) for i in range(d)]
+                imgs = [matmul(action(parent, x, y, i), Bx) for i in range(d)]
                 if dims[y] == 0:
-                    if not all(img.is_zero() for img in imgs):
+                    if not all(is_zero(img) for img in imgs):
                         raise ValueError("subspace not action-stable")
                     continue
                 By = Mat.from_cols(f, self.basis[y])
-                act[(x, y)] = [By.solve(img) for img in imgs]
+                act[(x, y)] = [solve_mat(By, img) for img in imgs]
         self.module = CatModule(c, dims, act)
 
 
 def kernel(phi):
     """Kernel of a DenseMap, as a Submodule of phi.src."""
-    return Submodule(phi.src, {x: phi.mats[x].kernel_rows()
-                               for x in phi.src.cat.objects})
+    return Submodule(phi.src, {x: kernel_rows(m.field, m.rows, m.ncols)
+                               for x, m in phi.mats.items()})
 
 
 class Quotient:
@@ -404,7 +465,7 @@ class Quotient:
                 d = c.homdim[(x, y)]
                 if d == 0 or dims[x] == 0 or dims[y] == 0:
                     continue
-                act[(x, y)] = [matmul(matmul(proj[y], parent.action(x, y, i)),
+                act[(x, y)] = [matmul(matmul(proj[y], action(parent, x, y, i)),
                                       sect[x])
                                for i in range(d)]
         self.module = CatModule(c, dims, act)
@@ -438,14 +499,14 @@ def dense_projective(cat, x):
 
 def dense_top(M):
     """The top generators of M, read from the dense radical: every column
-    of every action(x, y, i), x != y, spans rad M(y), and the unit vectors
+    of every action(M, x, y, i), x != y, spans rad M(y), and the unit vectors
     at the free columns of its RREF lift a basis of M(y) / rad M(y); as
     (object, vector) pairs in object order."""
     c = M.cat
     f = c.field
     gens = []
     for y in c.objects:
-        vecs = [M.action(x, y, i).col(j) for x in c.objects if x != y
+        vecs = [action(M, x, y, i).col(j) for x in c.objects if x != y
                 for i in range(c.homdim[(x, y)]) for j in range(M.dims[x])]
         rad = row_space_basis(f, vecs, M.dims[y])
         for j in echelon_columns(f, rad, M.dims[y])[1]:
@@ -482,7 +543,7 @@ def full_submodule_top(F, rows):
                         w = [w[j] for j in piv]
                     if any(w):
                         vecs.append(w)
-        rad = Mat(f, vecs, len(vecs), k).rref()[1] if vecs else ()
+        rad = row_reduce(f, vecs, k)[1]
         gens.extend((y, ky[j]) for j in range(k) if j not in rad)
     return gens
 
@@ -497,7 +558,7 @@ def dense_free(F):
         for z in F.support:
             d = c.homdim[(y, z)]
             if d:
-                act[(y, z)] = [block_diag(c.field, [p.action(y, z, i)
+                act[(y, z)] = [block_diag(c.field, [action(p, y, z, i)
                                                     for p in projs])
                                for i in range(d)]
     return CatModule(c, F.dims, act)
@@ -572,7 +633,7 @@ def direct_sum(cat, modules):
             d = cat.homdim[(x, y)]
             if d == 0 or dims[x] == 0 or dims[y] == 0:
                 continue
-            act[(x, y)] = [block_diag(f, [m.action(x, y, i) for m in modules])
+            act[(x, y)] = [block_diag(f, [action(m, x, y, i) for m in modules])
                            for i in range(d)]
     S = CatModule(cat, dims, act)
     incls, projs = [], []
@@ -600,8 +661,8 @@ def is_natural(phi):
     for x in c.objects:
         for y in c.objects:
             for i in range(c.homdim[(x, y)]):
-                lhs = matmul(phi.dst.action(x, y, i), phi.mats[x])
-                rhs = matmul(phi.mats[y], phi.src.action(x, y, i))
+                lhs = matmul(action(phi.dst, x, y, i), phi.mats[x])
+                rhs = matmul(phi.mats[y], action(phi.src, x, y, i))
                 if lhs != rhs:
                     return False
     return True
@@ -637,8 +698,8 @@ def hom_by_naturality(M, N):
     for x in [x for x in objs if M.dims[x]]:
         for y in [y for y in objs if N.dims[y]]:
             for i in range(c.homdim[(x, y)]):
-                A = N.action(x, y, i)   # N(x) -> N(y)
-                B = M.action(x, y, i)   # M(x) -> M(y)
+                A = action(N, x, y, i)   # N(x) -> N(y)
+                B = action(M, x, y, i)   # M(x) -> M(y)
                 # constraint: A * T_x - T_y * B = 0, entries (r, s) with
                 # r over N.dims[y], s over M.dims[x]
                 for r in range(N.dims[y]):
@@ -653,13 +714,8 @@ def hom_by_naturality(M, N):
                         if f.p is not None:
                             row = [v % f.p for v in row]
                         rows.append(row)
-    if not rows:
-        K = Mat.identity(f, total)
-    else:
-        K = Mat(f, rows, len(rows), total).kernel_basis()
     out = []
-    for j in range(K.ncols):
-        v = K.col(j)
+    for v in kernel_basis(f, rows, total):
         mats = {}
         for x in objs:
             m = Mat.zero(f, N.dims[x], M.dims[x])

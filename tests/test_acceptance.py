@@ -8,8 +8,8 @@ from ausglue.linalg import QQ, GF, default_field
 from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
-from ausglue.fincat import injective_module
-from ausglue.homology import ext_dim, INFINITY
+from ausglue.fincat import injective_label, injective_module, projective_label
+from ausglue.homology import ext_dim, hom_table, injective_dims, INFINITY
 from ausglue.knitting import knit, vertex_label
 from ausglue.glue import (build_sk, build_mk, auslander_category,
                           cluster_tilting_from_tau_n, is_cluster_tilting,
@@ -296,12 +296,32 @@ def test_criterion_8_property_suites(aus_setup):
 
 
 def test_criterion_9_negative_controls(aus_setup):
-    aus_cat, modules, _ = aus_setup
+    """Dropping any one module of the 2-cluster-tilting subcategory of
+    Auslander(A3) fails, with the witness of the first test to fail: a
+    dropped P_x loses the generator at x, a dropped I_y the cogenerator
+    at y, and the one module that is neither (S_S_2) leaves End of the
+    rest with gldim > 3, recomputed from the witness (a, d) alone as the
+    injective dimension of P_a over that End."""
+    aus_cat, modules, names = aus_setup
     ok = True
+    other = []
     for idx in range(len(modules)):
         sub = modules[:idx] + modules[idx + 1:]
-        passed, _ = is_cluster_tilting(aus_cat, sub, 2)
+        passed, witness = is_cluster_tilting(aus_cat, sub, 2)
         ok &= not passed
+        x, y = projective_label(modules[idx]), injective_label(modules[idx])
+        if x is not None:
+            assert witness == ("generator", x)
+        elif y is not None:
+            assert witness == ("cogenerator", y)
+        else:
+            other.append(names[idx])
+            kind, (a, d) = witness
+            assert kind == "gldim" and d > 3
+            end = hom_table(aus_cat, sub, [names[i] for i in
+                                           range(len(modules)) if i != idx])[1]
+            assert injective_dims(end)[a] == d
+    assert other == ["S_S_2"]
     kron = BoundPresentation(Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [])
     try:
         verify_theorem_dynkin(kron, 1)

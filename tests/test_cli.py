@@ -245,9 +245,10 @@ NOT_DIRECTED_VERIFY = "not a generator: P_2 is not among them"
      "cyclic quivers are out of scope"),
     (NOT_DIRECTED, NOT_DIRECTED_VERIFY),
     ("dynkin A\n", "dynkin header needs letter and rank"),
+    ("dynkin A 3 linear junk more\n", "'dynkin A 3 linear junk more'"),
 ], ids=["loop", "oriented-cycle", "bare-arrow", "short-arrow",
         "unknown-relation-arrow", "no-arrows", "cycle-with-relations",
-        "not-directed", "dynkin-without-rank"])
+        "not-directed", "dynkin-without-rank", "dynkin-extra-tokens"])
 def test_bad_quiver_file_exits_two(runner, tmp_path, text, message):
     qf = tmp_path / "bad.quiver"
     qf.write_text(text)

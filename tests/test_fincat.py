@@ -5,9 +5,9 @@ import weakref
 import pytest
 
 from ausglue.errors import NonSchurianVertex
-from ausglue.linalg import QQ, GF, default_field
-from ausglue.quiver import (DynkinSpec, hereditary_presentation,
-                            nakayama_linear)
+from ausglue.linalg import Mat, QQ, GF, default_field
+from ausglue.quiver import (BoundPresentation, DynkinSpec, Quiver,
+                            hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import build_sk
 from ausglue.fincat import (projective_module, injective_module,
@@ -249,9 +249,58 @@ def test_free_module_lives_on_its_support():
                     for i in range(cat.homdim[(x, y)]):
                         v = [f(rng.randrange(5)) for _ in range(F.dims[x])]
                         w = F.apply_action(x, y, i, v)
-                        assert w == dense.action(x, y, i).apply(v)
+                        assert w == oracles.action(dense, x, y, i).apply(v)
                         if y not in F.support:
                             assert w == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_hom_into_matches_dense_blocks(field):
+    """FreeModule.hom_into, accumulated in place, has block (j, i) equal
+    to the action on N of the hom(b_i, a_j) element that image j holds at
+    summand b_i (oracles.act_elem).  On the square 1 -> 2 -> 4, 1 -> 3 ->
+    4 without relations, where hom(1, 4) is two-dimensional and both basis
+    elements act at once, with random images and N = P_1 or I_4, each
+    also in a random basis at every object, where the actions are dense
+    and their sums leave [0, p)."""
+    cat = category_from_presentation(BoundPresentation(Quiver(
+        [1, 2, 3, 4], [("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)]),
+        []), field)
+    assert cat.homdim[(1, 4)] == 2
+    rng = random.Random(5)
+    G = FreeModule(cat, [1, 2, 1, 3])
+    objs = [4, 1, 4, 2, 3]
+    for M in (projective_module(cat, 1), injective_module(cat, 4)):
+        for N in (M, _in_random_basis(M, rng)):
+            _assert_hom_into_blocks(G, N, objs, rng)
+
+
+def _in_random_basis(M, rng):
+    """M, isomorphic, in a random basis B_x at each object: the action
+    B_y A B_x^-1 for each action A: M(x) -> M(y)."""
+    f = M.cat.field
+    B = {}
+    for x in M.support:
+        while x not in B or not oracles.is_invertible(B[x]):
+            B[x] = Mat(f, [[rng.randint(-3, 3) for _ in range(M.dims[x])]
+                           for _ in range(M.dims[x])])
+    return CatModule(M.cat, M.dims, {
+        (x, y): [matmul(matmul(B[y], A), oracles.inverse(B[x]))
+                 for A in mats] for (x, y), mats in M.act.items()})
+
+
+def _assert_hom_into_blocks(G, N, objs, rng):
+    field = G.cat.field
+    for _ in range(5):
+        images = [[field(rng.randint(-3, 3)) for _ in range(G.dims[a])]
+                  for a in objs]
+        want = []
+        for a, w in zip(objs, images):
+            blocks = [oracles.act_elem(N, b, a, e).rows for b, e in
+                      zip(G.summands, G.yoneda_entries(a, w))]
+            want += [[v for rows in blocks for v in rows[r]]
+                     for r in range(N.dims[a])]
+        assert G.hom_into(N, objs, images) == want
 
 
 def test_full_subcategory_of_an_opposite_reads_it_transposed():
@@ -326,5 +375,6 @@ def test_in_place_duals_match_dense_reference(field):
                 for a in c.objects:
                     for b in c.objects:
                         for i in range(c.homdim[(a, b)]):
-                            assert M.action(a, b, i) == ref.action(a, b, i)
+                            assert oracles.action(M, a, b, i) == \
+                                oracles.action(ref, a, b, i)
 

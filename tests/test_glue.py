@@ -580,7 +580,7 @@ def test_glued_blocks_match_dense_reference(case, field):
             lifts = [lift_chain_map(f, res[a], res[b], n)[n]
                      for f in homs[(a, b)]]
             assert block(a, b, c, 0) == [
-                [E.reduce(F.hom_into(mods[c], objs, L).apply(vec))
+                [E.reduce(oracles.hom_matrix(F, mods[c], objs, L).apply(vec))
                  for L in lifts] for vec in exts[(b, c)].reps]
             blocks[0] += 1
         if exts[(a, b)].dim and homs[(b, c)]:

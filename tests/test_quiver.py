@@ -154,6 +154,11 @@ relation 1*a.b; -1*c
     ("quiver\narrow a 1 2\nrelation x*a\n",
      r"relation coefficient must be an integer, got 'x' "
      r"in line 'relation x\*a'"),
+    ("dynkin A 3 linear junk more\n",
+     "dynkin header needs letter and rank, then at most an orientation: "
+     "'dynkin A 3 linear junk more'"),
+    ("dynkin A 3 linear junk\n", "'dynkin A 3 linear junk'"),
+    ("quiver whatever\narrow a 1 2\n", "unknown header 'quiver whatever'"),
 ])
 def test_parse_quiver_file_rejects_malformed(text, message):
     with pytest.raises(InvalidParams, match=message):
