@@ -8,11 +8,11 @@ from .quiver import (Quiver, DynkinSpec, BoundPresentation, dynkin_quiver,
                      hereditary_presentation, nakayama_linear,
                      parse_quiver_file)
 from .pathcat import category_from_presentation
-from .fincat import (FinCategory, CatModule, ModuleMap, projective_module,
+from .fincat import (FinCategory, CatModule, projective_module,
                      injective_module)
 from .homology import (min_proj_resolution, ext_space, ext_dim, gldim,
                        domdim, projective_injectives, tau_inv, tau_n,
-                       hom_modules, modules_isomorphic, INFINITY)
+                       modules_isomorphic, INFINITY)
 from .knitting import knit, vertex_label
 from .glue import (GluedCategory, build_glued, build_sk, build_mk,
                    endomorphism_category, auslander_category, is_rigid,
@@ -25,8 +25,8 @@ __all__ = [
     "Quiver", "DynkinSpec", "BoundPresentation", "dynkin_quiver",
     "hereditary_presentation", "nakayama_linear", "parse_quiver_file",
     "category_from_presentation",
-    "FinCategory", "CatModule", "ModuleMap", "projective_module",
-    "injective_module", "hom_modules", "modules_isomorphic",
+    "FinCategory", "CatModule", "projective_module",
+    "injective_module", "modules_isomorphic",
     "min_proj_resolution", "ext_space", "ext_dim", "gldim", "domdim",
     "tau_inv", "tau_n", "INFINITY",
     "knit", "vertex_label",

@@ -24,10 +24,10 @@ of a module and of every syzygy inside its free module, and stops as
 soon as the radical images span.  A map out of a free module is kept
 only as the images of its generators (Yoneda), one vector per summand,
 and applied through its Yoneda columns at one object at a time, and so
-is a map between modules (ModuleMap), by the generators of its source's
-cover; only FreeModule.hom_into forms a matrix from one, as plain rows.
-Hom between modules, and with it the isomorphism test, is read off
-minimal resolutions in homology.
+is a map between modules, by the generators of its source's cover; only
+FreeModule.hom_into forms a matrix from one, as plain rows.  Hom between
+modules is Ext^0, read off minimal resolutions in homology (ext_space),
+and with it the isomorphism test.
 """
 
 import weakref
@@ -193,17 +193,6 @@ class CatModule:
 
     def __repr__(self):
         return "CatModule(dims=%r)" % ({x: self.dims[x] for x in self.support},)
-
-
-class ModuleMap:
-    """A natural transformation between CatModules over the same category,
-    kept as its images: the vectors of dst that the generators of F_0, in
-    the minimal resolution of src, go to, which fix it by Yoneda."""
-
-    def __init__(self, src, dst, images):
-        self.src = src
-        self.dst = dst
-        self.images = images
 
 
 def zero_module(cat):

@@ -2,21 +2,22 @@
 hom(X[i], Y[i]) the ordinary hom, hom(X[i], Y[i+1]) = Ext^n(X, Y), and
 nothing across larger gaps.
 
-Every product is Yoneda composition, a lift through a cover and a pull
-(FreeModule.pull): hom after hom is the hom_table's, ext after hom pulls
-the cocycle along f's chain-map lift, hom after ext pulls g along the
-cocycle's lift through its target's cover, and ext after ext vanishes.
-build_glued makes each block once, for a triple whose three hom spaces
-are nonzero, writes it under its shifted keys, and lifts a hom basis to
-degree n only where an ext after hom block reads the lift.  Associativity
-is not assumed; tests/oracles.py checks it exhaustively.
+Hom (ext_space at n = 0) and Ext^n are both ExtSpaces; every product is
+a Yoneda composite (homology.yoneda_block): hom after hom is the
+hom_table's, ext after hom pulls the cocycle along f's chain-map lift,
+hom after ext pulls g along the cocycle's lift through its target's
+cover, and ext after ext vanishes.  build_glued makes each block once,
+for a triple whose three hom spaces are nonzero, writes it under its
+shifted keys, and lifts a hom basis to degree n only where an ext after
+hom block reads the lift.  Associativity is not assumed; the tests check
+it exhaustively.
 """
 
 from .fincat import (FinCategory, injective_module, projective_label,
                      injective_label, is_basic)
 from .homology import (min_proj_resolution, ext_space, ext_dims, gldim,
                        injective_dims, lift_chain_map, _lift, tau_n,
-                       hom_table, hom_modules, modules_isomorphic)
+                       hom_table, yoneda_block, modules_isomorphic)
 from .knitting import (knit, vertex_label, single_gabriel_arrows,
                        OVSIENKO_BOUND)
 from .errors import (NotHereditary, NotClusterTilting, GldimTooBig,
@@ -79,8 +80,8 @@ def build_glued(ambient, modules, names, n, k, table):
     for s in range(k + 1):
         at = objects[s * m:(s + 1) * m]
         up = objects[(s + 1) * m:(s + 2) * m]
-        for (a, b), basis in homs.items():
-            homdim[(at[a], at[b])] = len(basis)
+        for (a, b), H in homs.items():
+            homdim[(at[a], at[b])] = H.dim
             if s < k:
                 homdim[(at[a], up[b])] = exts[(a, b)].dim
 
@@ -94,34 +95,27 @@ def build_glued(ambient, modules, names, n, k, table):
 
     for (a, b, c), t in end.comp.items():
         spread(a, b, c, 0, 0, t)
-    cols = {}  # each pulled map's Yoneda columns, shared across sources a
-    for (a, b), basis in homs.items():
+    cols = {}  # each pulled rep's Yoneda columns, shared across sources a
+    for (a, b), H in homs.items():
         cs = [c for c in ext_out[b] if exts[(a, c)].dim]
-        if not basis or not cs:
+        if not H.dim or not cs:
             continue
         # Ext^n(b, c), Ext^n(a, c) != 0: both resolutions reach F_n, so
         # every lift has a degree-n term
-        lifts = [lift_chain_map(f, res[a], res[b], n)[n] for f in basis]
-        F, objs = res[b].frees[n], res[a].frees[n].summands
+        lifts = [lift_chain_map(H.images(r), modules[b], res[a], res[b],
+                                n)[n] for r in H.reps]
         for c in cs:
-            E = exts[(b, c)]
-            spread(a, b, c, 0, 1, [
-                [exts[(a, c)].reduce([v for w in F.pull(
-                    modules[c], E.images(vec), objs, L,
-                    cols.setdefault((b, c, i), {})) for v in w])
-                 for L in lifts] for i, vec in enumerate(E.reps)])
+            spread(a, b, c, 0, 1,
+                   yoneda_block(exts[(b, c)], lifts, exts[(a, c)], cols))
+    covers = [{} for _ in modules]  # each cover's columns, by object
     for a, bs in enumerate(ext_out):
         for b in bs:  # c = b qualifies, so every lift below is read
-            E, F = exts[(a, b)], res[b].frees[0]
-            objs = res[a].frees[n].summands
-            lifts = [_lift(F, modules[b], res[b].tops, objs, E.images(r))
-                     for r in E.reps]
-            for c in (c for c in bs if homs[(b, c)]):
-                spread(a, b, c, 1, 1, [
-                    [exts[(a, c)].reduce([v for w in F.pull(
-                        modules[c], g.images, objs, L,
-                        cols.setdefault(g, {})) for v in w])
-                     for L in lifts] for g in homs[(b, c)]])
+            E, objs = exts[(a, b)], res[a].frees[n].summands
+            lifts = [_lift(res[b].frees[0], modules[b], res[b].tops, objs,
+                           E.images(r), covers[b]) for r in E.reps]
+            for c in (c for c in bs if homs[(b, c)].dim):
+                spread(a, b, c, 1, 1,
+                       yoneda_block(homs[(b, c)], lifts, exts[(a, c)], cols))
 
     cat = FinCategory(ambient.field, objects, homdim, comp)
     return GluedCategory(cat, ambient, modules, names, n, k)
@@ -154,10 +148,14 @@ def _knit_indecomposables(ambient):
 
 def build_sk(ambient, k):
     """Glue k+1 copies of the module category of a hereditary
-    representation-finite algebra along Ext^1."""
+    representation-finite algebra along Ext^1; NotHereditary otherwise."""
     _check_k_and_n(k, 1)
-    if gldim(ambient) != 1:
-        raise NotHereditary("global dimension is not 1")
+    g = gldim(ambient)
+    if g != 1:
+        raise NotHereditary("gldim %d: " % g + (
+            "the algebra is semisimple, so there is no Ext to glue along"
+            if g == 0 else "the algebra is not hereditary, so it is not "
+            "glued along Ext^1"))
     ar, modules, names = _knit_indecomposables(ambient)
     glued = build_glued(ambient, modules, names, 1, k, ar.table)
     glued.ar = ar
@@ -291,7 +289,7 @@ def cluster_tilting_from_tau_n(ambient, n):
             raise NotRepFinite(
                 "not representation-finite: tau gives dimension vector %s, "
                 "with a coordinate above %d" % (T.dim_vector(), OVSIENKO_BOUND))
-        e = len(hom_modules(T, T))
+        e = ext_space(T, T, 0).dim
         if e != 1:
             raise NotClusterTilting("tau_n of %s has a %d-dimensional End"
                                     % (M.dim_vector(), e))

@@ -14,17 +14,17 @@ neither 0 nor everything are solved.  The higher translate tau_n is
 D Tr of F_n -> F_{n-1} in that resolution.
 ext_dims reads dim Ext^i off ranks; ext_space builds cocycles, and
 lift_chain_map lifts a map of modules to their resolutions to compose Ext
-with Hom.  A differential, a lift, a Hom basis map and a cocycle are all
+with Hom.  A differential, a lift, a map of modules and a cocycle are all
 kept as the images of generators and applied by their Yoneda columns at
 one object at a time (FreeModule.pull); only ext_space and ext_dims,
 which need a kernel or a rank, form the rows of the matrix of Hom(d, N)
-(FreeModule.hom_into) and eliminate on them.  Every Yoneda product is a
-lift through a cover (_lift), then a pull of the other factor's images
-along it.
+(FreeModule.hom_into) and eliminate on them.
 
-Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), read off
-M's resolution by hom_modules, on which hom_table and modules_isomorphic
-are built.  The modules compared in scope are indecomposable with End = K
+Hom is Ext^0: by left exactness Hom(M, N) = ker Hom(d_0, N), so
+ext_space(M, N, 0) carries Hom as it carries Ext.  yoneda_block makes
+every block of Yoneda products: a lift through a cover (_lift), a pull
+of the outer reps along it, and ExtSpace.reduce, the one coordinate
+reader.  The modules compared in scope are indecomposable with End = K
 (the algebras are representation-directed or n-representation-finite),
 so isomorphism is decided by one Hom and no module is ever split.
 
@@ -49,9 +49,9 @@ from itertools import accumulate
 from .linalg import (Mat, NoSolution, identity_rows, kernel_basis,
                      kernel_rows, quotient_coords, rank, row_reduce,
                      row_space_basis, solve)
-from .fincat import (FinCategory, FreeModule, CatModule, ModuleMap,
-                     dual_module, dual_projective_module, submodule_top,
-                     top_generators, zero_module)
+from .fincat import (FinCategory, FreeModule, CatModule, dual_module,
+                     dual_projective_module, submodule_top, top_generators,
+                     zero_module)
 from .quiver import topological_order
 from .errors import Truncated, InvalidParams, NotDirected, NonSchurianVertex
 
@@ -248,7 +248,8 @@ def domdim(cat):
 
 
 class ExtSpace:
-    """A basis of Ext^n(X, Y) with Yoneda-cocycle representatives.
+    """A basis of Ext^n(X, Y) with Yoneda-cocycle representatives; at
+    n = 0 a basis of Hom(X, Y).
 
     A cocycle is a vector in Hom(F_n, Y) coordinates: the concatenation of
     one Y(b) block per summand b of term n of X's minimal resolution.
@@ -256,18 +257,18 @@ class ExtSpace:
     basis, discarding coboundaries.
     """
 
+    __slots__ = ("Y", "n", "resolution", "reps", "dim", "cob_rows", "field",
+                 "_factor")
+
     def __init__(self, Y, n, resolution, reps, cob_rows):
         self.Y = Y
         self.n = n
         self.resolution = resolution
         self.reps = reps
+        self.dim = len(reps)
         self.cob_rows = cob_rows
         self.field = Y.cat.field
-        self._factor = None
-
-    @property
-    def dim(self):
-        return len(self.reps)
+        self._factor = None  # reduce's free columns, or its factored span
 
     def images(self, vec):
         """A cocycle as the images in Y of the generators of F_n."""
@@ -278,11 +279,23 @@ class ExtSpace:
 
     def reduce(self, vec):
         """Coordinates of a cocycle modulo coboundaries, in the rep basis;
-        NoSolution for any other vector.  The first call takes the RREF of
+        NoSolution for any other vector.  With no coboundaries (every Hom,
+        n = 0) the reps are kernel_basis vectors, each 1 at its free column
+        (its last nonzero entry) and 0 at the others': the coordinates are
+        vec's entries there, and clearing those columns with the reps must
+        leave 0.  Otherwise the first call takes the RREF of
         [cob_rows + reps | identity], whose rows pair a vector of the span
         with its coordinates; clearing the pivots of [vec | 0] then leaves
         0 and minus the coordinates of vec."""
         f, n = self.field, len(vec)
+        if not self.cob_rows:
+            if self._factor is None:
+                self._factor = [max(j for j, v in enumerate(r) if v)
+                                for r in self.reps]
+            if any(quotient_coords(f, self.reps, self._factor, range(n),
+                                   vec)):
+                raise NoSolution()
+            return [f(vec[j]) for j in self._factor]
         basis = self.cob_rows + self.reps
         m = len(basis)
         if self._factor is None:
@@ -299,7 +312,7 @@ class ExtSpace:
 def ext_space(X, Y, n):
     """Ext^n(X, Y), n >= 0, with explicit representatives: a basis of the
     cocycles of Hom(F_n, Y) modulo the coboundaries.  At n = 0 there are
-    none, and the cocycles are Hom(X, Y) (hom_modules)."""
+    none, and the cocycles are Hom(X, Y)."""
     f = X.cat.field
     res = min_proj_resolution(X)
     hom_n = sum(Y.dims[b] for b in res.frees[n].summands) \
@@ -350,67 +363,58 @@ def ext_dim(X, Y, n):
 
 
 # ---------------------------------------------------------------------------
-# Hom, read off the resolution
-
-
-def hom_modules(M, N):
-    """A basis of Hom(M, N), as ModuleMaps.  By left exactness Hom(M, N) =
-    ker Hom(d_0, N) = Ext^0(M, N): each basis map is a degree-0 cocycle of
-    ext_space(M, N, 0), the images in N of the generators of F_0 that
-    vanish on F_1 (all of Hom(F_0, N) when M is projective), kept as the
-    map's images and nothing else."""
-    ext = ext_space(M, N, 0)
-    return [ModuleMap(M, N, ext.images(v)) for v in ext.reps]
+# Hom as Ext^0, and the Yoneda products
 
 
 def hom_table(cat, modules, names):
     """(homs, end) for pairwise non-isomorphic indecomposables over cat:
-    homs[(a, b)] is the hom_modules basis of Hom(modules[a], modules[b])
-    by positions.  Each End must be K (NonSchurianVertex, naming the
-    module, if not), and its basis map is then the identity: it is c.id,
-    with images c.tops, and tops are unit vectors, so c = 1 at their last
-    nonzero entry.  end is End of their direct sum on the positions
-    0..m-1.  Its structure constants are the images of g o f, from f
-    lifted through b's cover (_lift) and g pulled along it, read at the
-    entries where the hom(a, c) basis is read (_read_entry)."""
+    homs[(a, b)] is Hom(modules[a], modules[b]) = ext_space(.., .., 0) by
+    positions.  Each End must be K (NonSchurianVertex, naming the module,
+    if not), and its basis element is then the identity: it is c.id, with
+    images c.tops, and tops are unit vectors, so c = 1 at its free column.
+    end is End of their direct sum on the positions 0..m-1, each block
+    g o f made by yoneda_block from f lifted through b's cover."""
     homs = {}
     for a, Ma in enumerate(modules):
         for b, Mb in enumerate(modules):
-            basis = homs[(a, b)] = hom_modules(Ma, Mb)
-            if a == b and len(basis) != 1:
+            H = homs[(a, b)] = ext_space(Ma, Mb, 0)
+            if a == b and H.dim != 1:
                 raise NonSchurianVertex("End(%s) has dimension %d"
-                                        % (names[a], len(basis)))
-    read = {key: [_read_entry(h) for h in basis]
-            for key, basis in homs.items()}
+                                        % (names[a], H.dim))
     res = [min_proj_resolution(M) for M in modules]
     m = len(modules)
-    out = [[c for c in range(m) if homs[(b, c)]] for b in range(m)]
+    out = [[c for c in range(m) if homs[(b, c)].dim] for b in range(m)]
     comp = {}
-    cols = {}  # {g: its Yoneda columns by object}, shared across sources
-    for (a, b), basis in homs.items():
-        F, objs = res[b].frees[0], res[a].frees[0].summands
-        lifts = [_lift(F, modules[b], res[b].tops, objs, f.images)
-                 for f in basis]
-        for c in out[b] if basis else ():
-            if homs[(a, c)]:
-                comp[(a, b, c)] = [
-                    [[w[j][r] for j, r in read[(a, c)]] for w in (
-                        F.pull(modules[c], g.images, objs, L,
-                               cols.setdefault(g, {})) for L in lifts)]
-                    for g in homs[(b, c)]]
-    homdim = {key: len(basis) for key, basis in homs.items()}
+    cols, covers = {}, [{} for _ in modules]
+    for (a, b), H in homs.items():
+        objs = res[a].frees[0].summands
+        lifts = [_lift(res[b].frees[0], modules[b], res[b].tops, objs,
+                       H.images(r), covers[b]) for r in H.reps]
+        for c in out[b] if lifts else ():
+            if homs[(a, c)].dim:
+                comp[(a, b, c)] = yoneda_block(homs[(b, c)], lifts,
+                                               homs[(a, c)], cols)
+    homdim = {key: H.dim for key, H in homs.items()}
     return homs, FinCategory(cat.field, range(m), homdim, comp)
 
 
-def _read_entry(h):
-    """The entry (j, r), entry r of the image of generator j, at which
-    coordinates over a hom basis are read: the last nonzero one of h's
-    images.  A kernel_basis vector is 1 at its free column, 0 at the free
-    columns of the other basis maps, and elsewhere nonzero only at pivot
-    columns to its left."""
-    zero = h.src.cat.field.zero
-    return [(j, r) for j, w in enumerate(h.images)
-            for r, v in enumerate(w) if v != zero][-1]
+def yoneda_block(outer, lifts, target, cols):
+    """The structure constants of outer o inner: [i][j] holds the
+    coordinates in target of rep i of outer after the inner element whose
+    lift through outer's term is lifts[j], that is rep i pulled along
+    lifts[j] (FreeModule.pull), read by target.reduce.  The lifts are
+    vectors of outer's term at the summands of target's.  cols, a dict
+    shared by a caller's blocks, keeps each rep's Yoneda columns by
+    object across every block that pulls it."""
+    F = outer.resolution.frees[outer.n]
+    objs = target.resolution.frees[target.n].summands
+    block = []
+    for i, r in enumerate(outer.reps):
+        images, rcols = outer.images(r), cols.setdefault((outer, i), {})
+        block.append([target.reduce([v for w in F.pull(outer.Y, images, objs,
+                                                        L, rcols) for v in w])
+                      for L in lifts])
+    return block
 
 
 def modules_isomorphic(M, N):
@@ -425,14 +429,14 @@ def modules_isomorphic(M, N):
         return False
     if M.total_dim() == 0:
         return True
-    maps = hom_modules(M, N)
-    if len(maps) < 2:
-        F, f = min_proj_resolution(M).frees[0], M.cat.field
-        return len(maps) == 1 and all(rank(
-            f, F.yoneda_columns(N, maps[0].images, y), N.dims[y]) == N.dims[y]
-            for y in N.support)
+    H = ext_space(M, N, 0)
+    if H.dim < 2:
+        F, f = H.resolution.frees[0], M.cat.field
+        return H.dim == 1 and all(rank(
+            f, F.yoneda_columns(N, H.images(H.reps[0]), y), N.dims[y])
+            == N.dims[y] for y in N.support)
     for X in (M, N):
-        e = len(hom_modules(X, X))
+        e = ext_space(X, X, 0).dim
         if e != 1:
             raise NonSchurianVertex(
                 "End of a module with dimension vector %s has dimension %d"
@@ -499,16 +503,16 @@ def tau_n(M, n):
 # chain-map lifting (for Yoneda composition of Ext with Hom)
 
 
-def lift_chain_map(f, res_src, res_dst, upto):
-    """Lift f: X -> Y, a ModuleMap, to a chain map between res_src and
-    res_dst, the resolutions of X and Y, as lifts[i]: F_i(src) ->
-    F_i(dst), i = 0..upto, each the images in F_i(dst) of the generators
-    of F_i(src) (None where res_dst has ended, a zero lift).  Each degree
-    is one _lift: the images of f through the cover F_0(dst) -> Y at
-    degree 0, and after that the images of the differential of res_src,
-    carried by the previous lift (FreeModule.pull), through the
-    differential of res_dst.  Any two lifts differ by a homotopy, which
-    dies in Ext."""
+def lift_chain_map(images, Y, res_src, res_dst, upto):
+    """Lift a map X -> Y, given by its images in Y of the generators of
+    F_0(src), to a chain map between res_src and res_dst, the resolutions
+    of X and Y, as lifts[i]: F_i(src) -> F_i(dst), i = 0..upto, each the
+    images in F_i(dst) of the generators of F_i(src) (None where res_dst
+    has ended, a zero lift).  Each degree is one _lift: the images through
+    the cover F_0(dst) -> Y at degree 0, and after that the images of the
+    differential of res_src, carried by the previous lift
+    (FreeModule.pull), through the differential of res_dst.  Any two lifts
+    differ by a homotopy, which dies in Ext."""
     lifts = []
     prev = None  # the images of the previous lift
     for m in range(upto + 1):
@@ -521,23 +525,23 @@ def lift_chain_map(f, res_src, res_dst, upto):
             continue
         objs = res_src.frees[m].summands
         if m == 0:
-            below, post, targets = f.dst, res_dst.tops, f.images
+            below, post, targets = Y, res_dst.tops, images
         else:
             below, post = res_dst.frees[m - 1], res_dst.diffs[m - 1]
             targets = res_src.frees[m - 1].pull(below, prev, objs,
                                                 res_src.diffs[m - 1], {})
-        prev = _lift(res_dst.frees[m], below, post, objs, targets)
+        prev = _lift(res_dst.frees[m], below, post, objs, targets, {})
         lifts.append(prev)
     return lifts
 
 
-def _lift(F, below, post, objs, targets):
+def _lift(F, below, post, objs, targets, cols):
     """Lift targets, vectors of below at objs, through the map F -> below
     that sends F's generators to post: the vectors of F at objs that it
     sends to targets, each solved against F's Yoneda columns at its
-    object only, built once per object."""
+    object only, built once per object into cols, a dict that lifts
+    through the same map share."""
     field = F.cat.field
-    cols = {}
     images = []
     for a, t in zip(objs, targets):
         if a not in cols:

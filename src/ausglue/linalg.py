@@ -134,10 +134,6 @@ class Mat:
                          nrows, ncols)
 
     @staticmethod
-    def identity(field, n):
-        return Mat._wrap(field, identity_rows(field, n), n, n)
-
-    @staticmethod
     def from_cols(field, cols):
         if not cols:
             return Mat.zero(field, 0, 0)
@@ -159,9 +155,6 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r, %r)" % (self.field, self.rows)
-
-    def col(self, j):
-        return [r[j] for r in self.rows]
 
     def transpose(self):
         rows = [[self.rows[i][j] for i in range(self.nrows)]

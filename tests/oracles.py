@@ -10,34 +10,36 @@ differentials of a resolution as maps (differentials), the Yoneda
 entries of a map of free modules (entries, from_entries) and its dual
 over the opposite category (dual_map), the minimality and complex checks
 of a resolution, direct sums with their inclusions and projections,
-naturality and flattening of module maps,
-Hom by solving every naturality square at once (hom_by_naturality) and
-the identity map of a module (identity_map), the top of a module from
-its dense radical (dense_top), the top of a submodule of a free module
-by one RREF of every radical image (full_submodule_top, the reference for
-the early-stopping scan), module maps with one matrix per object
-(DenseMap), solved from a ModuleMap's images (dense_map), the arithmetic
-of module maps (compose_maps, add_maps, sub_maps, scale_map,
-map_is_zero), an Ext cocycle postcomposed with a dense map
-(compose_hom_with_ext), the block-diagonal matrix, the matrix inverse
-and the invertibility test (is_invertible), and the hom dimensions of a
-glued category by copy.  The program's Mat only carries a module's
-action and eliminates on row lists (linalg), so the matrix arithmetic
-of the tests is here, over matmul and the linalg functions: mat_add,
-mat_scale, is_zero, solve_mat (linalg.solve column by column), the
-readers of a module's action that give a zero matrix where it stores
-none (action, act_elem), and FreeModule.hom_into as a Mat (hom_matrix).  The passes over a category that scan every
-object pair are kept here as references for the ones that walk its hom
-support: the Nakayama pairing (nakayama_pairing), the directedness check
-through the quiver of its hom support (refuse_cycles, hom_support), the
-Gabriel quiver (dense_gabriel_arrows) and the path category of a bound
-quiver (dense_category_from_presentation).  So are the simple
-modules, pdim, the AR translate tau, the composition of two morphisms of
-a category (compose) and of a glued category (yoneda_compose), the
-product of two maps of free modules, entry by entry in Yoneda
-coordinates (compose_catmats), Kahn's algorithm on a Quiver
-(topological_order) and the number of indecomposables of a Dynkin quiver
-(aus_rank), which only the tests use.
+naturality and flattening of module maps, Hom by solving every
+naturality square at once (hom_by_naturality) and the identity map of a
+module (identity_map), the top of a module from its dense radical
+(dense_top), the top of a submodule of a free module by one RREF of
+every radical image (full_submodule_top, the reference for the
+early-stopping scan), module maps with one matrix per object (DenseMap),
+solved from a map's images (dense_map), the Hom basis as images and as
+DenseMaps (hom_images, hom_maps), the arithmetic of module maps
+(compose_maps, add_maps, sub_maps, scale_map, map_is_zero), an Ext
+cocycle postcomposed with a dense map (compose_hom_with_ext), the
+block-diagonal matrix, the matrix inverse and the invertibility test
+(is_invertible), and the hom dimensions of a glued category by
+copy.  The program's Mat only carries a module's action and eliminates
+on row lists (linalg), so the matrix arithmetic of the tests is here,
+over matmul and the linalg functions: mat_add, mat_scale, is_zero, col,
+identity_mat, solve_mat (linalg.solve column by column), the readers of
+a module's action that give a zero matrix where it stores none (action,
+act_elem), and FreeModule.hom_into as a Mat (hom_matrix).  The passes
+over a category that scan every object pair are kept here as references
+for the ones that walk its hom support: the Nakayama pairing
+(nakayama_pairing), the directedness check through the quiver of its hom
+support (refuse_cycles, hom_support), the Gabriel quiver
+(dense_gabriel_arrows) and the path category of a bound quiver
+(dense_category_from_presentation).  So are the simple modules, pdim,
+the AR translate tau, the composition of two morphisms of a category
+(compose) and of a glued category (yoneda_compose), the product of two
+maps of free modules, entry by entry in Yoneda coordinates
+(compose_catmats), Kahn's algorithm on a Quiver (topological_order) and
+the number of indecomposables of a Dynkin quiver (aus_rank), which only
+the tests use.
 
 The program reads every representable in place from the structure
 constants, keeps a free module's action sparse and a map between free
@@ -55,11 +57,11 @@ from itertools import product
 from ausglue.errors import (AusglueError, InfiniteDimensional,
                             InvalidParams, NotDirected)
 from ausglue.fincat import CatModule, FinCategory, FreeModule
-from ausglue.homology import min_proj_resolution, tau_n
+from ausglue.homology import ext_space, min_proj_resolution, tau_n
 from ausglue.knitting import knit
-from ausglue.linalg import (Mat, NoSolution, echelon_columns, kernel_basis,
-                            kernel_rows, quotient_coords, rank, row_reduce,
-                            row_space_basis, solve)
+from ausglue.linalg import (Mat, NoSolution, echelon_columns, identity_rows,
+                            kernel_basis, kernel_rows, quotient_coords, rank,
+                            row_reduce, row_space_basis, solve)
 from ausglue.quiver import Quiver
 
 
@@ -94,12 +96,22 @@ def is_zero(m):
     return not any(v for r in m.rows for v in r)
 
 
+def col(m, j):
+    """Column j of a Mat, as a list."""
+    return [r[j] for r in m.rows]
+
+
+def identity_mat(field, n):
+    """The n x n identity Mat."""
+    return Mat._wrap(field, identity_rows(field, n), n, n)
+
+
 def solve_mat(a, b):
     """The X with a X = b, 0 at every free variable, by linalg.solve on
     each column of b; raises NoSolution."""
     if b.nrows != a.nrows:
         raise ValueError("rhs row count mismatch")
-    cols = [solve(a.field, [r + [v] for r, v in zip(a.rows, b.col(j))],
+    cols = [solve(a.field, [r + [v] for r, v in zip(a.rows, col(b, j))],
                   a.ncols) for j in range(b.ncols)]
     return Mat._wrap(a.field, [list(r) for r in zip(*cols)] if cols else
                      [[] for _ in range(a.ncols)], a.ncols, b.ncols)
@@ -273,7 +285,8 @@ def check_module(M):
     """Verify identity and composition compatibility of the action."""
     c = M.cat
     for x in c.objects:
-        if M.dims[x] and not action(M, x, x, 0) == Mat.identity(c.field, M.dims[x]):
+        if M.dims[x] and not action(M, x, x, 0) == identity_mat(c.field,
+                                                               M.dims[x]):
             return False
     for x in c.objects:
         for y in c.objects:
@@ -314,7 +327,7 @@ def check_mesh(ar):
 class DenseMap:
     """A natural transformation between CatModules over the same category,
     with one matrix per object in mats: the dense form that the program's
-    ModuleMap, kept as generator images, is checked against."""
+    module maps, kept as generator images, are checked against."""
 
     def __init__(self, src, dst, mats):
         self.src = src
@@ -322,13 +335,12 @@ class DenseMap:
         self.mats = mats
 
 
-def dense_map(phi):
-    """The DenseMap of a ModuleMap phi: M -> N, kept as the images of the
-    generators of F_0 in M's resolution.  Its block at y is the unique h_y
-    with h_y C_y = D_y, for C_y and D_y the Yoneda columns at y of the
-    cover F_0 -> M and of the images: C_y is onto, so one solve of C_y^T
-    gives h_y."""
-    M, N = phi.src, phi.dst
+def dense_map(M, N, images):
+    """The DenseMap of the map M -> N that sends the generators of F_0 in
+    M's resolution to images in N.  Its block at y is the unique h_y with
+    h_y C_y = D_y, for C_y and D_y the Yoneda columns at y of the cover
+    F_0 -> M and of the images: C_y is onto, so one solve of C_y^T gives
+    h_y."""
     f = M.cat.field
     res = min_proj_resolution(M)
     F = res.frees[0]
@@ -337,11 +349,23 @@ def dense_map(phi):
         m, n = M.dims[y], N.dims[y]
         if m and n:
             C = Mat.from_cols(f, F.yoneda_columns(M, res.tops, y))
-            D = Mat.from_cols(f, F.yoneda_columns(N, phi.images, y))
+            D = Mat.from_cols(f, F.yoneda_columns(N, images, y))
             mats[y] = solve_mat(C.transpose(), D.transpose()).transpose()
         else:
             mats[y] = Mat.zero(f, n, m)
     return DenseMap(M, N, mats)
+
+
+def hom_images(M, N):
+    """The images of each basis element of Hom(M, N) = ext_space(M, N, 0)."""
+    H = ext_space(M, N, 0)
+    return [H.images(r) for r in H.reps]
+
+
+def hom_maps(M, N):
+    """The DenseMaps of the basis of Hom(M, N), each solved from its images
+    (dense_map)."""
+    return [dense_map(M, N, images) for images in hom_images(M, N)]
 
 
 def is_invertible(m):
@@ -401,7 +425,7 @@ def inverse(m):
     if m.nrows != m.ncols:
         raise ValueError("not square")
     try:
-        x = solve_mat(m, Mat.identity(m.field, m.nrows))
+        x = solve_mat(m, identity_mat(m.field, m.nrows))
     except NoSolution:
         raise ValueError("singular matrix")
     return x
@@ -454,7 +478,7 @@ class Quotient:
             rows = row_space_basis(f, sub_rows.get(x, []), parent.dims[x])
             piv, free = echelon_columns(f, rows, parent.dims[x])
             dims[x] = len(free)
-            unit = Mat.identity(f, parent.dims[x]).rows
+            unit = identity_rows(f, parent.dims[x])
             proj[x] = Mat.from_cols(f, [quotient_coords(f, rows, piv, free, e)
                                         for e in unit])
             sect[x] = Mat(f, [[e[j] for j in free] for e in unit],
@@ -506,7 +530,7 @@ def dense_top(M):
     f = c.field
     gens = []
     for y in c.objects:
-        vecs = [action(M, x, y, i).col(j) for x in c.objects if x != y
+        vecs = [col(action(M, x, y, i), j) for x in c.objects if x != y
                 for i in range(c.homdim[(x, y)]) for j in range(M.dims[x])]
         rad = row_space_basis(f, vecs, M.dims[y])
         for j in echelon_columns(f, rad, M.dims[y])[1]:
@@ -729,7 +753,7 @@ def hom_by_naturality(M, N):
 
 def identity_map(M):
     f = M.cat.field
-    return DenseMap(M, M, {x: Mat.identity(f, M.dims[x])
+    return DenseMap(M, M, {x: identity_mat(f, M.dims[x])
                            for x in M.cat.objects})
 
 
@@ -740,7 +764,7 @@ def hom_dim(glued, a, i, b, j):
 
 def simple_module(cat, x):
     f = cat.field
-    return CatModule(cat, {x: 1}, {(x, x): [Mat.identity(f, 1)]})
+    return CatModule(cat, {x: 1}, {(x, x): [identity_mat(f, 1)]})
 
 
 def pdim(M):

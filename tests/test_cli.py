@@ -113,12 +113,15 @@ def test_verify_failure_exits_one(runner, monkeypatch):
 
 
 # quiver files, written to a temporary file by name: two semisimple
-# ambients (gldim 0) and a representation-infinite hereditary one, the
-# extended Dynkin quiver of type A~2
+# ambients (gldim 0), a representation-infinite hereditary one, the
+# extended Dynkin quiver of type A~2, and linear A3 with its path of
+# length 2 killed (gldim 2)
 QUIVER_FILES = {
     "a1.quiver": "dynkin A 1\n",
     "killed-arrow.quiver": "quiver\narrow a0 2 4\nrelation -1*a0\n",
     "a2-tilde.quiver": "quiver\narrow a0 1 3\narrow a1 2 3\narrow a2 1 2\n",
+    "a3-killed-path.quiver": ("quiver\narrow a0 1 2\narrow a1 2 3\n"
+                              "relation a0.a1\n"),
 }
 
 
@@ -173,14 +176,22 @@ def test_invalid_input_exits_two(runner, tmp_path, args):
       "--n", "2"], "gldim 0: the algebra is semisimple"),
     (["verify", "--quiver-file", "a2-tilde.quiver", "--k", "1", "--n", "1"],
      "not representation-finite: tau gives dimension vector (7, 6, 6)"),
+    (["verify", "--dynkin", "A1", "--k", "1"],
+     "gldim 0: the algebra is semisimple, so there is no Ext to glue along"),
+    (["ar", "--dynkin", "A1", "--glued", "--k", "1"],
+     "gldim 0: the algebra is semisimple, so there is no Ext to glue along"),
+    (["ar", "--quiver-file", "a3-killed-path.quiver", "--glued", "--k", "1"],
+     "gldim 2: the algebra is not hereditary"),
 ], ids=["verify-auslander-a1", "angles-auslander-a1", "killed-arrow",
-        "a2-tilde-n1"])
+        "a2-tilde-n1", "verify-dynkin-a1", "ar-glued-a1",
+        "ar-glued-gldim-2"])
 def test_out_of_scope_ambient_is_refused_with_its_reason(runner, tmp_path,
                                                          args, message):
-    """verify and angles refuse a semisimple ambient with the same reason,
-    before evaluating any claim; at n = 1 a representation-infinite
-    hereditary ambient is refused at the first tau-orbit module above
-    Ovsienko's bound."""
+    """verify, angles and ar --glued refuse a semisimple ambient with the
+    same reason, before evaluating any claim, and ar --glued and verify
+    --dynkin, which glue along Ext^1, state any other gldim but 1; at
+    n = 1 a representation-infinite hereditary ambient is refused at the
+    first tau-orbit module above Ovsienko's bound."""
     r = runner.invoke(main, _with_quiver_files(tmp_path, args))
     assert r.exit_code == 2
     assert "error: " + message in r.stderr

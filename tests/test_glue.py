@@ -13,7 +13,7 @@ from ausglue.pathcat import category_from_presentation
 from ausglue import glue, knitting, tower
 from ausglue.fincat import projective_module, injective_module
 from ausglue.homology import (ext_dim, ext_space, min_proj_resolution,
-                              gldim, hom_modules, hom_table,
+                              gldim, hom_table,
                               lift_chain_map, modules_isomorphic)
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, is_rigid,
@@ -416,19 +416,21 @@ def test_hom_table_built_once(monkeypatch):
     structure constants once and compute Hom for each ordered pair of the
     six indecomposables of A3 once; knitting builds no hom table at all;
     build_mk builds one, shared by is_cluster_tilting and build_glued, and
-    never knits; and is_cluster_tilting alone builds one."""
+    never knits; and is_cluster_tilting alone builds one.  Hom is counted
+    as the calls of ext_space at n = 0."""
     calls, tables, knits = [], [], []
 
-    def counted(M, N):
-        calls.append((M, N))
-        return hom_modules(M, N)
+    def counted(M, N, n):
+        if n == 0:
+            calls.append((M, N))
+        return ext_space(M, N, n)
 
     def counted_table(*args):
         tables.append(args)
         return hom_table(*args)
     for name, mod in list(sys.modules.items()):
         if name.startswith("ausglue"):
-            for attr, fn in (("hom_modules", counted),
+            for attr, fn in (("ext_space", counted),
                              ("hom_table", counted_table)):
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, fn)
@@ -529,7 +531,7 @@ def test_build_glued_lifts_only_what_a_block_reads(monkeypatch, n, k):
     m = len(modules)
     ext = {(a, b): ext_space(modules[a], modules[b], n).dim
            for a in range(m) for b in range(m)}
-    want = sum(len(homs[(a, b)]) for a in range(m) for b in range(m)
+    want = sum(homs[(a, b)].dim for a in range(m) for b in range(m)
                if any(ext[(b, c)] and ext[(a, c)] for c in range(m)))
     calls, lift = [], glue.lift_chain_map
 
@@ -538,7 +540,7 @@ def test_build_glued_lifts_only_what_a_block_reads(monkeypatch, n, k):
         return lift(*args)
     monkeypatch.setattr(glue, "lift_chain_map", counted)
     build_glued(ambient, modules, names, n, k, (homs, end))
-    assert 0 < len(calls) == want < sum(map(len, homs.values()))
+    assert 0 < len(calls) == want < sum(H.dim for H in homs.values())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
@@ -562,7 +564,7 @@ def test_glued_blocks_match_dense_reference(case, field):
     mods, n = glued.modules, glued.n
     m = len(mods)
     res = [min_proj_resolution(M) for M in mods]
-    homs = {(a, b): hom_modules(mods[a], mods[b])
+    homs = {(a, b): ext_space(mods[a], mods[b], 0)
             for a, b in product(range(m), repeat=2)}
     exts = {(a, b): ext_space(mods[a], mods[b], n)
             for a, b in product(range(m), repeat=2)}
@@ -575,18 +577,20 @@ def test_glued_blocks_match_dense_reference(case, field):
         E = exts[(a, c)]
         if not E.dim:
             continue
-        if homs[(a, b)] and exts[(b, c)].dim:
+        if homs[(a, b)].dim and exts[(b, c)].dim:
             F, objs = res[b].frees[n], res[a].terms[n]
-            lifts = [lift_chain_map(f, res[a], res[b], n)[n]
-                     for f in homs[(a, b)]]
+            lifts = [lift_chain_map(homs[(a, b)].images(f), mods[b], res[a],
+                                    res[b], n)[n] for f in homs[(a, b)].reps]
             assert block(a, b, c, 0) == [
                 [E.reduce(oracles.hom_matrix(F, mods[c], objs, L).apply(vec))
                  for L in lifts] for vec in exts[(b, c)].reps]
             blocks[0] += 1
-        if exts[(a, b)].dim and homs[(b, c)]:
+        if exts[(a, b)].dim and homs[(b, c)].dim:
+            G = homs[(b, c)]
             assert block(a, b, c, 1) == [
                 [E.reduce(oracles.compose_hom_with_ext(
-                    oracles.dense_map(g), exts[(a, b)], r))
-                 for r in exts[(a, b)].reps] for g in homs[(b, c)]]
+                    oracles.dense_map(mods[b], mods[c], G.images(g)),
+                    exts[(a, b)], r))
+                 for r in exts[(a, b)].reps] for g in G.reps]
             blocks[1] += 1
     assert all(blocks)

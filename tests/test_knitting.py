@@ -6,7 +6,7 @@ from ausglue.quiver import (Quiver, DynkinSpec, BoundPresentation,
                             hereditary_presentation, nakayama_linear)
 from ausglue.pathcat import category_from_presentation
 from ausglue.glue import auslander_category
-from ausglue.homology import gldim, hom_modules, min_proj_resolution
+from ausglue.homology import ext_space, gldim, min_proj_resolution
 from ausglue.knitting import knit, OVSIENKO_BOUND
 import oracles
 from oracles import (aus_rank, compose_maps, cover, dense_map, flatten,
@@ -110,14 +110,22 @@ def test_ovsienko_bound_is_tight(spec, top):
 def _coords_by_solve(field, basis_rows, vector):
     """The coordinates of vector over basis_rows, by one solve."""
     A = Mat.from_cols(field, basis_rows)
-    return oracles.solve_mat(A, Mat.from_cols(field, [vector])).col(0)
+    return oracles.col(oracles.solve_mat(A, Mat.from_cols(field, [vector])), 0)
 
 
-def _reference_structure_constants(field, homs, m):
+def _dense_homs(ar):
+    """The hom bases of ar.table, ext_space(.., .., 0) by positions, as
+    DenseMaps solved from their images."""
+    mods = [ar.module(i) for i in range(ar.count)]
+    return {(a, b): [dense_map(mods[a], mods[b], H.images(r)) for r in H.reps]
+            for (a, b), H in ar.table[0].items()}
+
+
+def _reference_structure_constants(field, ar):
     """comp[(a, b, c)][i][j]: the coordinates of g_i o f_j over the
     flattened hom(a, c) basis, from the product of the dense maps and a
     solve."""
-    homs = {key: [dense_map(g) for g in basis] for key, basis in homs.items()}
+    m, homs = ar.count, _dense_homs(ar)
     hflat = {key: [flatten(g) for g in basis] for key, basis in homs.items()}
     comp = {}
     for a in range(m):
@@ -136,8 +144,7 @@ def _reference_arrows(ar):
     """dim rad/rad^2 from i to j: dim hom(i, j) less the rank of the
     flattened composites g o f of the dense maps through every third
     vertex k."""
-    homs = {key: [dense_map(g) for g in basis]
-            for key, basis in ar.table[0].items()}
+    homs = _dense_homs(ar)
     n = ar.count
     arrows = []
     for i in range(n):
@@ -174,14 +181,15 @@ def _table_category(name, field):
 @FIELDS
 @TABLE_CASES
 def test_hom_table_matches_solve_reference(name, field):
-    """The structure constants read off the hom bases at their read entries
-    equal the solved coordinates of the product maps, and the AR arrows,
-    the Gabriel arrows of that table, equal the rank of the flattened
-    composites; the mesh holds on the hereditary inputs."""
+    """The structure constants, each product reduced over the hom(a, c)
+    basis by ExtSpace.reduce, equal the solved coordinates of the product
+    maps, and the AR arrows, the Gabriel arrows of that table, equal the
+    rank of the flattened composites; the mesh holds on the hereditary
+    inputs."""
     ar = knit(_table_category(name, field))
-    homs, end = ar.table
+    end = ar.table[1]
     assert end.objects == list(range(ar.count))
-    assert end.comp == _reference_structure_constants(field, homs, ar.count)
+    assert end.comp == _reference_structure_constants(field, ar)
     assert ar.arrows == _reference_arrows(ar)
     if name in SPECS:
         assert oracles.check_mesh(ar) == (True, None)
@@ -190,11 +198,11 @@ def test_hom_table_matches_solve_reference(name, field):
 @FIELDS
 @TABLE_CASES
 def test_hom_by_resolution_matches_naturality_reference(name, field):
-    """hom_modules, read off the resolution, against the naturality solver
-    on every ordered pair of knitted indecomposables: the same dimension
-    and span, and each basis map natural, with h o cover the Yoneda map
-    of its images; the basis of each End = K is the Yoneda map of tops,
-    the identity."""
+    """Hom = ext_space(M, N, 0), read off the resolution, against the
+    naturality solver on every ordered pair of knitted indecomposables:
+    the same dimension and span, and each basis map natural, with h o cover
+    the Yoneda map of its images; the basis of each End = K is the Yoneda
+    map of tops, the identity."""
     cat = _table_category(name, field)
     ar = knit(cat)
     mods = [ar.module(i) for i in range(ar.count)]
@@ -202,15 +210,17 @@ def test_hom_by_resolution_matches_naturality_reference(name, field):
     for M in mods:
         res = min_proj_resolution(M)
         pi = cover(res, M)
-        assert [h.images for h in hom_modules(M, M)] == [res.tops]
+        End = ext_space(M, M, 0)
+        assert [End.images(r) for r in End.reps] == [res.tops]
         for N in mods:
-            basis, ref = hom_modules(M, N), hom_by_naturality(M, N)
+            H = ext_space(M, N, 0)
+            basis, ref = [H.images(r) for r in H.reps], hom_by_naturality(M, N)
             assert len(basis) == len(ref)
-            dense = [dense_map(h) for h in basis]
-            for h, d in zip(basis, dense):
+            dense = [dense_map(M, N, images) for images in basis]
+            for images, d in zip(basis, dense):
                 assert is_natural(d)
                 assert compose_maps(d, pi).mats == \
-                    yoneda_map(res.frees[0], N, h.images).mats
+                    yoneda_map(res.frees[0], N, images).mats
             length = sum(M.dims[x] * N.dims[x] for x in cat.objects)
             assert row_space_basis(field, [flatten(d) for d in dense],
                                    length) == \
