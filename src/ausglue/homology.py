@@ -30,18 +30,22 @@ so isomorphism is decided by one Hom and no module is ever split.
 
 Injective-side computations are routed through the opposite category via
 the duality D, so only projective resolutions are ever built.  Each
-category keeps one table of the minimal injective coresolutions of its
-P_x (injective_coresolutions), and the Nakayama pairing, domdim and gldim
-are all read off it; the pairing P_x = I_y is read from the structure
-constants by Yoneda, so only an unpaired P_x is coresolved.  gldim is
-max id P_x: on a directed category, whose hom support (x -> y for
-hom(x, y) != 0, x != y) has no cycle (quiver.topological_order over
+category keeps its Nakayama pairing P_x = I_y (projective_injectives),
+read from the structure constants by Yoneda, and one table of the minimal
+injective coresolutions of its P_x (injective_coresolutions), which
+coresolves only the unpaired P_x; domdim and gldim are read off it.
+gldim is max id P_x: on a directed category, whose hom support (x -> y
+for hom(x, y) != 0, x != y) has no cycle (quiver.topological_order over
 out_support decides this, on the support alone), the algebra is
 triangular, so its global dimension d is finite, and then d = id A:
 Ext^d(N, S) != 0 for some module N and simple S, and Ext^d(N, -) is right
-exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).  Any
-other category is refused as NotDirected, naming a cycle of its hom
-support.
+exact, so the epi P(S) ->> S gives Ext^d(N, P(S)) ->> Ext^d(N, S).
+Dually d = pd DA, the largest pd I_y over the I_y that are not projective
+(0 if none): Ext^d(-, N) is right exact, so S -> I(S) gives
+Ext^d(I(S), N) ->> Ext^d(S, N).  Sigma is a full subcategory of Gamma, so
+it is directed once gldim(Gamma) has passed, and tower reads gldim Sigma
+this way, off the I_y it resolves anyway.  Any other category is refused as
+NotDirected, naming a cycle of its hom support.
 """
 
 from itertools import accumulate
@@ -172,13 +176,13 @@ def _acyclic(cat, objs):
 
 def injective_coresolutions(cat):
     """{x: socle labels of each term of the minimal injective coresolution
-    of P_x}, in object order: [[y]] where P_x = I_y (_nakayama_pairing),
-    which builds no module, else the projective resolution of D(P_x) over
+    of P_x}, in object order: [[y]] where P_x = I_y (projective_injectives,
+    which builds no module), else the projective resolution of D(P_x) over
     the opposite category, read in place from the structure constants
     (dual_projective_module).  Kept once per category; do not mutate."""
     table = getattr(cat, "_coresolutions", None)
     if table is None:
-        pairing = _nakayama_pairing(cat)
+        pairing = projective_injectives(cat)
         table = cat._coresolutions = {
             x: [[pairing[x]]] if x in pairing else
             _resolve(dual_projective_module(cat, x)).terms
@@ -216,9 +220,12 @@ def _nakayama_pairing(cat):
 
 def projective_injectives(cat):
     """The Nakayama pairing {x: y}, in object order: P_x is injective and
-    isomorphic to I_y, its coresolution a single term."""
-    return {x: terms[0][0] for x, terms in injective_coresolutions(cat).items()
-            if len(terms) == 1}
+    isomorphic to I_y.  _nakayama_pairing is an iff and builds no module;
+    these are exactly the one-term entries of injective_coresolutions,
+    which takes them from here.  Kept once per category; do not mutate."""
+    if getattr(cat, "_pairing", None) is None:
+        cat._pairing = _nakayama_pairing(cat)
+    return cat._pairing
 
 
 def injective_dims(cat):

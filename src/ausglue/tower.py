@@ -243,16 +243,18 @@ def _verify_glued(glued, input_desc, gldim_id):
     rep.add("prop5.injnotproj_sigma", "sec5", m - r,
             len(S.objects) - len(s_pair), witness=sorted(unpaired, key=str))
 
-    s_gldim = gldim(S)
-    rep.stats["gldim_sigma"] = s_gldim
-    rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim,
-            _coresolution_witness(S, injective_dims(S), s_gldim))
-
-    # the projectives, then the injectives that are not also projective;
-    # Ext^i(P, -) = 0 = Ext^i(-, I), so only the latter are resolved, once
-    # each for the rigidity check and the tau_d-closure, and mapped only
-    # into the P_x that are not injective
+    # Sigma's injectives that are not projective, resolved once each for
+    # gldim Sigma (the homology docstring says why), rigidity and the
+    # tau_d-closure.  The witness is gated here, not in rep.add, so that
+    # Sigma's coresolution table stays unbuilt on a passing claim
     injs = [injective_module(S, y) for y in unpaired]
+    s_gldim = max((min_proj_resolution(I).length for I in injs), default=0)
+    rep.stats["gldim_sigma"] = s_gldim
+    rep.add("thm1.4.gldim_sigma", "thm1.4", d, s_gldim, None if s_gldim == d
+            else _coresolution_witness(S, injective_dims(S), s_gldim))
+
+    # the projectives, then those injectives; Ext^i(P, -) = 0 = Ext^i(-, I),
+    # so the injectives are mapped only into the P_x that are not injective
     labels = [("P", x) for x in S.objects] + [("I", y) for y in unpaired]
     targets = [x for x in S.objects if x not in s_pair]
     projs = [projective_module(S, x) for x in targets]

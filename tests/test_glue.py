@@ -13,8 +13,9 @@ from ausglue.pathcat import category_from_presentation
 from ausglue import glue, knitting, tower
 from ausglue.fincat import projective_module, injective_module
 from ausglue.homology import (ext_dim, ext_space, min_proj_resolution,
-                              gldim, hom_table,
-                              lift_chain_map, modules_isomorphic)
+                              gldim, hom_table, injective_coresolutions,
+                              lift_chain_map, modules_isomorphic,
+                              projective_injectives)
 from ausglue.knitting import knit
 from ausglue.glue import (build_sk, build_mk, build_glued, is_rigid,
                           is_cluster_tilting, cluster_tilting_from_tau_n)
@@ -365,7 +366,10 @@ def test_gldim_by_injectives_matches_simples():
     max pdim over the simples on ambients (the commutative
     square and End of the Kronecker {P1, P2, I1, I2} among them), on Gamma
     and Sigma of three towers, and on End(M) of every one-module deletion
-    of the tau_2-closures in test_cluster_tilting_matches_knit_reference."""
+    of the tau_2-closures in test_cluster_tilting_matches_knit_reference.
+    On each, it is also the largest pdim of the injectives that are not
+    projective (0 if none), as the verifier reads gldim Sigma, and the
+    Nakayama pairing is the table's entries of one term."""
     kron = category_from_presentation(BoundPresentation(
         Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), []), FIELD)
     kron_m = [projective_module(kron, x) for x in kron.objects] + \
@@ -386,6 +390,13 @@ def test_gldim_by_injectives_matches_simples():
     got = [gldim(cat) for cat in cats]
     assert got == [_gldim_by_simples(cat) for cat in cats]
     assert got[:12] == [1, 1, 2, 2, 2, 3, 8, 7, 5, 4, 7, 6]
+    for cat, g in zip(cats, got):
+        paired = projective_injectives(cat)
+        assert max((pdim(injective_module(cat, y)) for y in cat.objects
+                    if y not in paired.values()), default=0) == g
+        assert paired == {x: terms[0][0] for x, terms in
+                          injective_coresolutions(cat).items()
+                          if len(terms) == 1}
 
 
 def test_tau_n_orbit_refuses_a_decomposable_translate(monkeypatch):

@@ -80,22 +80,33 @@ def test_gldim_domdim_oracles():
 
 def test_projective_injectives_labels_once(monkeypatch):
     """The pairing is computed once per category, from the structure
-    constants: the first call builds D(P_x) only for the x with P_x not
-    injective, once each and in object order, and a later call, like the
-    one in sigma after domdim, builds none and returns the same pairing."""
+    constants: projective_injectives builds no module (no CatModule and no
+    FreeModule) and runs _nakayama_pairing once across two calls, and
+    domdim afterwards builds D(P_x) only for the x with P_x not injective,
+    once each and in object order, reusing the pairing."""
     from ausglue import homology
-    built = []
+    built, paired, modules = [], [], []
+    real_pairing = homology._nakayama_pairing
 
     def counted(cat, x):
         built.append(x)
         return fincat.dual_projective_module(cat, x)
-    monkeypatch.setattr(homology, "dual_projective_module", counted)
+
+    def pairing(cat):
+        paired.append(cat)
+        return real_pairing(cat)
     nak = category_from_presentation(nakayama_linear(4, 3), FIELD)
+    monkeypatch.setattr(homology, "dual_projective_module", counted)
+    monkeypatch.setattr(homology, "_nakayama_pairing", pairing)
+    for cls in (fincat.CatModule, FreeModule):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init:
+                            modules.append(self) or init(self, *a))
     first = projective_injectives(nak)
-    assert first and built == [x for x in nak.objects if x not in first]
-    del built[:]
-    assert projective_injectives(nak) == first
-    assert domdim(nak) == 1 and built == []
+    assert first and paired == [nak] and modules == [] and built == []
+    assert projective_injectives(nak) is first and paired == [nak]
+    assert domdim(nak) == 1 and paired == [nak] and modules
+    assert built == [x for x in nak.objects if x not in first]
 
 
 def test_projective_injectives_match_isomorphism_test():

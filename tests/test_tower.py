@@ -399,7 +399,9 @@ def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
     """verify_theorem_dynkin(A3, k = 2) resolves each injective I_y of
     Sigma that is not projective once, counted over every module
     isomorphic to it: gldim Sigma, the rigidity check and the
-    tau_d-closure share that one resolution."""
+    tau_d-closure share that one resolution.  gldim Sigma is the longest
+    of those resolutions, and nothing over Sigma^op is resolved for it,
+    nor is Sigma's coresolution table built."""
     from ausglue import homology, tower
     calls, sigmas = [], []
     real = homology._resolve
@@ -410,7 +412,8 @@ def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
     monkeypatch.setattr(homology, "_resolve", counted)
     monkeypatch.setattr(tower, "sigma",
                         lambda g: sigmas.append(sigma(g)) or sigmas[-1])
-    assert verify_theorem_dynkin(DynkinSpec("A", 3), 2).passed
+    rep = verify_theorem_dynkin(DynkinSpec("A", 3), 2)
+    assert rep.passed
     S = sigmas[0][0]
     paired = set(projective_injectives(S).values())
     unpaired = [y for y in S.objects if y not in paired]
@@ -418,6 +421,10 @@ def test_sigma_resolves_each_unpaired_injective_once(monkeypatch):
     on_sigma = [M for M in calls if M.cat is S]
     assert [sum(injective_label(M) == y for M in on_sigma)
             for y in unpaired] == [1, 1, 1]
+    assert not any(M.cat is S.opposite() for M in calls)
+    assert getattr(S, "_coresolutions", None) is None
+    assert rep.stats["gldim_sigma"] == max(
+        min_proj_resolution(M).length for M in on_sigma) == gldim(S) == 7
 
 
 def test_failing_gldim_and_domdim_name_a_coresolution(monkeypatch):
@@ -467,12 +474,12 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     """verify_theorem_dynkin(A3, k = 2), counted by the modules resolved
     (homology._resolve, which builds every Resolution): no module object
     is resolved twice; each D(P_x) of Gamma that is not projective over
-    Gamma^op is resolved once, for the pairing, gldim and domdim
-    together, and the others not at all; no module over Gamma is
-    resolved (the next test checks that none of Gamma's injectives and no
-    projective of Gamma or Gamma^op is built); and on Sigma only the
-    injectives that are not projective are resolved, once each, no
-    projective."""
+    Gamma^op is resolved once, for gldim and domdim together, and the
+    others not at all; no module over Gamma is resolved (the next test
+    checks that none of Gamma's injectives and no projective of Gamma or
+    Gamma^op is built); on Sigma only the injectives that are not
+    projective are resolved, once each, no projective; and nothing over
+    Sigma^op, as gldim Sigma is read off those injectives."""
     from ausglue import homology, tower
     resolved, sigmas = [], []
     real = homology._resolve
@@ -499,6 +506,7 @@ def test_verdict_resolves_each_module_once(monkeypatch):
     on_sigma = [M for M in resolved if M.cat is S]
     assert [injective_label(M) for M in on_sigma] == unpaired
     assert all(projective_label(M) is None for M in on_sigma)
+    assert not any(M.cat is S.opposite() for M in resolved)
 
 
 def test_verdict_builds_no_projective_of_gamma_or_the_opposites(monkeypatch):
